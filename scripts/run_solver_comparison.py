@@ -60,7 +60,7 @@ def main():
     rows.append(("ucb", ucb.best_report, f"budget {args.budget}"))
 
     grad = gradient_solver(
-        model, start.as_randomized(model), GradientConfig(seed=args.seed)
+        model, start.as_randomized(model), GradientConfig()
     )
     rows.append(("projected gradient", grad.report, f"{len(grad.trace.iterations)} iterations"))
 

@@ -41,6 +41,7 @@ from .solvers import (
     GradientConfig,
     MultiStartResult,
     SolverTrace,
+    _uniform_feasible,
     gradient_solver,
     multi_start,
     policy_iteration,
@@ -213,14 +214,9 @@ def _cmd_solve_gd(config: RunConfig) -> int:
         else:
             theta = loaded
     else:
-        rows = np.zeros((model.num_states, model.num_actions))
-        for i, acts in enumerate(model.feasible):
-            rows[i, list(acts)] = 1.0 / len(acts)
-        theta = RandomizedPolicy(rows)
+        theta = RandomizedPolicy(_uniform_feasible(model))
     gc = GradientConfig(
-        stop_ratio=config.stop_ratio,
-        max_iterations=config.max_iterations or 500,
-        seed=config.seed,
+        stop_ratio=config.stop_ratio, max_iterations=config.max_iterations or 500
     )
     result = gradient_solver(model, theta, gc)
     if config.output_path is not None:
@@ -293,6 +289,8 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
                 policy_id=f"start{result.best_index}",
             )
         )
+        # Not _distinct_values: this keeps trace order and compares against
+        # every value kept so far, and the _optima.csv bytes depend on both.
         seen = []
         for trace in result.traces:
             last = trace.iterations[-1]

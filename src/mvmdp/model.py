@@ -54,16 +54,18 @@ class MdpModel:
         _validate_model(self)
         self.kernel.setflags(write=False)
         self.reward.setflags(write=False)
-
-    def feasible_mask(self) -> np.ndarray:
-        """Boolean (S, A) mask of feasible pairs."""
         mask = np.zeros((self.num_states, self.num_actions), dtype=bool)
         for i, acts in enumerate(self.feasible):
             mask[i, list(acts)] = True
-        return mask
+        mask.setflags(write=False)
+        object.__setattr__(self, "_feasible_mask", mask)
+
+    def feasible_mask(self) -> np.ndarray:
+        """Read-only boolean (S, A) mask of feasible pairs, built once."""
+        return self._feasible_mask
 
     def num_policies(self) -> int:
-        return math.prod(len(acts) for acts in self.feasible)
+        return math.prod(self.feasible_mask().sum(axis=1).tolist())
 
 
 def _validate_model(model: MdpModel) -> None:
@@ -113,9 +115,14 @@ class DeterministicPolicy:
             raise ValidationError(
                 f"policy has {self.action.shape[0]} states, model has {model.num_states}"
             )
-        for i, a in enumerate(self.action):
-            if int(a) not in model.feasible[i]:
-                raise FeasibilityError(f"action {int(a)} is infeasible at state {i}")
+        a = self.action
+        in_range = (a >= 0) & (a < model.num_actions)
+        rows = np.arange(model.num_states)
+        ok = in_range & model.feasible_mask()[rows, np.where(in_range, a, 0)]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = int(bad[0])
+            raise FeasibilityError(f"action {int(a[i])} is infeasible at state {i}")
 
     def as_randomized(self, model: MdpModel) -> "RandomizedPolicy":
         theta = np.zeros((model.num_states, model.num_actions))
@@ -187,9 +194,7 @@ def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     r[i] = reward[i, d(i)] of the chain the policy induces."""
     policy.validate_for(model)
     idx = np.arange(model.num_states)
-    P = model.kernel[idx, policy.action]
-    r = model.reward[idx, policy.action]
-    return P.copy(), r.copy()
+    return model.kernel[idx, policy.action], model.reward[idx, policy.action]
 
 
 def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):
@@ -265,10 +270,7 @@ def check_ergodicity(
     would condemn every policy) plus `sample_size` seeded random policies.
     Always returns a report; callers decide whether violations are fatal.
     """
-    union = np.zeros((model.num_states, model.num_states))
-    for i, acts in enumerate(model.feasible):
-        for a in acts:
-            union[i] += model.kernel[i, a]
+    union = model.kernel.sum(axis=1, where=model.feasible_mask()[:, :, None])
     union_ok = is_irreducible(union)
 
     violations = []

@@ -69,16 +69,12 @@ def improvement_vector(
     model: MdpModel, report: EvaluationReport, policy: DeterministicPolicy
 ) -> ImprovementVector:
     """Q-scores of every feasible pair under the current policy's data."""
-    policy.validate_for(model)
     P, _ = induced_chain(model, policy)
     _require_report_matches(P, report, "policy")
-    j_mean, g, beta = report.j_mean, report.potential, model.beta
-    score = np.full((model.num_states, model.num_actions), np.nan)
-    pg = model.kernel @ g
-    for i, acts in enumerate(model.feasible):
-        acts = list(acts)
-        r = model.reward[i, acts]
-        score[i, acts] = r - beta * (r - j_mean) ** 2 + pg[i, acts]
+    j_mean, g, beta, r = report.j_mean, report.potential, model.beta, model.reward
+    score = np.where(
+        model.feasible_mask(), r - beta * (r - j_mean) ** 2 + model.kernel @ g, np.nan
+    )
     current = score[np.arange(model.num_states), policy.action]
     return ImprovementVector(score=score, current_score=current)
 
@@ -130,13 +126,8 @@ def check_necessary_condition(
     only when the long-run mean is policy-independent.
     """
     iv = improvement_vector(model, report, policy)
-    violations = []
-    for i, acts in enumerate(model.feasible):
-        for a in acts:
-            margin = iv.score[i, a] - iv.current_score[i]
-            if margin > tol:
-                violations.append((i, a, float(margin)))
-    return violations
+    margin = iv.score - iv.current_score[:, None]
+    return [(int(i), int(a), float(margin[i, a])) for i, a in np.argwhere(margin > tol)]
 
 
 def derivative_mixed(
@@ -181,10 +172,6 @@ def derivative_randomized(
         theta_report.j_mean,
         model.beta,
     )
-    grad = np.full((model.num_states, model.num_actions), np.nan)
-    pg = model.kernel @ g
-    for i, acts in enumerate(model.feasible):
-        acts = list(acts)
-        r = model.reward[i, acts]
-        grad[i, acts] = pi[i] * (pg[i, acts] + r - beta * r**2 + 2.0 * beta * j_mean * r)
-    return grad
+    r = model.reward
+    bracket = model.kernel @ g + r - beta * r**2 + 2.0 * beta * j_mean * r
+    return np.where(model.feasible_mask(), pi[:, None] * bracket, np.nan)

@@ -83,14 +83,10 @@ class GradientConfig:
     """Projected-gradient settings: step size 1/sqrt(l), stop when the
     largest per-state L1 parameter change drops below stop_ratio."""
 
-    step_rule: str = "inv_sqrt"
     stop_ratio: float = 0.001
     max_iterations: int = 500
-    seed: int = 0
 
     def __post_init__(self):
-        if self.step_rule != "inv_sqrt":
-            raise ValidationError(f"unknown step_rule {self.step_rule!r}")
         if not self.stop_ratio > 0:
             raise ValidationError(f"stop_ratio must be > 0, got {self.stop_ratio}")
         if self.max_iterations < 1:
@@ -131,14 +127,45 @@ def _greedy_step(
     the current one unless some action beats it by more than the tie
     tolerance; exact ties go to the lowest action index."""
     iv = improvement_vector(model, report, policy)
-    new_action = policy.action.copy()
-    for i, acts in enumerate(model.feasible):
-        acts = list(acts)
-        scores = iv.score[i, acts]
-        best = scores.max()
-        if best > iv.current_score[i] + TIE_TOL:
-            new_action[i] = acts[int(np.argmax(scores))]
-    return DeterministicPolicy(new_action)
+    return DeterministicPolicy(_switch_if_better(model, policy, iv.score, iv.current_score))
+
+
+def _switch_if_better(model, policy, scores, current):
+    """Action table moving each state to its best feasible action when that
+    beats `current` by more than the tie tolerance; argmax gives exact ties
+    to the lowest action index."""
+    scores = np.where(model.feasible_mask(), scores, -np.inf)
+    switch = scores.max(axis=1) > current + TIE_TOL
+    return np.where(switch, scores.argmax(axis=1), policy.action)
+
+
+def _iterate(model, initial, num_steps, step, stop_at_fixed_point):
+    """The evaluate -> record -> step loop every policy-iteration variant runs.
+
+    Evaluates at most `num_steps` iterates, calling `step(policy, report)`
+    after each one for the next iterate. With `stop_at_fixed_point` the loop
+    ends when `step` returns the policy it was given, which is recorded once
+    more. Returns (last policy, best (policy, report) evaluated, trace).
+    """
+    d = initial
+    records = []
+    best = None
+    for k in range(num_steps):
+        report = _evaluate_iterate(model, d, k)
+        changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
+        records.append(
+            TraceRecord(k, d, report.j_mean, report.j_var, report.j_combined, changed)
+        )
+        if best is None or report.j_combined > best[1].j_combined:
+            best = (d, report)
+        new_d = step(d, report)
+        if stop_at_fixed_point and new_d == d:
+            records.append(
+                TraceRecord(k + 1, d, report.j_mean, report.j_var, report.j_combined, 0)
+            )
+            return d, best, SolverTrace(tuple(records), True, "fixed_point")
+        d = new_d
+    return d, best, SolverTrace(tuple(records), False, "max_iterations")
 
 
 def policy_iteration(
@@ -157,27 +184,14 @@ def policy_iteration(
     initial.validate_for(model)
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
-    d = initial
-    records = []
-    for step in range(max_iterations + 1):
-        report = _evaluate_iterate(model, d, step)
-        if records:
-            changed = int(np.sum(records[-1].policy.action != d.action))
-        else:
-            changed = 0
-        records.append(
-            TraceRecord(step, d, report.j_mean, report.j_var, report.j_combined, changed)
-        )
-        new_d = _greedy_step(model, d, report)
-        if new_d == d:
-            records.append(
-                TraceRecord(
-                    step + 1, d, report.j_mean, report.j_var, report.j_combined, 0
-                )
-            )
-            return d, SolverTrace(tuple(records), True, "fixed_point")
-        d = new_d
-    return d, SolverTrace(tuple(records), False, "max_iterations")
+    d, _, trace = _iterate(
+        model,
+        initial,
+        max_iterations + 1,
+        lambda d, report: _greedy_step(model, d, report),
+        stop_at_fixed_point=True,
+    )
+    return d, trace
 
 
 def diversity(policies) -> int:
@@ -206,27 +220,34 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
 
     The best run by final combined metric wins; ties go to the lowest start
     index. distinct_optima lists the final values that differ by more than
-    1e-6, descending.
+    1e-6, descending. A converged trace already ends with its fixed point's
+    metrics, so only the winner (and any start that hit the iteration cap)
+    is evaluated again.
     """
     if num_starts < 1:
         raise ValidationError(f"num_starts must be >= 1, got {num_starts}")
     children = np.random.SeedSequence(seed).spawn(num_starts)
     traces = []
+    policies = []
     finals = []
-    best = None
+    best = 0
     for k in range(num_starts):
         rng = np.random.default_rng(children[k])
         initial = sample_random_policy(model, rng)
         policy, trace = policy_iteration(model, initial)
-        report = evaluate(model, policy)
+        if trace.converged:
+            final = trace.iterations[-1].j_combined
+        else:
+            final = evaluate(model, policy).j_combined
         traces.append(trace)
-        finals.append(report.j_combined)
-        if best is None or report.j_combined > best[1].j_combined:
-            best = (policy, report, k)
+        policies.append(policy)
+        finals.append(final)
+        if final > finals[best]:
+            best = k
     return MultiStartResult(
-        best_policy=best[0],
-        best_report=best[1],
-        best_index=best[2],
+        best_policy=policies[best],
+        best_report=evaluate(model, policies[best]),
+        best_index=best,
         traces=tuple(traces),
         distinct_optima=_distinct_values(finals),
     )
@@ -267,28 +288,16 @@ def epsilon_greedy_iteration(
         raise ValidationError("epsilon-greedy run requires gamma == 0")
     initial.validate_for(model)
     rng = np.random.default_rng(config.seed)
-    d = initial
-    records = []
-    best = None
-    for step in range(config.budget):
-        report = _evaluate_iterate(model, d, step)
-        if records:
-            changed = int(np.sum(records[-1].policy.action != d.action))
-        else:
-            changed = 0
-        records.append(
-            TraceRecord(step, d, report.j_mean, report.j_var, report.j_combined, changed)
-        )
-        if best is None or report.j_combined > best[1].j_combined:
-            best = (d, report)
-        greedy = _greedy_step(model, d, report)
-        d = _propose_epsilon(model, greedy, config.epsilon, rng)
-    counts = np.zeros((model.num_states, model.num_actions), dtype=int)
+
+    def step(d, report):
+        return _propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)
+
+    _, best, trace = _iterate(model, initial, config.budget, step, stop_at_fixed_point=False)
     return ExplorationResult(
         best_policy=best[0],
         best_report=best[1],
-        trace=SolverTrace(tuple(records), False, "max_iterations"),
-        counts=counts,
+        trace=trace,
+        counts=np.zeros((model.num_states, model.num_actions), dtype=int),
     )
 
 
@@ -305,26 +314,21 @@ def _ucb_step(
     is gamma * sqrt(2 ln(total state count) / pair count). Counts increment
     afterwards for every feasible pair scored."""
     iv = improvement_vector(model, report, policy)
-    new_action = policy.action.copy()
-    for i, acts in enumerate(model.feasible):
-        acts = list(acts)
-        n = counts[i, acts].astype(float)
-        unvisited = [a for a, c in zip(acts, n) if c == 0]
-        if unvisited and gamma > 0:
-            scores = iv.score[i, unvisited]
-            new_action[i] = unvisited[int(np.argmax(scores))]
-            continue
-        total = n.sum()
-        bonus = np.zeros(len(acts))
-        if gamma > 0 and total > 0:
-            bonus = gamma * np.sqrt(2.0 * np.log(total) / n)
-        scores = iv.score[i, acts] + bonus
-        best = scores.max()
-        current = scores[acts.index(int(policy.action[i]))]
-        if best > current + TIE_TOL:
-            new_action[i] = acts[int(np.argmax(scores))]
-    for i, acts in enumerate(model.feasible):
-        counts[i, list(acts)] += 1
+    mask = model.feasible_mask()
+    scores = iv.score
+    if gamma > 0:
+        n = counts.astype(float)
+        total = np.where(mask, n, 0.0).sum(axis=1)
+        # states with a never-scored pair get inf/nan here; they are overridden below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = scores + gamma * np.sqrt(2.0 * np.log(total)[:, None] / n)
+    current = scores[np.arange(model.num_states), policy.action]
+    new_action = _switch_if_better(model, policy, scores, current)
+    if gamma > 0:
+        unvisited = mask & (counts == 0)
+        first = np.where(unvisited, iv.score, -np.inf).argmax(axis=1)
+        new_action = np.where(unvisited.any(axis=1), first, new_action)
+    counts[mask] += 1
     return DeterministicPolicy(new_action)
 
 
@@ -345,36 +349,24 @@ def ucb_iteration(
             )
     else:
         counts = np.zeros((model.num_states, model.num_actions), dtype=int)
-    d = initial
     gamma = config.gamma
-    records = []
-    best = None
-    for step in range(config.budget):
-        report = _evaluate_iterate(model, d, step)
-        if records:
-            changed = int(np.sum(records[-1].policy.action != d.action))
-        else:
-            changed = 0
-        records.append(
-            TraceRecord(step, d, report.j_mean, report.j_var, report.j_combined, changed)
-        )
-        if best is None or report.j_combined > best[1].j_combined:
-            best = (d, report)
-        d = _ucb_step(model, d, report, counts, gamma)
+
+    def step(d, report):
+        nonlocal gamma
+        new_d = _ucb_step(model, d, report, counts, gamma)
         gamma *= config.gamma_decay
+        return new_d
+
+    _, best, trace = _iterate(model, initial, config.budget, step, stop_at_fixed_point=False)
     return ExplorationResult(
-        best_policy=best[0],
-        best_report=best[1],
-        trace=SolverTrace(tuple(records), False, "max_iterations"),
-        counts=counts,
+        best_policy=best[0], best_report=best[1], trace=trace, counts=counts
     )
 
 
 def _uniform_feasible(model: MdpModel) -> np.ndarray:
-    theta = np.zeros((model.num_states, model.num_actions))
-    for i, acts in enumerate(model.feasible):
-        theta[i, list(acts)] = 1.0 / len(acts)
-    return theta
+    """Rows spreading unit mass evenly over each state's feasible actions."""
+    mask = model.feasible_mask()
+    return mask / mask.sum(axis=1, keepdims=True)
 
 
 def mollify(model: MdpModel, theta: RandomizedPolicy, eps: float = MOLLIFY_EPS):

@@ -4,6 +4,7 @@ The summary hook prints one PASS/FAIL line per acceptance criterion after
 the run, aggregated over all tests named test_criterion_<k>_* in
 test_acceptance.py, plus any informative notes those tests record.
 """
+import dataclasses
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from mvmdp import (
     WindStorageSpec,
     build_abandonment,
     build_no_abandonment,
+    sample_random_policy,
 )
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
@@ -66,6 +68,30 @@ def random_mdp(rng, max_states=6, max_actions=4, beta_range=(0.05, 2.0)):
         reward=reward,
         beta=beta,
     )
+
+
+def restrict_feasible(rng, model):
+    """The same model with a random nonempty feasible subset at each state."""
+    A = model.num_actions
+    feasible = tuple(
+        tuple(rng.choice(A, size=int(rng.integers(1, A + 1)), replace=False))
+        for _ in range(model.num_states)
+    )
+    return dataclasses.replace(model, feasible=feasible)
+
+
+def model_policy_cases(models, seed, random_models=6, policies_per_model=4):
+    """(model, policy) pairs for comparing vectorised code with loop
+    references: the given models plus seeded random_mdp models, each also
+    with random feasible subsets, at seeded random irreducible policies."""
+    rng = np.random.default_rng(seed)
+    models = list(models)
+    for _ in range(random_models):
+        m = random_mdp(rng)
+        models += [m, restrict_feasible(rng, m)]
+    for m in models:
+        for _ in range(policies_per_model):
+            yield m, sample_random_policy(m, rng)
 
 
 def constant_mean_mdp(rng, num_states=3, num_actions=2):

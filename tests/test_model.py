@@ -104,6 +104,12 @@ class TestModelValidation:
         assert mask.tolist() == [[True, False], [True, True]]
         assert m.num_policies() == 2
 
+    def test_feasible_mask_is_read_only(self):
+        m = small_model(feasible=((0,), (0, 1)))
+        with pytest.raises(ValueError):
+            m.feasible_mask()[0, 1] = True
+        assert m.feasible_mask() is m.feasible_mask()
+
 
 class TestPolicies:
     def test_deterministic_validate(self):
@@ -113,6 +119,15 @@ class TestPolicies:
             DeterministicPolicy(np.array([1, 1])).validate_for(m)
         with pytest.raises(ValidationError):
             DeterministicPolicy(np.array([0])).validate_for(m)
+
+    def test_deterministic_validate_out_of_range_actions(self):
+        m = small_model(feasible=((0,), (0, 1)))
+        with pytest.raises(FeasibilityError, match="action -1 is infeasible at state 1"):
+            DeterministicPolicy(np.array([0, -1])).validate_for(m)
+        with pytest.raises(FeasibilityError, match="action 2 is infeasible at state 0"):
+            DeterministicPolicy(np.array([2, 5])).validate_for(m)
+        with pytest.raises(FeasibilityError, match="action 7 is infeasible at state 1"):
+            DeterministicPolicy(np.array([0, 7])).validate_for(m)
 
     def test_deterministic_eq_hash(self):
         a = DeterministicPolicy(np.array([0, 1]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mdp
+from conftest import model_policy_cases, random_mdp
 from mvmdp import (
     DeterministicPolicy,
     RandomizedPolicy,
@@ -167,6 +167,65 @@ class TestDerivatives:
         a1 = np.nanargmax(iv.score, axis=1)
         a2 = np.nanargmax(iv2.score, axis=1)
         assert np.array_equal(a1, a2)
+
+
+def loop_scores(model, report):
+    """Per-state loop reference for improvement_vector's scores."""
+    score = np.full((model.num_states, model.num_actions), np.nan)
+    pg = model.kernel @ report.potential
+    for i, acts in enumerate(model.feasible):
+        acts = list(acts)
+        r = model.reward[i, acts]
+        score[i, acts] = r - model.beta * (r - report.j_mean) ** 2 + pg[i, acts]
+    return score
+
+
+def loop_violations(model, iv, tol=1e-9):
+    """Per-pair loop reference for check_necessary_condition."""
+    violations = []
+    for i, acts in enumerate(model.feasible):
+        for a in acts:
+            margin = iv.score[i, a] - iv.current_score[i]
+            if margin > tol:
+                violations.append((i, a, float(margin)))
+    return violations
+
+
+def loop_gradient(model, report):
+    """Per-state loop reference for derivative_randomized."""
+    pi, g, j_mean, beta = report.pi, report.potential, report.j_mean, model.beta
+    grad = np.full((model.num_states, model.num_actions), np.nan)
+    pg = model.kernel @ g
+    for i, acts in enumerate(model.feasible):
+        acts = list(acts)
+        r = model.reward[i, acts]
+        grad[i, acts] = pi[i] * (pg[i, acts] + r - beta * r**2 + 2.0 * beta * j_mean * r)
+    return grad
+
+
+class TestLoopReference:
+    """The masked whole-array forms reproduce the per-state loops bit for bit."""
+
+    def test_scores_and_violations(self, wind_model, abandon_model_beta1):
+        violated = 0
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=50):
+            rep = evaluate(m, d)
+            iv = improvement_vector(m, rep, d)
+            assert np.array_equal(iv.score, loop_scores(m, rep), equal_nan=True)
+            want = loop_violations(m, iv)
+            assert check_necessary_condition(m, rep, d) == want
+            violated += bool(want)
+        assert violated > 0
+
+    def test_gradient(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(51)
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=52):
+            w = rng.uniform(0.1, 1.0, size=(m.num_states, m.num_actions))
+            w = np.where(m.feasible_mask(), w, 0.0)
+            for theta in (RandomizedPolicy(w / w.sum(axis=1, keepdims=True)), d.as_randomized(m)):
+                rep = evaluate(m, theta)
+                got = derivative_randomized(m, theta, rep)
+                assert np.array_equal(got, loop_gradient(m, rep), equal_nan=True)
 
 
 @settings(deadline=None, max_examples=40)

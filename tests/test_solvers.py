@@ -1,10 +1,12 @@
 """Policy iteration, multi-start, exploration variants, gradient baseline."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mdp
+from conftest import model_policy_cases, random_mdp, restrict_feasible
 from mvmdp import (
     DeterministicPolicy,
     ExplorationConfig,
@@ -23,6 +25,8 @@ from mvmdp import (
     sample_random_policy,
     ucb_iteration,
 )
+from mvmdp.sensitivity import improvement_vector
+from mvmdp.solvers import TIE_TOL, _greedy_step, _ucb_step, _uniform_feasible
 
 
 class TestPolicyIteration:
@@ -129,6 +133,19 @@ class TestMultiStart:
         r2 = multi_start(m, 4, seed=7)
         assert r1.best_policy == r2.best_policy
         assert r1.best_report.j_combined == r2.best_report.j_combined
+
+    def test_best_report_and_traces_match_direct_runs(self, wind_model):
+        rng = np.random.default_rng(61)
+        cases = [(wind_model, 5, 0)] + [(random_mdp(rng), 4, k) for k in range(3)]
+        for m, n, seed in cases:
+            res = multi_start(m, n, seed=seed)
+            direct = evaluate(m, res.best_policy)
+            for f in dataclasses.fields(direct):
+                assert np.array_equal(getattr(res.best_report, f.name), getattr(direct, f.name))
+            children = np.random.SeedSequence(seed).spawn(n)
+            for k, trace in enumerate(res.traces):
+                initial = sample_random_policy(m, np.random.default_rng(children[k]))
+                assert policy_iteration(m, initial)[1] == trace
 
     def test_num_starts_validated(self):
         m = random_mdp(np.random.default_rng(16))
@@ -249,6 +266,98 @@ class TestUcb:
         )
 
 
+def loop_greedy_step(model, policy, iv):
+    """Per-state loop reference for _greedy_step."""
+    new_action = policy.action.copy()
+    for i, acts in enumerate(model.feasible):
+        acts = list(acts)
+        scores = iv.score[i, acts]
+        if scores.max() > iv.current_score[i] + TIE_TOL:
+            new_action[i] = acts[int(np.argmax(scores))]
+    return new_action
+
+
+def loop_ucb_step(model, policy, iv, counts, gamma):
+    """Per-state loop reference for _ucb_step; updates counts in place."""
+    new_action = policy.action.copy()
+    for i, acts in enumerate(model.feasible):
+        acts = list(acts)
+        n = counts[i, acts].astype(float)
+        unvisited = [a for a, c in zip(acts, n) if c == 0]
+        if unvisited and gamma > 0:
+            new_action[i] = unvisited[int(np.argmax(iv.score[i, unvisited]))]
+            continue
+        total = n.sum()
+        bonus = np.zeros(len(acts))
+        if gamma > 0 and total > 0:
+            bonus = gamma * np.sqrt(2.0 * np.log(total) / n)
+        scores = iv.score[i, acts] + bonus
+        current = scores[acts.index(int(policy.action[i]))]
+        if scores.max() > current + TIE_TOL:
+            new_action[i] = acts[int(np.argmax(scores))]
+    for i, acts in enumerate(model.feasible):
+        counts[i, list(acts)] += 1
+    return new_action
+
+
+def tied_model():
+    """Actions 1 and 2 are exact copies and both beat action 0 at each state."""
+    kernel = np.array(
+        [[[0.5, 0.5], [0.2, 0.8], [0.2, 0.8]], [[0.5, 0.5], [0.9, 0.1], [0.9, 0.1]]]
+    )
+    reward = np.array([[-5.0, 1.0, 1.0], [-5.0, 1.0, 1.0]])
+    return MdpModel(2, 3, ((0, 1, 2), (0, 1, 2)), kernel, reward, beta=0.1)
+
+
+class TestStepLoopReference:
+    """The masked greedy and UCB steps reproduce the per-state loops exactly."""
+
+    def ucb_counts(self, rng, model):
+        shape = (model.num_states, model.num_actions)
+        return (
+            np.zeros(shape, dtype=int),
+            rng.integers(0, 3, size=shape),
+            rng.integers(1, 6, size=shape),
+        )
+
+    def check_ucb(self, model, policy, report, counts, gamma):
+        iv = improvement_vector(model, report, policy)
+        got_counts, want_counts = counts.copy(), counts.copy()
+        got = _ucb_step(model, policy, report, got_counts, gamma)
+        want = loop_ucb_step(model, policy, iv, want_counts, gamma)
+        assert np.array_equal(got.action, want)
+        assert np.array_equal(got_counts, want_counts)
+        return want
+
+    def test_greedy_and_ucb_steps(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(70)
+        switched = 0
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=71):
+            rep = evaluate(m, d)
+            want = loop_greedy_step(m, d, improvement_vector(m, rep, d))
+            assert np.array_equal(_greedy_step(m, d, rep).action, want)
+            switched += int(np.sum(want != d.action))
+            for counts in self.ucb_counts(rng, m):
+                for gamma in (0.0, 0.4, 3.0):
+                    self.check_ucb(m, d, rep, counts, gamma)
+        assert switched > 0
+
+    def test_exact_ties_go_to_the_lowest_action(self):
+        m = tied_model()
+        for start, expect in (([0, 0], [1, 1]), ([2, 2], [2, 2]), ([0, 2], [1, 2])):
+            d = DeterministicPolicy(np.array(start))
+            rep = evaluate(m, d)
+            want = loop_greedy_step(m, d, improvement_vector(m, rep, d))
+            assert want.tolist() == expect
+            assert _greedy_step(m, d, rep).action.tolist() == expect
+        d = DeterministicPolicy(np.array([0, 0]))
+        rep = evaluate(m, d)
+        # never-scored ties, a partly visited row, and tied bonuses
+        for counts in ([[0, 0, 0], [1, 0, 0]], [[2, 1, 1], [3, 4, 4]]):
+            want = self.check_ucb(m, d, rep, np.array(counts), gamma=0.5)
+            assert want.tolist() == [1, 1]
+
+
 class TestGradient:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -302,6 +411,14 @@ class TestMollify:
         mask = m.feasible_mask()
         assert np.all(soft.theta[mask] > 0)
         assert np.all(soft.theta[~mask] == 0)
+
+    def test_uniform_feasible_matches_loop(self):
+        rng = np.random.default_rng(34)
+        m = restrict_feasible(rng, random_mdp(rng))
+        want = np.zeros((m.num_states, m.num_actions))
+        for i, acts in enumerate(m.feasible):
+            want[i, list(acts)] = 1.0 / len(acts)
+        assert np.array_equal(_uniform_feasible(m), want)
 
     def test_small_eps_stays_close(self):
         m = random_mdp(np.random.default_rng(32))
