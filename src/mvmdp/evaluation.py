@@ -143,52 +143,60 @@ def mv_cost_vector(r: np.ndarray, j_mean: float, beta: float) -> np.ndarray:
     return r - beta * (r - j_mean) ** 2
 
 
-def _poisson_residual(P, f, J, g) -> float:
-    return float(np.max(np.abs(g - (f - J) - P @ g)))
+def poisson_residual(
+    Pg: np.ndarray, f: np.ndarray, J: float, g: np.ndarray
+) -> tuple[float, bool]:
+    """Max residual of the Poisson equation g = f - J + P g, given Pg = P @ g,
+    and whether it is within tolerance.
+
+    The tolerance is scale-aware: badly mixing chains have huge potentials
+    and a proportionally larger attainable residual.
+    """
+    residual = float(np.max(np.abs(g - (f - J) - Pg)))
+    return residual, residual <= max(POISSON_TOL, 1e-12 * float(np.max(np.abs(g))))
 
 
-def _solve_poisson_given_pi(P: np.ndarray, f: np.ndarray, J: float, pi: np.ndarray):
-    """Solve (I - P) g = f - J with g[0] = 0, given the stationary pi.
+def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
+    """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
     singular; the normalized system (I - P + 1 pi^T) g = f - J is then
-    solved instead and shifted to g[0] = 0.
+    solved instead and shifted to g[0] = 0. Each matrix is built once per
+    chain, but each right-hand side gets its own solve: one multi-column
+    solve changes the low bits of the potentials.
     """
     S = P.shape[0]
-    consistency = abs(float(pi @ f) - J)
-    if consistency > CONSISTENCY_TOL:
-        raise EvaluationError(
-            f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
-        )
     M = np.eye(S) - P
     M[0, :] = 0.0
     M[0, 0] = 1.0
-    b = f - J
-    b[0] = 0.0
-    g = None
-    try:
-        g = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError:
-        pass
-    if g is not None and _poisson_residual(P, f, J, g) <= _poisson_tol(g):
-        return g
-    M2 = np.eye(S) - P + np.outer(np.ones(S), pi)
-    try:
-        g = np.linalg.solve(M2, f - J)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"potential solve failed: {exc}") from exc
-    g = g - g[0]
-    residual = _poisson_residual(P, f, J, g)
-    if residual > _poisson_tol(g):
-        raise EvaluationError(f"potential residual {residual:.3e} is too large")
-    return g
-
-
-def _poisson_tol(g: np.ndarray) -> float:
-    # scale-aware: badly mixing chains have huge potentials and a
-    # proportionally larger attainable residual
-    return max(POISSON_TOL, 1e-12 * float(np.max(np.abs(g))))
+    M2 = None
+    potentials = []
+    for f, J in rhs:
+        consistency = abs(float(pi @ f) - J)
+        if consistency > CONSISTENCY_TOL:
+            raise EvaluationError(
+                f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
+            )
+        b = f - J
+        b[0] = 0.0
+        try:
+            g = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:
+            g = None
+        if g is None or not poisson_residual(P @ g, f, J, g)[1]:
+            if M2 is None:
+                M2 = np.eye(S) - P + np.outer(np.ones(S), pi)
+            try:
+                g = np.linalg.solve(M2, f - J)
+            except np.linalg.LinAlgError as exc:
+                raise EvaluationError(f"potential solve failed: {exc}") from exc
+            g = g - g[0]
+            residual, ok = poisson_residual(P @ g, f, J, g)
+            if not ok:
+                raise EvaluationError(f"potential residual {residual:.3e} is too large")
+        potentials.append(g)
+    return potentials
 
 
 def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
@@ -202,7 +210,7 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
     pi = stationary_distribution(P)
-    return _solve_poisson_given_pi(P, f.copy(), float(J), pi)
+    return _solve_potentials(P, pi, (f, float(J)))[0]
 
 
 def evaluate(model: MdpModel, policy) -> EvaluationReport:
@@ -216,16 +224,15 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
         raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
     pi = stationary_distribution(P)
     j_mean = long_run_mean(pi, r)
-    j_var = steady_state_variance(pi, r, j_mean, second_moment=m2)
-    j_comb = combined_metric(j_mean, j_var, model.beta)
+    # the same floats as steady_state_variance
     if m2 is None:
         sq = (r - j_mean) ** 2
     else:
         sq = m2 - 2.0 * j_mean * r + j_mean**2
+    j_var = float(pi @ sq)
+    j_comb = combined_metric(j_mean, j_var, model.beta)
     cost = r - model.beta * sq
-    g = _solve_poisson_given_pi(P, cost.copy(), j_comb, pi)
-    g_mean = _solve_poisson_given_pi(P, r.copy(), j_mean, pi)
-    g_var = _solve_poisson_given_pi(P, sq.copy(), j_var, pi)
+    g, g_mean, g_var = _solve_potentials(P, pi, (cost, j_comb), (r, j_mean), (sq, j_var))
     return EvaluationReport(
         pi=pi,
         j_mean=j_mean,

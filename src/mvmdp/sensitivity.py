@@ -14,16 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluation import EvaluationReport, evaluate
-from .model import (
-    DeterministicPolicy,
-    MdpModel,
-    RandomizedPolicy,
-    induced_chain,
-    induced_chain_randomized,
-)
+from .evaluation import EvaluationReport, evaluate, poisson_residual
+from .model import DeterministicPolicy, MdpModel, RandomizedPolicy
 
-MATCH_TOL = 1e-8
 VIOLATION_TOL = 1e-9
 
 
@@ -55,26 +48,35 @@ class DifferenceBreakdown:
     direct: float
 
 
-def _require_report_matches(P, report: EvaluationReport, what: str) -> None:
-    """The report must carry the Poisson solution of this very chain."""
-    g, f, J = report.potential, report.cost, report.j_combined
-    residual = float(np.max(np.abs(g - (f - J) - P @ g)))
-    if residual > max(MATCH_TOL, 1e-12 * float(np.max(np.abs(g)))):
+def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
+    """Q-scores of every feasible pair (NaN elsewhere) and kernel @ g.
+
+    The report must carry the Poisson solution of the policy's chain; its
+    transition-weighted potential is read off kernel @ g, so the chain
+    itself is never gathered.
+    """
+    policy.validate_for(model)
+    g = report.potential
+    kg = model.kernel @ g
+    if isinstance(policy, RandomizedPolicy):
+        pg = (policy.theta * kg).sum(axis=1)
+    else:
+        pg = kg[np.arange(model.num_states), policy.action]
+    residual, ok = poisson_residual(pg, report.cost, report.j_combined, g)
+    if not ok:
         raise ValidationError(
             f"evaluation report does not match the {what} (Poisson residual {residual:.3e})"
         )
+    j_mean, beta, r = report.j_mean, model.beta, model.reward
+    score = np.where(model.feasible_mask(), r - beta * (r - j_mean) ** 2 + kg, np.nan)
+    return score, kg
 
 
 def improvement_vector(
     model: MdpModel, report: EvaluationReport, policy: DeterministicPolicy
 ) -> ImprovementVector:
     """Q-scores of every feasible pair under the current policy's data."""
-    P, _ = induced_chain(model, policy)
-    _require_report_matches(P, report, "policy")
-    j_mean, g, beta, r = report.j_mean, report.potential, model.beta, model.reward
-    score = np.where(
-        model.feasible_mask(), r - beta * (r - j_mean) ** 2 + model.kernel @ g, np.nan
-    )
+    score, _ = _score_table(model, report, policy, "policy")
     current = score[np.arange(model.num_states), policy.action]
     return ImprovementVector(score=score, current_score=current)
 
@@ -88,23 +90,17 @@ def predicted_difference(
     """Exact difference J'_combined - J_combined via the difference formula.
 
     The linear part averages, under the new policy's stationary
-    distribution, the change in transition-weighted potential plus the
-    change in cost evaluated at the base policy's mean. The quadratic part
-    accounts for the mean shift. The cross-check field `direct` comes from
-    two independent evaluations.
+    distribution, the score gain Q(i, d'(i)) - Q(i, d(i)) of the base
+    policy's improvement scores: the change in transition-weighted
+    potential plus the change in cost evaluated at the base policy's mean.
+    The quadratic part accounts for the mean shift. The cross-check field
+    `direct` comes from two independent evaluations.
     """
-    P, r = induced_chain(model, base_policy)
-    _require_report_matches(P, base_report, "base policy")
+    score, _ = _score_table(model, base_report, base_policy, "base policy")
     new_report = evaluate(model, new_policy)
-    Pn, rn = induced_chain(model, new_policy)
-    j_mean, g, beta = base_report.j_mean, base_report.potential, model.beta
-    bracket = (
-        (Pn - P) @ g
-        + rn
-        - beta * (rn - j_mean) ** 2
-        - r
-        + beta * (r - j_mean) ** 2
-    )
+    rows = np.arange(model.num_states)
+    bracket = score[rows, new_policy.action] - score[rows, base_policy.action]
+    j_mean, beta = base_report.j_mean, model.beta
     linear = float(new_report.pi @ bracket)
     square = float(beta * (new_report.j_mean - j_mean) ** 2)
     direct = new_report.j_combined - base_report.j_combined
@@ -138,20 +134,13 @@ def derivative_mixed(
 ) -> float:
     """d J_combined / d delta at delta = 0 along the base-to-alt mixing line.
 
-    Uses base-policy stationary data only.
+    Uses base-policy stationary data only: the base-weighted score gain
+    Q(i, alt(i)) - Q(i, base(i)).
     """
-    P, r = induced_chain(model, base_policy)
-    _require_report_matches(P, base_report, "base policy")
+    score, _ = _score_table(model, base_report, base_policy, "base policy")
     alt_policy.validate_for(model)
-    Pa, ra = induced_chain(model, alt_policy)
-    j_mean, g, beta = base_report.j_mean, base_report.potential, model.beta
-    bracket = (
-        (Pa - P) @ g
-        + ra
-        - beta * (ra - j_mean) ** 2
-        - r
-        + beta * (r - j_mean) ** 2
-    )
+    rows = np.arange(model.num_states)
+    bracket = score[rows, alt_policy.action] - score[rows, base_policy.action]
     return float(base_report.pi @ bracket)
 
 
@@ -163,15 +152,7 @@ def derivative_randomized(
     grad[i, a] = pi(i) (sum_j p^a(i,j) g(j) + r(i,a) - beta r(i,a)^2
                  + 2 beta J_mean r(i,a)) for feasible pairs, NaN elsewhere.
     """
-    theta.validate_for(model)
-    P, _, _ = induced_chain_randomized(model, theta)
-    _require_report_matches(P, theta_report, "randomized policy")
-    pi, g, j_mean, beta = (
-        theta_report.pi,
-        theta_report.potential,
-        theta_report.j_mean,
-        model.beta,
-    )
-    r = model.reward
-    bracket = model.kernel @ g + r - beta * r**2 + 2.0 * beta * j_mean * r
+    _, kg = _score_table(model, theta_report, theta, "randomized policy")
+    pi, j_mean, beta, r = theta_report.pi, theta_report.j_mean, model.beta, model.reward
+    bracket = kg + r - beta * r**2 + 2.0 * beta * j_mean * r
     return np.where(model.feasible_mask(), pi[:, None] * bracket, np.nan)

@@ -104,6 +104,13 @@ class MultiStartResult:
 
 @dataclass(frozen=True)
 class ExplorationResult:
+    """Best policy seen by an exploring solver, its report and the trace.
+
+    counts[i, a] is how often UCB scored the pair (i, a), starting from
+    ExplorationConfig.counts; epsilon-greedy keeps no counts and returns
+    zeros.
+    """
+
     best_policy: DeterministicPolicy
     best_report: EvaluationReport
     trace: SolverTrace

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mdp
+from conftest import model_policy_cases, random_mdp
 from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
@@ -13,6 +13,7 @@ from mvmdp import (
     ValidationError,
     combined_metric,
     evaluate,
+    induced_chain,
     long_run_mean,
     mv_cost_vector,
     report_to_dict,
@@ -206,3 +207,95 @@ def test_randomized_evaluation_identities(seed):
     assert rep.j_var >= 0.0
     assert rep.j_combined == pytest.approx(rep.j_mean - m.beta * rep.j_var, abs=1e-10)
     assert rep.potential[0] == 0.0
+
+
+def reference_potential(P, f, J, pi):
+    """Per-potential solve as evaluate did it before it built its pinned
+    system once per chain: the pinned system, else the normalized one."""
+    S = P.shape[0]
+
+    def acceptable(g):
+        residual = np.max(np.abs(g - (f - J) - P @ g))
+        return residual <= max(1e-8, 1e-12 * np.max(np.abs(g)))
+
+    M = np.eye(S) - P
+    M[0, :] = 0.0
+    M[0, 0] = 1.0
+    b = f - J
+    b[0] = 0.0
+    try:
+        g = np.linalg.solve(M, b)
+        if acceptable(g):
+            return g
+    except np.linalg.LinAlgError:
+        pass
+    g = np.linalg.solve(np.eye(S) - P + np.outer(np.ones(S), pi), f - J)
+    g = g - g[0]
+    assert acceptable(g)
+    return g
+
+
+class TestPoissonReference:
+    """evaluate reproduces the per-potential reference solves bit for bit."""
+
+    def test_evaluate_matches_per_potential_solves(self, wind_model, abandon_model_beta1):
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=70):
+            rep = evaluate(m, d)
+            P, r = induced_chain(m, d)
+            pi = stationary_distribution(P)
+            j_mean = long_run_mean(pi, r)
+            j_var = steady_state_variance(pi, r, j_mean)
+            j_comb = combined_metric(j_mean, j_var, m.beta)
+            sq = (r - j_mean) ** 2
+            cost = r - m.beta * sq
+            assert np.array_equal(rep.pi, pi)
+            assert (rep.j_mean, rep.j_var, rep.j_combined) == (j_mean, j_var, j_comb)
+            assert np.array_equal(rep.cost, cost)
+            for got, f, J in (
+                (rep.potential, cost, j_comb),
+                (rep.potential_mean, r, j_mean),
+                (rep.potential_var, sq, j_var),
+            ):
+                assert np.array_equal(got, reference_potential(P, f, J, pi))
+
+
+class TestTransientPinState:
+    @pytest.mark.parametrize(
+        "closed",
+        [
+            # the pinned system is exactly singular: the solve raises
+            [[0.3, 0.7], [0.6, 0.4]],
+            # round-off hides the singularity: the solve returns ~1e16
+            # potentials that only the residual check rejects
+            [[0.1, 0.9], [0.7, 0.3]],
+        ],
+    )
+    def test_evaluate_falls_back_for_all_potentials(self, closed):
+        # state 0 is transient, so every potential comes from the
+        # normalized system
+        kernel = np.zeros((3, 1, 3))
+        kernel[0, 0] = [0.0, 0.5, 0.5]
+        kernel[1:, 0, 1:] = closed
+        m = MdpModel(
+            num_states=3,
+            num_actions=1,
+            feasible=((0,), (0,), (0,)),
+            kernel=kernel,
+            reward=np.array([[5.0], [1.0], [-2.0]]),
+            beta=0.4,
+        )
+        d = DeterministicPolicy(np.zeros(3, dtype=int))
+        rep = evaluate(m, d)
+        P, r = induced_chain(m, d)
+        assert rep.pi[0] == pytest.approx(0.0, abs=1e-12)
+        sq = (r - rep.j_mean) ** 2
+        for g, f, J in (
+            (rep.potential, rep.cost, rep.j_combined),
+            (rep.potential_mean, r, rep.j_mean),
+            (rep.potential_var, sq, rep.j_var),
+        ):
+            assert g[0] == 0.0
+            assert np.max(np.abs(g - (f - J) - P @ g)) <= 1e-8
+        assert rep.potential == pytest.approx(
+            rep.potential_mean - m.beta * rep.potential_var, abs=1e-8
+        )

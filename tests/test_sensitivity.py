@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp
+from conftest import model_policy_cases, random_mdp, restrict_feasible
 from mvmdp import (
     DeterministicPolicy,
     RandomizedPolicy,
@@ -16,6 +16,7 @@ from mvmdp import (
     derivative_randomized,
     evaluate,
     improvement_vector,
+    induced_chain,
     policy_iteration,
     predicted_difference,
     sample_random_policy,
@@ -254,3 +255,76 @@ def test_derivative_sign_predicts_small_step(seed):
     ta = alt.as_randomized(m).theta
     jh = evaluate(m, RandomizedPolicy(tb + h * (ta - tb))).j_combined
     assert np.sign(jh - rep.j_combined) == np.sign(dm)
+
+
+def other_model(rng, model):
+    """A model with the same shape and feasible sets but a fresh kernel and
+    fresh rewards."""
+    S, A = model.num_states, model.num_actions
+    return dataclasses.replace(
+        model,
+        kernel=rng.dirichlet(np.ones(S), size=(S, A)),
+        reward=rng.normal(0.0, 1.0, size=(S, A)),
+    )
+
+
+def interior_theta(rng, model):
+    """Randomized policy with positive mass on every feasible action."""
+    w = np.where(model.feasible_mask(), rng.uniform(0.1, 1.0, size=model.reward.shape), 0.0)
+    return RandomizedPolicy(w / w.sum(axis=1, keepdims=True))
+
+
+class TestReportMismatch:
+    """Every function that takes a report rejects one evaluated for another
+    model or another policy."""
+
+    def cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            m = random_mdp(rng)
+            for model in (m, restrict_feasible(rng, m)):
+                yield rng, model, other_model(rng, model)
+
+    def test_report_of_other_model_rejected(self):
+        for rng, m, other in self.cases(60):
+            base = sample_random_policy(m, rng)
+            alt = sample_random_policy(m, rng)
+            rep = evaluate(other, base)
+            with pytest.raises(ValidationError, match="does not match"):
+                improvement_vector(m, rep, base)
+            with pytest.raises(ValidationError, match="does not match"):
+                derivative_mixed(m, base, rep, alt)
+            with pytest.raises(ValidationError, match="does not match"):
+                predicted_difference(m, base, rep, alt)
+            theta = interior_theta(rng, m)
+            with pytest.raises(ValidationError, match="does not match"):
+                derivative_randomized(m, theta, evaluate(other, theta))
+
+    def test_randomized_report_of_other_theta_rejected(self):
+        for rng, m, _ in self.cases(61):
+            theta, other_theta = interior_theta(rng, m), interior_theta(rng, m)
+            with pytest.raises(ValidationError, match="does not match"):
+                derivative_randomized(m, theta, evaluate(m, other_theta))
+
+
+def reference_bracket(model, base, report, other):
+    """The difference-formula bracket written out on the induced chains,
+    (P' - P) g + f'(J) - f(J), as derivative_mixed and predicted_difference
+    computed it before they read it off the improvement scores."""
+    P, r = induced_chain(model, base)
+    Po, ro = induced_chain(model, other)
+    j_mean, g, beta = report.j_mean, report.potential, model.beta
+    return (Po - P) @ g + ro - beta * (ro - j_mean) ** 2 - r + beta * (r - j_mean) ** 2
+
+
+class TestBracketReference:
+    def test_mixed_and_difference_match_chain_bracket(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(62)
+        for m, base in model_policy_cases([wind_model, abandon_model_beta1], seed=63):
+            alt = sample_random_policy(m, rng)
+            rep = evaluate(m, base)
+            bracket = reference_bracket(m, base, rep, alt)
+            dm = derivative_mixed(m, base, rep, alt)
+            assert abs(dm - float(rep.pi @ bracket)) <= 1e-12
+            bd = predicted_difference(m, base, rep, alt)
+            assert abs(bd.linear_part - float(evaluate(m, alt).pi @ bracket)) <= 1e-12
