@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import FeasibilityError, ModelIOError, ValidationError
@@ -221,25 +221,46 @@ def induced_chain_mixed(model: MdpModel, mixed: MixedPolicy):
     return Pb + d * (Pa - Pb), rb + d * (ra - rb)
 
 
+def _strong_components(P: np.ndarray):
+    """Strongly connected components of the support graph of P, whose edges
+    are the entries > 0. Returns (n, labels, rows, cols), the edges in
+    row-major order."""
+    S = P.shape[0]
+    # the flat scan is several times faster than a 2-D np.nonzero at S ~ 1000
+    rows, cols = np.divmod(np.flatnonzero(P > 0), S)
+    # csgraph takes only int32 indices
+    indptr = np.searchsorted(rows, np.arange(S + 1)).astype(np.int32)
+    graph = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(S, S))
+    n, labels = connected_components(graph, connection="strong")
+    return n, labels, rows, cols
+
+
 def closed_class_count(P: np.ndarray) -> int:
     """Number of closed communicating classes of the support graph of P.
 
+    Entries <= 0 are not edges; a class is closed when no edge leaves it.
     1 means the stationary distribution is unique (irreducible or unichain);
     2 or more means it is not.
     """
-    n, labels = connected_components(csr_matrix(P > 0), connection="strong")
-    count = 0
-    for c in range(n):
-        members = labels == c
-        if P[np.ix_(members, ~members)].sum() == 0:
-            count += 1
-    return count
+    n, labels, rows, cols = _strong_components(P)
+    src = labels[rows]
+    closed = np.ones(n, dtype=bool)
+    closed[src[src != labels[cols]]] = False
+    return int(np.count_nonzero(closed))
 
 
 def is_irreducible(P: np.ndarray) -> bool:
     """True when the support graph of P is a single strongly connected class."""
-    n, _ = connected_components(csr_matrix(P > 0), connection="strong")
-    return n == 1
+    return _strong_components(P)[0] == 1
+
+
+def _draw_feasible(model: MdpModel, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
+    """One uniform draw over the feasible actions of each of `states`, in
+    order. Consumes `rng` exactly as one `rng.choice(model.feasible[i])` per
+    state would: vector `integers` with per-state highs draws state by state."""
+    mask = model.feasible_mask()[states]
+    table = np.argsort(~mask, axis=1, kind="stable")
+    return table[np.arange(len(states)), rng.integers(0, mask.sum(axis=1))]
 
 
 @dataclass(frozen=True)
@@ -304,12 +325,14 @@ def sample_random_policy(
 ) -> DeterministicPolicy:
     """Draw a policy uniformly over feasible actions at each state.
 
-    With `require_irreducible` the draw is repeated until the induced chain
-    is structurally irreducible, which is what solvers need for a start.
+    Each draw takes one random integer per state, in state order, so the
+    stream is the one a per-state `rng.choice` loop consumes. With
+    `require_irreducible` the draw is repeated until the induced chain is
+    structurally irreducible, which is what solvers need for a start.
     """
+    states = np.arange(model.num_states)
     for _ in range(max_tries):
-        action = np.array([rng.choice(np.asarray(acts)) for acts in model.feasible])
-        d = DeterministicPolicy(action)
+        d = DeterministicPolicy(_draw_feasible(model, rng, states))
         if not require_irreducible:
             return d
         P, _ = induced_chain(model, d)

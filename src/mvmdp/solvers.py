@@ -17,6 +17,7 @@ from .model import (
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _draw_feasible,
     closed_class_count,
     induced_chain,
     sample_random_policy,
@@ -273,9 +274,8 @@ def _propose_epsilon(
         return greedy
     for _ in range(max_tries):
         action = greedy.action.copy()
-        explore = rng.random(model.num_states) < epsilon
-        for i in np.flatnonzero(explore):
-            action[i] = rng.choice(np.asarray(model.feasible[i]))
+        explore = np.flatnonzero(rng.random(model.num_states) < epsilon)
+        action[explore] = _draw_feasible(model, rng, explore)
         proposal = DeterministicPolicy(action)
         P, _ = induced_chain(model, proposal)
         if closed_class_count(P) == 1:
@@ -295,8 +295,14 @@ def epsilon_greedy_iteration(
         raise ValidationError("epsilon-greedy run requires gamma == 0")
     initial.validate_for(model)
     rng = np.random.default_rng(config.seed)
+    steps = 0
 
     def step(d, report):
+        nonlocal steps
+        steps += 1
+        if steps == config.budget:
+            # the budget is spent: no later iterate would evaluate a proposal
+            return d
         return _propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)
 
     _, best, trace = _iterate(model, initial, config.budget, step, stop_at_fixed_point=False)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from conftest import random_mdp
+from conftest import model_policy_cases, random_mdp, restrict_feasible
 from mvmdp import (
     DeterministicPolicy,
     FeasibilityError,
@@ -275,6 +278,134 @@ class TestStructure:
         a = sample_random_policy(m, np.random.default_rng(11))
         b = sample_random_policy(m, np.random.default_rng(11))
         assert a == b
+
+
+def loop_closed_class_count(P):
+    """Per-class reference: a class is closed when P has no mass from it to
+    the rest."""
+    n, labels = connected_components(csr_matrix(P > 0), connection="strong")
+    count = 0
+    for c in range(n):
+        members = labels == c
+        if P[np.ix_(members, ~members)].sum() == 0:
+            count += 1
+    return count
+
+
+def loop_is_irreducible(P):
+    n, _ = connected_components(csr_matrix(P > 0), connection="strong")
+    return n == 1
+
+
+def random_chain(rng):
+    """Seeded stochastic matrix on a random sparse support; self-loops,
+    several closed classes and transient states all occur."""
+    S = int(rng.integers(1, 13))
+    support = rng.random((S, S)) < rng.uniform(0.0, 0.5)
+    support[np.arange(S), rng.integers(0, S, size=S)] = True
+    P = np.where(support, rng.random((S, S)), 0.0)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def hand_chains():
+    """S=1, self-loops only, two closed classes with a transient state
+    between them, and a unichain whose state 0 is transient."""
+    yield np.ones((1, 1))
+    yield np.eye(4)
+    yield np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.2, 0.3, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.0, 0.0, 0.5, 0.5],
+        ]
+    )
+    yield np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+
+class TestStructureLoopReference:
+    """The edge-list checks reproduce the per-class reference exactly."""
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(60)
+        counts = []
+        transient = 0
+        for P in [*hand_chains(), *(random_chain(rng) for _ in range(400))]:
+            want = loop_closed_class_count(P)
+            assert closed_class_count(P) == want
+            assert is_irreducible(P) == loop_is_irreducible(P)
+            counts.append(want)
+            transient += want == 1 and not loop_is_irreducible(P)
+        assert {1, 2, 3} <= set(counts)
+        assert transient > 0
+
+    def test_model_chains(self, wind_model, abandon_model_beta1, frozen_battery_policy):
+        """The irreducible chains of model_policy_cases; on the same models,
+        unfiltered draws, which include reducible chains; and the frozen
+        battery's one closed class per level."""
+        rng = np.random.default_rng(61)
+        reducible = 0
+        cases = [(wind_model, frozen_battery_policy)]
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=61):
+            cases.append((m, d))
+            cases += [(m, sample_random_policy(m, rng, require_irreducible=False)) for _ in range(4)]
+        for m, policy in cases:
+            P, _ = induced_chain(m, policy)
+            assert closed_class_count(P) == loop_closed_class_count(P)
+            assert is_irreducible(P) == loop_is_irreducible(P)
+            reducible += not loop_is_irreducible(P)
+        assert reducible > 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda S: arrays(
+            np.float64,
+            (S, S),
+            elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        )
+    )
+)
+def test_structure_matches_loop_reference_on_nonnegative_matrices(P):
+    assert closed_class_count(P) == loop_closed_class_count(P)
+    assert is_irreducible(P) == loop_is_irreducible(P)
+
+
+def loop_sample_random_policy(model, rng, require_irreducible=True, max_tries=1000):
+    """Per-state reference: one rng.choice over each feasible set."""
+    for _ in range(max_tries):
+        action = np.array([rng.choice(np.asarray(acts)) for acts in model.feasible])
+        d = DeterministicPolicy(action)
+        if not require_irreducible:
+            return d
+        P, _ = induced_chain(model, d)
+        if is_irreducible(P):
+            return d
+    raise ValidationError("no irreducible policy found")
+
+
+class TestSampleLoopReference:
+    """One vector draw per policy gives the per-state loop's actions and
+    leaves the generator in the same state."""
+
+    def test_draws_and_stream(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(62)
+        models = [wind_model, abandon_model_beta1]
+        for _ in range(8):
+            m = random_mdp(rng, max_states=12, max_actions=6)
+            models += [m, restrict_feasible(rng, m)]
+        single = sum(sum(len(acts) == 1 for acts in m.feasible) for m in models)
+        assert single > 0
+        for k, m in enumerate(models):
+            for require in (True, False):
+                got_rng = np.random.default_rng([63, k])
+                want_rng = np.random.default_rng([63, k])
+                for _ in range(5):
+                    got = sample_random_policy(m, got_rng, require_irreducible=require)
+                    want = loop_sample_random_policy(m, want_rng, require_irreducible=require)
+                    assert got == want
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestModelIO:

@@ -15,18 +15,27 @@ from mvmdp import (
     SolverError,
     ValidationError,
     check_necessary_condition,
+    closed_class_count,
     diversity,
     epsilon_greedy_iteration,
     evaluate,
     gradient_solver,
+    induced_chain,
     mollify,
     multi_start,
     policy_iteration,
     sample_random_policy,
     ucb_iteration,
 )
+from mvmdp import solvers
 from mvmdp.sensitivity import improvement_vector
-from mvmdp.solvers import TIE_TOL, _greedy_step, _ucb_step, _uniform_feasible
+from mvmdp.solvers import (
+    TIE_TOL,
+    _greedy_step,
+    _propose_epsilon,
+    _ucb_step,
+    _uniform_feasible,
+)
 
 
 class TestPolicyIteration:
@@ -221,6 +230,25 @@ class TestEpsilonGreedy:
         )
         assert res.best_report.j_combined >= evaluate(m, init).j_combined - 1e-12
 
+    def test_no_proposal_after_the_last_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        m = random_mdp(rng)
+        init = sample_random_policy(m, rng)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _propose_epsilon(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_propose_epsilon", counting)
+        for budget in (1, 2, 9):
+            calls.clear()
+            res = epsilon_greedy_iteration(
+                m, init, ExplorationConfig(epsilon=0.3, seed=6, budget=budget)
+            )
+            assert len(res.trace.iterations) == budget
+            assert len(calls) == budget - 1
+
 
 class TestUcb:
     def test_requires_zero_epsilon(self):
@@ -309,6 +337,30 @@ def tied_model():
     return MdpModel(2, 3, ((0, 1, 2), (0, 1, 2)), kernel, reward, beta=0.1)
 
 
+def loop_propose_epsilon(model, greedy, epsilon, rng, max_tries=50):
+    """Per-state reference: one rng.choice over each exploring state's
+    feasible set."""
+    if epsilon == 0.0:
+        return greedy
+    for _ in range(max_tries):
+        action = greedy.action.copy()
+        explore = rng.random(model.num_states) < epsilon
+        for i in np.flatnonzero(explore):
+            action[i] = rng.choice(np.asarray(model.feasible[i]))
+        proposal = DeterministicPolicy(action)
+        P, _ = induced_chain(model, proposal)
+        if closed_class_count(P) == 1:
+            return proposal
+    raise SolverError(f"no evaluable exploratory policy found in {max_tries} draws")
+
+
+def proposal_outcome(propose, *args):
+    try:
+        return propose(*args).action.tolist()
+    except SolverError as exc:
+        return str(exc)
+
+
 class TestStepLoopReference:
     """The masked greedy and UCB steps reproduce the per-state loops exactly."""
 
@@ -341,6 +393,31 @@ class TestStepLoopReference:
                 for gamma in (0.0, 0.4, 3.0):
                     self.check_ucb(m, d, rep, counts, gamma)
         assert switched > 0
+
+    def test_epsilon_proposals(self, wind_model, abandon_model_beta1, frozen_battery_policy):
+        """Same proposals (or the same SolverError) and the same generator
+        state afterwards; epsilon=1e-12 explores no state, so from the
+        multichain frozen battery every proposal is rejected."""
+        outcomes = set()
+        cases = [
+            (wind_model, frozen_battery_policy),
+            *model_policy_cases([wind_model, abandon_model_beta1], seed=72),
+        ]
+        for k, (m, d) in enumerate(cases):
+            for epsilon in (1e-12, 0.3, 0.9):
+                for max_tries in (2, 50):
+                    got_rng = np.random.default_rng([73, k])
+                    want_rng = np.random.default_rng([73, k])
+                    got = proposal_outcome(_propose_epsilon, m, d, epsilon, got_rng, max_tries)
+                    want = proposal_outcome(
+                        loop_propose_epsilon, m, d, epsilon, want_rng, max_tries
+                    )
+                    assert got == want
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    if epsilon == 1e-12 and k > 0:
+                        assert got == d.action.tolist()
+                    outcomes.add("error" if isinstance(got, str) else got != d.action.tolist())
+        assert outcomes == {"error", True, False}
 
     def test_exact_ties_go_to_the_lowest_action(self):
         m = tied_model()
