@@ -51,12 +51,9 @@ class MdpModel:
         object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=float))
         object.__setattr__(self, "reward", np.asarray(self.reward, dtype=float))
         object.__setattr__(self, "beta", float(self.beta))
-        _validate_model(self)
+        mask = _validate_model(self)
         self.kernel.setflags(write=False)
         self.reward.setflags(write=False)
-        mask = np.zeros((self.num_states, self.num_actions), dtype=bool)
-        for i, acts in enumerate(self.feasible):
-            mask[i, list(acts)] = True
         mask.setflags(write=False)
         object.__setattr__(self, "_feasible_mask", mask)
 
@@ -68,34 +65,67 @@ class MdpModel:
         return math.prod(self.feasible_mask().sum(axis=1).tolist())
 
 
-def _validate_model(model: MdpModel) -> None:
+def _state_error(i: int, acts: tuple, A: int):
+    """Why the sorted action list of state i is invalid, or None."""
+    if not acts:
+        return f"state {i} has no feasible action"
+    if acts[0] < 0 or acts[-1] >= A:
+        return f"state {i} lists action outside [0, {A}): {acts}"
+    if len(set(acts)) != len(acts):
+        return f"state {i} lists duplicate actions: {acts}"
+    return None
+
+
+def _validate_model(model: MdpModel) -> np.ndarray:
+    """Check the model and return its (S, A) feasible mask.
+
+    Raises ValidationError for the first problem in state order: a state's
+    action list is checked before its pairs, and each feasible pair's kernel
+    row (no negative entry, sums to 1) before its reward (finite). The pair
+    checks are whole-array reductions over the last kernel axis; they
+    allocate nothing of the kernel's size.
+    """
     S, A = model.num_states, model.num_actions
     if S < 1 or A < 1:
         raise ValidationError(f"need at least one state and action, got S={S}, A={A}")
     if not model.beta > 0:
         raise ValidationError(f"beta must be > 0, got {model.beta}")
+    if not math.isfinite(model.beta):
+        raise ValidationError(f"beta must be finite, got {model.beta}")
     if len(model.feasible) != S:
         raise ValidationError(f"feasible has {len(model.feasible)} entries, expected {S}")
     if model.kernel.shape != (S, A, S):
         raise ValidationError(f"kernel shape {model.kernel.shape} != {(S, A, S)}")
     if model.reward.shape != (S, A):
         raise ValidationError(f"reward shape {model.reward.shape} != {(S, A)}")
-    for i, acts in enumerate(model.feasible):
-        if not acts:
-            raise ValidationError(f"state {i} has no feasible action")
-        if acts[0] < 0 or acts[-1] >= A:
-            raise ValidationError(f"state {i} lists action outside [0, {A}): {acts}")
-        if len(set(acts)) != len(acts):
-            raise ValidationError(f"state {i} lists duplicate actions: {acts}")
-        for a in acts:
-            row = model.kernel[i, a]
-            if np.any(row < 0):
-                raise ValidationError(f"kernel row {i},{a} has a negative entry")
-            s = row.sum()
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                raise ValidationError(f"kernel row {i},{a} sums to {float(s)!r}, expected 1")
-            if not np.isfinite(model.reward[i, a]):
-                raise ValidationError(f"reward {i},{a} is not finite")
+    state_errors = [_state_error(i, acts, A) for i, acts in enumerate(model.feasible)]
+    first_bad_state = next((i for i, err in enumerate(state_errors) if err), S)
+    # the pairs of the states before the first bad one, all of them valid
+    good = model.feasible[:first_bad_state]
+    mask = np.zeros((S, A), dtype=bool)
+    mask[
+        np.repeat(np.arange(first_bad_state), [len(acts) for acts in good]),
+        list(itertools.chain.from_iterable(good)),
+    ] = True
+    kernel = model.kernel
+    sums = kernel.sum(axis=2)
+    # `not <=` also rejects NaN sums
+    bad = (kernel.min(axis=2) < 0) | ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+    bad |= ~np.isfinite(model.reward)
+    bad &= mask
+    first = np.flatnonzero(bad)
+    if first.size:
+        i, a = divmod(int(first[0]), A)
+        # a NaN row minimum hides a negative entry; the row itself does not
+        if np.any(kernel[i, a] < 0):
+            raise ValidationError(f"kernel row {i},{a} has a negative entry")
+        s = sums[i, a]
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
+            raise ValidationError(f"kernel row {i},{a} sums to {float(s)!r}, expected 1")
+        raise ValidationError(f"reward {i},{a} is not finite")
+    if first_bad_state < S:
+        raise ValidationError(state_errors[first_bad_state])
+    return mask
 
 
 @dataclass(frozen=True)
@@ -348,24 +378,49 @@ def _pair_key(i: int, a: int) -> str:
     return f"{i},{a}"
 
 
+def _feasible_pairs(model: MdpModel):
+    """The feasible (i, a) pairs as two int lists, state by state and by
+    action within a state: the order of the pairs in a model file."""
+    rows, cols = np.nonzero(model.feasible_mask())
+    return rows.tolist(), cols.tolist()
+
+
 def model_to_dict(model: MdpModel) -> dict:
-    kernel = {}
-    reward = {}
-    for i, acts in enumerate(model.feasible):
-        for a in acts:
-            kernel[_pair_key(i, a)] = [float(x) for x in model.kernel[i, a]]
-            reward[_pair_key(i, a)] = float(model.reward[i, a])
+    rows, cols = _feasible_pairs(model)
+    keys = [_pair_key(i, a) for i, a in zip(rows, cols)]
     return {
         "num_states": model.num_states,
         "num_actions": model.num_actions,
         "beta": model.beta,
         "feasible": [list(acts) for acts in model.feasible],
-        "kernel": kernel,
-        "reward": reward,
+        "kernel": {key: model.kernel[i, a].tolist() for key, i, a in zip(keys, rows, cols)},
+        "reward": dict(zip(keys, model.reward[rows, cols].tolist())),
     }
 
 
+def _kernel_block(keys: list, rows: list, S: int) -> np.ndarray:
+    """The kernel rows read from a model file as one (n, S) float array.
+    When the rows are not all S numbers, raises the error of the first row
+    that is not."""
+    try:
+        block = np.array(rows, dtype=float)
+        if block.shape == (len(rows), S):
+            return block
+    except (TypeError, ValueError):
+        pass
+    for key, row in zip(keys, rows):
+        row = np.asarray(row, dtype=float)
+        if row.shape != (S,):
+            raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
+    return np.empty((0, S))  # no feasible pairs, which MdpModel rejects
+
+
 def model_from_dict(data: dict) -> MdpModel:
+    """Build a model from the dict `model_to_dict` gives (or a parsed model
+    file). The checks run in stages, each over the feasible pairs in state
+    order: both entries of every pair are present, every kernel row is S
+    numbers, every action index fits the kernel, every reward is a number;
+    then `MdpModel` validates the result."""
     try:
         S = int(data["num_states"])
         A = int(data["num_actions"])
@@ -375,28 +430,72 @@ def model_from_dict(data: dict) -> MdpModel:
         reward_map = data["reward"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
-    kernel = np.zeros((S, A, S))
-    reward = np.zeros((S, A))
+    states, actions, keys, rows = [], [], [], []
     for i, acts in enumerate(feasible):
         for a in acts:
-            key = _pair_key(int(i), int(a))
+            a = int(a)
+            key = _pair_key(i, a)
             if key not in kernel_map:
                 raise ValidationError(f"kernel entry {key} missing for feasible pair")
             if key not in reward_map:
                 raise ValidationError(f"reward entry {key} missing for feasible pair")
-            row = np.asarray(kernel_map[key], dtype=float)
-            if row.shape != (S,):
-                raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
-            kernel[int(i), int(a)] = row
-            reward[int(i), int(a)] = float(reward_map[key])
+            states.append(i)
+            actions.append(a)
+            keys.append(key)
+            rows.append(kernel_map[key])
+    block = _kernel_block(keys, rows, S)
+    kernel = np.zeros((S, A, S))
+    kernel[states, actions] = block
+    reward = np.zeros((S, A))
+    reward[states, actions] = [float(reward_map[key]) for key in keys]
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
 
 
+def _row_text(row: np.ndarray) -> str:
+    """The entries of one kernel row in the model file layout. Most are 0.0,
+    so only the others go through `float.__repr__`; the sign bit keeps -0.0
+    among them."""
+    parts = ["0.0"] * row.size
+    for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+        parts[j] = float.__repr__(row[j])
+    return ",\n      ".join(parts)
+
+
+def _model_chunks(model: MdpModel):
+    """`json.dumps(model_to_dict(model), indent=2)` and a newline, built
+    directly and yielded in pieces, one per kernel row, so the whole text is
+    never held at once. Every float of a valid model is finite, so
+    `float.__repr__` is what json writes for it."""
+    rows, cols = _feasible_pairs(model)
+    keys = [f'"{_pair_key(i, a)}"' for i, a in zip(rows, cols)]
+    num = float.__repr__
+    feasible = ",\n".join(
+        "    [\n" + ",\n".join(f"      {a}" for a in acts) + "\n    ]" for acts in model.feasible
+    )
+    yield (
+        "{\n"
+        f'  "num_states": {model.num_states},\n'
+        f'  "num_actions": {model.num_actions},\n'
+        f'  "beta": {num(model.beta)},\n'
+        f'  "feasible": [\n{feasible}\n  ],\n'
+        '  "kernel": {\n'
+    )
+    sep = ""
+    for key, i, a in zip(keys, rows, cols):
+        yield f"{sep}    {key}: [\n      {_row_text(model.kernel[i, a])}\n    ]"
+        sep = ",\n"
+    reward = ",\n".join(
+        f"    {key}: {num(r)}" for key, r in zip(keys, model.reward[rows, cols].tolist())
+    )
+    yield f'\n  }},\n  "reward": {{\n{reward}\n  }}\n}}\n'
+
+
 def save_model(model: MdpModel, path: str) -> None:
+    """Write the model file: the bytes of `json.dump(model_to_dict(model),
+    fh, indent=2)` and a newline, emitted without `json`."""
     try:
         with open(path, "w") as fh:
-            json.dump(model_to_dict(model), fh, indent=2)
-            fh.write("\n")
+            fh.writelines(_model_chunks(model))
     except OSError as exc:
         raise ModelIOError(f"cannot write model file {path}: {exc}") from exc
 

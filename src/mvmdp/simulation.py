@@ -56,8 +56,10 @@ class PotentialEstimate:
     seed: int
 
 
-def _cum_rows(P: np.ndarray):
-    return [list(np.cumsum(row)) for row in P]
+def _cum_rows(P: np.ndarray) -> list:
+    """Cumulative sums along the last axis as nested lists of floats:
+    `bisect_right` on Python floats is faster than on numpy scalars."""
+    return np.cumsum(P, axis=-1).tolist()
 
 
 def simulate_path(
@@ -73,33 +75,34 @@ def simulate_path(
     if not 0 <= start_state < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(seed)
-    states = np.empty(T, dtype=int)
     if isinstance(policy, DeterministicPolicy):
         P, r = induced_chain(model, policy)
         cum = _cum_rows(P)
-        us = rng.random(T)
+        visited = []
         i = start_state
-        for t in range(T):
-            states[t] = i
-            i = bisect_right(cum[i], us[t])
-        actions = policy.action[states].copy()
-        rewards = r[states]
-        return PathSample(states, actions, rewards)
+        # a memoryview yields Python floats one at a time: they bisect as fast
+        # as a list's, and T of them are never held at once
+        for u in memoryview(rng.random(T)):
+            visited.append(i)
+            i = bisect_right(cum[i], u)
+        states = np.array(visited, dtype=int)
+        return PathSample(states, policy.action[states], r[states])
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
         cum_theta = _cum_rows(policy.theta)
-        cum_kernel = [_cum_rows(model.kernel[i]) for i in range(model.num_states)]
+        cum_kernel = _cum_rows(model.kernel)
         ua = rng.random(T)
         us = rng.random(T)
-        actions = np.empty(T, dtype=int)
+        visited, chosen = [], []
         i = start_state
-        for t in range(T):
-            states[t] = i
-            a = bisect_right(cum_theta[i], ua[t])
-            actions[t] = a
-            i = bisect_right(cum_kernel[i][a], us[t])
-        rewards = model.reward[states, actions]
-        return PathSample(states, actions, rewards.copy())
+        for u_a, u_s in zip(memoryview(ua), memoryview(us)):
+            visited.append(i)
+            a = bisect_right(cum_theta[i], u_a)
+            chosen.append(a)
+            i = bisect_right(cum_kernel[i][a], u_s)
+        states = np.array(visited, dtype=int)
+        actions = np.array(chosen, dtype=int)
+        return PathSample(states, actions, model.reward[states, actions])
     raise ValidationError(f"cannot simulate policy of type {type(policy).__name__}")
 
 

@@ -18,6 +18,8 @@ from mvmdp import (
     ModelIOError,
     RandomizedPolicy,
     ValidationError,
+    WindStorageSpec,
+    build,
     check_ergodicity,
     closed_class_count,
     induced_chain,
@@ -77,6 +79,30 @@ class TestModelValidation:
             small_model(beta=0.0)
         with pytest.raises(ValidationError, match="beta"):
             small_model(beta=-1.0)
+
+    def test_beta_must_be_finite(self):
+        """An infinite beta would be written as `Infinity`, which is not JSON."""
+        with pytest.raises(ValidationError, match="beta must be finite, got inf"):
+            small_model(beta=np.inf)
+        with pytest.raises(ValidationError, match=r"beta must be > 0, got nan"):
+            small_model(beta=np.nan)
+
+    def test_nan_kernel_row_rejected(self):
+        """A NaN entry makes the row sum NaN, which is not within the
+        tolerance of 1 (it used to fail only later, in evaluate)."""
+        k = np.array([[[np.nan, 1.0], [0.7, 0.3]], [[0.5, 0.5], [0.1, 0.9]]])
+        with pytest.raises(ValidationError, match=r"row 0,0 sums to nan, expected 1"):
+            small_model(kernel=k)
+        data = model_to_dict(small_model())
+        data["kernel"]["1,1"] = [float("nan"), 1.0]
+        with pytest.raises(ValidationError, match=r"row 1,1 sums to nan"):
+            model_from_dict(data)
+
+    def test_infeasible_rows_are_not_read(self):
+        k = np.array([[[0.2, 0.8], [np.nan, -1.0]], [[0.5, 0.5], [0.1, 0.9]]])
+        r = np.array([[1.0, np.inf], [0.5, -1.0]])
+        m = small_model(feasible=((0,), (0, 1)), kernel=k, reward=r)
+        assert m.feasible_mask().tolist() == [[True, False], [True, True]]
 
     def test_empty_feasible_set_rejected(self):
         with pytest.raises(ValidationError, match="no feasible action"):
@@ -469,6 +495,308 @@ class TestModelIO:
         p.write_text(json.dumps({"weights": [1, 2]}))
         with pytest.raises(ValidationError, match="neither"):
             load_policy(str(p))
+
+
+def loop_model_to_dict(model):
+    """Per-pair reference of the model file's content and order."""
+    kernel = {}
+    reward = {}
+    for i, acts in enumerate(model.feasible):
+        for a in acts:
+            kernel[f"{i},{a}"] = [float(x) for x in model.kernel[i, a]]
+            reward[f"{i},{a}"] = float(model.reward[i, a])
+    return {
+        "num_states": model.num_states,
+        "num_actions": model.num_actions,
+        "beta": model.beta,
+        "feasible": [list(acts) for acts in model.feasible],
+        "kernel": kernel,
+        "reward": reward,
+    }
+
+
+def loop_model_from_dict(data):
+    """Per-pair reference reader: one np.asarray and one assignment per row."""
+    try:
+        S = int(data["num_states"])
+        A = int(data["num_actions"])
+        beta = float(data["beta"])
+        feasible = data["feasible"]
+        kernel_map = data["kernel"]
+        reward_map = data["reward"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
+    kernel = np.zeros((S, A, S))
+    reward = np.zeros((S, A))
+    for i, acts in enumerate(feasible):
+        for a in acts:
+            key = f"{int(i)},{int(a)}"
+            if key not in kernel_map:
+                raise ValidationError(f"kernel entry {key} missing for feasible pair")
+            if key not in reward_map:
+                raise ValidationError(f"reward entry {key} missing for feasible pair")
+            row = np.asarray(kernel_map[key], dtype=float)
+            if row.shape != (S,):
+                raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
+            kernel[int(i), int(a)] = row
+            reward[int(i), int(a)] = float(reward_map[key])
+    return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
+
+
+def loop_validation_error(S, A, feasible, kernel, reward, beta):
+    """Per-pair reference of MdpModel validation: the message of the first
+    problem, or None. `feasible` is sorted per state, as MdpModel stores it.
+    The sum test reads `not ... <=`, so a NaN row fails as it must."""
+    if not beta > 0:
+        return f"beta must be > 0, got {beta}"
+    if not np.isfinite(beta):
+        return f"beta must be finite, got {beta}"
+    for i, acts in enumerate(feasible):
+        if not acts:
+            return f"state {i} has no feasible action"
+        if acts[0] < 0 or acts[-1] >= A:
+            return f"state {i} lists action outside [0, {A}): {acts}"
+        if len(set(acts)) != len(acts):
+            return f"state {i} lists duplicate actions: {acts}"
+        for a in acts:
+            row = kernel[i, a]
+            if np.any(row < 0):
+                return f"kernel row {i},{a} has a negative entry"
+            s = row.sum()
+            if not abs(s - 1.0) <= 1e-12:
+                return f"kernel row {i},{a} sums to {float(s)!r}, expected 1"
+            if not np.isfinite(reward[i, a]):
+                return f"reward {i},{a} is not finite"
+    return None
+
+
+def outcome(fn, *args):
+    """What a call does: ("ok", value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+EXTREME_FLOATS = (-0.0, 0.0, 5e-324, 2.5e-310, 1e-300, -1e-300, 1e308, -1e308, 0.1, -1 / 3, 12345.678)
+
+
+def extreme_model(rng):
+    """A random valid model that stresses the file layout: S and A may be 1,
+    states may have one action, the last action may be infeasible
+    everywhere, rewards take extreme values and kernel rows carry zeros,
+    -0.0 and subnormals."""
+    S = int(rng.integers(1, 6))
+    A = int(rng.integers(1, 5))
+    usable = A - 1 if A > 1 and rng.random() < 0.5 else A
+    feasible = tuple(
+        tuple(rng.choice(usable, size=int(rng.integers(1, usable + 1)), replace=False))
+        for _ in range(S)
+    )
+    kernel = rng.dirichlet(np.ones(S), size=(S, A))
+    kernel[rng.random((S, A, S)) < 0.4] = 0.0
+    kernel[..., 0] += kernel.sum(axis=2) == 0
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    tiny = rng.choice([0.0, -0.0, 5e-324, 2.5e-310], size=(S, A, S))
+    kernel = np.where(kernel == 0, tiny, kernel)
+    reward = rng.choice(EXTREME_FLOATS, size=(S, A))
+    reward = np.where(rng.random((S, A)) < 0.3, rng.normal(size=(S, A)), reward)
+    beta = float(rng.choice([5e-324, 1e-3, 0.1, 1.0, 1e308]))
+    return MdpModel(S, A, feasible, kernel, reward, beta)
+
+
+class TestWriterReference:
+    """save_model writes the bytes json.dump writes for the per-pair dict."""
+
+    @staticmethod
+    def check(model, path):
+        save_model(model, str(path))
+        want = json.dumps(loop_model_to_dict(model), indent=2) + "\n"
+        assert path.read_text() == want
+        assert json.dumps(model_to_dict(model), indent=2) + "\n" == want
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_extreme_models(self, tmp_path_factory, seed):
+        self.check(extreme_model(np.random.default_rng(seed)), tmp_path_factory.mktemp("w") / "m.json")
+
+    def test_layout_corners(self, tmp_path):
+        """S = A = 1, and a model whose last action is never feasible."""
+        one = MdpModel(1, 1, ((0,),), np.ones((1, 1, 1)), np.array([[-0.0]]), 5e-324)
+        self.check(one, tmp_path / "one.json")
+        assert (tmp_path / "one.json").read_text() == (
+            '{\n  "num_states": 1,\n  "num_actions": 1,\n  "beta": 5e-324,\n'
+            '  "feasible": [\n    [\n      0\n    ]\n  ],\n'
+            '  "kernel": {\n    "0,0": [\n      1.0\n    ]\n  },\n'
+            '  "reward": {\n    "0,0": -0.0\n  }\n}\n'
+        )
+        k = np.zeros((2, 3, 2))
+        k[:, :2] = [[[1.0, -0.0], [0.5, 0.5]], [[5e-324, 1.0], [0.25, 0.75]]]
+        unused = MdpModel(2, 3, ((0, 1), (1,)), k, np.full((2, 3), 1e308), 1.0)
+        self.check(unused, tmp_path / "unused.json")
+
+    @pytest.mark.parametrize("battery", [5, 20])
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind_models(self, tmp_path, battery, abandonment):
+        m = build(WindStorageSpec(battery_capacity=battery, abandonment=abandonment))
+        self.check(m, tmp_path / "wind.json")
+
+
+def malformed_dicts():
+    """(name, dict) pairs: one defect each on a valid small model's dict."""
+    base = model_to_dict(small_model())
+
+    def edit(change):
+        data = json.loads(json.dumps(base))
+        change(data)
+        return data
+
+    def put(section, key, value):
+        return lambda d: d[section].__setitem__(key, value)
+
+    def feasible(lists, extra=()):
+        def change(d):
+            d["feasible"] = lists
+            for key in extra:
+                d["kernel"][key] = [0.5, 0.5]
+                d["reward"][key] = 1.0
+        return change
+
+    yield "valid", edit(lambda d: None)
+    yield "missing kernel key", edit(lambda d: d["kernel"].pop("1,0"))
+    yield "missing reward key", edit(lambda d: d["reward"].pop("0,1"))
+    yield "missing field", edit(lambda d: d.pop("reward"))
+    yield "short row", edit(put("kernel", "1,0", [0.5]))
+    yield "long row", edit(put("kernel", "0,0", [0.5, 0.25, 0.25]))
+    yield "scalar row", edit(put("kernel", "0,1", 0.5))
+    yield "null row", edit(put("kernel", "0,1", None))
+    yield "nested row", edit(put("kernel", "0,1", [[0.7, 0.3]]))
+    yield "ragged row", edit(put("kernel", "1,1", [[0.7], 0.3]))
+    yield "string numbers", edit(put("kernel", "1,1", ["0.1", "0.9"]))
+    yield "string reward", edit(put("reward", "1,0", "0.5"))
+    yield "word in a row", edit(put("kernel", "0,0", ["a", "b"]))
+    yield "null reward", edit(put("reward", "1,0", None))
+    yield "list reward", edit(put("reward", "1,0", [0.5]))
+    yield "infinite reward", edit(put("reward", "0,0", 1e309))
+    yield "negative entry", edit(put("kernel", "1,0", [-0.5, 1.5]))
+    yield "bad sum", edit(put("kernel", "1,1", [0.1, 0.8]))
+    yield "NaN", edit(put("kernel", "0,0", [float("nan"), 1.0]))
+    yield "NaN and negative", edit(put("kernel", "0,0", [float("nan"), -1.0]))
+    yield "infinite beta", edit(lambda d: d.__setitem__("beta", float("inf")))
+    yield "out-of-range action", edit(feasible([[0, 1], [0, 2]]))
+    yield "out-of-range action with entries", edit(feasible([[0, 1], [0, 2]], ["1,2"]))
+    yield "negative action with entries", edit(feasible([[-1, 0], [0, 1]], ["0,-1"]))
+    yield "extra state with entries", edit(feasible([[0, 1], [0, 1], [0]], ["2,0"]))
+    yield "missing state", edit(feasible([[0, 1]]))
+    yield "duplicate action", edit(feasible([[0, 0], [0, 1]]))
+    yield "empty action list", edit(feasible([[], [0, 1]]))
+    yield "no action anywhere", edit(feasible([[], []]))
+    yield "unsorted actions", edit(feasible([[1, 0], [1, 0]]))
+    yield "string action", edit(feasible([["1", 0], [0, 1]]))
+
+
+def same_model(a, b):
+    return (
+        (a.num_states, a.num_actions, a.feasible, a.beta) == (b.num_states, b.num_actions, b.feasible, b.beta)
+        and np.array_equal(a.kernel, b.kernel)
+        and np.array_equal(a.reward, b.reward)
+    )
+
+
+class TestReaderReference:
+    """model_from_dict gives the per-pair reader's arrays, and its exception
+    type and message on each malformed dict."""
+
+    def test_valid_dicts(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(64)
+        models = [wind_model, abandon_model_beta1, *(extreme_model(rng) for _ in range(40))]
+        for m in models:
+            data = json.loads(json.dumps(model_to_dict(m)))
+            got, want = model_from_dict(data), loop_model_from_dict(data)
+            assert same_model(got, want)
+            mask = m.feasible_mask()
+            assert np.array_equal(got.kernel[mask], m.kernel[mask])
+            assert np.array_equal(got.reward[mask], m.reward[mask])
+
+    @pytest.mark.parametrize("name, data", list(malformed_dicts()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_malformed_dicts(self, name, data):
+        got = outcome(model_from_dict, data)
+        want = outcome(loop_model_from_dict, data)
+        if got[0] == "ok":
+            assert want[0] == "ok" and same_model(got[1], want[1])
+        else:
+            assert got == want
+
+
+def corrupt(rng, model):
+    """(feasible, kernel, reward, beta) of the model with 1 to 3 seeded
+    random defects, some on infeasible rows, which must not count."""
+    S, A = model.num_states, model.num_actions
+    feasible = [list(acts) for acts in model.feasible]
+    kernel = np.array(model.kernel)
+    reward = np.array(model.reward)
+    beta = model.beta
+    for _ in range(int(rng.integers(1, 4))):
+        i, a, j = int(rng.integers(S)), int(rng.integers(A)), int(rng.integers(S))
+        kind = int(rng.integers(12))
+        if kind == 0:
+            kernel[i, a, j] -= 0.3
+            kernel[i, a, (j + 1) % S] += 0.3
+        elif kind == 1:
+            kernel[i, a, j] += float(rng.choice([1e-11, 1e-13, -1e-11, 0.5]))
+        elif kind == 2:
+            kernel[i, a, j] = np.nan
+        elif kind == 3:
+            kernel[i, a, j] = float(rng.choice([np.inf, -np.inf]))
+        elif kind == 4:
+            reward[i, a] = float(rng.choice([np.nan, np.inf, -np.inf]))
+        elif kind == 5:
+            feasible[i] = []
+        elif kind == 6:
+            feasible[i] = feasible[i] + [int(rng.choice([A, -1]))]
+        elif kind == 7:
+            feasible[i] = feasible[i] + feasible[i][:1]
+        elif kind == 8:
+            beta = float(rng.choice([0.0, -1.0, np.inf, np.nan]))
+        elif kind == 9:
+            kernel[i, a, j] = -0.0
+        elif kind == 10:
+            kernel[i, a] = np.nan  # a whole row, feasible or not
+        else:
+            # NaN makes the row minimum NaN; the negative entry must still be named
+            kernel[i, a, j] = np.nan
+            kernel[i, a, (j + 1) % S] = -0.5
+    return feasible, kernel, reward, beta
+
+
+class TestValidationReference:
+    """The whole-array checks name the per-pair loop's first problem."""
+
+    def test_seeded_corruptions(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(65)
+        models = [wind_model, abandon_model_beta1]
+        for _ in range(10):
+            m = random_mdp(rng)
+            models += [m, restrict_feasible(rng, m), extreme_model(rng)]
+        messages = []
+        for k in range(600):
+            m = models[k % len(models)]
+            feasible, kernel, reward, beta = corrupt(rng, m)
+            S, A = m.num_states, m.num_actions
+            srt = tuple(tuple(sorted(acts)) for acts in feasible)
+            want = loop_validation_error(S, A, srt, kernel, reward, beta)
+            got = outcome(MdpModel, S, A, feasible, kernel, reward, beta)
+            if want is None:
+                assert got[0] == "ok"
+                mask = np.zeros((S, A), dtype=bool)
+                for i, acts in enumerate(srt):
+                    mask[i, list(acts)] = True
+                assert np.array_equal(got[1].feasible_mask(), mask)
+            else:
+                assert got == (ValidationError, want)
+            messages.append(want or "valid")
+        kinds = ("valid", "beta", "no feasible", "outside", "duplicate", "negative", "sums to nan", "sums to 1.", "not finite")
+        assert all(any(kind in text for text in messages) for kind in kinds)
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,10 +1,12 @@
 """Trajectory sampling, batch-means estimation, and potential estimation."""
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mdp
+from conftest import model_policy_cases, random_mdp
 from mvmdp import (
     DeterministicPolicy,
     PathSample,
@@ -13,6 +15,7 @@ from mvmdp import (
     estimate_metrics,
     estimate_potential,
     evaluate,
+    induced_chain,
     sample_random_policy,
     simulate_path,
 )
@@ -78,6 +81,52 @@ class TestSimulatePath:
             simulate_path(m, d, 10, start_state=m.num_states)
         with pytest.raises(ValidationError, match="cannot simulate"):
             simulate_path(m, object(), 10)
+
+
+def loop_simulate_path(model, policy, T, seed=0, start_state=0):
+    """Per-step reference: bisection on rows of numpy cumulative sums."""
+    rng = np.random.default_rng(seed)
+    states = np.empty(T, dtype=int)
+    if isinstance(policy, DeterministicPolicy):
+        P, r = induced_chain(model, policy)
+        cum = [list(np.cumsum(row)) for row in P]
+        us = rng.random(T)
+        i = start_state
+        for t in range(T):
+            states[t] = i
+            i = bisect_right(cum[i], us[t])
+        return PathSample(states, policy.action[states].copy(), r[states])
+    cum_theta = [list(np.cumsum(row)) for row in policy.theta]
+    cum_kernel = [[list(np.cumsum(row)) for row in model.kernel[i]] for i in range(model.num_states)]
+    ua = rng.random(T)
+    us = rng.random(T)
+    actions = np.empty(T, dtype=int)
+    i = start_state
+    for t in range(T):
+        states[t] = i
+        a = bisect_right(cum_theta[i], ua[t])
+        actions[t] = a
+        i = bisect_right(cum_kernel[i][a], us[t])
+    return PathSample(states, actions, model.reward[states, actions].copy())
+
+
+class TestSimulateLoopReference:
+    """Bisection on lists of Python floats gives the reference's path bit
+    for bit, for deterministic and randomized policies."""
+
+    def test_paths_match(self, wind_model, abandon_model_beta1):
+        rng = np.random.default_rng(70)
+        cases = list(model_policy_cases([wind_model, abandon_model_beta1], seed=70, policies_per_model=2))
+        for k, (m, d) in enumerate(cases):
+            theta = rng.dirichlet(np.ones(m.num_actions), size=m.num_states) * m.feasible_mask()
+            theta = RandomizedPolicy(theta / theta.sum(axis=1, keepdims=True))
+            start = int(rng.integers(m.num_states))
+            for policy in (d, theta):
+                got = simulate_path(m, policy, 3000, seed=k, start_state=start)
+                want = loop_simulate_path(m, policy, 3000, seed=k, start_state=start)
+                for field in ("states", "actions", "rewards"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestEstimateMetrics:
