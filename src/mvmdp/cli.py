@@ -41,6 +41,7 @@ from .solvers import (
     GradientConfig,
     MultiStartResult,
     SolverTrace,
+    _multi_start,
     _uniform_feasible,
     gradient_solver,
     multi_start,
@@ -266,16 +267,19 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     Returns (points, optima_rows, failures): one ParetoPoint per successful
     beta, all distinct local-optimum rows per beta, and (beta, message)
     pairs for betas whose runs failed. Failures do not stop the sweep.
+    The betas share one report memo, so a policy met at an earlier beta
+    only has its combined potential solved again.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
     points = []
     optima_rows = []
     failures = []
+    reports = {}
     for beta in beta_grid:
         model_b = dataclasses.replace(model, beta=float(beta))
         try:
-            result = multi_start(model_b, starts_per_beta, seed)
+            result = _multi_start(model_b, starts_per_beta, seed, reports)
         except MvmdpError as exc:
             failures.append((float(beta), str(exc)))
             continue

@@ -7,6 +7,7 @@ performance potentials that solve the associated Poisson equation.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     the normalization row. Raises when the distribution is not unique, i.e.
     when the support graph has two or more closed communicating classes.
     """
-    P = _check_stochastic(P)
+    return _stationary(_check_stochastic(P))
+
+
+def _stationary(P: np.ndarray) -> np.ndarray:
+    """stationary_distribution for a P already known to be row-stochastic."""
     S = P.shape[0]
     if closed_class_count(P) != 1:
         raise EvaluationError(
@@ -209,20 +214,26 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    pi = stationary_distribution(P)
+    pi = _stationary(P)
     return _solve_potentials(P, pi, (f, float(J)))[0]
 
 
 def evaluate(model: MdpModel, policy) -> EvaluationReport:
-    """Full exact evaluation of a deterministic or randomized policy."""
+    """Full exact evaluation of a deterministic or randomized policy.
+
+    A deterministic chain is made of validated model rows, checked with the
+    same tolerance and the same last-axis sum as _check_stochastic, so only a
+    randomized mixture is checked again.
+    """
     if isinstance(policy, DeterministicPolicy):
         P, r = induced_chain(model, policy)
         m2 = None
     elif isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
+        P = _check_stochastic(P)
     else:
         raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
-    pi = stationary_distribution(P)
+    pi = _stationary(P)
     j_mean = long_run_mean(pi, r)
     # the same floats as steady_state_variance
     if m2 is None:
@@ -243,6 +254,26 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
         potential_mean=g_mean,
         potential_var=g_var,
         beta=model.beta,
+    )
+
+
+def _with_beta(
+    model: MdpModel, policy: DeterministicPolicy, report: EvaluationReport
+) -> EvaluationReport:
+    """evaluate(model, policy), given the policy's report at another beta.
+
+    pi, j_mean, j_var and the mean and variance potentials do not depend on
+    beta and are copied; the combined metric, the cost and the combined
+    potential are recomputed with evaluate's own expressions, so the result
+    is the same floats (or the same EvaluationError) evaluate gives.
+    """
+    P, r = induced_chain(model, policy)
+    sq = (r - report.j_mean) ** 2
+    j_comb = combined_metric(report.j_mean, report.j_var, model.beta)
+    cost = r - model.beta * sq
+    (g,) = _solve_potentials(P, report.pi, (cost, j_comb))
+    return dataclasses.replace(
+        report, j_combined=j_comb, cost=cost, potential=g, beta=model.beta
     )
 
 

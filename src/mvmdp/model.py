@@ -187,7 +187,8 @@ class RandomizedPolicy:
         if np.any(self.theta < 0):
             raise ValidationError("theta has a negative entry")
         sums = self.theta.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+        # `not <=` also rejects NaN sums, which NaN or inf entries give
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
         if bad.size:
             i = int(bad[0])
             raise ValidationError(f"theta row {i} sums to {float(sums[i])!r}, expected 1")

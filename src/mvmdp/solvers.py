@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, SolverError, ValidationError
-from .evaluation import EvaluationReport, evaluate
+from .evaluation import EvaluationReport, _with_beta, evaluate
 from .model import (
     DeterministicPolicy,
     MdpModel,
@@ -118,9 +118,25 @@ class ExplorationResult:
     counts: np.ndarray
 
 
-def _evaluate_iterate(model: MdpModel, policy: DeterministicPolicy, step: int):
+def _report(model: MdpModel, policy: DeterministicPolicy, reports: dict):
+    """evaluate(model, policy), served from `reports` when the policy was
+    evaluated before in the same solver call.
+
+    `reports` maps each policy to its last report. A report at another beta
+    (a beta sweep) only needs its combined potential solved again. A report
+    is stored only once its evaluation succeeds.
+    """
+    report = reports.get(policy)
+    if report is not None and report.beta == model.beta:
+        return report
+    report = evaluate(model, policy) if report is None else _with_beta(model, policy, report)
+    reports[policy] = report
+    return report
+
+
+def _evaluate_iterate(model: MdpModel, policy: DeterministicPolicy, step: int, reports):
     try:
-        return evaluate(model, policy)
+        return _report(model, policy, reports)
     except EvaluationError as exc:
         raise SolverError(
             f"non-ergodic iterate at improvement step {step}: policy "
@@ -147,19 +163,20 @@ def _switch_if_better(model, policy, scores, current):
     return np.where(switch, scores.argmax(axis=1), policy.action)
 
 
-def _iterate(model, initial, num_steps, step, stop_at_fixed_point):
+def _iterate(model, initial, num_steps, step, stop_at_fixed_point, reports):
     """The evaluate -> record -> step loop every policy-iteration variant runs.
 
     Evaluates at most `num_steps` iterates, calling `step(policy, report)`
-    after each one for the next iterate. With `stop_at_fixed_point` the loop
-    ends when `step` returns the policy it was given, which is recorded once
-    more. Returns (last policy, best (policy, report) evaluated, trace).
+    after each one for the next iterate; a policy already in `reports` is not
+    evaluated again. With `stop_at_fixed_point` the loop ends when `step`
+    returns the policy it was given, which is recorded once more. Returns
+    (last policy, best (policy, report) evaluated, trace).
     """
     d = initial
     records = []
     best = None
     for k in range(num_steps):
-        report = _evaluate_iterate(model, d, k)
+        report = _evaluate_iterate(model, d, k, reports)
         changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
         records.append(
             TraceRecord(k, d, report.j_mean, report.j_var, report.j_combined, changed)
@@ -189,6 +206,11 @@ def policy_iteration(
     that changes the policy. Returns (final policy, trace); the trace ends
     with the repeated fixed-point policy.
     """
+    return _policy_iteration(model, initial, max_iterations, {})
+
+
+def _policy_iteration(model, initial, max_iterations, reports):
+    """policy_iteration, reading and filling the report memo `reports`."""
     initial.validate_for(model)
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
@@ -198,6 +220,7 @@ def policy_iteration(
         max_iterations + 1,
         lambda d, report: _greedy_step(model, d, report),
         stop_at_fixed_point=True,
+        reports=reports,
     )
     return d, trace
 
@@ -228,10 +251,16 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
 
     The best run by final combined metric wins; ties go to the lowest start
     index. distinct_optima lists the final values that differ by more than
-    1e-6, descending. A converged trace already ends with its fixed point's
-    metrics, so only the winner (and any start that hit the iteration cap)
-    is evaluated again.
+    1e-6, descending. All starts share one report per policy, so a policy
+    that several starts pass through, and the winner's best_report, are
+    evaluated once per call; only the final policy of a start that hit the
+    iteration cap can need an evaluation after its run.
     """
+    return _multi_start(model, num_starts, seed, {})
+
+
+def _multi_start(model, num_starts, seed, reports):
+    """multi_start, reading and filling the report memo `reports`."""
     if num_starts < 1:
         raise ValidationError(f"num_starts must be >= 1, got {num_starts}")
     children = np.random.SeedSequence(seed).spawn(num_starts)
@@ -242,11 +271,9 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
     for k in range(num_starts):
         rng = np.random.default_rng(children[k])
         initial = sample_random_policy(model, rng)
-        policy, trace = policy_iteration(model, initial)
-        if trace.converged:
-            final = trace.iterations[-1].j_combined
-        else:
-            final = evaluate(model, policy).j_combined
+        policy, trace = _policy_iteration(model, initial, None, reports)
+        # a capped start's final policy may be new: its EvaluationError propagates
+        final = _report(model, policy, reports).j_combined
         traces.append(trace)
         policies.append(policy)
         finals.append(final)
@@ -254,7 +281,7 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
             best = k
     return MultiStartResult(
         best_policy=policies[best],
-        best_report=evaluate(model, policies[best]),
+        best_report=_report(model, policies[best], reports),
         best_index=best,
         traces=tuple(traces),
         distinct_optima=_distinct_values(finals),
@@ -305,7 +332,9 @@ def epsilon_greedy_iteration(
             return d
         return _propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)
 
-    _, best, trace = _iterate(model, initial, config.budget, step, stop_at_fixed_point=False)
+    _, best, trace = _iterate(
+        model, initial, config.budget, step, stop_at_fixed_point=False, reports={}
+    )
     return ExplorationResult(
         best_policy=best[0],
         best_report=best[1],
@@ -370,7 +399,9 @@ def ucb_iteration(
         gamma *= config.gamma_decay
         return new_d
 
-    _, best, trace = _iterate(model, initial, config.budget, step, stop_at_fixed_point=False)
+    _, best, trace = _iterate(
+        model, initial, config.budget, step, stop_at_fixed_point=False, reports={}
+    )
     return ExplorationResult(
         best_policy=best[0], best_report=best[1], trace=trace, counts=counts
     )

@@ -94,6 +94,21 @@ def model_policy_cases(models, seed, random_models=6, policies_per_model=4):
             yield m, sample_random_policy(m, rng)
 
 
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the class name and message of the exception it
+    raised, so that two implementations can be compared on failures too."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc).__name__, str(exc)
+
+
+def assert_reports_equal(got, want):
+    """Every EvaluationReport field equal, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 def constant_mean_mdp(rng, num_states=3, num_actions=2):
     """All policies share the same long-run mean.
 
@@ -128,6 +143,13 @@ def wind_model(wind_spec):
 @pytest.fixture(scope="session")
 def abandon_model_beta1():
     return build_abandonment(WindStorageSpec(beta=1.0, abandonment=True))
+
+
+@pytest.fixture(scope="session")
+def abandon_model_b20():
+    """B=20 with abandonment at beta=1: seeded multi-start runs hit
+    multichain iterates here."""
+    return build_abandonment(WindStorageSpec(battery_capacity=20, beta=1.0, abandonment=True))
 
 
 @pytest.fixture

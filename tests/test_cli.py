@@ -1,12 +1,15 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from conftest import outcome, random_mdp, restrict_feasible
 from mvmdp import (
     DeterministicPolicy,
     MdpModel,
+    MvmdpError,
     RandomizedPolicy,
     ValidationError,
     evaluate,
@@ -15,7 +18,8 @@ from mvmdp import (
     save_model,
     save_policy,
 )
-from mvmdp.cli import RunConfig, cross_check, main, sweep_beta
+from mvmdp import solvers
+from mvmdp.cli import ParetoPoint, RunConfig, cross_check, main, sweep_beta
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +214,39 @@ class TestSweepBeta:
         header, rows = read_csv(out)
         assert rows == [] or rows == [[""]]
 
+    def test_shared_memo_matches_per_beta_multi_start(
+        self, wind_model, abandon_model_beta1, abandon_model_b20
+    ):
+        grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+        rng = np.random.default_rng(83)
+        m = random_mdp(rng)
+        cases = [
+            (wind_model, grid, 8),
+            (abandon_model_beta1, grid, 8),
+            (abandon_model_b20, (0.1, 1.0), 10),
+            (m, grid, 6),
+            (restrict_feasible(rng, m), grid, 6),
+        ]
+        failed = 0
+        for model, betas, starts in cases:
+            for seed in (0, 1):
+                got = outcome(sweep_beta, model, betas, starts, seed)
+                want = outcome(per_beta_sweep, model, betas, starts, seed)
+                assert got == want
+                failed += len(want[1][2])
+        assert failed > 0
+
+    def test_sweep_evaluates_each_policy_once(self, monkeypatch, wind_model):
+        evaluated = []
+
+        def counting(model, policy):
+            evaluated.append(policy)
+            return evaluate(model, policy)
+
+        monkeypatch.setattr(solvers, "evaluate", counting)
+        sweep_beta(wind_model, (0.1, 0.5, 2.0), 6, seed=0)
+        assert len(evaluated) == len(set(evaluated))
+
     def test_empty_grid_rejected(self, workdir):
         model_path = str(workdir / "wind.json")
         from mvmdp import load_model
@@ -277,3 +314,29 @@ class TestSeedEnvironment:
         main(["solve-pi", "--model", str(workdir / "wind.json"),
               "--out", str(from_env)])
         assert from_env.read_bytes() == explicit.read_bytes()
+
+
+def per_beta_sweep(model, beta_grid, starts_per_beta, seed):
+    """sweep_beta before the betas shared a report memo: one public
+    multi_start per beta."""
+    points, optima_rows, failures = [], [], []
+    for beta in beta_grid:
+        model_b = dataclasses.replace(model, beta=float(beta))
+        try:
+            result = multi_start(model_b, starts_per_beta, seed)
+        except MvmdpError as exc:
+            failures.append((float(beta), str(exc)))
+            continue
+        best = result.best_report
+        points.append(
+            ParetoPoint(float(beta), best.j_mean, best.j_var, best.j_combined,
+                        f"start{result.best_index}")
+        )
+        seen = []
+        for trace in result.traces:
+            last = trace.iterations[-1]
+            if any(abs(last.j_combined - v) <= 1e-6 for v in seen):
+                continue
+            seen.append(last.j_combined)
+            optima_rows.append((float(beta), last.j_mean, last.j_var, last.j_combined))
+    return points, optima_rows, failures

@@ -1,10 +1,12 @@
 """Stationary distributions, metric computation, and the potential solve."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp
+from conftest import assert_reports_equal, model_policy_cases, outcome, random_mdp
 from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
@@ -22,6 +24,7 @@ from mvmdp import (
     stationary_distribution,
     steady_state_variance,
 )
+from mvmdp.evaluation import _with_beta
 
 
 class TestStationaryDistribution:
@@ -166,6 +169,26 @@ class TestEvaluate:
         assert rep.j_var == pytest.approx(1.0)
         assert rep.j_combined == pytest.approx(-0.25)
 
+    def test_randomized_mixture_row_sums_are_checked(self):
+        # every model row sums to 1 + 0.9e-12, within the model tolerance,
+        # so deterministic chains evaluate; mixing them with theta rows of
+        # the same sum gives chain rows ~1.8e-12 off, which must be rejected
+        row = np.array([0.5, 0.5 + 0.9e-12])
+        m = MdpModel(
+            num_states=2,
+            num_actions=2,
+            feasible=((0, 1), (0, 1)),
+            kernel=np.stack([np.stack([row, row[::-1]])] * 2),
+            reward=np.array([[1.0, 0.0], [2.0, -1.0]]),
+            beta=0.5,
+        )
+        for action in ([0, 0], [0, 1], [1, 0], [1, 1]):
+            evaluate(m, DeterministicPolicy(np.array(action)))
+        theta = RandomizedPolicy(np.stack([row, row]))
+        theta.validate_for(m)
+        with pytest.raises(ValidationError, match="transition row 0 sums to"):
+            evaluate(m, theta)
+
     def test_frozen_battery_policy_is_rejected(self, wind_model, frozen_battery_policy):
         with pytest.raises(EvaluationError, match="not unique"):
             evaluate(wind_model, frozen_battery_policy)
@@ -259,6 +282,22 @@ class TestPoissonReference:
                 assert np.array_equal(got, reference_potential(P, f, J, pi))
 
 
+def transient_pin_model(closed):
+    """State 0 is transient, so every potential comes from the normalized
+    system; `closed` is the chain on states 1 and 2."""
+    kernel = np.zeros((3, 1, 3))
+    kernel[0, 0] = [0.0, 0.5, 0.5]
+    kernel[1:, 0, 1:] = closed
+    return MdpModel(
+        num_states=3,
+        num_actions=1,
+        feasible=((0,), (0,), (0,)),
+        kernel=kernel,
+        reward=np.array([[5.0], [1.0], [-2.0]]),
+        beta=0.4,
+    )
+
+
 class TestTransientPinState:
     @pytest.mark.parametrize(
         "closed",
@@ -271,19 +310,7 @@ class TestTransientPinState:
         ],
     )
     def test_evaluate_falls_back_for_all_potentials(self, closed):
-        # state 0 is transient, so every potential comes from the
-        # normalized system
-        kernel = np.zeros((3, 1, 3))
-        kernel[0, 0] = [0.0, 0.5, 0.5]
-        kernel[1:, 0, 1:] = closed
-        m = MdpModel(
-            num_states=3,
-            num_actions=1,
-            feasible=((0,), (0,), (0,)),
-            kernel=kernel,
-            reward=np.array([[5.0], [1.0], [-2.0]]),
-            beta=0.4,
-        )
+        m = transient_pin_model(closed)
         d = DeterministicPolicy(np.zeros(3, dtype=int))
         rep = evaluate(m, d)
         P, r = induced_chain(m, d)
@@ -299,3 +326,46 @@ class TestTransientPinState:
         assert rep.potential == pytest.approx(
             rep.potential_mean - m.beta * rep.potential_var, abs=1e-8
         )
+
+
+class TestWithBeta:
+    """_with_beta turns a report at one beta into evaluate's report at
+    another, field for field, or raises evaluate's exception."""
+
+    BETAS = (1e-3, 0.2, 0.5, 1.0, 5.0, 100.0)
+
+    def check(self, model, policy, betas=BETAS):
+        report = evaluate(model, policy)
+        kinds = set()
+        for beta in betas:
+            mb = dataclasses.replace(model, beta=beta)
+            got = outcome(_with_beta, mb, policy, report)
+            want = outcome(evaluate, mb, policy)
+            assert got[0] == want[0]
+            kinds.add(want[0])
+            if want[0] == "ok":
+                assert_reports_equal(got[1], want[1])
+            else:
+                assert got[1] == want[1]
+        return kinds
+
+    def test_matches_evaluate(self, wind_model, abandon_model_beta1):
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=75):
+            assert self.check(m, d) == {"ok"}
+
+    def test_transient_pin_state(self):
+        for closed in ([[0.3, 0.7], [0.6, 0.4]], [[0.1, 0.9], [0.7, 0.3]]):
+            m = transient_pin_model(closed)
+            d = DeterministicPolicy(np.zeros(3, dtype=int))
+            assert evaluate(m, d).pi[0] == pytest.approx(0.0, abs=1e-12)
+            assert self.check(m, d) == {"ok"}
+
+    def test_combined_potential_failure(self, wind_model, abandon_model_beta1):
+        # at a huge beta pi @ cost and j_combined disagree by more than the
+        # consistency tolerance, although the beta-free parts are fine
+        for m in (wind_model, abandon_model_beta1):
+            kinds = set()
+            for seed in (0, 76):
+                d = sample_random_policy(m, np.random.default_rng(seed))
+                kinds |= self.check(m, d, betas=(1e8, 1e300, 0.3))
+            assert kinds == {"EvaluationError", "ok"}

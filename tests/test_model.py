@@ -182,6 +182,19 @@ class TestPolicies:
         with pytest.raises(ValidationError, match="negative"):
             RandomizedPolicy(np.array([[1.1, -0.1], [0.3, 0.7]])).validate_for(m)
 
+    def test_randomized_validate_rejects_nan_and_inf(self, wind_model):
+        mask = wind_model.feasible_mask()
+        uniform = mask / mask.sum(axis=1, keepdims=True)
+        RandomizedPolicy(uniform).validate_for(wind_model)
+        nan_row = uniform.copy()
+        nan_row[0, mask[0]] = np.nan
+        with pytest.raises(ValidationError, match="theta row 0 sums to nan"):
+            RandomizedPolicy(nan_row).validate_for(wind_model)
+        inf_entry = uniform.copy()
+        inf_entry[3, np.flatnonzero(mask[3])[0]] = np.inf
+        with pytest.raises(ValidationError, match="theta row 3 sums to inf"):
+            RandomizedPolicy(inf_entry).validate_for(wind_model)
+
     def test_mixed_delta_range(self):
         base = DeterministicPolicy(np.array([0, 0]))
         alt = DeterministicPolicy(np.array([1, 1]))

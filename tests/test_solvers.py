@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp, restrict_feasible
+from conftest import (
+    assert_reports_equal,
+    model_policy_cases,
+    outcome,
+    random_mdp,
+    restrict_feasible,
+)
 from mvmdp import (
     DeterministicPolicy,
+    EvaluationError,
+    EvaluationReport,
     ExplorationConfig,
     GradientConfig,
     MdpModel,
@@ -31,6 +39,11 @@ from mvmdp import solvers
 from mvmdp.sensitivity import improvement_vector
 from mvmdp.solvers import (
     TIE_TOL,
+    ExplorationResult,
+    MultiStartResult,
+    SolverTrace,
+    TraceRecord,
+    _distinct_values,
     _greedy_step,
     _propose_epsilon,
     _ucb_step,
@@ -433,6 +446,202 @@ class TestStepLoopReference:
         for counts in ([[0, 0, 0], [1, 0, 0]], [[2, 1, 1], [3, 4, 4]]):
             want = self.check_ucb(m, d, rep, np.array(counts), gamma=0.5)
             assert want.tolist() == [1, 1]
+
+
+def memo_free_iterate(model, initial, num_steps, step, stop_at_fixed_point):
+    """The solver driver before the report memo: every iterate goes
+    through evaluate, repeats included."""
+    d = initial
+    records = []
+    best = None
+    for k in range(num_steps):
+        try:
+            report = evaluate(model, d)
+        except EvaluationError as exc:
+            raise SolverError(
+                f"non-ergodic iterate at improvement step {k}: policy "
+                f"{list(int(a) for a in d.action)} ({exc})"
+            ) from exc
+        changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
+        records.append(
+            TraceRecord(k, d, report.j_mean, report.j_var, report.j_combined, changed)
+        )
+        if best is None or report.j_combined > best[1].j_combined:
+            best = (d, report)
+        new_d = step(d, report)
+        if stop_at_fixed_point and new_d == d:
+            records.append(
+                TraceRecord(k + 1, d, report.j_mean, report.j_var, report.j_combined, 0)
+            )
+            return d, best, SolverTrace(tuple(records), True, "fixed_point")
+        d = new_d
+    return d, best, SolverTrace(tuple(records), False, "max_iterations")
+
+
+def memo_free_multi_start(model, num_starts, seed, max_iterations=None):
+    """multi_start before the report memo: independent policy iterations,
+    then the winner (and a capped start's final policy) evaluated again."""
+    children = np.random.SeedSequence(seed).spawn(num_starts)
+    traces, policies, finals = [], [], []
+    best = 0
+    for k in range(num_starts):
+        initial = sample_random_policy(model, np.random.default_rng(children[k]))
+        cap = 10 * model.num_states * model.num_actions
+        policy, _, trace = memo_free_iterate(
+            model,
+            initial,
+            (cap if max_iterations is None else max_iterations) + 1,
+            lambda d, report: _greedy_step(model, d, report),
+            stop_at_fixed_point=True,
+        )
+        if trace.converged:
+            final = trace.iterations[-1].j_combined
+        else:
+            final = evaluate(model, policy).j_combined
+        traces.append(trace)
+        policies.append(policy)
+        finals.append(final)
+        if final > finals[best]:
+            best = k
+    return MultiStartResult(
+        best_policy=policies[best],
+        best_report=evaluate(model, policies[best]),
+        best_index=best,
+        traces=tuple(traces),
+        distinct_optima=_distinct_values(finals),
+    )
+
+
+def memo_free_ucb(model, initial, config):
+    counts = np.zeros((model.num_states, model.num_actions), dtype=int)
+    gamma = config.gamma
+
+    def step(d, report):
+        nonlocal gamma
+        new_d = _ucb_step(model, d, report, counts, gamma)
+        gamma *= config.gamma_decay
+        return new_d
+
+    _, best, trace = memo_free_iterate(model, initial, config.budget, step, False)
+    return ExplorationResult(best[0], best[1], trace, counts)
+
+
+def memo_free_epsilon_greedy(model, initial, config):
+    rng = np.random.default_rng(config.seed)
+    steps = 0
+
+    def step(d, report):
+        nonlocal steps
+        steps += 1
+        if steps == config.budget:
+            return d
+        return _propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)
+
+    _, best, trace = memo_free_iterate(model, initial, config.budget, step, False)
+    zeros = np.zeros((model.num_states, model.num_actions), dtype=int)
+    return ExplorationResult(best[0], best[1], trace, zeros)
+
+
+def assert_same_outcome(got, want):
+    """Same exception class and message, or every result field equal:
+    reports and arrays bit for bit."""
+    assert got[0] == want[0]
+    if want[0] != "ok":
+        assert got[1] == want[1]
+        return
+    for f in dataclasses.fields(want[1]):
+        g, w = getattr(got[1], f.name), getattr(want[1], f.name)
+        if isinstance(w, EvaluationReport):
+            assert_reports_equal(g, w)
+        elif isinstance(w, np.ndarray):
+            assert np.array_equal(g, w)
+        else:
+            assert g == w, f.name
+
+
+class TestMemoReference:
+    """The solvers share one report per policy within a call and give the
+    memo-free results exactly: the same policies, reports, traces, counts
+    and exceptions."""
+
+    def models(self, wind_model, abandon_model_beta1, abandon_model_b20):
+        rng = np.random.default_rng(80)
+        abandon_b5 = dataclasses.replace(abandon_model_beta1, beta=0.1)
+        randoms = [random_mdp(rng) for _ in range(3)]
+        randoms += [restrict_feasible(rng, m) for m in randoms]
+        return [wind_model, abandon_b5, abandon_model_beta1, abandon_model_b20, *randoms]
+
+    def test_multi_start(self, wind_model, abandon_model_beta1, abandon_model_b20):
+        kinds = set()
+        for m in self.models(wind_model, abandon_model_beta1, abandon_model_b20):
+            for seed in (0, 1):
+                got = outcome(multi_start, m, 10, seed)
+                want = outcome(memo_free_multi_start, m, 10, seed)
+                assert_same_outcome(got, want)
+                kinds.add(want[0])
+        assert kinds == {"ok", "SolverError"}
+
+    def test_capped_multi_start(
+        self, monkeypatch, wind_model, abandon_model_beta1, abandon_model_b20
+    ):
+        """With an iteration cap the final policy of a start can be new:
+        its evaluation happens after the run and raises a bare
+        EvaluationError on a multichain policy."""
+        inner = solvers._policy_iteration
+        kinds = set()
+        for cap in (0, 1, 3):
+            monkeypatch.setattr(
+                solvers,
+                "_policy_iteration",
+                lambda m, initial, _, reports: inner(m, initial, cap, reports),
+            )
+            for m in self.models(wind_model, abandon_model_beta1, abandon_model_b20):
+                got = outcome(multi_start, m, 10, 0)
+                want = outcome(memo_free_multi_start, m, 10, 0, max_iterations=cap)
+                assert_same_outcome(got, want)
+                if want[0] == "ok" and not all(t.converged for t in want[1].traces):
+                    kinds.add("capped")
+                else:
+                    kinds.add(want[0])
+        assert "capped" in kinds and "EvaluationError" in kinds
+
+    def test_ucb(self, wind_model, abandon_model_beta1, abandon_model_b20):
+        for k, m in enumerate(self.models(wind_model, abandon_model_beta1, abandon_model_b20)):
+            initial = sample_random_policy(m, np.random.default_rng([81, k]))
+            for gamma in (0.0, 1.0, 3.0):
+                config = ExplorationConfig(gamma=gamma, seed=k, budget=40, gamma_decay=0.95)
+                assert_same_outcome(
+                    outcome(ucb_iteration, m, initial, config),
+                    outcome(memo_free_ucb, m, initial, config),
+                )
+
+    def test_epsilon_greedy(self, wind_model, abandon_model_beta1, abandon_model_b20):
+        for k, m in enumerate(self.models(wind_model, abandon_model_beta1, abandon_model_b20)):
+            initial = sample_random_policy(m, np.random.default_rng([82, k]))
+            for epsilon in (0.0, 0.1, 0.4):
+                config = ExplorationConfig(epsilon=epsilon, seed=k, budget=40)
+                assert_same_outcome(
+                    outcome(epsilon_greedy_iteration, m, initial, config),
+                    outcome(memo_free_epsilon_greedy, m, initial, config),
+                )
+
+    def test_multi_start_evaluates_each_policy_once(
+        self, monkeypatch, wind_model, abandon_model_beta1
+    ):
+        evaluated = []
+
+        def counting(model, policy):
+            evaluated.append(policy)
+            return evaluate(model, policy)
+
+        monkeypatch.setattr(solvers, "evaluate", counting)
+        for m in (wind_model, abandon_model_beta1):
+            evaluated.clear()
+            res = multi_start(m, 10, seed=0)
+            visited = {rec.policy for t in res.traces for rec in t.iterations}
+            assert len(evaluated) == len(set(evaluated)) == len(visited)
+            # the starts do meet: without the memo there are more evaluations
+            assert sum(len(t.iterations) - 1 for t in res.traces) > len(visited)
 
 
 class TestGradient:
