@@ -47,7 +47,7 @@ from .solvers import (
     multi_start,
     policy_iteration,
 )
-from .wind_storage import WindStorageSpec, build_abandonment, build_no_abandonment
+from .wind_storage import WindStorageSpec, build
 
 COMMANDS = (
     "evaluate",
@@ -410,7 +410,7 @@ def _cmd_wind_build(config: RunConfig) -> int:
             ) from exc
         kwargs["wind_kernel"] = np.asarray(kernel, dtype=float)
     spec = WindStorageSpec(**kwargs)
-    model = build_abandonment(spec) if abandonment else build_no_abandonment(spec)
+    model = build(spec)
     save_model(model, config.output_path)
     ergo = check_ergodicity(model)
     print(

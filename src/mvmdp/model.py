@@ -325,26 +325,25 @@ def check_ergodicity(
     union = model.kernel.sum(axis=1, where=model.feasible_mask()[:, :, None])
     union_ok = is_irreducible(union)
 
-    violations = []
     if model.num_policies() <= enumeration_cap:
         mode = "enumeration"
-        checked = 0
-        for combo in itertools.product(*model.feasible):
-            d = DeterministicPolicy(np.array(combo))
-            P, _ = induced_chain(model, d)
-            if not is_irreducible(P):
-                violations.append(d)
-            checked += 1
+        policies = (
+            DeterministicPolicy(np.array(combo)) for combo in itertools.product(*model.feasible)
+        )
     else:
         mode = "sampling"
         rng = np.random.default_rng(seed)
-        checked = 0
-        for _ in range(sample_size):
-            d = sample_random_policy(model, rng, require_irreducible=False)
-            P, _ = induced_chain(model, d)
-            if not is_irreducible(P):
-                violations.append(d)
-            checked += 1
+        policies = (
+            sample_random_policy(model, rng, require_irreducible=False)
+            for _ in range(sample_size)
+        )
+    violations = []
+    checked = 0
+    for d in policies:
+        P, _ = induced_chain(model, d)
+        if not is_irreducible(P):
+            violations.append(d)
+        checked += 1
     return ErgodicityReport(mode, union_ok, tuple(violations), checked)
 
 

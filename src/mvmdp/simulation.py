@@ -90,7 +90,9 @@ def simulate_path(
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
         cum_theta = _cum_rows(policy.theta)
-        cum_kernel = _cum_rows(model.kernel)
+        # cumulative kernel rows made on first visit of their pair: the whole
+        # (S, A, S) kernel as Python floats is S*A*S objects (~300 MB at S=1206)
+        cum_kernel = [[None] * model.num_actions for _ in range(model.num_states)]
         ua = rng.random(T)
         us = rng.random(T)
         visited, chosen = [], []
@@ -99,7 +101,10 @@ def simulate_path(
             visited.append(i)
             a = bisect_right(cum_theta[i], u_a)
             chosen.append(a)
-            i = bisect_right(cum_kernel[i][a], u_s)
+            row = cum_kernel[i][a]
+            if row is None:
+                row = cum_kernel[i][a] = np.cumsum(model.kernel[i, a]).tolist()
+            i = bisect_right(row, u_s)
         states = np.array(visited, dtype=int)
         actions = np.array(chosen, dtype=int)
         return PathSample(states, actions, model.reward[states, actions])

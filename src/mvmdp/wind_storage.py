@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import MdpModel
+from .model import ROW_SUM_TOL, MdpModel
 
 # hourly wind-level transition probabilities estimated for the benchmark site
 WIND_KERNEL = np.array(
@@ -53,7 +53,8 @@ class WindStorageSpec:
         if np.any(self.wind_kernel < 0):
             raise ValidationError("wind kernel has a negative entry")
         sums = self.wind_kernel.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+        # `not <=` also rejects NaN sums
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
@@ -84,17 +85,15 @@ class JointState:
         return cls(index // (battery_capacity + 1), index % (battery_capacity + 1))
 
 
-def state_index(spec: WindStorageSpec, wind: int, battery: int) -> int:
+def state_index(spec: WindStorageSpec, wind, battery):
+    """Flat index of (wind, battery); works elementwise on integer arrays."""
     return wind * (spec.battery_capacity + 1) + battery
 
 
-def _joint_kernel_row(spec: WindStorageSpec, wind: int, battery_next: int):
-    """Next-state distribution: wind moves by its kernel, battery is set."""
-    S = spec.num_states
-    row = np.zeros(S)
-    for w2, p in enumerate(spec.wind_kernel[wind]):
-        row[state_index(spec, w2, battery_next)] = p
-    return row
+def _battery_power(spec: WindStorageSpec, battery, U):
+    """Battery power A = max(U, max(min charge, b - B)) of a decision U at
+    battery level b, elementwise: see `decompose_action`."""
+    return np.maximum(U, np.maximum(min(spec.charge_actions), battery - spec.battery_capacity))
 
 
 def build_no_abandonment(spec: WindStorageSpec) -> MdpModel:
@@ -106,29 +105,7 @@ def build_no_abandonment(spec: WindStorageSpec) -> MdpModel:
     """
     if spec.abandonment:
         raise ValidationError("spec has the abandonment flag set")
-    B = spec.battery_capacity
-    acts = spec.charge_actions
-    S = spec.num_states
-    A = len(acts)
-    feasible = []
-    kernel = np.zeros((S, A, S))
-    reward = np.zeros((S, A))
-    for w, x_power in enumerate(spec.wind_states):
-        for b in range(B + 1):
-            i = state_index(spec, w, b)
-            allowed = [
-                ai
-                for ai, a in enumerate(acts)
-                if b - B <= a <= b and a >= -x_power
-            ]
-            if not allowed:
-                raise ValidationError(f"state (wind {w}, battery {b}) has no action")
-            feasible.append(tuple(allowed))
-            for ai in allowed:
-                a = acts[ai]
-                reward[i, ai] = x_power + a
-                kernel[i, ai] = _joint_kernel_row(spec, w, b - a)
-    return MdpModel(S, A, tuple(feasible), kernel, reward, spec.beta)
+    return build(spec)
 
 
 def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
@@ -141,7 +118,6 @@ def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
     """
     x_power = spec.wind_states[state.wind]
     b = state.battery
-    B = spec.battery_capacity
     lo = -x_power
     hi = min(max(spec.charge_actions), b)
     if not lo <= U <= hi:
@@ -149,10 +125,8 @@ def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
             f"decision {U} outside feasible range [{lo}, {hi}] at "
             f"(wind {state.wind}, battery {b})"
         )
-    a_floor = max(min(spec.charge_actions), b - B)
-    if U >= a_floor:
-        return U, 0
-    return a_floor, a_floor - U
+    a = int(_battery_power(spec, b, U))
+    return a, a - U
 
 
 def build_abandonment(spec: WindStorageSpec) -> MdpModel:
@@ -164,34 +138,41 @@ def build_abandonment(spec: WindStorageSpec) -> MdpModel:
     """
     if not spec.abandonment:
         raise ValidationError("spec lacks the abandonment flag")
-    B = spec.battery_capacity
-    S = spec.num_states
-    u_min = -max(spec.wind_states)
-    u_max = max(spec.charge_actions)
-    decisions = list(range(u_min, u_max + 1))
-    A = len(decisions)
-    feasible = []
-    kernel = np.zeros((S, A, S))
-    reward = np.zeros((S, A))
-    for w, x_power in enumerate(spec.wind_states):
-        for b in range(B + 1):
-            i = state_index(spec, w, b)
-            allowed = [
-                ui for ui, u in enumerate(decisions) if -x_power <= u <= min(u_max, b)
-            ]
-            if not allowed:
-                raise ValidationError(f"state (wind {w}, battery {b}) has no action")
-            feasible.append(tuple(allowed))
-            for ui in allowed:
-                u = decisions[ui]
-                a, _ = decompose_action(spec, JointState(w, b), u)
-                reward[i, ui] = x_power + u
-                kernel[i, ui] = _joint_kernel_row(spec, w, b - a)
-    return MdpModel(S, A, tuple(feasible), kernel, reward, spec.beta)
+    return build(spec)
 
 
 def build(spec: WindStorageSpec) -> MdpModel:
-    return build_abandonment(spec) if spec.abandonment else build_no_abandonment(spec)
+    """Joint MDP of either scenario, built over (wind, battery, action) arrays.
+
+    Both scenarios allow -X <= U <= min(max charge, b) and move the battery
+    to b - A with A = `_battery_power`. Without abandonment U is a battery
+    power, so it must also keep the battery within capacity (U >= b - B),
+    where A = U.
+    """
+    B = spec.battery_capacity
+    W = len(spec.wind_states)
+    S = spec.num_states
+    x = np.array(spec.wind_states)
+    U = np.array(action_values(spec))
+    A = len(U)
+    b = np.arange(B + 1)[:, None]
+    mask = (-x[:, None, None] <= U) & (U <= np.minimum(max(spec.charge_actions), b))
+    if not spec.abandonment:
+        mask &= U >= b - B
+    empty = np.flatnonzero(~mask.any(axis=2))
+    if empty.size:
+        w0, b0 = divmod(int(empty[0]), B + 1)
+        raise ValidationError(f"state (wind {w0}, battery {b0}) has no action")
+    w, bat, a = np.nonzero(mask)
+    i = state_index(spec, w, bat)
+    next_battery = bat - _battery_power(spec, bat, U[a])
+    kernel = np.zeros((S, A, S))
+    cols = state_index(spec, np.arange(W), next_battery[:, None])
+    kernel[i[:, None], a[:, None], cols] = spec.wind_kernel[w]
+    reward = np.zeros((S, A))
+    reward[i, a] = x[w] + U[a]
+    feasible = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask.reshape(S, A))
+    return MdpModel(S, A, feasible, kernel, reward, spec.beta)
 
 
 def action_values(spec: WindStorageSpec):

@@ -1,4 +1,5 @@
 """Trajectory sampling, batch-means estimation, and potential estimation."""
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -12,6 +13,8 @@ from mvmdp import (
     PathSample,
     RandomizedPolicy,
     ValidationError,
+    WindStorageSpec,
+    build,
     estimate_metrics,
     estimate_potential,
     evaluate,
@@ -127,6 +130,38 @@ class TestSimulateLoopReference:
                 for field in ("states", "actions", "rewards"):
                     g, w = getattr(got, field), getattr(want, field)
                     assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _uniform_theta(model):
+    theta = model.feasible_mask().astype(float)
+    return RandomizedPolicy(theta / theta.sum(axis=1, keepdims=True))
+
+
+class TestSimulateRandomizedLarge:
+    """A randomized path converts only the kernel rows it visits."""
+
+    @pytest.fixture(scope="class")
+    def model_b50(self):
+        return build(WindStorageSpec(battery_capacity=50))
+
+    def test_paths_match_full_conversion(self, abandon_model_b20, model_b50):
+        for m in (abandon_model_b20, model_b50):
+            theta = _uniform_theta(m)
+            for seed in range(3):
+                got = simulate_path(m, theta, 2000, seed=seed)
+                want = loop_simulate_path(m, theta, 2000, seed=seed)
+                for field in ("states", "actions", "rewards"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_peak_memory_does_not_scale_with_the_kernel(self, model_b50):
+        theta = _uniform_theta(model_b50)
+        tracemalloc.start()
+        try:
+            simulate_path(model_b50, theta, 200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestEstimateMetrics:

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from conftest import outcome
 from mvmdp import (
     WIND_KERNEL,
     DeterministicPolicy,
     JointState,
+    MdpModel,
     ValidationError,
     WindStorageSpec,
     action_values,
@@ -49,6 +51,12 @@ class TestSpec:
         neg[0, 1] += 1.0
         with pytest.raises(ValidationError, match="negative"):
             WindStorageSpec(wind_kernel=neg)
+
+    def test_nan_kernel_entry_is_rejected_at_the_spec(self):
+        bad = np.array(WIND_KERNEL)
+        bad[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="wind kernel row 2"):
+            WindStorageSpec(wind_kernel=bad)
 
     def test_battery_and_actions_checked(self):
         with pytest.raises(ValidationError, match="battery"):
@@ -221,3 +229,90 @@ def test_model_file_round_trip_is_exact(tmp_path, wind_model):
     assert np.array_equal(back.kernel, wind_model.kernel)
     assert np.array_equal(back.reward, wind_model.reward)
     assert back.beta == wind_model.beta
+
+
+def _joint_kernel_row(spec, wind, battery_next):
+    row = np.zeros(spec.num_states)
+    for w2, p in enumerate(spec.wind_kernel[wind]):
+        row[state_index(spec, w2, battery_next)] = p
+    return row
+
+
+def loop_build_no_abandonment(spec):
+    """Per-state reference builder without abandonment."""
+    B = spec.battery_capacity
+    acts = spec.charge_actions
+    S = spec.num_states
+    A = len(acts)
+    feasible = []
+    kernel = np.zeros((S, A, S))
+    reward = np.zeros((S, A))
+    for w, x_power in enumerate(spec.wind_states):
+        for b in range(B + 1):
+            i = state_index(spec, w, b)
+            allowed = [ai for ai, a in enumerate(acts) if b - B <= a <= b and a >= -x_power]
+            if not allowed:
+                raise ValidationError(f"state (wind {w}, battery {b}) has no action")
+            feasible.append(tuple(allowed))
+            for ai in allowed:
+                a = acts[ai]
+                reward[i, ai] = x_power + a
+                kernel[i, ai] = _joint_kernel_row(spec, w, b - a)
+    return MdpModel(S, A, tuple(feasible), kernel, reward, spec.beta)
+
+
+def loop_build_abandonment(spec):
+    """Per-state reference builder with abandonment: the battery takes what
+    it can of a charging request, the rest of the wind is spilled."""
+    B = spec.battery_capacity
+    S = spec.num_states
+    u_max = max(spec.charge_actions)
+    decisions = list(range(-max(spec.wind_states), u_max + 1))
+    A = len(decisions)
+    feasible = []
+    kernel = np.zeros((S, A, S))
+    reward = np.zeros((S, A))
+    for w, x_power in enumerate(spec.wind_states):
+        for b in range(B + 1):
+            i = state_index(spec, w, b)
+            allowed = [ui for ui, u in enumerate(decisions) if -x_power <= u <= min(u_max, b)]
+            if not allowed:
+                raise ValidationError(f"state (wind {w}, battery {b}) has no action")
+            feasible.append(tuple(allowed))
+            for ui in allowed:
+                u = decisions[ui]
+                a_floor = max(min(spec.charge_actions), b - B)
+                a = u if u >= a_floor else a_floor
+                reward[i, ui] = x_power + u
+                kernel[i, ui] = _joint_kernel_row(spec, w, b - a)
+    return MdpModel(S, A, tuple(feasible), kernel, reward, spec.beta)
+
+
+def _uniform(n):
+    return np.full((n, n), 1.0 / n)
+
+
+@pytest.mark.parametrize("abandonment", [False, True])
+@pytest.mark.parametrize("B", [1, 2, 5, 20])
+def test_array_build_matches_loop_reference(B, abandonment):
+    reference = loop_build_abandonment if abandonment else loop_build_no_abandonment
+    variants = [
+        {},
+        {"wind_kernel": _uniform(6)},
+        {"charge_actions": (-2, 0, 2)},
+        {"charge_actions": (-5, -2, 0, 2, 5)},
+        {"wind_states": (0, 2, 5), "wind_kernel": _uniform(3)},
+        {"wind_states": (0, 3, 7), "wind_kernel": _uniform(3)},
+        {"wind_states": (0, 3, 7), "wind_kernel": _uniform(3), "charge_actions": (-5, -2, 0, 2, 5)},
+        {"wind_states": (2, -1, 5), "wind_kernel": _uniform(3)},
+    ]
+    for extra in variants:
+        spec = WindStorageSpec(battery_capacity=B, abandonment=abandonment, **extra)
+        got, want = outcome(build, spec), outcome(reference, spec)
+        if want[0] != "ok":
+            assert got == want, extra
+            continue
+        assert got[0] == "ok", (extra, got)
+        assert got[1].feasible == want[1].feasible, extra
+        assert np.array_equal(got[1].kernel, want[1].kernel), extra
+        assert np.array_equal(got[1].reward, want[1].reward), extra
