@@ -7,6 +7,7 @@ performance potentials that solve the associated Poisson equation.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 from dataclasses import dataclass
 
@@ -14,9 +15,11 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .model import (
+    ROW_SUM_TOL,
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _check_beta,
     closed_class_count,
     induced_chain,
     induced_chain_randomized,
@@ -55,7 +58,8 @@ def _check_stochastic(P: np.ndarray) -> np.ndarray:
     if np.any(P < 0):
         raise ValidationError("transition matrix has a negative entry")
     sums = P.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+    # `not <=` also rejects NaN sums, which NaN or inf entries give
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"transition row {i} sums to {sums[i]!r}, expected 1")
@@ -131,8 +135,7 @@ def steady_state_variance(
 
 
 def combined_metric(j_mean: float, j_var: float, beta: float) -> float:
-    if not beta > 0:
-        raise ValidationError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     return float(j_mean - beta * j_var)
 
 
@@ -142,8 +145,7 @@ def mv_cost_vector(r: np.ndarray, j_mean: float, beta: float) -> np.ndarray:
     j_mean must be the long-run mean of the same policy that produced r;
     the quadratic penalty couples every state to the global mean.
     """
-    if not beta > 0:
-        raise ValidationError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     r = np.asarray(r, dtype=float)
     return r - beta * (r - j_mean) ** 2
 
@@ -161,21 +163,93 @@ def poisson_residual(
     return residual, residual <= max(POISSON_TOL, 1e-12 * float(np.max(np.abs(g))))
 
 
+def _numpy_lapack():
+    """(dgesv, dgetrs) from the LAPACK numpy.linalg.solve itself calls, or
+    None when this numpy build exposes no such symbols.
+
+    numpy >= 2 wheels link an ILP64 OpenBLAS whose symbols carry the
+    scipy_ prefix and the 64_ suffix and take int64 arguments. Arrays are
+    passed as bare addresses: numpy's ctypes argument types cost more than
+    the solve itself at S=36.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        gesv, getrs = lib.scipy_dgesv_64_, lib.scipy_dgetrs_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    integer, address = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # dgesv(n, nrhs, a, lda, ipiv, b, ldb, info)
+    gesv.argtypes = [integer, integer, address, integer, address, address, integer, integer]
+    # dgetrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+    getrs.argtypes = [
+        ctypes.c_char_p, integer, integer, address, integer, address, address, integer, integer
+    ]
+    gesv.restype = getrs.restype = None
+    return gesv, getrs
+
+
+_LAPACK = _numpy_lapack()
+
+
+class _LUSolver:
+    """x = M^-1 b for one right-hand side b at a time, factoring M once.
+
+    M must be a column-major float64 matrix. The first solve is dgesv, the
+    call np.linalg.solve makes: it overwrites M with its LU factors, and
+    later solves back-substitute with them (dgetrs). Each b is overwritten
+    with its solution, which has the bits of np.linalg.solve(M, b).
+    Factoring with dgetrf would not keep them: with more than one BLAS
+    thread, OpenBLAS runs dgetrf threaded from N = 100 up but a one-column
+    dgesv on one thread, and the two round differently. A singular M raises
+    np.linalg.LinAlgError("Singular matrix") at every solve, as
+    np.linalg.solve does. Without the LAPACK symbols each b gets its own
+    np.linalg.solve.
+    """
+
+    def __init__(self, M: np.ndarray):
+        S = M.shape[0]
+        if M.shape != (S, S) or M.dtype != np.float64 or not M.flags.f_contiguous:
+            raise ValueError(f"need a square column-major float64 matrix, got {M.dtype} {M.shape}")
+        # self keeps M and ipiv alive as long as their addresses are used
+        self.M = M
+        self.ipiv = np.empty(S, dtype=np.int64)
+        self.addresses = M.ctypes.data, self.ipiv.ctypes.data
+        self.n = ctypes.c_int64(S)
+        self.info = None  # dgesv's, once it has run
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if _LAPACK is None:
+            return np.linalg.solve(self.M, b)
+        if b.shape != (self.n.value,) or b.dtype != np.float64 or not b.flags.c_contiguous:
+            raise ValueError(f"need a contiguous float64 vector, got {b.dtype} {b.shape}")
+        gesv, getrs = _LAPACK
+        n, one, info = ctypes.byref(self.n), ctypes.byref(ctypes.c_int64(1)), ctypes.c_int64()
+        lu, ipiv = self.addresses
+        if self.info is None:
+            gesv(n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
+            self.info = info.value
+        elif self.info == 0:
+            getrs(b"N", n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
+        if self.info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b
+
+
 def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
     """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
     singular; the normalized system (I - P + 1 pi^T) g = f - J is then
-    solved instead and shifted to g[0] = 0. Each matrix is built once per
-    chain, but each right-hand side gets its own solve: one multi-column
-    solve changes the low bits of the potentials.
+    solved instead and shifted to g[0] = 0. Each matrix is built in
+    column-major order and factored at most once per call, but each
+    right-hand side gets its own back-substitution: one multi-column solve
+    changes the low bits of the potentials.
     """
     S = P.shape[0]
-    M = np.eye(S) - P
-    M[0, :] = 0.0
-    M[0, 0] = 1.0
-    M2 = None
+    pinned = normalized = None
     potentials = []
     for f, J in rhs:
         consistency = abs(float(pi @ f) - J)
@@ -183,17 +257,22 @@ def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
             raise EvaluationError(
                 f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
             )
+        if pinned is None:
+            M = (np.eye(S) - P.T).T
+            M[0, :] = 0.0
+            M[0, 0] = 1.0
+            pinned = _LUSolver(M)
         b = f - J
         b[0] = 0.0
         try:
-            g = np.linalg.solve(M, b)
+            g = pinned.solve(b)
         except np.linalg.LinAlgError:
             g = None
         if g is None or not poisson_residual(P @ g, f, J, g)[1]:
-            if M2 is None:
-                M2 = np.eye(S) - P + np.outer(np.ones(S), pi)
+            if normalized is None:
+                normalized = _LUSolver((np.eye(S) - P.T + np.outer(pi, np.ones(S))).T)
             try:
-                g = np.linalg.solve(M2, f - J)
+                g = normalized.solve(f - J)
             except np.linalg.LinAlgError as exc:
                 raise EvaluationError(f"potential solve failed: {exc}") from exc
             g = g - g[0]

@@ -76,6 +76,13 @@ def _state_error(i: int, acts: tuple, A: int):
     return None
 
 
+def _check_beta(beta: float) -> None:
+    if not beta > 0:
+        raise ValidationError(f"beta must be > 0, got {beta}")
+    if not math.isfinite(beta):
+        raise ValidationError(f"beta must be finite, got {beta}")
+
+
 def _validate_model(model: MdpModel) -> np.ndarray:
     """Check the model and return its (S, A) feasible mask.
 
@@ -88,10 +95,7 @@ def _validate_model(model: MdpModel) -> np.ndarray:
     S, A = model.num_states, model.num_actions
     if S < 1 or A < 1:
         raise ValidationError(f"need at least one state and action, got S={S}, A={A}")
-    if not model.beta > 0:
-        raise ValidationError(f"beta must be > 0, got {model.beta}")
-    if not math.isfinite(model.beta):
-        raise ValidationError(f"beta must be finite, got {model.beta}")
+    _check_beta(model.beta)
     if len(model.feasible) != S:
         raise ValidationError(f"feasible has {len(model.feasible)} entries, expected {S}")
     if model.kernel.shape != (S, A, S):

@@ -14,9 +14,11 @@ from mvmdp import (
     DeterministicPolicy,
     MdpModel,
     WindStorageSpec,
+    action_values,
     build_abandonment,
     build_no_abandonment,
     sample_random_policy,
+    state_index,
 )
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
@@ -92,6 +94,25 @@ def model_policy_cases(models, seed, random_models=6, policies_per_model=4):
     for m in models:
         for _ in range(policies_per_model):
             yield m, sample_random_policy(m, rng)
+
+
+def threshold_policy(spec):
+    """Charge 1 MW when there is wind and room, discharge 1 MW in calm with
+    charge left, otherwise hold: irreducible at every battery capacity."""
+    values = action_values(spec)
+    charge, hold, discharge = values.index(-1), values.index(0), values.index(1)
+    B = spec.battery_capacity
+    action = np.empty(spec.num_states, dtype=int)
+    for w, wind in enumerate(spec.wind_states):
+        for b in range(B + 1):
+            if wind >= 1 and b < B:
+                a = charge
+            elif wind == 0 and b > 0:
+                a = discharge
+            else:
+                a = hold
+            action[state_index(spec, w, b)] = a
+    return DeterministicPolicy(action)
 
 
 def outcome(fn, *args, **kwargs):

@@ -6,24 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_reports_equal, model_policy_cases, outcome, random_mdp
+from conftest import (
+    assert_reports_equal,
+    model_policy_cases,
+    outcome,
+    random_mdp,
+    threshold_policy,
+)
 from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
     MdpModel,
     RandomizedPolicy,
     ValidationError,
+    WindStorageSpec,
+    build,
     combined_metric,
     evaluate,
     induced_chain,
     long_run_mean,
     mv_cost_vector,
+    policy_iteration,
     report_to_dict,
     sample_random_policy,
     solve_poisson,
     stationary_distribution,
     steady_state_variance,
 )
+from mvmdp import evaluation
 from mvmdp.evaluation import _with_beta
 
 
@@ -54,6 +64,11 @@ class TestStationaryDistribution:
         with pytest.raises(ValidationError):
             stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValidationError, match="transition row 0 sums to"):
+            stationary_distribution(np.array([[0.5, bad], [0.5, 0.5]]))
+
 
 class TestMetrics:
     def test_long_run_mean(self):
@@ -77,6 +92,21 @@ class TestMetrics:
         assert combined_metric(2.0, 0.5, 0.1) == pytest.approx(1.95)
         with pytest.raises(ValidationError, match="beta"):
             combined_metric(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda beta: combined_metric(1.0, 1.0, beta),
+            lambda beta: mv_cost_vector([1.0], 0.5, beta),
+        ],
+        ids=["combined_metric", "mv_cost_vector"],
+    )
+    def test_beta_must_be_positive_and_finite(self, call):
+        with pytest.raises(ValidationError, match=r"^beta must be finite, got inf$"):
+            call(np.inf)
+        for beta in (0.0, -1.0, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match=r"^beta must be > 0, got "):
+                call(beta)
 
     def test_cost_vector(self):
         f = mv_cost_vector(np.array([1.0, 3.0]), 2.0, 0.5)
@@ -233,8 +263,9 @@ def test_randomized_evaluation_identities(seed):
 
 
 def reference_potential(P, f, J, pi):
-    """Per-potential solve as evaluate did it before it built its pinned
-    system once per chain: the pinned system, else the normalized one."""
+    """Per-potential solve as evaluate did it before it factored each matrix
+    once: the pinned system, else the normalized one, each with its own
+    np.linalg.solve. Also says whether the normalized system was used."""
     S = P.shape[0]
 
     def acceptable(g):
@@ -249,37 +280,66 @@ def reference_potential(P, f, J, pi):
     try:
         g = np.linalg.solve(M, b)
         if acceptable(g):
-            return g
+            return g, False
     except np.linalg.LinAlgError:
         pass
     g = np.linalg.solve(np.eye(S) - P + np.outer(np.ones(S), pi), f - J)
     g = g - g[0]
     assert acceptable(g)
-    return g
+    return g, True
+
+
+def threshold_chains(battery, scenarios=(False, True)):
+    """(model, policy) for every policy-iteration iterate from the threshold
+    start at this battery capacity, with and without abandonment."""
+    for abandonment in scenarios:
+        spec = WindStorageSpec(battery_capacity=battery, beta=0.1, abandonment=abandonment)
+        model = build(spec)
+        _, trace = policy_iteration(model, threshold_policy(spec))
+        for record in trace.iterations[:-1]:
+            yield model, record.policy
 
 
 class TestPoissonReference:
     """evaluate reproduces the per-potential reference solves bit for bit."""
 
+    def check(self, m, d):
+        """Compares evaluate with the references; returns how many of the
+        three potentials came from the normalized system."""
+        rep = evaluate(m, d)
+        P, r = induced_chain(m, d)
+        pi = stationary_distribution(P)
+        j_mean = long_run_mean(pi, r)
+        j_var = steady_state_variance(pi, r, j_mean)
+        j_comb = combined_metric(j_mean, j_var, m.beta)
+        sq = (r - j_mean) ** 2
+        cost = r - m.beta * sq
+        assert np.array_equal(rep.pi, pi)
+        assert (rep.j_mean, rep.j_var, rep.j_combined) == (j_mean, j_var, j_comb)
+        assert np.array_equal(rep.cost, cost)
+        normalized = 0
+        for got, f, J in (
+            (rep.potential, cost, j_comb),
+            (rep.potential_mean, r, j_mean),
+            (rep.potential_var, sq, j_var),
+        ):
+            want, fell_back = reference_potential(P, f, J, pi)
+            assert np.array_equal(got, want)
+            normalized += fell_back
+        return normalized
+
     def test_evaluate_matches_per_potential_solves(self, wind_model, abandon_model_beta1):
         for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=70):
-            rep = evaluate(m, d)
-            P, r = induced_chain(m, d)
-            pi = stationary_distribution(P)
-            j_mean = long_run_mean(pi, r)
-            j_var = steady_state_variance(pi, r, j_mean)
-            j_comb = combined_metric(j_mean, j_var, m.beta)
-            sq = (r - j_mean) ** 2
-            cost = r - m.beta * sq
-            assert np.array_equal(rep.pi, pi)
-            assert (rep.j_mean, rep.j_var, rep.j_combined) == (j_mean, j_var, j_comb)
-            assert np.array_equal(rep.cost, cost)
-            for got, f, J in (
-                (rep.potential, cost, j_comb),
-                (rep.potential_mean, r, j_mean),
-                (rep.potential_var, sq, j_var),
-            ):
-                assert np.array_equal(got, reference_potential(P, f, J, pi))
+            self.check(m, d)
+
+    def test_b50_threshold_iterates(self):
+        # the threshold start itself needs the normalized system for at
+        # least one potential in both scenarios
+        assert sum(self.check(m, d) for m, d in threshold_chains(50)) >= 2
+
+    def test_b200_threshold_chain(self):
+        spec = WindStorageSpec(battery_capacity=200, beta=0.1)
+        assert self.check(build(spec), threshold_policy(spec)) >= 1
 
 
 def transient_pin_model(closed):
@@ -326,6 +386,49 @@ class TestTransientPinState:
         assert rep.potential == pytest.approx(
             rep.potential_mean - m.beta * rep.potential_var, abs=1e-8
         )
+
+
+class CountingCalls:
+    """Wraps a callable and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.skipif(evaluation._LAPACK is None, reason="numpy exposes no dgesv/dgetrs")
+class TestFactorOnce:
+    def test_one_factorization_per_irreducible_chain(self, monkeypatch, wind_model):
+        d = sample_random_policy(wind_model, np.random.default_rng(3))
+        reference = evaluate(wind_model, d)
+        solve = CountingCalls(np.linalg.solve)
+        gesv, getrs = map(CountingCalls, evaluation._LAPACK)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(evaluation, "_LAPACK", (gesv, getrs))
+        assert_reports_equal(evaluate(wind_model, d), reference)
+        # the stationary solve, then one factorization and two
+        # back-substitutions for the three potentials
+        assert (solve.calls, gesv.calls, getrs.calls) == (1, 1, 2)
+
+    @pytest.mark.parametrize("missing", [OSError("no library"), AttributeError("no symbol")])
+    def test_without_lapack_symbols_reports_are_the_same(self, monkeypatch, missing, wind_model):
+        def cdll(path):
+            raise missing
+
+        cases = list(model_policy_cases([wind_model], seed=71, random_models=2))
+        cases += list(threshold_chains(50, scenarios=(True,)))[:2]
+        pin_state_policy = DeterministicPolicy(np.zeros(3, dtype=int))
+        for closed in ([[0.3, 0.7], [0.6, 0.4]], [[0.1, 0.9], [0.7, 0.3]]):
+            cases.append((transient_pin_model(closed), pin_state_policy))
+        reports = [evaluate(m, d) for m, d in cases]
+        monkeypatch.setattr(evaluation.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(evaluation, "_LAPACK", evaluation._numpy_lapack())
+        assert evaluation._LAPACK is None
+        for (m, d), want in zip(cases, reports):
+            assert_reports_equal(evaluate(m, d), want)
 
 
 class TestWithBeta:
