@@ -77,19 +77,26 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:
-    """stationary_distribution for a P already known to be row-stochastic."""
+    """stationary_distribution for a P already known to be row-stochastic.
+
+    The balance matrix P^T - I with its last row set to ones is the
+    transpose of a row-major copy of P with 1 taken off its diagonal and its
+    last column set to ones, so that copy is the column-major matrix dgesv
+    needs, with the floats np.linalg.solve would factor.
+    """
     S = P.shape[0]
     if closed_class_count(P) != 1:
         raise EvaluationError(
             "stationary distribution is not unique: the chain has multiple "
             "closed communicating classes"
         )
-    A = P.T - np.eye(S)
-    A[-1, :] = 1.0
+    X = P.copy()
+    X.flat[:: S + 1] -= 1.0
+    X[:, -1] = 1.0
     b = np.zeros(S)
     b[-1] = 1.0
     try:
-        pi = np.linalg.solve(A, b)
+        pi = _LUSolver(X.T).solve(b)
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(f"stationary solve failed: {exc}") from exc
     residual = np.max(np.abs(pi @ P - pi))
@@ -196,10 +203,14 @@ _LAPACK = _numpy_lapack()
 class _LUSolver:
     """x = M^-1 b for one right-hand side b at a time, factoring M once.
 
-    M must be a column-major float64 matrix. The first solve is dgesv, the
-    call np.linalg.solve makes: it overwrites M with its LU factors, and
-    later solves back-substitute with them (dgetrs). Each b is overwritten
-    with its solution, which has the bits of np.linalg.solve(M, b).
+    Every dense solve of this module goes through it: the stationary
+    balance system and the Poisson systems. M must be a column-major
+    float64 matrix, which the callers build in place, so dgesv gets it
+    without the column-major copy np.linalg.solve makes first. The first
+    solve is dgesv, the call np.linalg.solve makes: it overwrites M with its
+    LU factors, and later solves back-substitute with them (dgetrs). Each b
+    is overwritten with its solution, which has the bits of
+    np.linalg.solve(M, b).
     Factoring with dgetrf would not keep them: with more than one BLAS
     thread, OpenBLAS runs dgetrf threaded from N = 100 up but a one-column
     dgesv on one thread, and the two round differently. A singular M raises
@@ -237,18 +248,29 @@ class _LUSolver:
         return b
 
 
+def _identity_minus(P: np.ndarray) -> np.ndarray:
+    """I - P as a new column-major array, with the floats of subtracting P
+    from a dense identity but without building one."""
+    S = P.shape[0]
+    M = np.empty((S, S), order="F")
+    np.subtract(0.0, P, out=M)
+    d = np.arange(S)
+    M[d, d] = 1.0 - P[d, d]
+    return M
+
+
 def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
     """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
     singular; the normalized system (I - P + 1 pi^T) g = f - J is then
-    solved instead and shifted to g[0] = 0. Each matrix is built in
-    column-major order and factored at most once per call, but each
+    solved instead and shifted to g[0] = 0. Both matrices start from the
+    column-major I - P; adding pi to each of its rows gives the floats of
+    adding 1 pi^T. Each is factored at most once per call, but each
     right-hand side gets its own back-substitution: one multi-column solve
     changes the low bits of the potentials.
     """
-    S = P.shape[0]
     pinned = normalized = None
     potentials = []
     for f, J in rhs:
@@ -258,7 +280,7 @@ def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
                 f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
             )
         if pinned is None:
-            M = (np.eye(S) - P.T).T
+            M = _identity_minus(P)
             M[0, :] = 0.0
             M[0, 0] = 1.0
             pinned = _LUSolver(M)
@@ -270,7 +292,9 @@ def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
             g = None
         if g is None or not poisson_residual(P @ g, f, J, g)[1]:
             if normalized is None:
-                normalized = _LUSolver((np.eye(S) - P.T + np.outer(pi, np.ones(S))).T)
+                M = _identity_minus(P)
+                M += pi
+                normalized = _LUSolver(M)
             try:
                 g = normalized.solve(f - J)
             except np.linalg.LinAlgError as exc:

@@ -402,21 +402,29 @@ def model_to_dict(model: MdpModel) -> dict:
     }
 
 
-def _kernel_block(keys: list, rows: list, S: int) -> np.ndarray:
-    """The kernel rows read from a model file as one (n, S) float array.
-    When the rows are not all S numbers, raises the error of the first row
-    that is not."""
-    try:
-        block = np.array(rows, dtype=float)
-        if block.shape == (len(rows), S):
-            return block
-    except (TypeError, ValueError):
-        pass
-    for key, row in zip(keys, rows):
-        row = np.asarray(row, dtype=float)
-        if row.shape != (S,):
-            raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
-    return np.empty((0, S))  # no feasible pairs, which MdpModel rejects
+_KERNEL_CHUNK_ROWS = 256
+
+
+def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, rows: list) -> None:
+    """Write the kernel rows read from a model file into kernel[states,
+    actions], converting _KERNEL_CHUNK_ROWS rows at a time, so that no float
+    block of every row is held beside the kernel. When the rows are not all
+    S numbers, raises the error of the first row that is not."""
+    S = kernel.shape[-1]
+    for lo in range(0, len(rows), _KERNEL_CHUNK_ROWS):
+        chunk = slice(lo, lo + _KERNEL_CHUNK_ROWS)
+        part = rows[chunk]
+        try:
+            block = np.array(part, dtype=float)
+        except (TypeError, ValueError):
+            block = None
+        if block is None or block.shape != (len(part), S):
+            for key, row in zip(keys[chunk], part):
+                row = np.asarray(row, dtype=float)
+                if row.shape != (S,):
+                    raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
+        kernel[states[chunk], actions[chunk]] = block
+        del block  # before the next chunk is converted
 
 
 def model_from_dict(data: dict) -> MdpModel:
@@ -447,9 +455,8 @@ def model_from_dict(data: dict) -> MdpModel:
             actions.append(a)
             keys.append(key)
             rows.append(kernel_map[key])
-    block = _kernel_block(keys, rows, S)
     kernel = np.zeros((S, A, S))
-    kernel[states, actions] = block
+    _kernel_block(kernel, states, actions, keys, rows)
     reward = np.zeros((S, A))
     reward[states, actions] = [float(reward_map[key]) for key in keys]
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)

@@ -15,6 +15,7 @@ from .model import (
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _check_beta,
     induced_chain,
     induced_chain_randomized,
 )
@@ -137,8 +138,7 @@ def estimate_metrics(
     T = rewards.shape[0]
     if T < 2:
         raise ValidationError(f"need a path of length >= 2, got {T}")
-    if not beta > 0:
-        raise ValidationError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     mean_hat = float(np.mean(rewards))
     var_hat = float(np.mean((rewards - mean_hat) ** 2))
     combined_hat = mean_hat - beta * var_hat

@@ -289,6 +289,19 @@ def reference_potential(P, f, J, pi):
     return g, True
 
 
+def reference_pi(P):
+    """Stationary solve as evaluate did it before it built the balance matrix
+    in column-major order: np.linalg.solve on P^T - I with its last row set
+    to ones, then the round-off clamp."""
+    S = P.shape[0]
+    A = P.T - np.eye(S)
+    A[-1, :] = 1.0
+    b = np.zeros(S)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    return np.where((pi < 0) & (pi > -1e-10), 0.0, pi)
+
+
 def threshold_chains(battery, scenarios=(False, True)):
     """(model, policy) for every policy-iteration iterate from the threshold
     start at this battery capacity, with and without abandonment."""
@@ -301,14 +314,16 @@ def threshold_chains(battery, scenarios=(False, True)):
 
 
 class TestPoissonReference:
-    """evaluate reproduces the per-potential reference solves bit for bit."""
+    """evaluate reproduces the reference stationary and per-potential solves
+    bit for bit."""
 
     def check(self, m, d):
         """Compares evaluate with the references; returns how many of the
         three potentials came from the normalized system."""
         rep = evaluate(m, d)
         P, r = induced_chain(m, d)
-        pi = stationary_distribution(P)
+        pi = reference_pi(P)
+        assert np.array_equal(stationary_distribution(P), pi)
         j_mean = long_run_mean(pi, r)
         j_var = steady_state_variance(pi, r, j_mean)
         j_comb = combined_metric(j_mean, j_var, m.beta)
@@ -342,6 +357,15 @@ class TestPoissonReference:
         assert self.check(build(spec), threshold_policy(spec)) >= 1
 
 
+TRANSIENT_PIN_CHAINS = [
+    # the pinned system is exactly singular: the solve raises
+    [[0.3, 0.7], [0.6, 0.4]],
+    # round-off hides the singularity: the solve returns ~1e16
+    # potentials that only the residual check rejects
+    [[0.1, 0.9], [0.7, 0.3]],
+]
+
+
 def transient_pin_model(closed):
     """State 0 is transient, so every potential comes from the normalized
     system; `closed` is the chain on states 1 and 2."""
@@ -358,17 +382,39 @@ def transient_pin_model(closed):
     )
 
 
+class TestStationaryReference:
+    """stationary_distribution reproduces reference_pi bit for bit on inputs
+    the case families above do not reach, and leaves its input unchanged."""
+
+    def check(self, P):
+        before = P.copy()
+        assert np.array_equal(stationary_distribution(P), reference_pi(P))
+        assert np.array_equal(P, before)
+
+    def test_memory_layouts(self, wind_model, abandon_model_beta1):
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=72):
+            P, _ = induced_chain(m, d)
+            S = P.shape[0]
+            strided = np.zeros((S, 2 * S))
+            strided[:, ::2] = P
+            for Q in (P, np.asfortranarray(P), strided[:, ::2]):
+                self.check(Q)
+
+    def test_single_state(self):
+        self.check(np.array([[1.0]]))
+        assert np.array_equal(stationary_distribution(np.array([[1.0]])), [1.0])
+
+    @pytest.mark.parametrize("closed", TRANSIENT_PIN_CHAINS)
+    def test_transient_pin_state(self, closed):
+        m = transient_pin_model(closed)
+        d = DeterministicPolicy(np.zeros(3, dtype=int))
+        P, _ = induced_chain(m, d)
+        self.check(P)
+        assert np.array_equal(evaluate(m, d).pi, reference_pi(P))
+
+
 class TestTransientPinState:
-    @pytest.mark.parametrize(
-        "closed",
-        [
-            # the pinned system is exactly singular: the solve raises
-            [[0.3, 0.7], [0.6, 0.4]],
-            # round-off hides the singularity: the solve returns ~1e16
-            # potentials that only the residual check rejects
-            [[0.1, 0.9], [0.7, 0.3]],
-        ],
-    )
+    @pytest.mark.parametrize("closed", TRANSIENT_PIN_CHAINS)
     def test_evaluate_falls_back_for_all_potentials(self, closed):
         m = transient_pin_model(closed)
         d = DeterministicPolicy(np.zeros(3, dtype=int))
@@ -383,6 +429,9 @@ class TestTransientPinState:
         ):
             assert g[0] == 0.0
             assert np.max(np.abs(g - (f - J) - P @ g)) <= 1e-8
+            # the normalized system gives the reference's floats
+            want, fell_back = reference_potential(P, f, J, rep.pi)
+            assert fell_back and np.array_equal(g, want)
         assert rep.potential == pytest.approx(
             rep.potential_mean - m.beta * rep.potential_var, abs=1e-8
         )
@@ -409,9 +458,9 @@ class TestFactorOnce:
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(evaluation, "_LAPACK", (gesv, getrs))
         assert_reports_equal(evaluate(wind_model, d), reference)
-        # the stationary solve, then one factorization and two
-        # back-substitutions for the three potentials
-        assert (solve.calls, gesv.calls, getrs.calls) == (1, 1, 2)
+        # one factorization for the stationary solve, then one factorization
+        # and two back-substitutions for the three potentials
+        assert (solve.calls, gesv.calls, getrs.calls) == (0, 2, 2)
 
     @pytest.mark.parametrize("missing", [OSError("no library"), AttributeError("no symbol")])
     def test_without_lapack_symbols_reports_are_the_same(self, monkeypatch, missing, wind_model):
@@ -421,7 +470,7 @@ class TestFactorOnce:
         cases = list(model_policy_cases([wind_model], seed=71, random_models=2))
         cases += list(threshold_chains(50, scenarios=(True,)))[:2]
         pin_state_policy = DeterministicPolicy(np.zeros(3, dtype=int))
-        for closed in ([[0.3, 0.7], [0.6, 0.4]], [[0.1, 0.9], [0.7, 0.3]]):
+        for closed in TRANSIENT_PIN_CHAINS:
             cases.append((transient_pin_model(closed), pin_state_policy))
         reports = [evaluate(m, d) for m, d in cases]
         monkeypatch.setattr(evaluation.ctypes, "CDLL", cdll)
@@ -457,7 +506,7 @@ class TestWithBeta:
             assert self.check(m, d) == {"ok"}
 
     def test_transient_pin_state(self):
-        for closed in ([[0.3, 0.7], [0.6, 0.4]], [[0.1, 0.9], [0.7, 0.3]]):
+        for closed in TRANSIENT_PIN_CHAINS:
             m = transient_pin_model(closed)
             d = DeterministicPolicy(np.zeros(3, dtype=int))
             assert evaluate(m, d).pi[0] == pytest.approx(0.0, abs=1e-12)

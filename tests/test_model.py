@@ -1,5 +1,7 @@
 """Model container, policies, induced chains, structure checks, and I/O."""
+import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import model_policy_cases, random_mdp, restrict_feasible
+import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
     FeasibilityError,
@@ -739,6 +742,48 @@ class TestReaderReference:
             assert want[0] == "ok" and same_model(got[1], want[1])
         else:
             assert got == want
+
+
+class TestReaderChunks:
+    """model_from_dict converts the kernel rows a fixed number at a time."""
+
+    S, A = 300, 3  # 900 feasible pairs: three full chunks and a partial one
+
+    def model_dict(self):
+        rng = np.random.default_rng(66)
+        S, A = self.S, self.A
+        kernel = rng.dirichlet(np.ones(S), size=(S, A))
+        m = MdpModel(S, A, tuple(tuple(range(A)) for _ in range(S)), kernel, rng.normal(size=(S, A)), 0.5)
+        return m, json.loads(json.dumps(model_to_dict(m)))
+
+    def test_rows_span_several_chunks(self):
+        m, data = self.model_dict()
+        assert len(data["kernel"]) > 3 * mvmdp.model._KERNEL_CHUNK_ROWS
+        assert same_model(model_from_dict(data), m)
+
+    def test_first_short_row_is_named_in_any_chunk(self):
+        _, data = self.model_dict()
+        keys = list(data["kernel"])
+        chunk = mvmdp.model._KERNEL_CHUNK_ROWS
+        # a short row, and a long row after it that must not be the one named
+        for first, later in ((chunk - 1, chunk), (chunk, 3 * chunk), (2 * chunk + 5, -1), (-1, None)):
+            bad = copy.deepcopy(data)
+            bad["kernel"][keys[first]].pop()
+            if later is not None:
+                bad["kernel"][keys[later]].append(0.0)
+            want = (ValidationError, f"kernel row {keys[first]} has length {self.S - 1}, expected {self.S}")
+            assert outcome(model_from_dict, bad) == outcome(loop_model_from_dict, bad) == want
+
+    def test_peak_holds_one_chunk_beside_the_kernel(self):
+        m, data = self.model_dict()
+        tracemalloc.start()
+        try:
+            model_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float block of every row would add another kernel's worth
+        assert peak - m.kernel.nbytes < 0.5 * m.kernel.nbytes
 
 
 def corrupt(rng, model):

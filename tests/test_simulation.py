@@ -215,6 +215,14 @@ class TestEstimateMetrics:
         with pytest.raises(ValidationError, match="beta"):
             estimate_metrics(np.ones(10), beta=0.0)
 
+    def test_beta_must_be_positive_and_finite(self):
+        rewards = [1.0, 2.0, 0.5, 3.0]
+        with pytest.raises(ValidationError, match=r"^beta must be finite, got inf$"):
+            estimate_metrics(rewards, np.inf, num_batches=2)
+        for beta in (0.0, -1.0, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match=r"^beta must be > 0, got "):
+                estimate_metrics(rewards, beta, num_batches=2)
+
     def test_short_paths_use_fewer_batches(self):
         est = estimate_metrics(np.arange(7, dtype=float), beta=1.0)
         assert est.horizon == 7
