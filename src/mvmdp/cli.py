@@ -29,6 +29,7 @@ from .model import (
     MdpModel,
     RandomizedPolicy,
     check_ergodicity,
+    _read_json,
     load_model,
     load_policy,
     sample_random_policy,
@@ -39,7 +40,6 @@ from .sensitivity import improvement_vector
 from .simulation import estimate_metrics, simulate_path
 from .solvers import (
     GradientConfig,
-    MultiStartResult,
     SolverTrace,
     _multi_start,
     _uniform_feasible,
@@ -48,52 +48,6 @@ from .solvers import (
     policy_iteration,
 )
 from .wind_storage import WindStorageSpec, build
-
-COMMANDS = (
-    "evaluate",
-    "solve-pi",
-    "solve-gd",
-    "multi-start",
-    "sweep-beta",
-    "simulate",
-    "check",
-    "wind-build",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation. Only the fields the command uses are consulted."""
-
-    command: str
-    model_path: str | None = None
-    policy_path: str | None = None
-    beta_grid: tuple = ()
-    seed: int = 0
-    output_path: str | None = None
-    initial_path: str | None = None
-    policy_out: str | None = None
-    scores_out: str | None = None
-    path_out: str | None = None
-    starts: int = 5
-    horizon: int = 100_000
-    burn_in: int = 1000
-    stop_ratio: float = 0.001
-    max_iterations: int | None = None
-    scenario: str = "no-abandon"
-    beta: float = 0.1
-    kernel_path: str | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.beta_grid:
-            grid = tuple(float(b) for b in self.beta_grid)
-            if any(b <= 0 for b in grid):
-                raise ValidationError("beta grid values must be > 0")
-            if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-                raise ValidationError("beta grid must be strictly increasing")
-            object.__setattr__(self, "beta_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -142,19 +96,11 @@ def _trace_rows(trace: SolverTrace):
         )
 
 
-def _load_model(config: RunConfig) -> MdpModel:
-    if config.model_path is None:
-        raise ValidationError(f"{config.command} needs --model")
-    return load_model(config.model_path)
-
-
-def _cmd_evaluate(config: RunConfig) -> int:
-    model = _load_model(config)
-    if config.policy_path is None:
-        raise ValidationError("evaluate needs --policy")
-    policy = load_policy(config.policy_path)
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    policy = load_policy(args.policy)
     report = evaluate(model, policy)
-    if config.scores_out is not None:
+    if args.scores_out is not None:
         if not isinstance(policy, DeterministicPolicy):
             raise ValidationError("--scores-out needs a deterministic policy")
         iv = improvement_vector(model, report, policy)
@@ -162,8 +108,8 @@ def _cmd_evaluate(config: RunConfig) -> int:
         for i, acts in enumerate(model.feasible):
             for a in acts:
                 rows.append((str(i), str(a), _fmt(iv.score[i, a])))
-        _write_csv(config.scores_out, "state,action,score", rows)
-    _write_json(config.output_path, report_to_dict(report))
+        _write_csv(args.scores_out, "state,action,score", rows)
+    _write_json(args.out, report_to_dict(report))
     print(
         f"j_mean={report.j_mean!r} j_var={report.j_var!r} "
         f"j_combined={report.j_combined!r}",
@@ -172,27 +118,27 @@ def _cmd_evaluate(config: RunConfig) -> int:
     return 0
 
 
-def _initial_policy(config: RunConfig, model: MdpModel) -> DeterministicPolicy:
-    if config.initial_path is not None:
-        policy = load_policy(config.initial_path)
+def _initial_policy(args: argparse.Namespace, model: MdpModel) -> DeterministicPolicy:
+    if args.initial is not None:
+        policy = load_policy(args.initial)
         if not isinstance(policy, DeterministicPolicy):
             raise ValidationError("initial policy file must be deterministic")
         return policy
-    return sample_random_policy(model, np.random.default_rng(config.seed))
+    return sample_random_policy(model, np.random.default_rng(args.seed))
 
 
-def _cmd_solve_pi(config: RunConfig) -> int:
-    model = _load_model(config)
-    initial = _initial_policy(config, model)
-    policy, trace = policy_iteration(model, initial, max_iterations=config.max_iterations)
-    if config.output_path is not None:
+def _cmd_solve_pi(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    initial = _initial_policy(args, model)
+    policy, trace = policy_iteration(model, initial, max_iterations=args.max_iterations)
+    if args.out is not None:
         _write_csv(
-            config.output_path,
+            args.out,
             "iter,j_mean,j_var,j_combined,states_changed",
             _trace_rows(trace),
         )
-    if config.policy_out is not None:
-        save_policy(policy, config.policy_out)
+    if args.policy_out is not None:
+        save_policy(policy, args.policy_out)
     last = trace.iterations[-1]
     print(
         f"stop={trace.stop_reason} iterations={len(trace.iterations) - 1} "
@@ -206,28 +152,26 @@ def _cmd_solve_pi(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_solve_gd(config: RunConfig) -> int:
-    model = _load_model(config)
-    if config.initial_path is not None:
-        loaded = load_policy(config.initial_path)
+def _cmd_solve_gd(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    if args.initial is not None:
+        loaded = load_policy(args.initial)
         if isinstance(loaded, DeterministicPolicy):
             theta = loaded.as_randomized(model)
         else:
             theta = loaded
     else:
         theta = RandomizedPolicy(_uniform_feasible(model))
-    gc = GradientConfig(
-        stop_ratio=config.stop_ratio, max_iterations=config.max_iterations or 500
-    )
+    gc = GradientConfig(stop_ratio=args.stop_ratio, max_iterations=args.max_iterations)
     result = gradient_solver(model, theta, gc)
-    if config.output_path is not None:
+    if args.out is not None:
         _write_csv(
-            config.output_path,
+            args.out,
             "iter,j_mean,j_var,j_combined,states_changed",
             _trace_rows(result.trace),
         )
-    if config.policy_out is not None:
-        save_policy(result.theta, config.policy_out)
+    if args.policy_out is not None:
+        save_policy(result.theta, args.policy_out)
     print(
         f"stop={result.trace.stop_reason} iterations={len(result.trace.iterations) - 1} "
         f"j_mean={result.report.j_mean!r} j_var={result.report.j_var!r} "
@@ -239,19 +183,19 @@ def _cmd_solve_gd(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_multi_start(config: RunConfig) -> int:
-    model = _load_model(config)
-    result = multi_start(model, config.starts, config.seed)
+def _cmd_multi_start(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    result = multi_start(model, args.starts, args.seed)
     rows = []
     for k, trace in enumerate(result.traces):
         last = trace.iterations[-1]
         rows.append(
             (f"start{k}", _fmt(last.j_mean), _fmt(last.j_var), _fmt(last.j_combined))
         )
-    if config.output_path is not None:
-        _write_csv(config.output_path, "policy_id,j_mean,j_var,j_combined", rows)
-    if config.policy_out is not None:
-        save_policy(result.best_policy, config.policy_out)
+    if args.out is not None:
+        _write_csv(args.out, "policy_id,j_mean,j_var,j_combined", rows)
+    if args.policy_out is not None:
+        save_policy(result.best_policy, args.policy_out)
     best = result.best_report
     print(
         f"best j_combined={best.j_combined!r} "
@@ -307,24 +251,34 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     return points, optima_rows, failures
 
 
-def _cmd_sweep_beta(config: RunConfig) -> int:
-    model = _load_model(config)
-    if not config.beta_grid:
-        raise ValidationError("sweep-beta needs --beta-grid")
-    points, optima_rows, failures = sweep_beta(
-        model, config.beta_grid, config.starts, config.seed
-    )
-    if config.output_path is not None:
+def _beta_grid(text: str) -> tuple:
+    """The values of --beta-grid: comma-separated, > 0, strictly increasing."""
+    try:
+        grid = tuple(float(b) for b in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad beta grid: {exc}") from exc
+    if any(b <= 0 for b in grid):
+        raise ValidationError("beta grid values must be > 0")
+    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+        raise ValidationError("beta grid must be strictly increasing")
+    return grid
+
+
+def _cmd_sweep_beta(args: argparse.Namespace) -> int:
+    grid = _beta_grid(args.beta_grid)
+    model = load_model(args.model)
+    points, optima_rows, failures = sweep_beta(model, grid, args.starts, args.seed)
+    if args.out is not None:
         _write_csv(
-            config.output_path,
+            args.out,
             "beta,j_mean,j_var,j_combined",
             (
                 (_fmt(p.beta), _fmt(p.j_mean), _fmt(p.j_var), _fmt(p.j_combined))
                 for p in points
             ),
         )
-        stem, dot, ext = config.output_path.rpartition(".")
-        optima_path = f"{stem}_optima.{ext}" if dot else config.output_path + "_optima"
+        stem, dot, ext = args.out.rpartition(".")
+        optima_path = f"{stem}_optima.{ext}" if dot else args.out + "_optima"
         _write_csv(
             optima_path,
             "beta,j_mean,j_var,j_combined",
@@ -335,29 +289,33 @@ def _cmd_sweep_beta(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    model = _load_model(config)
-    if config.policy_path is None:
-        raise ValidationError("simulate needs --policy")
-    policy = load_policy(config.policy_path)
-    total = config.horizon + config.burn_in
-    path = simulate_path(model, policy, total, seed=config.seed)
-    est = estimate_metrics(path.rewards[config.burn_in :], model.beta, seed=config.seed)
-    if config.path_out is not None:
+def _simulate_estimate(model: MdpModel, policy, T: int, seed: int, burn_in: int):
+    """A seeded path of T + burn_in steps, and the metric estimates from its
+    last T rewards."""
+    if burn_in < 0:
+        raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
+    path = simulate_path(model, policy, T + burn_in, seed=seed)
+    return path, estimate_metrics(path.rewards[burn_in:], model.beta, seed=seed)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    policy = load_policy(args.policy)
+    path, est = _simulate_estimate(model, policy, args.horizon, args.seed, args.burn_in)
+    if args.path_out is not None:
         rows = (
             (str(t), str(int(s)), str(int(a)), _fmt(r))
             for t, (s, a, r) in enumerate(zip(path.states, path.actions, path.rewards))
         )
-        _write_csv(config.path_out, "t,state,action,reward", rows)
-    _write_json(config.output_path, dataclasses.asdict(est))
+        _write_csv(args.path_out, "t,state,action,reward", rows)
+    _write_json(args.out, dataclasses.asdict(est))
     return 0
 
 
 def cross_check(model: MdpModel, policy, T: int, seed: int = 0, burn_in: int = 1000):
     """Analytic vs. simulated metrics with 3-half-width agreement flags."""
     report = evaluate(model, policy)
-    path = simulate_path(model, policy, T + burn_in, seed=seed)
-    est = estimate_metrics(path.rewards[burn_in:], model.beta, seed=seed)
+    _, est = _simulate_estimate(model, policy, T, seed, burn_in)
     def entry(analytic, estimate, half_width):
         return {
             "analytic": analytic,
@@ -379,39 +337,28 @@ def cross_check(model: MdpModel, policy, T: int, seed: int = 0, burn_in: int = 1
     }
 
 
-def _cmd_check(config: RunConfig) -> int:
-    model = _load_model(config)
-    if config.policy_path is None:
-        raise ValidationError("check needs --policy")
-    policy = load_policy(config.policy_path)
-    report = cross_check(
-        model, policy, config.horizon, seed=config.seed, burn_in=config.burn_in
-    )
-    _write_json(config.output_path, report)
+def _cmd_check(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    policy = load_policy(args.policy)
+    report = cross_check(model, policy, args.horizon, seed=args.seed, burn_in=args.burn_in)
+    _write_json(args.out, report)
     return 0
 
 
-def _cmd_wind_build(config: RunConfig) -> int:
-    if config.output_path is None:
+def _cmd_wind_build(args: argparse.Namespace) -> int:
+    if args.out is None:
         raise ValidationError("wind-build needs --out")
-    abandonment = {"no-abandon": False, "abandon": True}.get(config.scenario)
-    if abandonment is None:
-        raise ValidationError(f"unknown scenario {config.scenario!r}")
-    kwargs = {"beta": config.beta, "abandonment": abandonment}
-    if config.kernel_path is not None:
+    kwargs = {"beta": args.beta, "abandonment": args.scenario == "abandon"}
+    if args.kernel is not None:
+        kernel = _read_json(args.kernel, "kernel")
         try:
-            with open(config.kernel_path) as fh:
-                kernel = json.load(fh)
-        except OSError as exc:
-            raise ModelIOError(f"cannot read kernel {config.kernel_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelIOError(
-                f"kernel file {config.kernel_path} is not valid JSON: {exc.msg}"
+            kwargs["wind_kernel"] = np.asarray(kernel, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"kernel file {args.kernel} is not a matrix of numbers: {exc}"
             ) from exc
-        kwargs["wind_kernel"] = np.asarray(kernel, dtype=float)
-    spec = WindStorageSpec(**kwargs)
-    model = build(spec)
-    save_model(model, config.output_path)
+    model = build(WindStorageSpec(**kwargs))
+    save_model(model, args.out)
     ergo = check_ergodicity(model)
     print(
         f"states={model.num_states} actions={model.num_actions} "
@@ -419,23 +366,6 @@ def _cmd_wind_build(config: RunConfig) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-_HANDLERS = {
-    "evaluate": _cmd_evaluate,
-    "solve-pi": _cmd_solve_pi,
-    "solve-gd": _cmd_solve_gd,
-    "multi-start": _cmd_multi_start,
-    "sweep-beta": _cmd_sweep_beta,
-    "simulate": _cmd_simulate,
-    "check": _cmd_check,
-    "wind-build": _cmd_wind_build,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; raises package errors on failure."""
-    return _HANDLERS[config.command](config)
 
 
 def _default_seed() -> int:
@@ -449,77 +379,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--out", dest="output_path", default=None)
+        p.add_argument("--out")
         return p
 
-    p = add("evaluate", "exact metrics and potentials of one policy")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--policy", dest="policy_path", required=True)
-    p.add_argument("--scores-out", dest="scores_out", default=None)
+    p = add("evaluate", _cmd_evaluate, "exact metrics and potentials of one policy")
+    p.add_argument("--model", required=True)
+    p.add_argument("--policy", required=True)
+    p.add_argument("--scores-out")
 
-    p = add("solve-pi", "policy iteration on the combined metric")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--initial", dest="initial_path", default=None)
-    p.add_argument("--policy-out", dest="policy_out", default=None)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    p = add("solve-pi", _cmd_solve_pi, "policy iteration on the combined metric")
+    p.add_argument("--model", required=True)
+    p.add_argument("--initial")
+    p.add_argument("--policy-out")
+    p.add_argument("--max-iterations", type=int)
 
-    p = add("solve-gd", "projected-gradient baseline over randomized policies")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--initial", dest="initial_path", default=None)
-    p.add_argument("--policy-out", dest="policy_out", default=None)
-    p.add_argument("--stop-ratio", dest="stop_ratio", type=float, default=0.001)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    p = add("solve-gd", _cmd_solve_gd, "projected-gradient baseline over randomized policies")
+    p.add_argument("--model", required=True)
+    p.add_argument("--initial")
+    p.add_argument("--policy-out")
+    p.add_argument("--stop-ratio", type=float, default=0.001)
+    p.add_argument("--max-iterations", type=int, default=500)
 
-    p = add("multi-start", "policy iteration from several random starts")
-    p.add_argument("--model", dest="model_path", required=True)
+    p = add("multi-start", _cmd_multi_start, "policy iteration from several random starts")
+    p.add_argument("--model", required=True)
     p.add_argument("--starts", type=int, default=5)
-    p.add_argument("--policy-out", dest="policy_out", default=None)
+    p.add_argument("--policy-out")
 
-    p = add("sweep-beta", "trace the mean-variance frontier over beta")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--beta-grid", dest="beta_grid", required=True)
+    p = add("sweep-beta", _cmd_sweep_beta, "trace the mean-variance frontier over beta")
+    p.add_argument("--model", required=True)
+    p.add_argument("--beta-grid", required=True)
     p.add_argument("--starts", type=int, default=5)
 
-    p = add("simulate", "Monte Carlo metric estimates for one policy")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--policy", dest="policy_path", required=True)
+    p = add("simulate", _cmd_simulate, "Monte Carlo metric estimates for one policy")
+    p.add_argument("--model", required=True)
+    p.add_argument("--policy", required=True)
     p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
-    p.add_argument("--path-out", dest="path_out", default=None)
+    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--path-out")
 
-    p = add("check", "analytic vs. simulated metric agreement report")
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--policy", dest="policy_path", required=True)
+    p = add("check", _cmd_check, "analytic vs. simulated metric agreement report")
+    p.add_argument("--model", required=True)
+    p.add_argument("--policy", required=True)
     p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
+    p.add_argument("--burn-in", type=int, default=1000)
 
-    p = add("wind-build", "emit a wind-plus-storage benchmark model file")
+    p = add("wind-build", _cmd_wind_build, "emit a wind-plus-storage benchmark model file")
     p.add_argument("--scenario", choices=["no-abandon", "abandon"], default="no-abandon")
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--kernel", dest="kernel_path", default=None)
+    p.add_argument("--kernel")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "beta_grid" in data and isinstance(data["beta_grid"], str):
-        try:
-            data["beta_grid"] = tuple(float(x) for x in data["beta_grid"].split(","))
-        except ValueError as exc:
-            raise ValidationError(f"bad beta grid: {exc}") from exc
-    return RunConfig(**data)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
-    except (ValidationError,) as exc:
+        return args.handler(args)
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, EvaluationError) as exc:

@@ -430,7 +430,8 @@ def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, r
 def model_from_dict(data: dict) -> MdpModel:
     """Build a model from the dict `model_to_dict` gives (or a parsed model
     file). The checks run in stages, each over the feasible pairs in state
-    order: both entries of every pair are present, every kernel row is S
+    order: kernel and reward are objects and feasible is a list of integer
+    lists, both entries of every pair are present, every kernel row is S
     numbers, every action index fits the kernel, every reward is a number;
     then `MdpModel` validates the result."""
     try:
@@ -442,19 +443,26 @@ def model_from_dict(data: dict) -> MdpModel:
         reward_map = data["reward"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
+    if not (isinstance(kernel_map, dict) and isinstance(reward_map, dict)):
+        raise ValidationError("model file kernel and reward must be JSON objects")
     states, actions, keys, rows = [], [], [], []
-    for i, acts in enumerate(feasible):
-        for a in acts:
-            a = int(a)
-            key = _pair_key(i, a)
-            if key not in kernel_map:
-                raise ValidationError(f"kernel entry {key} missing for feasible pair")
-            if key not in reward_map:
-                raise ValidationError(f"reward entry {key} missing for feasible pair")
-            states.append(i)
-            actions.append(a)
-            keys.append(key)
-            rows.append(kernel_map[key])
+    try:
+        for i, acts in enumerate(feasible):
+            for a in acts:
+                a = int(a)
+                key = _pair_key(i, a)
+                if key not in kernel_map:
+                    raise ValidationError(f"kernel entry {key} missing for feasible pair")
+                if key not in reward_map:
+                    raise ValidationError(f"reward entry {key} missing for feasible pair")
+                states.append(i)
+                actions.append(a)
+                keys.append(key)
+                rows.append(kernel_map[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"model file feasible is not a list of integer lists: {exc}"
+        ) from exc
     kernel = np.zeros((S, A, S))
     _kernel_block(kernel, states, actions, keys, rows)
     reward = np.zeros((S, A))
@@ -511,17 +519,22 @@ def save_model(model: MdpModel, path: str) -> None:
         raise ModelIOError(f"cannot write model file {path}: {exc}") from exc
 
 
-def load_model(path: str) -> MdpModel:
+def _read_json(path: str, what: str):
+    """The parsed content of the JSON `what` file at path; ModelIOError when
+    it cannot be read or is not valid JSON."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ModelIOError(f"cannot read model file {path}: {exc}") from exc
+        raise ModelIOError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelIOError(
-            f"model file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+            f"{what} file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    return model_from_dict(data)
+
+
+def load_model(path: str) -> MdpModel:
+    return model_from_dict(_read_json(path, "model"))
 
 
 def save_policy(policy, path: str) -> None:
@@ -539,19 +552,27 @@ def save_policy(policy, path: str) -> None:
         raise ModelIOError(f"cannot write policy file {path}: {exc}") from exc
 
 
+def _entries(value, kinds: str, message: str) -> np.ndarray:
+    """value as an array whose numpy dtype kind is one of `kinds` (or that is
+    empty); ValidationError(message) otherwise, also for a ragged list."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValidationError(message) from None
+    if arr.size and arr.dtype.kind not in kinds:
+        raise ValidationError(message)
+    return arr
+
+
 def load_policy(path: str):
     """Read a policy file: {"action": [...]} or {"theta": [[...], ...]}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ModelIOError(f"cannot read policy file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(
-            f"policy file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    data = _read_json(path, "policy")
+    if not isinstance(data, dict):
+        raise ValidationError(f"policy file {path} does not hold a JSON object")
     if "action" in data:
-        return DeterministicPolicy(np.asarray(data["action"], dtype=int))
+        message = f"policy file {path} has an action that is not an integer"
+        return DeterministicPolicy(_entries(data["action"], "i", message))
     if "theta" in data:
-        return RandomizedPolicy(np.asarray(data["theta"], dtype=float))
+        message = f"policy file {path} has a theta entry that is not a number"
+        return RandomizedPolicy(_entries(data["theta"], "if", message))
     raise ValidationError(f"policy file {path} has neither 'action' nor 'theta'")

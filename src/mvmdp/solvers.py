@@ -214,6 +214,8 @@ def _policy_iteration(model, initial, max_iterations, reports):
     initial.validate_for(model)
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
+    if max_iterations < 0:
+        raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
     d, _, trace = _iterate(
         model,
         initial,

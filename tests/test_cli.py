@@ -13,13 +13,14 @@ from mvmdp import (
     RandomizedPolicy,
     ValidationError,
     evaluate,
+    load_model,
     load_policy,
     multi_start,
     save_model,
     save_policy,
 )
 from mvmdp import solvers
-from mvmdp.cli import ParetoPoint, RunConfig, cross_check, main, sweep_beta
+from mvmdp.cli import ParetoPoint, cross_check, main, sweep_beta
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +36,32 @@ def read_csv(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
-class TestRunConfig:
+class TestArguments:
     def test_unknown_command(self):
-        with pytest.raises(ValidationError, match="unknown command"):
-            RunConfig(command="optimize")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize"])
+        assert exc.value.code == 2
 
-    def test_beta_grid_must_increase(self):
-        with pytest.raises(ValidationError, match="increasing"):
-            RunConfig(command="sweep-beta", beta_grid=(1.0, 0.5))
-        with pytest.raises(ValidationError, match="> 0"):
-            RunConfig(command="sweep-beta", beta_grid=(0.0, 0.5))
-        RunConfig(command="sweep-beta", beta_grid=(0.1, 0.5, 1.0))
+    def test_bad_beta_grid_exits_2(self, workdir, capsys):
+        cases = [
+            ("1.0,0.5", "strictly increasing"),
+            ("0.0,0.5", "> 0"),
+            ("0.1,x", "bad beta grid"),
+            ("", "bad beta grid"),
+        ]
+        for grid, message in cases:
+            assert main(["sweep-beta", "--model", str(workdir / "wind.json"),
+                         "--beta-grid", grid]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_negative_iteration_cap_exits_2(self, workdir):
+        assert main(["solve-pi", "--model", str(workdir / "wind.json"),
+                     "--max-iterations", "-1"]) == 2
+
+    def test_zero_gradient_iterations_exits_2(self, workdir):
+        """--max-iterations 0 is refused, not read as the default of 500."""
+        assert main(["solve-gd", "--model", str(workdir / "wind.json"),
+                     "--max-iterations", "0"]) == 2
 
 
 class TestWindBuild:
@@ -71,6 +87,24 @@ class TestWindBuild:
         kf.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
         assert main(["wind-build", "--kernel", str(kf), "--out",
                      str(tmp_path / "m.json")]) == 2
+
+    @pytest.mark.parametrize("kernel", [
+        [[0.5, 0.5], [1.0]],
+        [["x"] * 6] * 6,
+        {"0": [1.0]},
+    ], ids=["ragged", "word", "object"])
+    def test_malformed_kernel_is_validation_error(self, tmp_path, kernel):
+        kf = tmp_path / "k.json"
+        kf.write_text(json.dumps(kernel))
+        assert main(["wind-build", "--kernel", str(kf), "--out",
+                     str(tmp_path / "m.json")]) == 2
+
+    def test_kernel_json_error_names_position(self, tmp_path, capsys):
+        kf = tmp_path / "k.json"
+        kf.write_text("[[1.0,\n")
+        assert main(["wind-build", "--kernel", str(kf), "--out",
+                     str(tmp_path / "m.json")]) == 4
+        assert "(line 2, column 1)" in capsys.readouterr().err
 
     def test_rebuild_is_byte_identical(self, workdir, tmp_path):
         again = tmp_path / "again.json"
@@ -287,6 +321,20 @@ class TestSimulateAndCheck:
                      "--policy", str(workdir / "pol.json"),
                      "--horizon", "10", "--burn-in", "0", "--seed", "4"])
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_negative_burn_in_exits_2(self, workdir, command, capsys):
+        code = main([command, "--model", str(workdir / "wind.json"),
+                     "--policy", str(workdir / "pol.json"),
+                     "--horizon", "1000", "--burn-in", "-5"])
+        assert code == 2
+        assert "burn-in must be >= 0" in capsys.readouterr().err
+
+    def test_cross_check_rejects_negative_burn_in(self, workdir):
+        model = load_model(str(workdir / "wind.json"))
+        policy = load_policy(str(workdir / "pol.json"))
+        with pytest.raises(ValidationError, match="burn-in must be >= 0"):
+            cross_check(model, policy, T=100, burn_in=-1)
 
     def test_cross_check_constant_reward_is_exact(self):
         m = MdpModel(

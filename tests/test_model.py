@@ -512,6 +512,31 @@ class TestModelIO:
         with pytest.raises(ValidationError, match="neither"):
             load_policy(str(p))
 
+    @pytest.mark.parametrize("content", [
+        5,
+        None,
+        {"action": ["a"]},
+        {"action": [0.5, 1]},
+        {"theta": [["x", 1.0]]},
+    ], ids=["number", "null", "word action", "fractional action", "word theta"])
+    def test_mistyped_policy_file(self, tmp_path, content):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(content))
+        with pytest.raises(ValidationError, match="policy file"):
+            load_policy(str(p))
+
+    @pytest.mark.parametrize("field, value", [
+        ("feasible", [["x"], [0]]),
+        ("feasible", 5),
+        ("kernel", 5),
+        ("reward", None),
+    ], ids=["word action", "number feasible", "number kernel", "null reward"])
+    def test_mistyped_model_field(self, field, value):
+        data = model_to_dict(small_model())
+        data[field] = value
+        with pytest.raises(ValidationError, match="model file"):
+            model_from_dict(data)
+
 
 def loop_model_to_dict(model):
     """Per-pair reference of the model file's content and order."""

@@ -95,6 +95,15 @@ class TestPolicyIteration:
         assert capped.stop_reason == "max_iterations"
         assert len(capped.iterations) == 2
 
+    def test_negative_cap_rejected(self):
+        rng = np.random.default_rng(1)
+        m = random_mdp(rng)
+        init = sample_random_policy(m, rng)
+        with pytest.raises(ValidationError, match="max_iterations must be >= 0"):
+            policy_iteration(m, init, max_iterations=-1)
+        _, trace = policy_iteration(m, init, max_iterations=0)
+        assert [r.policy for r in trace.iterations] == [init]
+
     def test_default_cap_scales_with_model_size(self):
         rng = np.random.default_rng(6)
         m = random_mdp(rng)
