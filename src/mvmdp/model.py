@@ -2,7 +2,10 @@
 
 States and actions are 0-based indices. The transition kernel is stored as a
 dense (S, A, S) array whose rows are only meaningful for feasible (state,
-action) pairs; infeasible rows are zero and never read.
+action) pairs; infeasible rows are zero and never read. Beside it a model
+caches which next states each feasible pair can reach (its successor table,
+built from the kernel's entries > 0 on first use), so the structural check
+of a policy's chain gathers rows of that table instead of the dense chain.
 """
 from __future__ import annotations
 
@@ -56,13 +59,41 @@ class MdpModel:
         self.reward.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "_feasible_mask", mask)
+        A = self.num_actions
+        actions = np.sort(np.where(mask, np.arange(A), A), axis=1)
+        counts = mask.sum(axis=1)
+        actions.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "_feasible_actions", (actions, counts))
+        object.__setattr__(self, "_successors", None)
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only boolean (S, A) mask of feasible pairs, built once."""
         return self._feasible_mask
 
+    def feasible_actions(self):
+        """(actions, counts), read-only and built once: row i of the (S, A)
+        `actions` holds the counts[i] feasible actions of state i in
+        increasing order, then A in the columns left over."""
+        return self._feasible_actions
+
+    def successor_table(self):
+        """(indptr, succ), read-only and built on first use: the next states
+        j with kernel[i, a, j] > 0 of the pair p = i * A + a are
+        succ[indptr[p]:indptr[p + 1]], in increasing order. Infeasible pairs
+        have none."""
+        if self._successors is None:
+            S, A = self.num_states, self.num_actions
+            positive = self.kernel > 0
+            positive &= self._feasible_mask[:, :, None]
+            indptr, succ = _csr(np.flatnonzero(positive), S * A, S)
+            indptr.setflags(write=False)
+            succ.setflags(write=False)
+            object.__setattr__(self, "_successors", (indptr, succ))
+        return self._successors
+
     def num_policies(self) -> int:
-        return math.prod(self.feasible_mask().sum(axis=1).tolist())
+        return math.prod(self._feasible_actions[1].tolist())
 
 
 def _state_error(i: int, acts: tuple, A: int):
@@ -256,18 +287,59 @@ def induced_chain_mixed(model: MdpModel, mixed: MixedPolicy):
     return Pb + d * (Pa - Pb), rb + d * (ra - rb)
 
 
-def _strong_components(P: np.ndarray):
-    """Strongly connected components of the support graph of P, whose edges
-    are the entries > 0. Returns (n, labels, rows, cols), the edges in
-    row-major order."""
-    S = P.shape[0]
+def _csr(flat: np.ndarray, rows: int, width: int):
+    """(indptr, cols) of the entries at the sorted flat indices `flat` of a
+    row-major (rows, width) array: row r's columns are
+    cols[indptr[r]:indptr[r + 1]], in increasing order. cols is int32, the
+    index type csgraph takes."""
+    r, cols = np.divmod(flat, width)
+    return np.searchsorted(r, np.arange(rows + 1)), cols.astype(np.int32)
+
+
+def _support(P: np.ndarray):
+    """The support graph of P, whose edges are the entries > 0, as (indptr,
+    cols)."""
     # the flat scan is several times faster than a 2-D np.nonzero at S ~ 1000
-    rows, cols = np.divmod(np.flatnonzero(P > 0), S)
-    # csgraph takes only int32 indices
-    indptr = np.searchsorted(rows, np.arange(S + 1)).astype(np.int32)
-    graph = csr_array((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(S, S))
-    n, labels = connected_components(graph, connection="strong")
-    return n, labels, rows, cols
+    return _csr(np.flatnonzero(P > 0), P.shape[0], P.shape[0])
+
+
+def _policy_support(model: MdpModel, action: np.ndarray):
+    """The support graph of the chain of the feasible action table `action`,
+    as (indptr, cols): the successor table's rows of the pairs (i, action[i]),
+    gathered in state order. It equals `_support` of the induced chain."""
+    table_ptr, succ = model.successor_table()
+    pairs = np.arange(model.num_states) * model.num_actions + action
+    starts = table_ptr[pairs]
+    counts = table_ptr[pairs + 1] - starts
+    indptr = np.zeros(pairs.size + 1, dtype=table_ptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    offsets = np.repeat(starts - indptr[:-1], counts)
+    return indptr, succ[offsets + np.arange(indptr[-1])]
+
+
+def _strong_components(indptr: np.ndarray, cols: np.ndarray):
+    """(n, labels): the strongly connected components of the graph (indptr,
+    cols) on indptr.size - 1 nodes."""
+    S = indptr.size - 1
+    graph = csr_array((np.ones(cols.size), cols, indptr.astype(np.int32)), shape=(S, S))
+    return connected_components(graph, connection="strong")
+
+
+def _irreducible(indptr: np.ndarray, cols: np.ndarray) -> bool:
+    """True when the graph (indptr, cols) is a single strong component."""
+    return _strong_components(indptr, cols)[0] == 1
+
+
+def _closed_classes(indptr: np.ndarray, cols: np.ndarray) -> int:
+    """Number of strong components of the graph (indptr, cols) that no edge
+    leaves."""
+    n, labels = _strong_components(indptr, cols)
+    if n == 1:
+        return 1
+    src = np.repeat(labels, np.diff(indptr))
+    closed = np.ones(n, dtype=bool)
+    closed[src[src != labels[cols]]] = False
+    return int(np.count_nonzero(closed))
 
 
 def closed_class_count(P: np.ndarray) -> int:
@@ -277,25 +349,20 @@ def closed_class_count(P: np.ndarray) -> int:
     1 means the stationary distribution is unique (irreducible or unichain);
     2 or more means it is not.
     """
-    n, labels, rows, cols = _strong_components(P)
-    src = labels[rows]
-    closed = np.ones(n, dtype=bool)
-    closed[src[src != labels[cols]]] = False
-    return int(np.count_nonzero(closed))
+    return _closed_classes(*_support(P))
 
 
 def is_irreducible(P: np.ndarray) -> bool:
     """True when the support graph of P is a single strongly connected class."""
-    return _strong_components(P)[0] == 1
+    return _irreducible(*_support(P))
 
 
 def _draw_feasible(model: MdpModel, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
     """One uniform draw over the feasible actions of each of `states`, in
     order. Consumes `rng` exactly as one `rng.choice(model.feasible[i])` per
     state would: vector `integers` with per-state highs draws state by state."""
-    mask = model.feasible_mask()[states]
-    table = np.argsort(~mask, axis=1, kind="stable")
-    return table[np.arange(len(states)), rng.integers(0, mask.sum(axis=1))]
+    actions, counts = model.feasible_actions()
+    return actions[states, rng.integers(0, counts[states])]
 
 
 @dataclass(frozen=True)
@@ -324,10 +391,16 @@ def check_ergodicity(
     Enumerates the policy space when it has at most `enumeration_cap`
     members; otherwise checks the union-support chain (its reducibility
     would condemn every policy) plus `sample_size` seeded random policies.
-    Always returns a report; callers decide whether violations are fatal.
+    Every check reads the model's successor table, not the dense kernel:
+    the union chain's edges are all the feasible pairs' successors, and a
+    policy's are the rows of its pairs. Always returns a report; callers
+    decide whether violations are fatal.
     """
-    union = model.kernel.sum(axis=1, where=model.feasible_mask()[:, :, None])
-    union_ok = is_irreducible(union)
+    S, A = model.num_states, model.num_actions
+    indptr, succ = model.successor_table()
+    # state * S + next state for every edge of every feasible pair, deduplicated
+    pair_state = np.repeat(np.arange(S * A) // A, np.diff(indptr))
+    union_ok = _irreducible(*_csr(np.unique(pair_state * S + succ), S, S))
 
     if model.num_policies() <= enumeration_cap:
         mode = "enumeration"
@@ -344,8 +417,7 @@ def check_ergodicity(
     violations = []
     checked = 0
     for d in policies:
-        P, _ = induced_chain(model, d)
-        if not is_irreducible(P):
+        if not _irreducible(*_policy_support(model, d.action)):
             violations.append(d)
         checked += 1
     return ErgodicityReport(mode, union_ok, tuple(violations), checked)
@@ -361,16 +433,16 @@ def sample_random_policy(
 
     Each draw takes one random integer per state, in state order, so the
     stream is the one a per-state `rng.choice` loop consumes. With
-    `require_irreducible` the draw is repeated until the induced chain is
-    structurally irreducible, which is what solvers need for a start.
+    `require_irreducible` the draw is repeated, up to `max_tries` times,
+    until the induced chain is structurally irreducible, which is what
+    solvers need for a start; each check gathers the drawn pairs' rows of
+    the model's successor table, so no dense chain is built. Raises
+    ValidationError when no draw passes.
     """
     states = np.arange(model.num_states)
     for _ in range(max_tries):
         d = DeterministicPolicy(_draw_feasible(model, rng, states))
-        if not require_irreducible:
-            return d
-        P, _ = induced_chain(model, d)
-        if is_irreducible(P):
+        if not require_irreducible or _irreducible(*_policy_support(model, d.action)):
             return d
     raise ValidationError(
         f"no irreducible policy found in {max_tries} uniform draws; "
@@ -409,7 +481,7 @@ def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, r
     """Write the kernel rows read from a model file into kernel[states,
     actions], converting _KERNEL_CHUNK_ROWS rows at a time, so that no float
     block of every row is held beside the kernel. When the rows are not all
-    S numbers, raises the error of the first row that is not."""
+    S numbers, raises the ValidationError of the first row that is not."""
     S = kernel.shape[-1]
     for lo in range(0, len(rows), _KERNEL_CHUNK_ROWS):
         chunk = slice(lo, lo + _KERNEL_CHUNK_ROWS)
@@ -420,20 +492,36 @@ def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, r
             block = None
         if block is None or block.shape != (len(part), S):
             for key, row in zip(keys[chunk], part):
-                row = np.asarray(row, dtype=float)
+                try:
+                    row = np.asarray(row, dtype=float)
+                except (TypeError, ValueError):
+                    raise ValidationError(f"kernel row {key} is not a list of numbers") from None
                 if row.shape != (S,):
                     raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
         kernel[states[chunk], actions[chunk]] = block
         del block  # before the next chunk is converted
 
 
+def _reward_values(reward_map: dict, keys: list) -> list:
+    """The rewards of the pairs `keys` as floats; ValidationError naming the
+    first pair whose reward is not a number."""
+    values = []
+    for key in keys:
+        try:
+            values.append(float(reward_map[key]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"reward {key} is not a number") from None
+    return values
+
+
 def model_from_dict(data: dict) -> MdpModel:
     """Build a model from the dict `model_to_dict` gives (or a parsed model
     file). The checks run in stages, each over the feasible pairs in state
-    order: kernel and reward are objects and feasible is a list of integer
-    lists, both entries of every pair are present, every kernel row is S
-    numbers, every action index fits the kernel, every reward is a number;
-    then `MdpModel` validates the result."""
+    order: the sizes are at least 1, kernel and reward are objects, feasible
+    is a list of S integer lists whose actions lie in [0, A), both entries
+    of every pair are present, every kernel row is S numbers, every reward
+    is a number; then `MdpModel` validates the result. Every failure is a
+    ValidationError."""
     try:
         S = int(data["num_states"])
         A = int(data["num_actions"])
@@ -443,14 +531,20 @@ def model_from_dict(data: dict) -> MdpModel:
         reward_map = data["reward"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
+    if S < 1 or A < 1:
+        raise ValidationError(f"need at least one state and action, got S={S}, A={A}")
     if not (isinstance(kernel_map, dict) and isinstance(reward_map, dict)):
         raise ValidationError("model file kernel and reward must be JSON objects")
     states, actions, keys, rows = [], [], [], []
     try:
+        if len(feasible) != S:
+            raise ValidationError(f"feasible has {len(feasible)} entries, expected {S}")
         for i, acts in enumerate(feasible):
             for a in acts:
                 a = int(a)
                 key = _pair_key(i, a)
+                if not 0 <= a < A:
+                    raise ValidationError(f"feasible pair {key} has an action outside [0, {A})")
                 if key not in kernel_map:
                     raise ValidationError(f"kernel entry {key} missing for feasible pair")
                 if key not in reward_map:
@@ -466,7 +560,7 @@ def model_from_dict(data: dict) -> MdpModel:
     kernel = np.zeros((S, A, S))
     _kernel_block(kernel, states, actions, keys, rows)
     reward = np.zeros((S, A))
-    reward[states, actions] = [float(reward_map[key]) for key in keys]
+    reward[states, actions] = _reward_values(reward_map, keys)
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
 
 
@@ -521,12 +615,14 @@ def save_model(model: MdpModel, path: str) -> None:
 
 def _read_json(path: str, what: str):
     """The parsed content of the JSON `what` file at path; ModelIOError when
-    it cannot be read or is not valid JSON."""
+    it cannot be read, is not UTF-8 text or is not valid JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ModelIOError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelIOError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelIOError(
             f"{what} file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

@@ -17,9 +17,9 @@ from .model import (
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _closed_classes,
     _draw_feasible,
-    closed_class_count,
-    induced_chain,
+    _policy_support,
     sample_random_policy,
 )
 from .sensitivity import derivative_randomized, improvement_vector
@@ -298,17 +298,16 @@ def _propose_epsilon(
     max_tries: int = 50,
 ) -> DeterministicPolicy:
     """Randomize the greedy step per state; redraw proposals that would
-    induce a chain without a unique stationary distribution."""
+    induce a chain without a unique stationary distribution (more than one
+    closed class, read from the model's successor table)."""
     if epsilon == 0.0:
         return greedy
     for _ in range(max_tries):
         action = greedy.action.copy()
         explore = np.flatnonzero(rng.random(model.num_states) < epsilon)
         action[explore] = _draw_feasible(model, rng, explore)
-        proposal = DeterministicPolicy(action)
-        P, _ = induced_chain(model, proposal)
-        if closed_class_count(P) == 1:
-            return proposal
+        if _closed_classes(*_policy_support(model, action)) == 1:
+            return DeterministicPolicy(action)
     raise SolverError(
         f"no evaluable exploratory policy found in {max_tries} draws"
     )

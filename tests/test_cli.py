@@ -198,6 +198,36 @@ class TestSolveAndEvaluate:
         assert main(["evaluate", "--model", str(bad),
                      "--policy", str(workdir / "pol.json")]) == 2
 
+    @pytest.mark.parametrize("defect", [
+        lambda d: d["kernel"]["0,2"].__setitem__(0, "a"),
+        lambda d: d["reward"].__setitem__("0,2", None),
+        lambda d: d["reward"].__setitem__("0,2", [0.5]),
+        lambda d: (d["feasible"][0].append(9), d["kernel"].__setitem__("0,9", d["kernel"]["0,2"]),
+                   d["reward"].__setitem__("0,9", 0.0)),
+        lambda d: d.__setitem__("num_states", -1),
+    ], ids=["word in a row", "null reward", "list reward", "action past num_actions", "negative num_states"])
+    def test_mistyped_model_file_exits_2(self, workdir, tmp_path, capsys, defect):
+        bad = tmp_path / "bad.json"
+        data = json.loads((workdir / "wind.json").read_text())
+        defect(data)
+        bad.write_text(json.dumps(data))
+        policy = tmp_path / "policy.json"
+        save_policy(DeterministicPolicy(np.zeros(36, dtype=int)), str(policy))
+        assert main(["evaluate", "--model", str(bad), "--policy", str(policy)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("option", ["--model", "--policy"])
+    def test_file_that_is_not_utf8_is_io_error(self, workdir, tmp_path, capsys, option):
+        """Bytes that do not decode end the command like any unreadable
+        file: a message and exit 4, no traceback."""
+        files = {"--model": str(workdir / "wind.json"), "--policy": str(tmp_path / "policy.json")}
+        save_policy(DeterministicPolicy(np.zeros(36, dtype=int)), files["--policy"])
+        files[option] = str(tmp_path / "binary.json")
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        assert main(["evaluate", "--model", files["--model"], "--policy", files["--policy"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not UTF-8 text" in err
+
 
 class TestSweepBeta:
     def test_points_and_optima_files(self, workdir):

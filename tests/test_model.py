@@ -1,5 +1,7 @@
 """Model container, policies, induced chains, structure checks, and I/O."""
 import copy
+import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -11,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import model_policy_cases, random_mdp, restrict_feasible
+from conftest import model_policy_cases, random_mdp, restrict_feasible, threshold_policy
 import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
@@ -22,6 +24,7 @@ from mvmdp import (
     RandomizedPolicy,
     ValidationError,
     WindStorageSpec,
+    action_values,
     build,
     check_ergodicity,
     closed_class_count,
@@ -37,6 +40,7 @@ from mvmdp import (
     save_model,
     save_policy,
 )
+from mvmdp.solvers import _propose_epsilon
 
 
 def small_model(**overrides):
@@ -450,6 +454,177 @@ class TestSampleLoopReference:
                     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def sparse_mdp(rng):
+    """A random_mdp with random feasible subsets whose kernel keeps a random
+    few entries of each row: several closed classes, transient states and
+    self-loops all occur. Infeasible rows keep positive entries, which no
+    structural check may read."""
+    m = restrict_feasible(rng, random_mdp(rng, max_states=9, max_actions=4))
+    S = m.num_states
+    keep = rng.random(m.kernel.shape) < rng.uniform(0.05, 0.6)
+    keep[..., 0] |= ~keep.any(axis=2)
+    kernel = np.where(keep, m.kernel, 0.0)
+    kernel = kernel[..., rng.permutation(S)]
+    return dataclasses.replace(m, kernel=kernel / kernel.sum(axis=2, keepdims=True))
+
+
+def random_actions(rng, model):
+    """A uniform feasible action table, drawn without the package."""
+    return np.array([rng.choice(np.asarray(acts)) for acts in model.feasible])
+
+
+def loop_check_ergodicity(model, sample_size=100, seed=0, enumeration_cap=10**6):
+    """Gather-and-scan reference: the dense union chain, then one dense
+    induced chain per policy."""
+    union = model.kernel.sum(axis=1, where=model.feasible_mask()[:, :, None])
+    union_ok = is_irreducible(union)
+    if model.num_policies() <= enumeration_cap:
+        mode = "enumeration"
+        policies = [DeterministicPolicy(np.array(c)) for c in itertools.product(*model.feasible)]
+    else:
+        mode = "sampling"
+        rng = np.random.default_rng(seed)
+        policies = [loop_sample_random_policy(model, rng, False) for _ in range(sample_size)]
+    violations = tuple(d for d in policies if not is_irreducible(induced_chain(model, d)[0]))
+    return mvmdp.model.ErgodicityReport(mode, union_ok, violations, len(policies))
+
+
+def wind_models():
+    for battery in (5, 20, 50):
+        for abandonment in (False, True):
+            spec = WindStorageSpec(battery_capacity=battery, abandonment=abandonment)
+            yield spec, build(spec)
+
+
+class TestSuccessorTable:
+    """The structural checks of a policy read the successor table and give
+    the dense chain's verdicts."""
+
+    def check_table(self, model):
+        indptr, succ = model.successor_table()
+        S, A = model.num_states, model.num_actions
+        assert indptr.shape == (S * A + 1,) and not indptr.flags.writeable
+        assert not succ.flags.writeable
+        mask = model.feasible_mask()
+        for i in range(S):
+            for a in range(A):
+                p = i * A + a
+                want = np.flatnonzero(model.kernel[i, a] > 0) if mask[i, a] else []
+                assert np.array_equal(succ[indptr[p]:indptr[p + 1]], want)
+
+    def check_policy(self, model, action):
+        """The gathered graph is the dense chain's, edge for edge, and both
+        verdicts agree; returns (irreducible, closed classes)."""
+        P, _ = induced_chain(model, DeterministicPolicy(action))
+        got = mvmdp.model._policy_support(model, action)
+        want = mvmdp.model._support(P)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        verdict = (mvmdp.model._irreducible(*got), mvmdp.model._closed_classes(*got))
+        assert verdict == (is_irreducible(P), closed_class_count(P))
+        return verdict
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (random_mdp(rng), sparse_mdp(rng)):
+            self.check_table(m)
+            for _ in range(4):
+                self.check_policy(m, random_actions(rng, m))
+
+    def test_random_models_reach_every_verdict(self):
+        rng = np.random.default_rng(80)
+        seen = set()
+        for _ in range(200):
+            m = sparse_mdp(rng)
+            irreducible, closed = self.check_policy(m, random_actions(rng, m))
+            seen.add((irreducible, min(closed, 2)))
+        assert seen == {(True, 1), (False, 1), (False, 2)}
+
+    def test_wind_models(self):
+        rng = np.random.default_rng(81)
+        seen = set()
+        for spec, m in wind_models():
+            self.check_table(m)
+            actions = [random_actions(rng, m) for _ in range(12)]
+            actions += [threshold_policy(spec).action, np.full(m.num_states, action_values(spec).index(0))]
+            seen |= {self.check_policy(m, a) for a in actions}
+        assert {(True, 1), (False, 1)} <= seen
+        assert any(closed > 1 for _, closed in seen)
+
+    def test_feasible_action_table(self):
+        rng = np.random.default_rng(82)
+        for _ in range(20):
+            m = restrict_feasible(rng, random_mdp(rng))
+            actions, counts = m.feasible_actions()
+            assert not actions.flags.writeable and not counts.flags.writeable
+            for i, acts in enumerate(m.feasible):
+                assert actions[i].tolist() == [*acts, *[m.num_actions] * (m.num_actions - len(acts))]
+                assert counts[i] == len(acts)
+
+    def test_table_is_built_on_first_use(self):
+        m = sparse_mdp(np.random.default_rng(83))
+        assert m.__dict__["_successors"] is None
+        sample_random_policy(m, np.random.default_rng(0), require_irreducible=False)
+        assert m.__dict__["_successors"] is None
+        outcome(sample_random_policy, m, np.random.default_rng(0), True, 1)
+        table = m.__dict__["_successors"]
+        assert table is not None and m.successor_table() is table
+
+    def test_sampler_matches_gather_and_scan(self):
+        """Same draws, same give-ups and the same stream as the dense loop,
+        with and without the irreducibility requirement."""
+        rng = np.random.default_rng(84)
+        outcomes = set()
+        for k in range(60):
+            m = sparse_mdp(rng)
+            for require, max_tries in ((True, 1), (True, 30), (False, 1)):
+                got_rng = np.random.default_rng([85, k])
+                want_rng = np.random.default_rng([85, k])
+                for _ in range(3):
+                    got = outcome(sample_random_policy, m, got_rng, require, max_tries)
+                    want = outcome(loop_sample_random_policy, m, want_rng, require, max_tries)
+                    if got[0] == "ok":
+                        assert got == want
+                    else:
+                        assert got[0] is want[0] is ValidationError
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    outcomes.add(got[0])
+        assert outcomes == {"ok", ValidationError}
+
+    def test_check_ergodicity_matches_gather_and_scan(self):
+        rng = np.random.default_rng(86)
+        models = [sparse_mdp(rng) for _ in range(30)]
+        models += [build(WindStorageSpec(abandonment=a)) for a in (False, True)]
+        modes = set()
+        for k, m in enumerate(models):
+            for cap in (2000, 1):
+                got = check_ergodicity(m, sample_size=15, seed=k, enumeration_cap=cap)
+                want = loop_check_ergodicity(m, sample_size=15, seed=k, enumeration_cap=cap)
+                assert got == want
+                modes.add((got.mode, got.union_irreducible, bool(got.violations)))
+        assert {mode for mode, _, _ in modes} == {"enumeration", "sampling"}
+        assert {(u, v) for _, u, v in modes} >= {(True, False), (True, True), (False, True)}
+
+    def test_no_dense_chain_is_gathered(self, monkeypatch, wind_model, abandon_model_beta1):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense chain gathered")
+
+        for name in ("induced_chain", "is_irreducible", "closed_class_count"):
+            monkeypatch.setattr(mvmdp.model, name, refuse)
+        for m in (wind_model, abandon_model_beta1, small_model()):
+            start = sample_random_policy(m, np.random.default_rng(0))
+            check_ergodicity(m, sample_size=5)
+            check_ergodicity(m, sample_size=5, enumeration_cap=1)
+            _propose_epsilon(m, start, 0.5, np.random.default_rng(1))
+
+    def test_sampler_gives_up_at_b200(self):
+        """Rejection sampling fails at B=200; the bounded call must raise."""
+        m = build(WindStorageSpec(battery_capacity=200))
+        with pytest.raises(ValidationError, match="no irreducible policy found in 20"):
+            sample_random_policy(m, np.random.default_rng(0), max_tries=20)
+
+
 class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         m = small_model(feasible=((0,), (0, 1)))
@@ -557,7 +732,8 @@ def loop_model_to_dict(model):
 
 
 def loop_model_from_dict(data):
-    """Per-pair reference reader: one np.asarray and one assignment per row."""
+    """Per-pair reference reader: one np.asarray and one assignment per row.
+    Every malformed dict raises ValidationError, as in model_from_dict."""
     try:
         S = int(data["num_states"])
         A = int(data["num_actions"])
@@ -567,20 +743,32 @@ def loop_model_from_dict(data):
         reward_map = data["reward"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
+    if S < 1 or A < 1:
+        raise ValidationError(f"need at least one state and action, got S={S}, A={A}")
+    if len(feasible) != S:
+        raise ValidationError(f"feasible has {len(feasible)} entries, expected {S}")
     kernel = np.zeros((S, A, S))
     reward = np.zeros((S, A))
     for i, acts in enumerate(feasible):
         for a in acts:
             key = f"{int(i)},{int(a)}"
+            if not 0 <= int(a) < A:
+                raise ValidationError(f"feasible pair {key} has an action outside [0, {A})")
             if key not in kernel_map:
                 raise ValidationError(f"kernel entry {key} missing for feasible pair")
             if key not in reward_map:
                 raise ValidationError(f"reward entry {key} missing for feasible pair")
-            row = np.asarray(kernel_map[key], dtype=float)
+            try:
+                row = np.asarray(kernel_map[key], dtype=float)
+            except (TypeError, ValueError):
+                raise ValidationError(f"kernel row {key} is not a list of numbers") from None
             if row.shape != (S,):
                 raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
             kernel[int(i), int(a)] = row
-            reward[int(i), int(a)] = float(reward_map[key])
+            try:
+                reward[int(i), int(a)] = float(reward_map[key])
+            except (TypeError, ValueError):
+                raise ValidationError(f"reward {key} is not a number") from None
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
 
 
@@ -734,6 +922,8 @@ def malformed_dicts():
     yield "no action anywhere", edit(feasible([[], []]))
     yield "unsorted actions", edit(feasible([[1, 0], [1, 0]]))
     yield "string action", edit(feasible([["1", 0], [0, 1]]))
+    yield "negative num_states", edit(lambda d: d.__setitem__("num_states", -2))
+    yield "zero num_actions", edit(lambda d: d.__setitem__("num_actions", 0))
 
 
 def same_model(a, b):
@@ -767,6 +957,7 @@ class TestReaderReference:
             assert want[0] == "ok" and same_model(got[1], want[1])
         else:
             assert got == want
+            assert got[0] is ValidationError
 
 
 class TestReaderChunks:
