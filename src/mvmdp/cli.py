@@ -29,6 +29,7 @@ from .model import (
     MdpModel,
     RandomizedPolicy,
     check_ergodicity,
+    _feasible_pairs,
     _read_json,
     load_model,
     load_policy,
@@ -103,11 +104,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.scores_out is not None:
         if not isinstance(policy, DeterministicPolicy):
             raise ValidationError("--scores-out needs a deterministic policy")
-        iv = improvement_vector(model, report, policy)
-        rows = []
-        for i, acts in enumerate(model.feasible):
-            for a in acts:
-                rows.append((str(i), str(a), _fmt(iv.score[i, a])))
+        states, actions = _feasible_pairs(model)
+        scores = improvement_vector(model, report, policy).score[states, actions].tolist()
+        rows = ((str(i), str(a), _fmt(q)) for i, a, q in zip(states, actions, scores))
         _write_csv(args.scores_out, "state,action,score", rows)
     _write_json(args.out, report_to_dict(report))
     print(
@@ -210,12 +209,15 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
 
     Returns (points, optima_rows, failures): one ParetoPoint per successful
     beta, all distinct local-optimum rows per beta, and (beta, message)
-    pairs for betas whose runs failed. Failures do not stop the sweep.
+    pairs for betas whose runs failed. Failures do not stop the sweep, so
+    an empty grid or fewer than one start per beta is rejected before it.
     The betas share one report memo, so a policy met at an earlier beta
     only has its combined potential solved again.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
+    if starts_per_beta < 1:
+        raise ValidationError(f"starts per beta must be >= 1, got {starts_per_beta}")
     points = []
     optima_rows = []
     failures = []

@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .model import (
-    ROW_SUM_TOL,
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
     _check_beta,
+    _check_rows,
     closed_class_count,
     induced_chain,
     induced_chain_randomized,
@@ -55,14 +55,7 @@ def _check_stochastic(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
-    if np.any(P < 0):
-        raise ValidationError("transition matrix has a negative entry")
-    sums = P.sum(axis=1)
-    # `not <=` also rejects NaN sums, which NaN or inf entries give
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"transition row {i} sums to {sums[i]!r}, expected 1")
+    _check_rows(P, "transition row {}")
     return P
 
 
@@ -135,10 +128,18 @@ def steady_state_variance(
     r = np.asarray(r, dtype=float)
     if pi.shape != r.shape:
         raise ValidationError(f"length mismatch: pi has {pi.shape}, r has {r.shape}")
-    if second_moment is None:
-        return float(pi @ (r - j_mean) ** 2)
-    m2 = np.asarray(second_moment, dtype=float)
-    return float(pi @ (m2 - 2.0 * j_mean * r + j_mean**2))
+    if second_moment is not None:
+        second_moment = np.asarray(second_moment, dtype=float)
+    return float(pi @ _squared_deviation(r, j_mean, second_moment))
+
+
+def _squared_deviation(r: np.ndarray, j_mean: float, m2: np.ndarray | None = None) -> np.ndarray:
+    """(r - j_mean)**2 per state, the variance part of the mean-variance
+    cost; for a randomized policy with per-state second-moment row m2, its
+    mixture over actions m2 - 2 j_mean r + j_mean**2."""
+    if m2 is None:
+        return (r - j_mean) ** 2
+    return m2 - 2.0 * j_mean * r + j_mean**2
 
 
 def combined_metric(j_mean: float, j_var: float, beta: float) -> float:
@@ -154,7 +155,7 @@ def mv_cost_vector(r: np.ndarray, j_mean: float, beta: float) -> np.ndarray:
     """
     _check_beta(beta)
     r = np.asarray(r, dtype=float)
-    return r - beta * (r - j_mean) ** 2
+    return r - beta * _squared_deviation(r, j_mean)
 
 
 def poisson_residual(
@@ -321,31 +322,35 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     return _solve_potentials(P, pi, (f, float(J)))[0]
 
 
-def evaluate(model: MdpModel, policy) -> EvaluationReport:
-    """Full exact evaluation of a deterministic or randomized policy.
+def _policy_chain(model: MdpModel, policy):
+    """(P, r, m2) of the chain a deterministic or randomized policy induces,
+    m2 the second-moment row of a randomized policy and None otherwise.
 
-    A deterministic chain is made of validated model rows, checked with the
-    same tolerance and the same last-axis sum as _check_stochastic, so only a
-    randomized mixture is checked again.
+    A deterministic chain is made of model rows that already passed
+    `_check_rows`, the rule of _check_stochastic, so only a randomized
+    mixture is checked again.
     """
     if isinstance(policy, DeterministicPolicy):
-        P, r = induced_chain(model, policy)
-        m2 = None
-    elif isinstance(policy, RandomizedPolicy):
+        return *induced_chain(model, policy), None
+    if isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
-        P = _check_stochastic(P)
-    else:
-        raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
+        return _check_stochastic(P), r, m2
+    raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
+
+
+def evaluate(model: MdpModel, policy) -> EvaluationReport:
+    """Full exact evaluation of a deterministic or randomized policy."""
+    return _evaluate_chain(*_policy_chain(model, policy), model.beta)
+
+
+def _evaluate_chain(P: np.ndarray, r: np.ndarray, m2, beta: float) -> EvaluationReport:
+    """evaluate, given the policy's chain from _policy_chain."""
     pi = _stationary(P)
     j_mean = long_run_mean(pi, r)
-    # the same floats as steady_state_variance
-    if m2 is None:
-        sq = (r - j_mean) ** 2
-    else:
-        sq = m2 - 2.0 * j_mean * r + j_mean**2
+    sq = _squared_deviation(r, j_mean, m2)
     j_var = float(pi @ sq)
-    j_comb = combined_metric(j_mean, j_var, model.beta)
-    cost = r - model.beta * sq
+    j_comb = combined_metric(j_mean, j_var, beta)
+    cost = r - beta * sq
     g, g_mean, g_var = _solve_potentials(P, pi, (cost, j_comb), (r, j_mean), (sq, j_var))
     return EvaluationReport(
         pi=pi,
@@ -356,7 +361,7 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
         potential=g,
         potential_mean=g_mean,
         potential_var=g_var,
-        beta=model.beta,
+        beta=beta,
     )
 
 
@@ -371,9 +376,8 @@ def _with_beta(
     is the same floats (or the same EvaluationError) evaluate gives.
     """
     P, r = induced_chain(model, policy)
-    sq = (r - report.j_mean) ** 2
     j_comb = combined_metric(report.j_mean, report.j_var, model.beta)
-    cost = r - model.beta * sq
+    cost = mv_cost_vector(r, report.j_mean, model.beta)
     (g,) = _solve_potentials(P, report.pi, (cost, j_comb))
     return dataclasses.replace(
         report, j_combined=j_comb, cost=cost, potential=g, beta=model.beta

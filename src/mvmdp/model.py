@@ -114,14 +114,33 @@ def _check_beta(beta: float) -> None:
         raise ValidationError(f"beta must be finite, got {beta}")
 
 
+def _check_rows(rows: np.ndarray, name: str, where=True) -> None:
+    """The one rule for probability rows: raise ValidationError for the first
+    row along the last axis of `rows` (in index order, among those `where`
+    selects) with a negative entry or a sum not within ROW_SUM_TOL of 1, a
+    NaN sum included. The message is "<name> has a negative entry" or
+    "<name> sums to <sum>, expected 1", `name` formatted with the row's index.
+    Whole-array reductions: nothing of the size of `rows` is allocated."""
+    sums = rows.sum(axis=-1)
+    # `not <=` also rejects NaN sums, which NaN or inf entries give
+    bad = (rows.min(axis=-1, initial=0.0) < 0) | ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+    bad &= where
+    first = np.flatnonzero(bad)
+    if first.size:
+        index = np.unravel_index(first[0], bad.shape)
+        name = name.format(*map(int, index))
+        # a NaN row minimum hides a negative entry; the row itself does not
+        if np.any(rows[index] < 0):
+            raise ValidationError(f"{name} has a negative entry")
+        raise ValidationError(f"{name} sums to {float(sums[index])!r}, expected 1")
+
+
 def _validate_model(model: MdpModel) -> np.ndarray:
     """Check the model and return its (S, A) feasible mask.
 
     Raises ValidationError for the first problem in state order: a state's
     action list is checked before its pairs, and each feasible pair's kernel
-    row (no negative entry, sums to 1) before its reward (finite). The pair
-    checks are whole-array reductions over the last kernel axis; they
-    allocate nothing of the kernel's size.
+    row (`_check_rows`) before its reward (finite).
     """
     S, A = model.num_states, model.num_actions
     if S < 1 or A < 1:
@@ -142,21 +161,14 @@ def _validate_model(model: MdpModel) -> np.ndarray:
         np.repeat(np.arange(first_bad_state), [len(acts) for acts in good]),
         list(itertools.chain.from_iterable(good)),
     ] = True
-    kernel = model.kernel
-    sums = kernel.sum(axis=2)
-    # `not <=` also rejects NaN sums
-    bad = (kernel.min(axis=2) < 0) | ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    bad |= ~np.isfinite(model.reward)
-    bad &= mask
-    first = np.flatnonzero(bad)
-    if first.size:
-        i, a = divmod(int(first[0]), A)
-        # a NaN row minimum hides a negative entry; the row itself does not
-        if np.any(kernel[i, a] < 0):
-            raise ValidationError(f"kernel row {i},{a} has a negative entry")
-        s = sums[i, a]
-        if not abs(s - 1.0) <= ROW_SUM_TOL:
-            raise ValidationError(f"kernel row {i},{a} sums to {float(s)!r}, expected 1")
+    # each pair's kernel row comes before its reward, and both before later pairs
+    bad_reward = np.flatnonzero(mask & ~np.isfinite(model.reward))
+    rows_first = mask.copy()
+    if bad_reward.size:
+        rows_first.flat[bad_reward[0] + 1 :] = False
+    _check_rows(model.kernel, "kernel row {},{}", rows_first)
+    if bad_reward.size:
+        i, a = divmod(int(bad_reward[0]), A)
         raise ValidationError(f"reward {i},{a} is not finite")
     if first_bad_state < S:
         raise ValidationError(state_errors[first_bad_state])
@@ -219,14 +231,7 @@ class RandomizedPolicy:
         S, A = model.num_states, model.num_actions
         if self.theta.shape != (S, A):
             raise ValidationError(f"theta shape {self.theta.shape} != {(S, A)}")
-        if np.any(self.theta < 0):
-            raise ValidationError("theta has a negative entry")
-        sums = self.theta.sum(axis=1)
-        # `not <=` also rejects NaN sums, which NaN or inf entries give
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(f"theta row {i} sums to {float(sums[i])!r}, expected 1")
+        _check_rows(self.theta, "theta row {}")
         mask = model.feasible_mask()
         if np.any(self.theta[~mask] != 0):
             i, a = np.argwhere((self.theta != 0) & ~mask)[0]
@@ -456,7 +461,7 @@ def _pair_key(i: int, a: int) -> str:
 
 def _feasible_pairs(model: MdpModel):
     """The feasible (i, a) pairs as two int lists, state by state and by
-    action within a state: the order of the pairs in a model file."""
+    action within a state: the pair order of model files and score CSVs."""
     rows, cols = np.nonzero(model.feasible_mask())
     return rows.tolist(), cols.tolist()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluation import EvaluationReport, evaluate, poisson_residual
+from .evaluation import EvaluationReport, evaluate, mv_cost_vector, poisson_residual
 from .model import DeterministicPolicy, MdpModel, RandomizedPolicy
 
 VIOLATION_TOL = 1e-9
@@ -67,8 +67,8 @@ def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
         raise ValidationError(
             f"evaluation report does not match the {what} (Poisson residual {residual:.3e})"
         )
-    j_mean, beta, r = report.j_mean, model.beta, model.reward
-    score = np.where(model.feasible_mask(), r - beta * (r - j_mean) ** 2 + kg, np.nan)
+    cost = mv_cost_vector(model.reward, report.j_mean, model.beta)
+    score = np.where(model.feasible_mask(), cost + kg, np.nan)
     return score, kg
 
 

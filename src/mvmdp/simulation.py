@@ -10,15 +10,8 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import ValidationError
-from .evaluation import evaluate
-from .model import (
-    DeterministicPolicy,
-    MdpModel,
-    RandomizedPolicy,
-    _check_beta,
-    induced_chain,
-    induced_chain_randomized,
-)
+from .evaluation import _evaluate_chain, _policy_chain
+from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, induced_chain
 
 DEFAULT_BATCHES = 30
 
@@ -57,10 +50,17 @@ class PotentialEstimate:
     seed: int
 
 
-def _cum_rows(P: np.ndarray) -> list:
-    """Cumulative sums along the last axis as nested lists of floats:
-    `bisect_right` on Python floats is faster than on numpy scalars."""
-    return np.cumsum(P, axis=-1).tolist()
+def _cumulative(rows: np.ndarray) -> np.ndarray:
+    """Cumulative sums of probability rows along the last axis, set to 1.0
+    from each row's last positive entry on, so that every draw u in [0, 1)
+    has bisect_right(cum, u) = count(cum <= u) = a next state of positive
+    probability. Without it a draw at or above a sum that rounds below 1
+    (WIND_KERNEL row 2 cumulates to nextafter(1, 0)) leaves the row."""
+    cum = np.cumsum(rows, axis=-1)
+    n = rows.shape[-1]
+    last = n - 1 - np.argmax(rows[..., ::-1] > 0, axis=-1)
+    cum[np.arange(n) >= last[..., None]] = 1.0
+    return cum
 
 
 def simulate_path(
@@ -78,7 +78,8 @@ def simulate_path(
     rng = np.random.default_rng(seed)
     if isinstance(policy, DeterministicPolicy):
         P, r = induced_chain(model, policy)
-        cum = _cum_rows(P)
+        # bisect_right on Python floats is faster than on numpy scalars
+        cum = _cumulative(P).tolist()
         visited = []
         i = start_state
         # a memoryview yields Python floats one at a time: they bisect as fast
@@ -90,7 +91,7 @@ def simulate_path(
         return PathSample(states, policy.action[states], r[states])
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
-        cum_theta = _cum_rows(policy.theta)
+        cum_theta = _cumulative(policy.theta).tolist()
         # cumulative kernel rows made on first visit of their pair: the whole
         # (S, A, S) kernel as Python floats is S*A*S objects (~300 MB at S=1206)
         cum_kernel = [[None] * model.num_actions for _ in range(model.num_states)]
@@ -104,7 +105,7 @@ def simulate_path(
             chosen.append(a)
             row = cum_kernel[i][a]
             if row is None:
-                row = cum_kernel[i][a] = np.cumsum(model.kernel[i, a]).tolist()
+                row = cum_kernel[i][a] = _cumulative(model.kernel[i, a]).tolist()
             i = bisect_right(row, u_s)
         states = np.array(visited, dtype=int)
         actions = np.array(chosen, dtype=int)
@@ -138,6 +139,8 @@ def estimate_metrics(
     T = rewards.shape[0]
     if T < 2:
         raise ValidationError(f"need a path of length >= 2, got {T}")
+    if num_batches < 1:
+        raise ValidationError(f"num_batches must be >= 1, got {num_batches}")
     _check_beta(beta)
     mean_hat = float(np.mean(rewards))
     var_hat = float(np.mean((rewards - mean_hat) ** 2))
@@ -163,8 +166,7 @@ def estimate_metrics(
 def _accumulate_cost(P, f, J, start, truncation, reps, seed):
     """Mean and spread over replications of sum_{t<=truncation} (f(X_t) - J)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
-    S = P.shape[0]
-    cum = np.cumsum(P, axis=1)
+    cum = _cumulative(P)
     cur = np.full(reps, start, dtype=int)
     acc = np.zeros(reps)
     excess = f - J
@@ -173,7 +175,7 @@ def _accumulate_cost(P, f, J, start, truncation, reps, seed):
         if t == truncation:
             break
         u = rng.random(reps)
-        cur = np.minimum((cum[cur] <= u[:, None]).sum(axis=1), S - 1)
+        cur = (cum[cur] <= u[:, None]).sum(axis=1)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 
@@ -196,24 +198,19 @@ def estimate_potential(
         raise ValidationError(f"truncation must be >= 1, got {truncation}")
     if not 0 <= state < model.num_states:
         raise ValidationError(f"state {state} out of range")
-    if isinstance(policy, DeterministicPolicy):
-        P, _ = induced_chain(model, policy)
-    elif isinstance(policy, RandomizedPolicy):
-        P, _, _ = induced_chain_randomized(model, policy)
-    else:
-        raise ValidationError(f"cannot estimate potential of {type(policy).__name__}")
-    report = evaluate(model, policy)
+    if num_replications < 1:
+        raise ValidationError(f"num_replications must be >= 1, got {num_replications}")
+    P, r, m2 = _policy_chain(model, policy)
+    # evaluated first, so that a policy without a unique stationary
+    # distribution raises also at state 0
+    report = _evaluate_chain(P, r, m2, model.beta)
+    if state == 0:
+        return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
     f = report.cost
     if j_combined is None:
         j_combined = report.j_combined
-    mean_s, se_s = _accumulate_cost(
-        P, f, j_combined, state, truncation, num_replications, seed
-    )
-    mean_0, se_0 = _accumulate_cost(
-        P, f, j_combined, 0, truncation, num_replications, seed
-    )
-    if state == 0:
-        return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
+    mean_s, se_s = _accumulate_cost(P, f, j_combined, state, truncation, num_replications, seed)
+    mean_0, se_0 = _accumulate_cost(P, f, j_combined, 0, truncation, num_replications, seed)
     return PotentialEstimate(
         value=mean_s - mean_0,
         std_error=float(np.hypot(se_s, se_0)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ROW_SUM_TOL, MdpModel
+from .model import MdpModel, _check_rows
 
 # hourly wind-level transition probabilities estimated for the benchmark site
 WIND_KERNEL = np.array(
@@ -50,16 +50,7 @@ class WindStorageSpec:
             raise ValidationError(
                 f"wind kernel shape {self.wind_kernel.shape} != {(W, W)}"
             )
-        if np.any(self.wind_kernel < 0):
-            raise ValidationError("wind kernel has a negative entry")
-        sums = self.wind_kernel.sum(axis=1)
-        # `not <=` also rejects NaN sums
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"wind kernel row {i} sums to {float(sums[i])!r}, expected 1"
-            )
+        _check_rows(self.wind_kernel, "wind kernel row {}")
         if self.battery_capacity < 1:
             raise ValidationError("battery capacity must be >= 1")
         if 0 not in self.charge_actions:

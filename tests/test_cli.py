@@ -13,6 +13,7 @@ from mvmdp import (
     RandomizedPolicy,
     ValidationError,
     evaluate,
+    improvement_vector,
     load_model,
     load_policy,
     multi_start,
@@ -53,6 +54,25 @@ class TestArguments:
             assert main(["sweep-beta", "--model", str(workdir / "wind.json"),
                          "--beta-grid", grid]) == 2
             assert message in capsys.readouterr().err
+
+    def test_zero_starts_per_beta_exits_2(self, workdir, tmp_path, capsys):
+        """Every beta would fail; the sweep refuses before writing a CSV."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-beta", "--model", str(workdir / "wind.json"),
+                     "--beta-grid", "0.1", "--starts", "0", "--out", str(out)]) == 2
+        assert "starts per beta must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValidationError, match="starts per beta"):
+            sweep_beta(load_model(str(workdir / "wind.json")), (0.1,), -1)
+
+    def test_theta_row_off_one_exits_2(self, workdir, tmp_path, capsys):
+        theta = np.full((36, 5), 0.2)
+        theta[0] = [0.1, 0.2, 0.2, 0.2, 0.2]
+        policy = tmp_path / "theta.json"
+        policy.write_text(json.dumps({"theta": theta.tolist()}))
+        assert main(["evaluate", "--model", str(workdir / "wind.json"),
+                     "--policy", str(policy)]) == 2
+        assert capsys.readouterr().err == "error: theta row 0 sums to 0.8999999999999999, expected 1\n"
 
     def test_negative_iteration_cap_exits_2(self, workdir):
         assert main(["solve-pi", "--model", str(workdir / "wind.json"),
@@ -159,6 +179,14 @@ class TestSolveAndEvaluate:
         header, rows = read_csv(scores)
         assert header == ["state", "action", "score"]
         assert len(rows) == 131  # one row per feasible pair
+        # the rows of a loop over model.feasible, byte for byte
+        model = load_model(str(workdir / "wind.json"))
+        policy = load_policy(str(workdir / "pol.json"))
+        score = improvement_vector(model, evaluate(model, policy), policy).score
+        want = "state,action,score\n" + "".join(
+            f"{i},{a},{float(score[i, a])!r}\n" for i, acts in enumerate(model.feasible) for a in acts
+        )
+        assert scores.read_text() == want
 
     def test_evaluate_frozen_policy_exit_3(self, workdir, tmp_path):
         frozen = tmp_path / "frozen.json"

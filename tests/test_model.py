@@ -39,6 +39,7 @@ from mvmdp import (
     sample_random_policy,
     save_model,
     save_policy,
+    stationary_distribution,
 )
 from mvmdp.solvers import _propose_epsilon
 
@@ -1071,6 +1072,50 @@ class TestValidationReference:
             messages.append(want or "valid")
         kinds = ("valid", "beta", "no feasible", "outside", "duplicate", "negative", "sums to nan", "sums to 1.", "not finite")
         assert all(any(kind in text for text in messages) for kind in kinds)
+
+
+
+ROW_CHECKS = {
+    "kernel row {},0": lambda rows: small_model(
+        num_actions=1, feasible=((0,), (0,)), kernel=rows[:, None, :], reward=np.zeros((2, 1))
+    ),
+    "theta row {}": lambda rows: RandomizedPolicy(rows).validate_for(small_model()),
+    "transition row {}": stationary_distribution,
+    "wind kernel row {}": lambda rows: WindStorageSpec(
+        wind_states=(0, 1), charge_actions=(0,), wind_kernel=rows
+    ),
+}
+
+
+class TestRowRule:
+    """Model kernel rows, theta rows, transition rows and wind kernel rows
+    share one check and one message form, naming the first bad row."""
+
+    @pytest.mark.parametrize("noun", sorted(ROW_CHECKS))
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ([1.5, -0.5], "has a negative entry"),
+            ([np.nan, -0.5], "has a negative entry"),
+            ([0.6, 0.5], "sums to 1.1, expected 1"),
+            ([0.3, 0.6], "sums to 0.8999999999999999, expected 1"),
+            ([np.nan, 0.5], "sums to nan, expected 1"),
+            ([np.inf, 0.0], "sums to inf, expected 1"),
+        ],
+    )
+    def test_message(self, noun, row, problem):
+        for bad in (0, 1):
+            rows = np.array([[0.25, 0.75], [0.25, 0.75]])
+            rows[bad] = row
+            with pytest.raises(ValidationError) as info:
+                ROW_CHECKS[noun](rows)
+            assert str(info.value) == f"{noun.format(bad)} {problem}"
+
+    @pytest.mark.parametrize("noun", sorted(ROW_CHECKS))
+    def test_first_bad_row_is_named(self, noun):
+        with pytest.raises(ValidationError) as info:
+            ROW_CHECKS[noun](np.array([[0.6, 0.5], [1.5, -0.5]]))
+        assert str(info.value) == f"{noun.format(0)} sums to 1.1, expected 1"
 
 
 @settings(deadline=None, max_examples=40)

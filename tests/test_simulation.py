@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import model_policy_cases, random_mdp
 from mvmdp import (
     DeterministicPolicy,
+    EvaluationError,
+    MdpModel,
     PathSample,
     RandomizedPolicy,
     ValidationError,
@@ -22,6 +24,8 @@ from mvmdp import (
     sample_random_policy,
     simulate_path,
 )
+from mvmdp import simulation
+from mvmdp.simulation import _cumulative
 
 
 class TestSimulatePath:
@@ -84,6 +88,55 @@ class TestSimulatePath:
             simulate_path(m, d, 10, start_state=m.num_states)
         with pytest.raises(ValidationError, match="cannot simulate"):
             simulate_path(m, object(), 10)
+
+
+class _TopDraws:
+    """A generator stand-in whose every draw is nextafter(1, 0), the largest
+    value `Generator.random` returns."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+class TestNextStateDraw:
+    """Every draw in [0, 1) lands on a next state of positive probability,
+    also on a row whose sum rounds below 1."""
+
+    def _wind_chain(self):
+        """The B=5 chain of the first feasible actions and a state of wind
+        level 2, whose WIND_KERNEL row cumulates to nextafter(1, 0)."""
+        m = build(WindStorageSpec())
+        d = DeterministicPolicy(np.array([acts[0] for acts in m.feasible]))
+        P, _ = induced_chain(m, d)
+        i = 2 * 6
+        assert np.cumsum(P[i])[-1] == np.nextafter(1.0, 0.0)
+        return m, d, P, i
+
+    def test_bisect_and_count_rules(self):
+        _, _, P, i = self._wind_chain()
+        u = np.nextafter(1.0, 0.0)
+        cum = _cumulative(P)
+        for j in (bisect_right(cum[i].tolist(), u), int(np.count_nonzero(cum[i] <= u))):
+            assert j < P.shape[0] and P[i, j] > 0
+
+    def test_top_draw_stays_on_the_row(self, monkeypatch):
+        m, d, P, i = self._wind_chain()
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: _TopDraws())
+        path = simulate_path(m, d, 5, start_state=i)
+        assert np.all(P[path.states[:-1], path.states[1:]] > 0)
+        theta = d.as_randomized(m)
+        path = simulate_path(m, theta, 5, start_state=i)
+        assert np.all(P[path.states[:-1], path.states[1:]] > 0)
+
+    def test_draws_inside_a_row_keep_their_index(self, wind_model):
+        P, _ = induced_chain(wind_model, sample_random_policy(wind_model, np.random.default_rng(3)))
+        u = np.random.default_rng(4).random(2000)
+        plain, cum = np.cumsum(P, axis=1), _cumulative(P)
+        for row, new in zip(plain, cum):
+            inside = u[u < row[-1]]
+            old = np.searchsorted(row, inside, side="right")
+            assert np.array_equal(np.searchsorted(new, inside, side="right"), old)
+            assert np.array_equal((new <= inside[:, None]).sum(axis=1), old)
 
 
 def loop_simulate_path(model, policy, T, seed=0, start_state=0):
@@ -223,6 +276,11 @@ class TestEstimateMetrics:
             with pytest.raises(ValidationError, match=r"^beta must be > 0, got "):
                 estimate_metrics(rewards, beta, num_batches=2)
 
+    def test_batches_must_be_positive(self):
+        for nb in (0, -1):
+            with pytest.raises(ValidationError, match=f"num_batches must be >= 1, got {nb}"):
+                estimate_metrics(np.arange(10.0), beta=0.5, num_batches=nb)
+
     def test_short_paths_use_fewer_batches(self):
         est = estimate_metrics(np.arange(7, dtype=float), beta=1.0)
         assert est.horizon == 7
@@ -235,6 +293,33 @@ class TestEstimatePotential:
         pe = estimate_potential(two_state_hand_model, d, state=0, seed=1)
         assert pe.value == 0.0
         assert pe.std_error == 0.0
+
+    def test_reference_state_runs_no_walk(self, two_state_hand_model, monkeypatch):
+        walks = []  # the start state of each Monte Carlo walk
+        accumulate = simulation._accumulate_cost
+
+        def counted(P, f, J, start, *rest):
+            walks.append(start)
+            return accumulate(P, f, J, start, *rest)
+
+        monkeypatch.setattr(simulation, "_accumulate_cost", counted)
+        d = DeterministicPolicy(np.zeros(2, dtype=int))
+        assert estimate_potential(two_state_hand_model, d, state=0).value == 0.0
+        assert walks == []
+        estimate_potential(two_state_hand_model, d, state=1, num_replications=10)
+        assert walks == [1, 0]
+
+    def test_reference_state_still_needs_a_unique_stationary_distribution(self):
+        split = MdpModel(2, 1, ((0,), (0,)), np.eye(2)[:, None, :], np.zeros((2, 1)), 0.5)
+        d = DeterministicPolicy(np.zeros(2, dtype=int))
+        with pytest.raises(EvaluationError, match="not unique"):
+            estimate_potential(split, d, state=0)
+
+    def test_replications_must_be_positive(self, two_state_hand_model):
+        d = DeterministicPolicy(np.zeros(2, dtype=int))
+        for reps in (0, -3):
+            with pytest.raises(ValidationError, match=f"num_replications must be >= 1, got {reps}"):
+                estimate_potential(two_state_hand_model, d, state=1, num_replications=reps)
 
     def test_hand_model_agrees_with_exact_potential(self, two_state_hand_model):
         d = DeterministicPolicy(np.zeros(2, dtype=int))
