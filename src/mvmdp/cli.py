@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +30,9 @@ from .model import (
     RandomizedPolicy,
     check_ergodicity,
     _feasible_pairs,
+    _json_text,
     _read_json,
+    _write_text,
     load_model,
     load_policy,
     sample_random_policy,
@@ -65,36 +67,45 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise ModelIOError(f"cannot write {path}: {exc}") from exc
+    lines = (",".join(row) + "\n" for row in rows)
+    _write_text(path, itertools.chain([header + "\n"], lines), "output")
 
 
 def _write_json(path: str | None, data: dict) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+    text = _json_text(data)
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ModelIOError(f"cannot write {path}: {exc}") from exc
+    else:
+        _write_text(path, [text], "output")
 
 
-def _trace_rows(trace: SolverTrace):
-    for rec in trace.iterations:
-        yield (
-            str(rec.iteration),
-            _fmt(rec.j_mean),
-            _fmt(rec.j_var),
-            _fmt(rec.j_combined),
-            str(rec.states_changed),
+def _solver_outputs(args: argparse.Namespace, trace: SolverTrace, policy, failure: str) -> int:
+    """The tail of solve-pi and solve-gd: the trace CSV at --out, the final
+    policy at --policy-out and the stop line on stderr; SolverError(failure)
+    when the trace did not converge."""
+    if args.out is not None:
+        rows = (
+            (
+                str(r.iteration),
+                _fmt(r.j_mean),
+                _fmt(r.j_var),
+                _fmt(r.j_combined),
+                str(r.states_changed),
+            )
+            for r in trace.iterations
         )
+        _write_csv(args.out, "iter,j_mean,j_var,j_combined,states_changed", rows)
+    if args.policy_out is not None:
+        save_policy(policy, args.policy_out)
+    last = trace.iterations[-1]
+    print(
+        f"stop={trace.stop_reason} iterations={len(trace.iterations) - 1} "
+        f"j_mean={last.j_mean!r} j_var={last.j_var!r} j_combined={last.j_combined!r}",
+        file=sys.stderr,
+    )
+    if not trace.converged:
+        raise SolverError(failure)
+    return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -130,25 +141,8 @@ def _cmd_solve_pi(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     initial = _initial_policy(args, model)
     policy, trace = policy_iteration(model, initial, max_iterations=args.max_iterations)
-    if args.out is not None:
-        _write_csv(
-            args.out,
-            "iter,j_mean,j_var,j_combined,states_changed",
-            _trace_rows(trace),
-        )
-    if args.policy_out is not None:
-        save_policy(policy, args.policy_out)
-    last = trace.iterations[-1]
-    print(
-        f"stop={trace.stop_reason} iterations={len(trace.iterations) - 1} "
-        f"j_mean={last.j_mean!r} j_var={last.j_var!r} j_combined={last.j_combined!r}",
-        file=sys.stderr,
-    )
-    if not trace.converged:
-        raise SolverError(
-            f"policy iteration stopped by iteration cap ({trace.stop_reason})"
-        )
-    return 0
+    failure = f"policy iteration stopped by iteration cap ({trace.stop_reason})"
+    return _solver_outputs(args, trace, policy, failure)
 
 
 def _cmd_solve_gd(args: argparse.Namespace) -> int:
@@ -163,23 +157,8 @@ def _cmd_solve_gd(args: argparse.Namespace) -> int:
         theta = RandomizedPolicy(_uniform_feasible(model))
     gc = GradientConfig(stop_ratio=args.stop_ratio, max_iterations=args.max_iterations)
     result = gradient_solver(model, theta, gc)
-    if args.out is not None:
-        _write_csv(
-            args.out,
-            "iter,j_mean,j_var,j_combined,states_changed",
-            _trace_rows(result.trace),
-        )
-    if args.policy_out is not None:
-        save_policy(result.theta, args.policy_out)
-    print(
-        f"stop={result.trace.stop_reason} iterations={len(result.trace.iterations) - 1} "
-        f"j_mean={result.report.j_mean!r} j_var={result.report.j_var!r} "
-        f"j_combined={result.report.j_combined!r}",
-        file=sys.stderr,
-    )
-    if not result.trace.converged:
-        raise SolverError("gradient solver did not reach the stop threshold")
-    return 0
+    failure = "gradient solver did not reach the stop threshold"
+    return _solver_outputs(args, result.trace, result.theta, failure)
 
 
 def _cmd_multi_start(args: argparse.Namespace) -> int:

@@ -130,6 +130,10 @@ def steady_state_variance(
         raise ValidationError(f"length mismatch: pi has {pi.shape}, r has {r.shape}")
     if second_moment is not None:
         second_moment = np.asarray(second_moment, dtype=float)
+        if second_moment.shape != pi.shape:
+            raise ValidationError(
+                f"length mismatch: pi has {pi.shape}, second_moment has {second_moment.shape}"
+            )
     return float(pi @ _squared_deviation(r, j_mean, second_moment))
 
 
@@ -385,15 +389,10 @@ def _with_beta(
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-ready dict with fields named exactly as in EvaluationReport."""
+    """JSON-ready dict of the report's fields, in their order and under
+    their names; arrays become lists of floats."""
+    values = ((f.name, getattr(report, f.name)) for f in dataclasses.fields(report))
     return {
-        "pi": [float(x) for x in report.pi],
-        "j_mean": report.j_mean,
-        "j_var": report.j_var,
-        "j_combined": report.j_combined,
-        "cost": [float(x) for x in report.cost],
-        "potential": [float(x) for x in report.potential],
-        "potential_mean": [float(x) for x in report.potential_mean],
-        "potential_var": [float(x) for x in report.potential_var],
-        "beta": report.beta,
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in values
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,11 @@ class MdpModel:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "feasible",
-            tuple(tuple(sorted(int(a) for a in acts)) for acts in self.feasible),
-        )
+        try:
+            feasible = tuple(tuple(sorted(map(operator.index, acts))) for acts in self.feasible)
+        except TypeError as exc:
+            raise ValidationError(f"feasible must hold lists of integer actions: {exc}") from None
+        object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=float))
         object.__setattr__(self, "reward", np.asarray(self.reward, dtype=float))
         object.__setattr__(self, "beta", float(self.beta))
@@ -182,7 +183,8 @@ class DeterministicPolicy:
     action: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "action", np.asarray(self.action, dtype=int))
+        action = _entries(self.action, "iu", "policy action table must hold integers")
+        object.__setattr__(self, "action", np.asarray(action, dtype=int))
         if self.action.ndim != 1:
             raise ValidationError("policy action table must be 1-dimensional")
         self.action.setflags(write=False)
@@ -522,14 +524,15 @@ def _reward_values(reward_map: dict, keys: list) -> list:
 def model_from_dict(data: dict) -> MdpModel:
     """Build a model from the dict `model_to_dict` gives (or a parsed model
     file). The checks run in stages, each over the feasible pairs in state
-    order: the sizes are at least 1, kernel and reward are objects, feasible
-    is a list of S integer lists whose actions lie in [0, A), both entries
-    of every pair are present, every kernel row is S numbers, every reward
-    is a number; then `MdpModel` validates the result. Every failure is a
-    ValidationError."""
+    order: the sizes are integers of at least 1, kernel and reward are
+    objects, feasible is a list of S integer lists whose actions lie in
+    [0, A), both entries of every pair are present, every kernel row is S
+    numbers, every reward is a number; then `MdpModel` validates the
+    result. A float or a string is not an integer, so no index is
+    truncated. Every failure is a ValidationError."""
     try:
-        S = int(data["num_states"])
-        A = int(data["num_actions"])
+        S = operator.index(data["num_states"])
+        A = operator.index(data["num_actions"])
         beta = float(data["beta"])
         feasible = data["feasible"]
         kernel_map = data["kernel"]
@@ -546,7 +549,7 @@ def model_from_dict(data: dict) -> MdpModel:
             raise ValidationError(f"feasible has {len(feasible)} entries, expected {S}")
         for i, acts in enumerate(feasible):
             for a in acts:
-                a = int(a)
+                a = operator.index(a)
                 key = _pair_key(i, a)
                 if not 0 <= a < A:
                     raise ValidationError(f"feasible pair {key} has an action outside [0, {A})")
@@ -611,11 +614,23 @@ def _model_chunks(model: MdpModel):
 def save_model(model: MdpModel, path: str) -> None:
     """Write the model file: the bytes of `json.dump(model_to_dict(model),
     fh, indent=2)` and a newline, emitted without `json`."""
+    _write_text(path, _model_chunks(model), "model")
+
+
+def _write_text(path: str, pieces, what: str) -> None:
+    """Write the strings `pieces` to the `what` file at path, with the same
+    line ends on every platform; ModelIOError when it cannot be written."""
     try:
-        with open(path, "w") as fh:
-            fh.writelines(_model_chunks(model))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
-        raise ModelIOError(f"cannot write model file {path}: {exc}") from exc
+        raise ModelIOError(f"cannot write {what} file {path}: {exc}") from exc
+
+
+def _json_text(data) -> str:
+    """The text of a policy file or a JSON report: indented JSON and a
+    newline."""
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _read_json(path: str, what: str):
@@ -640,17 +655,12 @@ def load_model(path: str) -> MdpModel:
 
 def save_policy(policy, path: str) -> None:
     if isinstance(policy, DeterministicPolicy):
-        data = {"action": [int(a) for a in policy.action]}
+        data = {"action": policy.action.tolist()}
     elif isinstance(policy, RandomizedPolicy):
-        data = {"theta": [[float(x) for x in row] for row in policy.theta]}
+        data = {"theta": policy.theta.tolist()}
     else:
         raise ValidationError(f"cannot serialize policy of type {type(policy).__name__}")
-    try:
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise ModelIOError(f"cannot write policy file {path}: {exc}") from exc
+    _write_text(path, [_json_text(data)], "policy")
 
 
 def _entries(value, kinds: str, message: str) -> np.ndarray:

@@ -7,7 +7,7 @@ projected-gradient baseline over randomized policies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,6 +163,12 @@ def _switch_if_better(model, policy, scores, current):
     return np.where(switch, scores.argmax(axis=1), policy.action)
 
 
+def _record(k: int, policy, report: EvaluationReport, changed: int = 0) -> TraceRecord:
+    """Trace record k: the policy, the metrics of its report and how many
+    states the step that led to it changed."""
+    return TraceRecord(k, policy, report.j_mean, report.j_var, report.j_combined, changed)
+
+
 def _iterate(model, initial, num_steps, step, stop_at_fixed_point, reports):
     """The evaluate -> record -> step loop every policy-iteration variant runs.
 
@@ -178,16 +184,12 @@ def _iterate(model, initial, num_steps, step, stop_at_fixed_point, reports):
     for k in range(num_steps):
         report = _evaluate_iterate(model, d, k, reports)
         changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
-        records.append(
-            TraceRecord(k, d, report.j_mean, report.j_var, report.j_combined, changed)
-        )
+        records.append(_record(k, d, report, changed))
         if best is None or report.j_combined > best[1].j_combined:
             best = (d, report)
         new_d = step(d, report)
         if stop_at_fixed_point and new_d == d:
-            records.append(
-                TraceRecord(k + 1, d, report.j_mean, report.j_var, report.j_combined, 0)
-            )
+            records.append(_record(k + 1, d, report))
             return d, best, SolverTrace(tuple(records), True, "fixed_point")
         d = new_d
     return d, best, SolverTrace(tuple(records), False, "max_iterations")
@@ -461,9 +463,7 @@ def gradient_solver(
         grad = derivative_randomized(model, eval_pol, report)
         arg = np.nanargmax(np.where(np.isnan(grad), -np.inf, grad), axis=1)
         changed = 0 if prev_argmax is None else int(np.sum(arg != prev_argmax))
-        records.append(
-            TraceRecord(l - 1, pol, report.j_mean, report.j_var, report.j_combined, changed)
-        )
+        records.append(_record(l - 1, pol, report, changed))
         prev_argmax = arg
         alpha = 1.0 / np.sqrt(l)
         new_theta = theta.copy()
@@ -477,16 +477,7 @@ def gradient_solver(
             break
     final = RandomizedPolicy(theta)
     _, final_report = _evaluate_theta(model, final)
-    records.append(
-        TraceRecord(
-            records[-1].iteration + 1,
-            final,
-            final_report.j_mean,
-            final_report.j_var,
-            final_report.j_combined,
-            0,
-        )
-    )
+    records.append(_record(len(records), final, final_report))
     return GradientResult(
         theta=final,
         trace=SolverTrace(tuple(records), converged, stop_reason),

@@ -68,9 +68,6 @@ class JointState:
     wind: int
     battery: int
 
-    def flat_index(self, battery_capacity: int = 5) -> int:
-        return self.wind * (battery_capacity + 1) + self.battery
-
     @classmethod
     def from_flat(cls, index: int, battery_capacity: int = 5) -> "JointState":
         return cls(index // (battery_capacity + 1), index % (battery_capacity + 1))
@@ -79,6 +76,17 @@ class JointState:
 def state_index(spec: WindStorageSpec, wind, battery):
     """Flat index of (wind, battery); works elementwise on integer arrays."""
     return wind * (spec.battery_capacity + 1) + battery
+
+
+def _decision_bounds(spec: WindStorageSpec, x_power, battery):
+    """(lo, hi), elementwise: the decisions U allowed at wind power X and
+    battery level b satisfy lo <= U <= hi. Both scenarios need
+    -X <= U <= min(max charge, b); without abandonment U is a battery power,
+    so it must also keep the battery within capacity (U >= b - B)."""
+    lo = -x_power
+    if not spec.abandonment:
+        lo = np.maximum(lo, battery - spec.battery_capacity)
+    return lo, np.minimum(max(spec.charge_actions), battery)
 
 
 def _battery_power(spec: WindStorageSpec, battery, U):
@@ -105,12 +113,13 @@ def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
     The battery absorbs as much of a charging request as its free capacity
     and the charge limit allow; the remainder is abandoned:
     A = U when U >= max(min charge, b - B), else A is that bound and
-    V = A - U. Always U = A - V, 0 <= V <= X.
+    V = A - U. Always U = A - V, 0 <= V <= X. U must be one of
+    `action_values(spec)` and feasible at the state, as in `build`.
     """
-    x_power = spec.wind_states[state.wind]
     b = state.battery
-    lo = -x_power
-    hi = min(max(spec.charge_actions), b)
+    if U not in action_values(spec):
+        raise ValidationError(f"decision {U} is not one of the actions {action_values(spec)}")
+    lo, hi = map(int, _decision_bounds(spec, spec.wind_states[state.wind], b))
     if not lo <= U <= hi:
         raise ValidationError(
             f"decision {U} outside feasible range [{lo}, {hi}] at "
@@ -135,10 +144,9 @@ def build_abandonment(spec: WindStorageSpec) -> MdpModel:
 def build(spec: WindStorageSpec) -> MdpModel:
     """Joint MDP of either scenario, built over (wind, battery, action) arrays.
 
-    Both scenarios allow -X <= U <= min(max charge, b) and move the battery
-    to b - A with A = `_battery_power`. Without abandonment U is a battery
-    power, so it must also keep the battery within capacity (U >= b - B),
-    where A = U.
+    The decisions U of a state lie within `_decision_bounds`, and U moves
+    the battery to b - A with A = `_battery_power` (A = U without
+    abandonment).
     """
     B = spec.battery_capacity
     W = len(spec.wind_states)
@@ -147,9 +155,8 @@ def build(spec: WindStorageSpec) -> MdpModel:
     U = np.array(action_values(spec))
     A = len(U)
     b = np.arange(B + 1)[:, None]
-    mask = (-x[:, None, None] <= U) & (U <= np.minimum(max(spec.charge_actions), b))
-    if not spec.abandonment:
-        mask &= U >= b - B
+    lo, hi = _decision_bounds(spec, x[:, None, None], b)
+    mask = (lo <= U) & (U <= hi)
     empty = np.flatnonzero(~mask.any(axis=2))
     if empty.size:
         w0, b0 = divmod(int(empty[0]), B + 1)

@@ -8,6 +8,7 @@ import pytest
 from conftest import outcome, random_mdp, restrict_feasible
 from mvmdp import (
     DeterministicPolicy,
+    GradientConfig,
     MdpModel,
     MvmdpError,
     RandomizedPolicy,
@@ -16,7 +17,10 @@ from mvmdp import (
     improvement_vector,
     load_model,
     load_policy,
+    gradient_solver,
     multi_start,
+    policy_iteration,
+    sample_random_policy,
     save_model,
     save_policy,
 )
@@ -215,6 +219,54 @@ class TestSolveAndEvaluate:
         assert header == ["policy_id", "j_mean", "j_var", "j_combined"]
         assert [r[0] for r in rows] == ["start0", "start1", "start2", "start3"]
 
+    def test_solver_summary_lines(self, workdir, tmp_path, capsys):
+        """The stop line of solve-pi and solve-gd, and the error line after
+        it when the trace did not converge."""
+        model_path = str(workdir / "wind.json")
+        model = load_model(model_path)
+        initial = sample_random_policy(model, np.random.default_rng(0))
+        capped = "error: policy iteration stopped by iteration cap (max_iterations)\n"
+        for cap, end in ((None, ""), (1, capped)):
+            _, trace = policy_iteration(model, initial, max_iterations=cap)
+            last = trace.iterations[-1]
+            argv = ["solve-pi", "--model", model_path, "--seed", "0"]
+            argv += [] if cap is None else ["--max-iterations", str(cap)]
+            assert main(argv) == (3 if end else 0)
+            assert capsys.readouterr().err == (
+                f"stop={trace.stop_reason} iterations={len(trace.iterations) - 1} "
+                f"j_mean={last.j_mean!r} j_var={last.j_var!r} j_combined={last.j_combined!r}\n{end}"
+            )
+        theta = RandomizedPolicy(solvers._uniform_feasible(model))
+        for cap, end in ((500, ""), (1, "error: gradient solver did not reach the stop threshold\n")):
+            result = gradient_solver(model, theta, GradientConfig(max_iterations=cap))
+            argv = ["solve-gd", "--model", model_path, "--max-iterations", str(cap)]
+            assert main(argv) == (3 if end else 0)
+            assert capsys.readouterr().err == (
+                f"stop={result.trace.stop_reason} iterations={len(result.trace.iterations) - 1} "
+                f"j_mean={result.report.j_mean!r} j_var={result.report.j_var!r} "
+                f"j_combined={result.report.j_combined!r}\n{end}"
+            )
+
+    @pytest.mark.parametrize("command, option, what", [
+        ("wind-build", "--out", "model"),
+        ("solve-pi", "--out", "output"),
+        ("solve-pi", "--policy-out", "policy"),
+        ("evaluate", "--out", "output"),
+        ("evaluate", "--scores-out", "output"),
+    ], ids=["model file", "trace csv", "policy file", "report json", "scores csv"])
+    def test_write_failure_exits_4(self, workdir, tmp_path, capsys, command, option, what):
+        path = str(tmp_path / "missing" / "out")
+        model = str(workdir / "wind.json")
+        policy = str(tmp_path / "policy.json")
+        save_policy(sample_random_policy(load_model(model), np.random.default_rng(0)), policy)
+        args = {
+            "wind-build": [],
+            "solve-pi": ["--model", model],
+            "evaluate": ["--model", model, "--policy", policy],
+        }[command]
+        assert main([command, *args, option, path]) == 4
+        assert f"error: cannot write {what} file {path}: " in capsys.readouterr().err
+
     def test_missing_model_is_io_error(self):
         assert main(["evaluate", "--model", "nope.json", "--policy", "nope2.json"]) == 4
 
@@ -243,6 +295,23 @@ class TestSolveAndEvaluate:
         save_policy(DeterministicPolicy(np.zeros(36, dtype=int)), str(policy))
         assert main(["evaluate", "--model", str(bad), "--policy", str(policy)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("defect", [
+        lambda d: d.__setitem__("num_states", 36.5),
+        lambda d: d["feasible"][0].__setitem__(0, 2.0),
+    ], ids=["fractional num_states", "integral float action"])
+    def test_non_integer_model_file_exits_2(self, workdir, tmp_path, capsys, defect):
+        """A size or action that is not an integer is refused, not truncated
+        to a model that a feasible policy could evaluate."""
+        bad = tmp_path / "bad.json"
+        data = json.loads((workdir / "wind.json").read_text())
+        defect(data)
+        bad.write_text(json.dumps(data))
+        policy = tmp_path / "policy.json"
+        model = load_model(str(workdir / "wind.json"))
+        save_policy(sample_random_policy(model, np.random.default_rng(0)), str(policy))
+        assert main(["evaluate", "--model", str(bad), "--policy", str(policy)]) == 2
+        assert "cannot be interpreted as an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", ["--model", "--policy"])
     def test_file_that_is_not_utf8_is_io_error(self, workdir, tmp_path, capsys, option):

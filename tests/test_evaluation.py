@@ -88,6 +88,12 @@ class TestMetrics:
         via_m2 = steady_state_variance(pi, r, j, second_moment=r**2)
         assert via_m2 == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("second_moment", [[1.0, 2.0, 3.0], [[1.0], [2.0]], [1.0]])
+    def test_second_moment_shape_is_checked(self, second_moment):
+        pi, r = np.array([0.5, 0.5]), np.array([1.0, 2.0])
+        with pytest.raises(ValidationError, match="length mismatch: pi has .* second_moment has"):
+            steady_state_variance(pi, r, 1.5, second_moment=second_moment)
+
     def test_combined_metric_identity_and_beta_check(self):
         assert combined_metric(2.0, 0.5, 0.1) == pytest.approx(1.95)
         with pytest.raises(ValidationError, match="beta"):
@@ -225,10 +231,23 @@ class TestEvaluate:
 
     def test_report_to_dict_fields(self, single_state_model):
         rep = evaluate(single_state_model, DeterministicPolicy(np.array([0])))
+        assert report_to_dict(rep)["pi"] == [1.0]
+        rng = np.random.default_rng(12)
+        m = random_mdp(rng)
+        rep = evaluate(m, sample_random_policy(m, rng))
         d = report_to_dict(rep)
-        for key in ("j_mean", "j_var", "j_combined", "pi", "potential", "beta"):
-            assert key in d
-        assert d["pi"] == [1.0]
+        # the keys and their order are part of the evaluate JSON's bytes
+        assert list(d) == [
+            "pi", "j_mean", "j_var", "j_combined", "cost",
+            "potential", "potential_mean", "potential_var", "beta",
+        ]
+        for name, value in d.items():
+            want = getattr(rep, name)
+            if isinstance(want, np.ndarray):
+                assert value == [float(x) for x in want]
+                assert all(type(x) is float for x in value)
+            else:
+                assert value is want
 
 
 @settings(deadline=None, max_examples=50)

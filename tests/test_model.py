@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import operator
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,13 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             small_model(feasible=((0, 0), (0, 1)))
 
+    @pytest.mark.parametrize("action", [1.5, 1.0, "1", np.float64(1.0)])
+    def test_non_integer_action_rejected(self, action):
+        """An action is not truncated to an integer: (0, 1.5) is not (0, 1)."""
+        with pytest.raises(ValidationError, match="integer actions"):
+            small_model(feasible=((0, action), (0, 1)))
+        assert small_model(feasible=((0, np.int64(1)), (0, 1))).feasible == ((0, 1), (0, 1))
+
     def test_nonfinite_reward_rejected(self):
         r = np.array([[1.0, np.nan], [0.5, -1.0]])
         with pytest.raises(ValidationError, match="finite"):
@@ -156,6 +164,13 @@ class TestPolicies:
             DeterministicPolicy(np.array([1, 1])).validate_for(m)
         with pytest.raises(ValidationError):
             DeterministicPolicy(np.array([0])).validate_for(m)
+
+    @pytest.mark.parametrize("action", [[0.7, 1.2], [0.0, 1.0], ["0", "1"], [0, None]])
+    def test_deterministic_action_table_must_hold_integers(self, action):
+        """Entries are not truncated: [0.7, 1.2] is not the policy [0, 1]."""
+        with pytest.raises(ValidationError, match="must hold integers"):
+            DeterministicPolicy(action)
+        assert DeterministicPolicy(np.array([0, 1], dtype=np.uint8)) == DeterministicPolicy([0, 1])
 
     def test_deterministic_validate_out_of_range_actions(self):
         m = small_model(feasible=((0,), (0, 1)))
@@ -682,6 +697,16 @@ class TestModelIO:
         assert isinstance(back, RandomizedPolicy)
         assert np.array_equal(back.theta, theta.theta)
 
+    @pytest.mark.parametrize("write, what", [
+        (lambda path: save_model(small_model(), path), "model"),
+        (lambda path: save_policy(DeterministicPolicy([1, 0]), path), "policy"),
+        (lambda path: save_policy(RandomizedPolicy([[0.5, 0.5], [1.0, 0.0]]), path), "policy"),
+    ], ids=["model", "deterministic policy", "randomized policy"])
+    def test_write_failure_is_io_error_naming_the_file_kind(self, tmp_path, write, what):
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(ModelIOError, match=f"^cannot write {what} file {path}: "):
+            write(path)
+
     def test_policy_file_without_keys(self, tmp_path):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"weights": [1, 2]}))
@@ -706,7 +731,14 @@ class TestModelIO:
         ("feasible", 5),
         ("kernel", 5),
         ("reward", None),
-    ], ids=["word action", "number feasible", "number kernel", "null reward"])
+        # a size or action that is not an integer is refused, not truncated
+        ("num_states", 2.5),
+        ("num_states", 2.0),
+        ("num_actions", "2"),
+        ("feasible", [[0, 1.5], [0, 1]]),
+        ("feasible", [[0, "1"], [0, 1]]),
+    ], ids=["word action", "number feasible", "number kernel", "null reward", "fractional size",
+            "integral float size", "string size", "fractional action", "string action"])
     def test_mistyped_model_field(self, field, value):
         data = model_to_dict(small_model())
         data[field] = value
@@ -736,8 +768,8 @@ def loop_model_from_dict(data):
     """Per-pair reference reader: one np.asarray and one assignment per row.
     Every malformed dict raises ValidationError, as in model_from_dict."""
     try:
-        S = int(data["num_states"])
-        A = int(data["num_actions"])
+        S = operator.index(data["num_states"])
+        A = operator.index(data["num_actions"])
         beta = float(data["beta"])
         feasible = data["feasible"]
         kernel_map = data["kernel"]
@@ -752,8 +784,12 @@ def loop_model_from_dict(data):
     reward = np.zeros((S, A))
     for i, acts in enumerate(feasible):
         for a in acts:
-            key = f"{int(i)},{int(a)}"
-            if not 0 <= int(a) < A:
+            try:
+                a = operator.index(a)
+            except TypeError as exc:
+                raise ValidationError(f"model file feasible is not a list of integer lists: {exc}") from exc
+            key = f"{i},{a}"
+            if not 0 <= a < A:
                 raise ValidationError(f"feasible pair {key} has an action outside [0, {A})")
             if key not in kernel_map:
                 raise ValidationError(f"kernel entry {key} missing for feasible pair")
@@ -765,9 +801,9 @@ def loop_model_from_dict(data):
                 raise ValidationError(f"kernel row {key} is not a list of numbers") from None
             if row.shape != (S,):
                 raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
-            kernel[int(i), int(a)] = row
+            kernel[i, a] = row
             try:
-                reward[int(i), int(a)] = float(reward_map[key])
+                reward[i, a] = float(reward_map[key])
             except (TypeError, ValueError):
                 raise ValidationError(f"reward {key} is not a number") from None
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
@@ -923,6 +959,9 @@ def malformed_dicts():
     yield "no action anywhere", edit(feasible([[], []]))
     yield "unsorted actions", edit(feasible([[1, 0], [1, 0]]))
     yield "string action", edit(feasible([["1", 0], [0, 1]]))
+    yield "fractional action", edit(feasible([[0, 1.5], [0, 1]]))
+    yield "integral float action", edit(feasible([[0, 1.0], [0, 1]]))
+    yield "fractional num_states", edit(lambda d: d.__setitem__("num_states", 2.5))
     yield "negative num_states", edit(lambda d: d.__setitem__("num_states", -2))
     yield "zero num_actions", edit(lambda d: d.__setitem__("num_actions", 0))
 

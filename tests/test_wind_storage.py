@@ -65,12 +65,36 @@ class TestSpec:
             WindStorageSpec(charge_actions=(-1, 1))
 
     def test_joint_state_round_trip(self):
+        spec = WindStorageSpec()
         for idx in range(36):
             js = JointState.from_flat(idx)
-            assert js.flat_index() == idx
-        assert JointState(wind=2, battery=3).flat_index() == 15
-        spec = WindStorageSpec()
+            assert state_index(spec, js.wind, js.battery) == idx
         assert state_index(spec, 2, 3) == 15
+
+    @pytest.mark.parametrize("abandonment", [False, True], ids=["no-abandon", "abandon"])
+    def test_decompose_accepts_exactly_the_feasible_decisions(self, abandonment):
+        spec = WindStorageSpec(abandonment=abandonment)
+        values = action_values(spec)
+        mask = build(spec).feasible_mask()
+        for i in range(spec.num_states):
+            state = JointState.from_flat(i)
+            for U in range(-6, 4):
+                got = outcome(decompose_action, spec, state, U)
+                if U in values and mask[i, values.index(U)]:
+                    a, v = got[1]
+                    assert a - v == U and 0 <= v <= spec.wind_states[state.wind]
+                    assert v == 0 or abandonment
+                else:
+                    assert got[0] == "ValidationError"
+
+    def test_decompose_keeps_the_battery_within_capacity_without_abandonment(self):
+        """A full battery cannot take a charge, and without abandonment
+        nothing else can absorb one."""
+        spec = WindStorageSpec()
+        with pytest.raises(ValidationError, match=r"outside feasible range \[0, 2\]"):
+            decompose_action(spec, JointState(wind=5, battery=5), -2)
+        with pytest.raises(ValidationError, match="not one of the actions"):
+            decompose_action(WindStorageSpec(charge_actions=(-2, 0, 2)), JointState(3, 3), 1)
 
 
 class TestNoAbandonment:
