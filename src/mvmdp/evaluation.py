@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,10 @@ from .model import (
 STATIONARY_TOL = 1e-10
 CONSISTENCY_TOL = 1e-9
 POISSON_TOL = 1e-8
+# Below this many states, starting a second thread costs more than the
+# factorization it overlaps (_stationary_and_pinned): on 2 cores with one
+# BLAS thread the two break even near S = 216 and threads win from S = 246.
+OVERLAP_MIN_STATES = 240
 
 
 @dataclass(frozen=True)
@@ -176,8 +182,8 @@ def poisson_residual(
 
 
 def _numpy_lapack():
-    """(dgesv, dgetrs) from the LAPACK numpy.linalg.solve itself calls, or
-    None when this numpy build exposes no such symbols.
+    """(dgesv, dgetrs, get_num_threads) from the OpenBLAS numpy.linalg.solve
+    itself calls, or None when this numpy build exposes no such symbols.
 
     numpy >= 2 wheels link an ILP64 OpenBLAS whose symbols carry the
     scipy_ prefix and the 64_ suffix and take int64 arguments. Arrays are
@@ -189,6 +195,7 @@ def _numpy_lapack():
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
         gesv, getrs = lib.scipy_dgesv_64_, lib.scipy_dgetrs_64_
+        threads = lib.scipy_openblas_get_num_threads64_
     except (ImportError, OSError, AttributeError):
         return None
     integer, address = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
@@ -199,7 +206,8 @@ def _numpy_lapack():
         ctypes.c_char_p, integer, integer, address, integer, address, address, integer, integer
     ]
     gesv.restype = getrs.restype = None
-    return gesv, getrs
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return gesv, getrs, threads
 
 
 _LAPACK = _numpy_lapack()
@@ -211,17 +219,17 @@ class _LUSolver:
     Every dense solve of this module goes through it: the stationary
     balance system and the Poisson systems. M must be a column-major
     float64 matrix, which the callers build in place, so dgesv gets it
-    without the column-major copy np.linalg.solve makes first. The first
-    solve is dgesv, the call np.linalg.solve makes: it overwrites M with its
-    LU factors, and later solves back-substitute with them (dgetrs). Each b
-    is overwritten with its solution, which has the bits of
-    np.linalg.solve(M, b).
+    without the column-major copy np.linalg.solve makes first. The
+    constructor factors M with dgesv, the call np.linalg.solve makes, on a
+    zero right-hand side: it overwrites M with its LU factors, and every
+    solve back-substitutes with them (dgetrs). Each b is overwritten with
+    its solution, which has the bits of np.linalg.solve(M, b).
     Factoring with dgetrf would not keep them: with more than one BLAS
-    thread, OpenBLAS runs dgetrf threaded from N = 100 up but a one-column
-    dgesv on one thread, and the two round differently. A singular M raises
+    thread, OpenBLAS factors differently in dgetrf than in a one-column
+    dgesv from N = 100 up, and the two round differently. A singular M raises
     np.linalg.LinAlgError("Singular matrix") at every solve, as
-    np.linalg.solve does. Without the LAPACK symbols each b gets its own
-    np.linalg.solve.
+    np.linalg.solve does. Without the LAPACK symbols nothing is factored
+    and each b gets its own np.linalg.solve.
     """
 
     def __init__(self, M: np.ndarray):
@@ -230,26 +238,29 @@ class _LUSolver:
             raise ValueError(f"need a square column-major float64 matrix, got {M.dtype} {M.shape}")
         # self keeps M and ipiv alive as long as their addresses are used
         self.M = M
+        self.lapack = _LAPACK
+        if self.lapack is None:
+            return
         self.ipiv = np.empty(S, dtype=np.int64)
         self.addresses = M.ctypes.data, self.ipiv.ctypes.data
         self.n = ctypes.c_int64(S)
-        self.info = None  # dgesv's, once it has run
+        n, one, info = ctypes.byref(self.n), ctypes.byref(ctypes.c_int64(1)), ctypes.c_int64()
+        # one column, as np.linalg.solve passes, so OpenBLAS factors as it does there
+        zero = np.zeros(S)
+        lu, ipiv = self.addresses
+        self.lapack[0](n, one, lu, n, ipiv, zero.ctypes.data, n, ctypes.byref(info))
+        self.singular = info.value > 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if _LAPACK is None:
+        if self.lapack is None:
             return np.linalg.solve(self.M, b)
         if b.shape != (self.n.value,) or b.dtype != np.float64 or not b.flags.c_contiguous:
             raise ValueError(f"need a contiguous float64 vector, got {b.dtype} {b.shape}")
-        gesv, getrs = _LAPACK
+        if self.singular:
+            raise np.linalg.LinAlgError("Singular matrix")
         n, one, info = ctypes.byref(self.n), ctypes.byref(ctypes.c_int64(1)), ctypes.c_int64()
         lu, ipiv = self.addresses
-        if self.info is None:
-            gesv(n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
-            self.info = info.value
-        elif self.info == 0:
-            getrs(b"N", n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
-        if self.info > 0:
-            raise np.linalg.LinAlgError("Singular matrix")
+        self.lapack[1](b"N", n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
         return b
 
 
@@ -264,8 +275,43 @@ def _identity_minus(P: np.ndarray) -> np.ndarray:
     return M
 
 
-def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
-    """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs.
+def _pinned_solver(P: np.ndarray) -> _LUSolver:
+    """The factored pinned Poisson matrix: I - P with row 0 replaced by e_0."""
+    M = _identity_minus(P)
+    M[0, :] = 0.0
+    M[0, 0] = 1.0
+    return _LUSolver(M)
+
+
+def _idle_cpu() -> bool:
+    """Whether a CPU this process may run on idles while one BLAS call runs:
+    the process may use at least twice as many CPUs as BLAS threads."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
+
+
+def _stationary_and_pinned(P: np.ndarray) -> tuple[np.ndarray, _LUSolver]:
+    """(_stationary(P), _pinned_solver(P)), or _stationary's exception.
+
+    The pinned matrix needs only P, so from OVERLAP_MIN_STATES states up,
+    when a CPU would idle, a second thread factors it while this one solves
+    for pi: LAPACK runs without the interpreter lock. Each factorization is
+    the same call either way, so the bits are the same. The second thread
+    has ended when this returns or raises.
+    """
+    if P.shape[0] < OVERLAP_MIN_STATES or not _idle_cpu():
+        pi = _stationary(P)
+        return pi, _pinned_solver(P)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pinned = worker.submit(_pinned_solver, P)
+        pi = _stationary(P)
+    return pi, pinned.result()
+
+
+def _solve_potentials(P: np.ndarray, pi: np.ndarray, pinned: _LUSolver, *rhs) -> list:
+    """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs, given
+    _pinned_solver(P).
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
@@ -276,7 +322,7 @@ def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
     right-hand side gets its own back-substitution: one multi-column solve
     changes the low bits of the potentials.
     """
-    pinned = normalized = None
+    normalized = None
     potentials = []
     for f, J in rhs:
         consistency = abs(float(pi @ f) - J)
@@ -284,11 +330,6 @@ def _solve_potentials(P: np.ndarray, pi: np.ndarray, *rhs) -> list:
             raise EvaluationError(
                 f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
             )
-        if pinned is None:
-            M = _identity_minus(P)
-            M[0, :] = 0.0
-            M[0, 0] = 1.0
-            pinned = _LUSolver(M)
         b = f - J
         b[0] = 0.0
         try:
@@ -322,8 +363,7 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    pi = _stationary(P)
-    return _solve_potentials(P, pi, (f, float(J)))[0]
+    return _solve_potentials(P, *_stationary_and_pinned(P), (f, float(J)))[0]
 
 
 def _policy_chain(model: MdpModel, policy):
@@ -349,13 +389,13 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
 
 def _evaluate_chain(P: np.ndarray, r: np.ndarray, m2, beta: float) -> EvaluationReport:
     """evaluate, given the policy's chain from _policy_chain."""
-    pi = _stationary(P)
+    pi, pinned = _stationary_and_pinned(P)
     j_mean = long_run_mean(pi, r)
     sq = _squared_deviation(r, j_mean, m2)
     j_var = float(pi @ sq)
     j_comb = combined_metric(j_mean, j_var, beta)
     cost = r - beta * sq
-    g, g_mean, g_var = _solve_potentials(P, pi, (cost, j_comb), (r, j_mean), (sq, j_var))
+    g, g_mean, g_var = _solve_potentials(P, pi, pinned, (cost, j_comb), (r, j_mean), (sq, j_var))
     return EvaluationReport(
         pi=pi,
         j_mean=j_mean,
@@ -382,7 +422,7 @@ def _with_beta(
     P, r = induced_chain(model, policy)
     j_comb = combined_metric(report.j_mean, report.j_var, model.beta)
     cost = mv_cost_vector(r, report.j_mean, model.beta)
-    (g,) = _solve_potentials(P, report.pi, (cost, j_comb))
+    (g,) = _solve_potentials(P, report.pi, _pinned_solver(P), (cost, j_comb))
     return dataclasses.replace(
         report, j_combined=j_comb, cost=cost, potential=g, beta=model.beta
     )

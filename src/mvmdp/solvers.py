@@ -7,6 +7,7 @@ projected-gradient baseline over randomized policies.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .model import (
     RandomizedPolicy,
     _closed_classes,
     _draw_feasible,
+    _entries,
     _policy_support,
     sample_random_policy,
 )
@@ -27,6 +29,16 @@ from .sensitivity import derivative_randomized, improvement_vector
 TIE_TOL = 1e-9
 DISTINCT_OPTIMA_TOL = 1e-6
 MOLLIFY_EPS = 1e-6
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; ValidationError for a float, a string or any other
+    value that is not an integer, which would otherwise be truncated or
+    fail later with a bare TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,13 +81,15 @@ class ExplorationConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        if self.budget < 1:
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if _integer(self.budget, "budget") < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
         if not 0.0 < self.gamma_decay <= 1.0:
             raise ValidationError(f"gamma_decay must be in (0, 1], got {self.gamma_decay}")
-        if self.counts is not None and np.any(np.asarray(self.counts) < 0):
+        if self.counts is not None and np.any(
+            _entries(self.counts, "iu", "counts must hold integers") < 0
+        ):
             raise ValidationError("counts must be nonnegative")
 
 
@@ -90,7 +104,7 @@ class GradientConfig:
     def __post_init__(self):
         if not self.stop_ratio > 0:
             raise ValidationError(f"stop_ratio must be > 0, got {self.stop_ratio}")
-        if self.max_iterations < 1:
+        if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValidationError("max_iterations must be >= 1")
 
 
@@ -216,7 +230,7 @@ def _policy_iteration(model, initial, max_iterations, reports):
     initial.validate_for(model)
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
-    if max_iterations < 0:
+    if _integer(max_iterations, "max_iterations") < 0:
         raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
     d, _, trace = _iterate(
         model,
@@ -265,7 +279,7 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
 
 def _multi_start(model, num_starts, seed, reports):
     """multi_start, reading and filling the report memo `reports`."""
-    if num_starts < 1:
+    if _integer(num_starts, "num_starts") < 1:
         raise ValidationError(f"num_starts must be >= 1, got {num_starts}")
     children = np.random.SeedSequence(seed).spawn(num_starts)
     traces = []

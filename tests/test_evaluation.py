@@ -1,5 +1,6 @@
 """Stationary distributions, metric computation, and the potential solve."""
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -462,9 +463,19 @@ class CountingCalls:
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args)
+        return self.fn(*args, **kwargs)
+
+
+def force_overlap(monkeypatch, overlap: bool) -> CountingCalls:
+    """Make every evaluation factor the pinned matrix on a second thread, or
+    none; returns the counted executor, one call per hand-off."""
+    pool = CountingCalls(evaluation.ThreadPoolExecutor)
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(evaluation, "OVERLAP_MIN_STATES", 0 if overlap else 10**9)
+    monkeypatch.setattr(evaluation, "_idle_cpu", lambda: True)
+    return pool
 
 
 @pytest.mark.skipif(evaluation._LAPACK is None, reason="numpy exposes no dgesv/dgetrs")
@@ -473,13 +484,17 @@ class TestFactorOnce:
         d = sample_random_policy(wind_model, np.random.default_rng(3))
         reference = evaluate(wind_model, d)
         solve = CountingCalls(np.linalg.solve)
-        gesv, getrs = map(CountingCalls, evaluation._LAPACK)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        monkeypatch.setattr(evaluation, "_LAPACK", (gesv, getrs))
-        assert_reports_equal(evaluate(wind_model, d), reference)
-        # one factorization for the stationary solve, then one factorization
-        # and two back-substitutions for the three potentials
-        assert (solve.calls, gesv.calls, getrs.calls) == (0, 2, 2)
+        lapack = evaluation._LAPACK
+        for overlap in (False, True):
+            force_overlap(monkeypatch, overlap)
+            gesv, getrs = map(CountingCalls, lapack[:2])
+            monkeypatch.setattr(evaluation, "_LAPACK", (gesv, getrs, lapack[2]))
+            assert_reports_equal(evaluate(wind_model, d), reference)
+            # one factorization and one back-substitution for the stationary
+            # solve, one factorization and three back-substitutions for the
+            # three potentials
+            assert (solve.calls, gesv.calls, getrs.calls) == (0, 2, 4)
 
     @pytest.mark.parametrize("missing", [OSError("no library"), AttributeError("no symbol")])
     def test_without_lapack_symbols_reports_are_the_same(self, monkeypatch, missing, wind_model):
@@ -495,8 +510,67 @@ class TestFactorOnce:
         monkeypatch.setattr(evaluation.ctypes, "CDLL", cdll)
         monkeypatch.setattr(evaluation, "_LAPACK", evaluation._numpy_lapack())
         assert evaluation._LAPACK is None
-        for (m, d), want in zip(cases, reports):
-            assert_reports_equal(evaluate(m, d), want)
+        for overlap in (False, True):
+            pool = force_overlap(monkeypatch, overlap)
+            for (m, d), want in zip(cases, reports):
+                assert_reports_equal(evaluate(m, d), want)
+            assert pool.calls == (len(cases) if overlap else 0)
+
+
+class TestOverlap:
+    """evaluate and solve_poisson give the same floats, or raise the same
+    exception, whether a second thread factors the pinned matrix or the
+    calling thread does; no thread outlives a call."""
+
+    def run(self, monkeypatch, overlap, fn, *args):
+        pool = force_overlap(monkeypatch, overlap)
+        threads = threading.active_count()
+        got = outcome(fn, *args)
+        assert threading.active_count() == threads
+        assert pool.calls == overlap
+        return got
+
+    def check(self, monkeypatch, m, policy):
+        inline = self.run(monkeypatch, False, evaluate, m, policy)
+        overlap = self.run(monkeypatch, True, evaluate, m, policy)
+        assert inline[0] == overlap[0]
+        if inline[0] != "ok":
+            assert inline[1] == overlap[1]
+            return inline[0]
+        assert_reports_equal(overlap[1], inline[1])
+        if isinstance(policy, DeterministicPolicy):
+            P, _ = induced_chain(m, policy)
+            args = P, inline[1].cost, inline[1].j_combined
+            g = self.run(monkeypatch, False, solve_poisson, *args)
+            assert g[0] == "ok"
+            assert np.array_equal(self.run(monkeypatch, True, solve_poisson, *args)[1], g[1])
+        return "ok"
+
+    def test_reports_are_the_same(self, monkeypatch, wind_model, abandon_model_beta1):
+        cases = list(model_policy_cases([wind_model, abandon_model_beta1], seed=77))
+        cases += list(threshold_chains(50))
+        for m in (wind_model, abandon_model_beta1, random_mdp(np.random.default_rng(78))):
+            mask = m.feasible_mask()
+            cases.append((m, RandomizedPolicy(mask / mask.sum(axis=1, keepdims=True))))
+        for closed in TRANSIENT_PIN_CHAINS:
+            d = DeterministicPolicy(np.zeros(3, dtype=int))
+            cases.append((transient_pin_model(closed), d))
+        assert {self.check(monkeypatch, m, d) for m, d in cases} == {"ok"}
+
+    @pytest.mark.parametrize(
+        "cpus, blas_threads, idle", [(1, 1, False), (2, 1, True), (2, 2, False), (4, 2, True)]
+    )
+    def test_hand_off_only_to_an_idle_cpu(self, monkeypatch, cpus, blas_threads, idle):
+        monkeypatch.setattr(
+            evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        monkeypatch.setattr(evaluation, "_LAPACK", (None, None, lambda: blas_threads))
+        assert evaluation._idle_cpu() is idle
+
+    def test_multichain_raises_the_same_error(
+        self, monkeypatch, wind_model, frozen_battery_policy
+    ):
+        assert self.check(monkeypatch, wind_model, frozen_battery_policy) == "EvaluationError"
 
 
 class TestWithBeta:

@@ -104,6 +104,13 @@ class TestPolicyIteration:
         _, trace = policy_iteration(m, init, max_iterations=0)
         assert [r.policy for r in trace.iterations] == [init]
 
+    def test_fractional_cap_rejected(self):
+        rng = np.random.default_rng(1)
+        m = random_mdp(rng)
+        init = sample_random_policy(m, rng)
+        with pytest.raises(ValidationError, match="max_iterations must be an integer, got 2.5"):
+            policy_iteration(m, init, max_iterations=2.5)
+
     def test_default_cap_scales_with_model_size(self):
         rng = np.random.default_rng(6)
         m = random_mdp(rng)
@@ -182,6 +189,8 @@ class TestMultiStart:
         m = random_mdp(np.random.default_rng(16))
         with pytest.raises(ValidationError, match="num_starts"):
             multi_start(m, 0)
+        with pytest.raises(ValidationError, match="num_starts must be an integer, got 2.5"):
+            multi_start(m, 2.5)
 
     def test_diversity_counts_distinct_actions(self):
         pols = [
@@ -211,6 +220,23 @@ class TestExplorationConfig:
             ExplorationConfig(gamma_decay=0.0)
         with pytest.raises(ValidationError):
             ExplorationConfig(gamma_decay=1.5)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValidationError, match="gamma must be finite and >= 0"):
+            ExplorationConfig(gamma=gamma)
+
+    def test_budget_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="budget must be an integer, got 2.5"):
+            ExplorationConfig(budget=2.5)
+        assert ExplorationConfig(budget=np.int64(3)).budget == 3
+
+    @pytest.mark.parametrize(
+        "counts", [[[np.nan, 1.0], [0.0, 2.0]], [[1.5, 1.0], [0.0, 2.0]]], ids=["nan", "fraction"]
+    )
+    def test_counts_must_hold_integers(self, counts):
+        with pytest.raises(ValidationError, match="counts must hold integers"):
+            ExplorationConfig(gamma=0.5, counts=np.array(counts))
 
 
 class TestEpsilonGreedy:
@@ -659,6 +685,8 @@ class TestGradient:
             GradientConfig(stop_ratio=0.0)
         with pytest.raises(ValidationError):
             GradientConfig(max_iterations=0)
+        with pytest.raises(ValidationError, match="max_iterations must be an integer, got 2.5"):
+            GradientConfig(max_iterations=2.5)
 
     def test_converges_on_random_model(self):
         rng = np.random.default_rng(27)
