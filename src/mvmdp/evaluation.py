@@ -22,7 +22,9 @@ from .model import (
     RandomizedPolicy,
     _check_beta,
     _check_rows,
-    closed_class_count,
+    _closed_classes,
+    _policy_support,
+    _support,
     induced_chain,
     induced_chain_randomized,
 )
@@ -75,8 +77,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return _stationary(_check_stochastic(P))
 
 
-def _stationary(P: np.ndarray) -> np.ndarray:
-    """stationary_distribution for a P already known to be row-stochastic.
+def _stationary(P: np.ndarray, support=None) -> np.ndarray:
+    """stationary_distribution for a P already known to be row-stochastic,
+    whose support graph (`_support`) may be given: a policy's is gathered
+    from the model's successor table, with no scan of P.
 
     The balance matrix P^T - I with its last row set to ones is the
     transpose of a row-major copy of P with 1 taken off its diagonal and its
@@ -84,7 +88,7 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     needs, with the floats np.linalg.solve would factor.
     """
     S = P.shape[0]
-    if closed_class_count(P) != 1:
+    if _closed_classes(*(_support(P) if support is None else support)) != 1:
         raise EvaluationError(
             "stationary distribution is not unique: the chain has multiple "
             "closed communicating classes"
@@ -291,8 +295,9 @@ def _idle_cpu() -> bool:
     return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
 
 
-def _stationary_and_pinned(P: np.ndarray) -> tuple[np.ndarray, _LUSolver]:
-    """(_stationary(P), _pinned_solver(P)), or _stationary's exception.
+def _stationary_and_pinned(P: np.ndarray, support=None) -> tuple[np.ndarray, _LUSolver]:
+    """(_stationary(P, support), _pinned_solver(P)), or _stationary's
+    exception.
 
     The pinned matrix needs only P, so from OVERLAP_MIN_STATES states up,
     when a CPU would idle, a second thread factors it while this one solves
@@ -301,11 +306,11 @@ def _stationary_and_pinned(P: np.ndarray) -> tuple[np.ndarray, _LUSolver]:
     has ended when this returns or raises.
     """
     if P.shape[0] < OVERLAP_MIN_STATES or not _idle_cpu():
-        pi = _stationary(P)
+        pi = _stationary(P, support)
         return pi, _pinned_solver(P)
     with ThreadPoolExecutor(max_workers=1) as worker:
         pinned = worker.submit(_pinned_solver, P)
-        pi = _stationary(P)
+        pi = _stationary(P, support)
     return pi, pinned.result()
 
 
@@ -367,18 +372,20 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
 
 
 def _policy_chain(model: MdpModel, policy):
-    """(P, r, m2) of the chain a deterministic or randomized policy induces,
-    m2 the second-moment row of a randomized policy and None otherwise.
+    """(P, r, m2, support) of the chain a deterministic or randomized policy
+    induces: m2 is the second-moment row of a randomized policy, support
+    the support graph of a deterministic one (`_policy_support`), and both
+    are None otherwise.
 
     A deterministic chain is made of model rows that already passed
     `_check_rows`, the rule of _check_stochastic, so only a randomized
     mixture is checked again.
     """
     if isinstance(policy, DeterministicPolicy):
-        return *induced_chain(model, policy), None
+        return *induced_chain(model, policy), None, _policy_support(model, policy.action)
     if isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
-        return _check_stochastic(P), r, m2
+        return _check_stochastic(P), r, m2, None
     raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
 
 
@@ -387,9 +394,9 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
     return _evaluate_chain(*_policy_chain(model, policy), model.beta)
 
 
-def _evaluate_chain(P: np.ndarray, r: np.ndarray, m2, beta: float) -> EvaluationReport:
+def _evaluate_chain(P: np.ndarray, r: np.ndarray, m2, support, beta: float) -> EvaluationReport:
     """evaluate, given the policy's chain from _policy_chain."""
-    pi, pinned = _stationary_and_pinned(P)
+    pi, pinned = _stationary_and_pinned(P, support)
     j_mean = long_run_mean(pi, r)
     sq = _squared_deviation(r, j_mean, m2)
     j_var = float(pi @ sq)

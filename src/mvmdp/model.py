@@ -1,19 +1,32 @@
-"""Finite MDP model, policy representations, induced chains, and model I/O.
+"""Finite MDP model, policies, induced chains, and model I/O.
 
-States and actions are 0-based indices. The transition kernel is stored as a
-dense (S, A, S) array whose rows are only meaningful for feasible (state,
-action) pairs; infeasible rows are zero and never read. Beside it a model
-caches which next states each feasible pair can reach (its successor table,
-built from the kernel's entries > 0 on first use), so the structural check
-of a policy's chain gathers rows of that table instead of the dense chain.
+States and actions are 0-based indices. The transition kernel is stored
+sparse, by feasible (state, action) pair: a CSR (`_KernelCSR`) whose row
+i * A + a holds the column and value of every entry of kernel[i, a] that is
+not +0.0 (a -0.0 is kept, since the model file writes it). Infeasible pairs
+have empty rows. At B=200 with abandonment (S=1206, A=8) that is 39,690
+entries, 0.47 MB, where the dense (S, A, S) array is 93 MB; at B=1000 it is
+2.4 MB against 2.3 GB.
+
+Every reader works from the CSR and rebuilds dense floats only where the
+bits depend on them: a policy's chain scatters its pairs' rows into a zero
+S x S matrix, and `kernel @ g` and the randomized chain walk dense
+(k, A, S) blocks of about _BLOCK_BYTES (`MdpModel._blocks`). The successor
+table that the structural checks read is the CSR's pattern of entries > 0.
+Row sums are checked on the CSR, and only a row near the tolerance is
+rebuilt (`_check_kernel_rows`). `MdpModel.kernel` still reads the dense
+array, built on first access; no reader in the package uses it, except
+that a kernel small enough to be one block is read through it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -22,9 +35,80 @@ from scipy.sparse.csgraph import connected_components
 from .errors import FeasibilityError, ModelIOError, ValidationError
 
 ROW_SUM_TOL = 1e-12
+# the size of the dense kernel blocks readers rebuild from the CSR
+_BLOCK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+class _KernelCSR(NamedTuple):
+    """A kernel of shape (S, A, S), stored by pair p = i * A + a: the
+    entries of kernel[i, a] that are not +0.0 are values[indptr[p]:
+    indptr[p + 1]], at the columns cols[indptr[p]:indptr[p + 1]], in
+    increasing order. The arrays are read-only; cols are 2-byte integers
+    wherever S allows, so that even a kernel without zeros takes less than
+    1.5 times its dense size."""
+
+    shape: tuple
+    indptr: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _col_dtype(S: int):
+    return np.uint16 if S <= 1 << 16 else np.int32
+
+
+def _kernel_csr(S: int, A: int, counts: np.ndarray, cols, values) -> _KernelCSR:
+    """The read-only _KernelCSR of the entries (cols, values), laid out pair
+    by pair, counts[p] of them for pair p."""
+    indptr = np.zeros(S * A + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.asarray(cols, dtype=_col_dtype(S))
+    csr = _KernelCSR((S, A, S), indptr, cols, np.asarray(values, dtype=float))
+    for array in csr[1:]:
+        array.setflags(write=False)
+    return csr
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """Where values are not +0.0: the entries a _KernelCSR stores."""
+    keep = values != 0
+    keep |= np.signbit(values)
+    return keep
+
+
+def _dense_csr(kernel: np.ndarray, mask: np.ndarray) -> _KernelCSR:
+    """The _KernelCSR of the rows of the dense kernel that `mask` selects."""
+    S, A = mask.shape
+    flat = np.flatnonzero(_kept(kernel))
+    pairs, cols = np.divmod(flat, S)
+    keep = mask.reshape(-1)[pairs]
+    counts = np.bincount(pairs[keep], minlength=S * A)
+    return _kernel_csr(S, A, counts, cols[keep], kernel.reshape(-1)[flat[keep]])
+
+
+def _restrict(csr: _KernelCSR, mask: np.ndarray) -> _KernelCSR:
+    """csr without the rows of the pairs `mask` does not select."""
+    counts = np.diff(csr.indptr)
+    if not counts[~mask.reshape(-1)].any():
+        return csr
+    feasible = mask.reshape(-1)
+    keep = np.repeat(feasible, counts)
+    S, A = mask.shape
+    return _kernel_csr(S, A, np.where(feasible, counts, 0), csr.cols[keep], csr.values[keep])
+
+
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray, *entries):
+    """(indptr, *entries) of the CSR made of the rows `rows`, in that order,
+    of the CSR (indptr, *entries)."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=out[1:])
+    take = np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
+    return (out, *(column[take] for column in entries))
+
+
+@dataclass(frozen=True, init=False)
 class MdpModel:
     """Finite MDP with state-dependent feasible action sets.
 
@@ -33,40 +117,112 @@ class MdpModel:
         num_actions: A >= 1 (global action indexing; per-state subsets in
             `feasible`).
         feasible: tuple of per-state sorted tuples of allowed action indices.
-        kernel: (S, A, S) array, kernel[i, a] is the next-state distribution
-            for feasible (i, a).
         reward: (S, A) array, reward[i, a] for feasible (i, a).
         beta: risk-tradeoff weight, > 0.
+        kernel_csr: the transition kernel, stored by feasible pair (see
+            `_KernelCSR`).
+
+    `MdpModel(S, A, feasible, kernel, reward, beta)` takes the kernel as a
+    dense (S, A, S) array, kernel[i, a] the next-state distribution of
+    feasible (i, a), and keeps only its CSR. When `kernel` is None the
+    model takes `kernel_csr` instead; that is what `dataclasses.replace`
+    passes, so a copy with another beta shares the CSR. `kernel` reads the
+    dense array back (see there).
     """
 
     num_states: int
     num_actions: int
     feasible: tuple
-    kernel: np.ndarray
     reward: np.ndarray
     beta: float
+    kernel_csr: _KernelCSR = field(repr=False)
 
-    def __post_init__(self):
+    def __init__(
+        self, num_states, num_actions, feasible, kernel=None, reward=None, beta=None, kernel_csr=None
+    ):
+        if (kernel is None and kernel_csr is None) or reward is None or beta is None:
+            raise TypeError("MdpModel needs a kernel (or kernel_csr), reward and beta")
+        put = functools.partial(object.__setattr__, self)
         try:
-            feasible = tuple(tuple(sorted(map(operator.index, acts))) for acts in self.feasible)
+            feasible, actions, lengths = _action_lists(feasible)
         except TypeError as exc:
             raise ValidationError(f"feasible must hold lists of integer actions: {exc}") from None
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=float))
-        object.__setattr__(self, "reward", np.asarray(self.reward, dtype=float))
-        object.__setattr__(self, "beta", float(self.beta))
-        mask = _validate_model(self)
-        self.kernel.setflags(write=False)
+        put("num_states", num_states)
+        put("num_actions", num_actions)
+        put("feasible", feasible)
+        kernel = kernel_csr if kernel is None else np.asarray(kernel, dtype=float)
+        put("reward", np.asarray(reward, dtype=float))
+        put("beta", float(beta))
+        put("_dense", None)
+        put("_successors", None)
+        mask = _validate_model(self, kernel, actions, lengths)
         self.reward.setflags(write=False)
         mask.setflags(write=False)
-        object.__setattr__(self, "_feasible_mask", mask)
+        put("_feasible_mask", mask)
         A = self.num_actions
         actions = np.sort(np.where(mask, np.arange(A), A), axis=1)
         counts = mask.sum(axis=1)
         actions.setflags(write=False)
         counts.setflags(write=False)
-        object.__setattr__(self, "_feasible_actions", (actions, counts))
-        object.__setattr__(self, "_successors", None)
+        put("_feasible_actions", (actions, counts))
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The dense (S, A, S) kernel: kernel[i, a] is the next-state
+        distribution of feasible (i, a); infeasible rows are zero. Built
+        from the CSR on first access, then cached and read-only."""
+        if self._dense is None:
+            S, A = self.num_states, self.num_actions
+            csr = self.kernel_csr
+            dense = np.zeros((S, A, S))
+            pairs = np.repeat(np.arange(S * A), np.diff(csr.indptr))
+            dense.reshape(-1)[pairs * S + csr.cols] = csr.values
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    def _block_states(self) -> int:
+        """The number of states whose dense kernel slices fill a block of
+        about _BLOCK_BYTES, at least 1. From S up the kernel is one block,
+        which readers take whole from the cached `kernel`: built once,
+        that is cheaper at small S than rebuilding it per call."""
+        return max(1, _BLOCK_BYTES // (self.num_actions * self.num_states * 8))
+
+    def _blocks(self):
+        """Yield (lo, hi, block) for consecutive state ranges covering all
+        states: block is the read-only dense kernel[lo:hi], of shape
+        (hi - lo, A, S), valid until the next one is yielded. A kernel of
+        more than one block (`_block_states`) is scattered into one buffer
+        block by block and zeroed again after each. A block keeps whole
+        (A, S) slices, so a per-state product on it has the bits of the
+        same product on the dense kernel."""
+        S, A = self.num_states, self.num_actions
+        k = self._block_states()
+        if k >= S:
+            yield 0, S, self.kernel
+            return
+        csr = self.kernel_csr
+        buffer = np.zeros((k, A, S))
+        flat = buffer.reshape(-1)
+        for lo in range(0, S, k):
+            hi = min(lo + k, S)
+            p0, p1 = lo * A, hi * A
+            e0, e1 = int(csr.indptr[p0]), int(csr.indptr[p1])
+            at = np.repeat(np.arange(p1 - p0) * S, np.diff(csr.indptr[p0 : p1 + 1]))
+            at += csr.cols[e0:e1]
+            flat[at] = csr.values[e0:e1]
+            block = buffer[: hi - lo]
+            block.flags.writeable = False
+            yield lo, hi, block
+            flat[at] = 0.0
+
+    def _row(self, p: int) -> np.ndarray:
+        """kernel[i, a] of the pair p = i * A + a, as a new dense row."""
+        csr = self.kernel_csr
+        lo, hi = csr.indptr[p], csr.indptr[p + 1]
+        row = np.zeros(self.num_states)
+        row[csr.cols[lo:hi]] = csr.values[lo:hi]
+        return row
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only boolean (S, A) mask of feasible pairs, built once."""
@@ -82,12 +238,14 @@ class MdpModel:
         """(indptr, succ), read-only and built on first use: the next states
         j with kernel[i, a, j] > 0 of the pair p = i * A + a are
         succ[indptr[p]:indptr[p + 1]], in increasing order. Infeasible pairs
-        have none."""
+        have none. It is the CSR's pattern of entries > 0."""
         if self._successors is None:
-            S, A = self.num_states, self.num_actions
-            positive = self.kernel > 0
-            positive &= self._feasible_mask[:, :, None]
-            indptr, succ = _csr(np.flatnonzero(positive), S * A, S)
+            csr = self.kernel_csr
+            positive = csr.values > 0
+            before = np.zeros(positive.size + 1, dtype=np.int64)
+            np.cumsum(positive, out=before[1:])
+            # int32, the index type csgraph takes without converting
+            indptr, succ = before[csr.indptr], csr.cols[positive].astype(np.int32)
             indptr.setflags(write=False)
             succ.setflags(write=False)
             object.__setattr__(self, "_successors", (indptr, succ))
@@ -95,6 +253,31 @@ class MdpModel:
 
     def num_policies(self) -> int:
         return math.prod(self._feasible_actions[1].tolist())
+
+
+def _action_lists(feasible):
+    """(states, actions, lengths): `feasible` as a tuple of per-state
+    tuples of ints in increasing order, and the same actions as one array,
+    state by state, with each state's count. Raises the TypeError of
+    iterating a state or of `operator.index` on an action, for the first
+    state in order that is not a list of integers."""
+    try:
+        states = tuple(map(tuple, feasible))
+        flat = list(map(operator.index, itertools.chain.from_iterable(states)))
+    except TypeError:
+        # raise what iterating each state and indexing its actions in turn
+        # raises first
+        for acts in feasible:
+            list(map(operator.index, acts))
+        raise
+    lengths = np.fromiter(map(len, states), dtype=np.int64, count=len(states))
+    # an action beyond int64 makes an object array, which sorts and compares alike
+    actions = np.array(flat) if flat else np.zeros(0, dtype=np.int64)
+    actions = actions[np.lexsort((actions, np.repeat(np.arange(lengths.size), lengths)))]
+    flat = actions.tolist()
+    ends = np.cumsum(lengths).tolist()
+    states = tuple(tuple(flat[end - n : end]) for end, n in zip(ends, lengths.tolist()))
+    return states, actions, lengths
 
 
 def _state_error(i: int, acts: tuple, A: int):
@@ -106,6 +289,20 @@ def _state_error(i: int, acts: tuple, A: int):
     if len(set(acts)) != len(acts):
         return f"state {i} lists duplicate actions: {acts}"
     return None
+
+
+def _first_bad_state(actions: np.ndarray, lengths: np.ndarray, A: int) -> int:
+    """The first state whose sorted action list `_state_error` rejects:
+    empty, with an action outside [0, A), or with a repeated action; the
+    number of states when there is none. `actions` holds the lists end to
+    end."""
+    state = np.repeat(np.arange(lengths.size), lengths)
+    bad = lengths == 0
+    bad[state[(actions < 0) | (actions >= A)]] = True
+    repeated = (actions[1:] == actions[:-1]) & (state[1:] == state[:-1])
+    bad[state[1:][repeated]] = True
+    first = np.flatnonzero(bad)
+    return int(first[0]) if first.size else int(lengths.size)
 
 
 def _check_beta(beta: float) -> None:
@@ -136,8 +333,37 @@ def _check_rows(rows: np.ndarray, name: str, where=True) -> None:
         raise ValidationError(f"{name} sums to {float(sums[index])!r}, expected 1")
 
 
-def _validate_model(model: MdpModel) -> np.ndarray:
-    """Check the model and return its (S, A) feasible mask.
+def _segment_reduce(ufunc, values: np.ndarray, indptr: np.ndarray, empty: float) -> np.ndarray:
+    """ufunc.reduce over each CSR row of values, `empty` for an empty row."""
+    out = np.full(indptr.size - 1, empty)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        out[nonempty] = ufunc.reduceat(values, indptr[nonempty])
+    return out
+
+
+def _check_kernel_rows(model: MdpModel, where: np.ndarray) -> None:
+    """`_check_rows` over the kernel rows of the pairs `where` selects, named
+    "kernel row i,a", from the CSR. Summed in any order, n finite entries
+    >= 0 come within (n - 1) 2**-53 times their sum of the exact sum, and
+    the zeros of a dense row add exactly, so the sums of a row's CSR entries
+    and of its dense row differ by less than n eps times the sum. A row
+    whose CSR sum lies within ROW_SUM_TOL of 1 by more than that passes;
+    every other selected row, in pair order, is rebuilt dense and checked by
+    `_check_rows`, so its verdict and message are the dense row's."""
+    csr, A = model.kernel_csr, model.num_actions
+    sums = _segment_reduce(np.add, csr.values, csr.indptr, 0.0)
+    lows = _segment_reduce(np.minimum, csr.values, csr.indptr, 0.0)
+    margin = np.finfo(float).eps * np.diff(csr.indptr) * np.maximum(np.abs(sums), 1.0)
+    clear = (lows >= 0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL - margin)
+    for p in np.flatnonzero(where.reshape(-1) & ~clear).tolist():
+        i, a = divmod(p, A)
+        _check_rows(model._row(p)[None], f"kernel row {i},{a}")
+
+
+def _validate_model(model: MdpModel, kernel, actions: np.ndarray, lengths: np.ndarray):
+    """Check the model, set its `kernel_csr` from `kernel` (a dense array or
+    a _KernelCSR) and return its (S, A) feasible mask.
 
     Raises ValidationError for the first problem in state order: a state's
     action list is checked before its pairs, and each feasible pair's kernel
@@ -149,30 +375,29 @@ def _validate_model(model: MdpModel) -> np.ndarray:
     _check_beta(model.beta)
     if len(model.feasible) != S:
         raise ValidationError(f"feasible has {len(model.feasible)} entries, expected {S}")
-    if model.kernel.shape != (S, A, S):
-        raise ValidationError(f"kernel shape {model.kernel.shape} != {(S, A, S)}")
+    if kernel.shape != (S, A, S):
+        raise ValidationError(f"kernel shape {kernel.shape} != {(S, A, S)}")
     if model.reward.shape != (S, A):
         raise ValidationError(f"reward shape {model.reward.shape} != {(S, A)}")
-    state_errors = [_state_error(i, acts, A) for i, acts in enumerate(model.feasible)]
-    first_bad_state = next((i for i, err in enumerate(state_errors) if err), S)
+    first_bad_state = _first_bad_state(actions, lengths, A)
     # the pairs of the states before the first bad one, all of them valid
-    good = model.feasible[:first_bad_state]
+    good = int(lengths[:first_bad_state].sum())
     mask = np.zeros((S, A), dtype=bool)
-    mask[
-        np.repeat(np.arange(first_bad_state), [len(acts) for acts in good]),
-        list(itertools.chain.from_iterable(good)),
-    ] = True
+    states = np.repeat(np.arange(first_bad_state), lengths[:first_bad_state])
+    mask[states, actions[:good].astype(np.intp)] = True
+    csr = _dense_csr(kernel, mask) if isinstance(kernel, np.ndarray) else _restrict(kernel, mask)
+    object.__setattr__(model, "kernel_csr", csr)
     # each pair's kernel row comes before its reward, and both before later pairs
     bad_reward = np.flatnonzero(mask & ~np.isfinite(model.reward))
     rows_first = mask.copy()
     if bad_reward.size:
         rows_first.flat[bad_reward[0] + 1 :] = False
-    _check_rows(model.kernel, "kernel row {},{}", rows_first)
+    _check_kernel_rows(model, rows_first)
     if bad_reward.size:
         i, a = divmod(int(bad_reward[0]), A)
         raise ValidationError(f"reward {i},{a} is not finite")
     if first_bad_state < S:
-        raise ValidationError(state_errors[first_bad_state])
+        raise ValidationError(_state_error(first_bad_state, model.feasible[first_bad_state], A))
     return mask
 
 
@@ -264,10 +489,19 @@ class MixedPolicy:
 
 def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     """Transition matrix P[i, j] = kernel[i, d(i), j] and reward vector
-    r[i] = reward[i, d(i)] of the chain the policy induces."""
+    r[i] = reward[i, d(i)] of the chain the policy induces. P is made by
+    scattering the policy's pairs' CSR rows into zeros, or gathered from a
+    kernel of one block (`MdpModel._block_states`): the kernel's floats."""
     policy.validate_for(model)
-    idx = np.arange(model.num_states)
-    return model.kernel[idx, policy.action], model.reward[idx, policy.action]
+    S, A = model.num_states, model.num_actions
+    idx = np.arange(S)
+    if model._block_states() >= S:
+        return model.kernel[idx, policy.action], model.reward[idx, policy.action]
+    csr = model.kernel_csr
+    indptr, cols, values = _gather_rows(csr.indptr, idx * A + policy.action, csr.cols, csr.values)
+    P = np.zeros((S, S))
+    P.reshape(-1)[np.repeat(idx * S, np.diff(indptr)) + cols] = values
+    return P, model.reward[idx, policy.action]
 
 
 def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):
@@ -276,11 +510,14 @@ def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):
     Returns (P, r_mean, r_second_moment). The second moment row
     sum_a theta[i,a] * reward[i,a]**2 is what the mean-variance cost of a
     randomized policy needs; the variance is a mixture of per-action
-    quadratics, not the quadratic of the mixed reward.
+    quadratics, not the quadratic of the mixed reward. P is mixed over
+    dense kernel blocks, row by row as over the whole kernel.
     """
     policy.validate_for(model)
     theta = policy.theta
-    P = np.einsum("ia,iaj->ij", theta, model.kernel)
+    P = np.empty((model.num_states, model.num_states))
+    for lo, hi, block in model._blocks():
+        P[lo:hi] = np.einsum("ia,iaj->ij", theta[lo:hi], block)
     r_mean = np.einsum("ia,ia->i", theta, model.reward)
     r_m2 = np.einsum("ia,ia->i", theta, model.reward**2)
     return P, r_mean, r_m2
@@ -315,13 +552,7 @@ def _policy_support(model: MdpModel, action: np.ndarray):
     as (indptr, cols): the successor table's rows of the pairs (i, action[i]),
     gathered in state order. It equals `_support` of the induced chain."""
     table_ptr, succ = model.successor_table()
-    pairs = np.arange(model.num_states) * model.num_actions + action
-    starts = table_ptr[pairs]
-    counts = table_ptr[pairs + 1] - starts
-    indptr = np.zeros(pairs.size + 1, dtype=table_ptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    offsets = np.repeat(starts - indptr[:-1], counts)
-    return indptr, succ[offsets + np.arange(indptr[-1])]
+    return _gather_rows(table_ptr, np.arange(model.num_states) * model.num_actions + action, succ)
 
 
 def _strong_components(indptr: np.ndarray, cols: np.ndarray):
@@ -468,29 +699,49 @@ def _feasible_pairs(model: MdpModel):
     return rows.tolist(), cols.tolist()
 
 
+def _pair_entries(model: MdpModel):
+    """(cols, values) of each feasible pair's CSR row, as an int list and a
+    float list, in the pair order of `_feasible_pairs`."""
+    csr = model.kernel_csr
+    bounds, cols, values = csr.indptr.tolist(), csr.cols.tolist(), csr.values.tolist()
+    for p in np.flatnonzero(model.feasible_mask()).tolist():
+        lo, hi = bounds[p], bounds[p + 1]
+        yield cols[lo:hi], values[lo:hi]
+
+
 def model_to_dict(model: MdpModel) -> dict:
     rows, cols = _feasible_pairs(model)
     keys = [_pair_key(i, a) for i, a in zip(rows, cols)]
+    kernel = {}
+    for key, (entry_cols, entry_values) in zip(keys, _pair_entries(model)):
+        row = kernel[key] = [0.0] * model.num_states
+        for j, v in zip(entry_cols, entry_values):
+            row[j] = v
     return {
         "num_states": model.num_states,
         "num_actions": model.num_actions,
         "beta": model.beta,
         "feasible": [list(acts) for acts in model.feasible],
-        "kernel": {key: model.kernel[i, a].tolist() for key, i, a in zip(keys, rows, cols)},
+        "kernel": kernel,
         "reward": dict(zip(keys, model.reward[rows, cols].tolist())),
     }
 
 
-_KERNEL_CHUNK_ROWS = 256
+_KERNEL_CHUNK_ROWS = 32
 
 
-def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, rows: list) -> None:
-    """Write the kernel rows read from a model file into kernel[states,
-    actions], converting _KERNEL_CHUNK_ROWS rows at a time, so that no float
-    block of every row is held beside the kernel. When the rows are not all
-    S numbers, raises the ValidationError of the first row that is not."""
-    S = kernel.shape[-1]
-    for lo in range(0, len(rows), _KERNEL_CHUNK_ROWS):
+def _kernel_rows(S: int, A: int, states: list, actions: list, keys: list, rows: list) -> _KernelCSR:
+    """The _KernelCSR of the kernel rows read from a model file, rows[n] the
+    row of the pair (states[n], actions[n]); a pair listed twice keeps its
+    first row. The rows are converted _KERNEL_CHUNK_ROWS at a time and their
+    entries appended to arrays grown in place, so neither a float block of
+    every row nor an (S, A, S) array is held. When the rows are not all S
+    numbers, raises the ValidationError of the first row that is not."""
+    n = len(rows)
+    counts = np.zeros(n, dtype=np.int64)
+    cols, values = np.zeros(0, dtype=_col_dtype(S)), np.zeros(0)
+    filled = 0
+    for lo in range(0, n, _KERNEL_CHUNK_ROWS):
         chunk = slice(lo, lo + _KERNEL_CHUNK_ROWS)
         part = rows[chunk]
         try:
@@ -505,8 +756,30 @@ def _kernel_block(kernel: np.ndarray, states: list, actions: list, keys: list, r
                     raise ValidationError(f"kernel row {key} is not a list of numbers") from None
                 if row.shape != (S,):
                     raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
-        kernel[states[chunk], actions[chunk]] = block
-        del block  # before the next chunk is converted
+        keep = _kept(block)
+        counts[chunk] = keep.sum(axis=1)
+        end = filled + int(counts[chunk].sum())
+        if end > values.size:
+            # realloc to the total the rows so far project: no copy is held
+            # beside the entries, and rows of even density grow them once
+            size = max(end, end * n // (lo + len(part)))
+            values.resize(size, refcheck=False)
+            cols.resize(size, refcheck=False)
+        values[filled:end] = block[keep]
+        cols[filled:end] = np.nonzero(keep)[1]
+        filled = end
+        del block, keep  # before the next chunk is converted
+    values.resize(filled, refcheck=False)
+    cols.resize(filled, refcheck=False)
+    pairs = np.array(states, dtype=np.int64) * A + np.array(actions, dtype=np.int64)
+    unique, first = np.unique(pairs, return_index=True)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    if unique.size < n or np.any(first != np.arange(n)):
+        indptr, cols, values = _gather_rows(indptr, first, cols, values)
+    per_pair = np.zeros(S * A, dtype=np.int64)
+    per_pair[unique] = np.diff(indptr)
+    return _kernel_csr(S, A, per_pair, cols, values)
 
 
 def _reward_values(reward_map: dict, keys: list) -> list:
@@ -565,20 +838,19 @@ def model_from_dict(data: dict) -> MdpModel:
         raise ValidationError(
             f"model file feasible is not a list of integer lists: {exc}"
         ) from exc
-    kernel = np.zeros((S, A, S))
-    _kernel_block(kernel, states, actions, keys, rows)
+    kernel = _kernel_rows(S, A, states, actions, keys, rows)
     reward = np.zeros((S, A))
     reward[states, actions] = _reward_values(reward_map, keys)
-    return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
+    return MdpModel(S, A, feasible, None, reward, beta, kernel_csr=kernel)
 
 
-def _row_text(row: np.ndarray) -> str:
-    """The entries of one kernel row in the model file layout. Most are 0.0,
-    so only the others go through `float.__repr__`; the sign bit keeps -0.0
-    among them."""
-    parts = ["0.0"] * row.size
-    for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
-        parts[j] = float.__repr__(row[j])
+def _row_text(S: int, cols: list, values: list) -> str:
+    """The S entries of one kernel row in the model file layout, from its
+    CSR entries: 0.0 everywhere else. The stored entries include every
+    -0.0, which `float.__repr__` writes with its sign."""
+    parts = ["0.0"] * S
+    for j, v in zip(cols, values):
+        parts[j] = float.__repr__(v)
     return ",\n      ".join(parts)
 
 
@@ -602,8 +874,8 @@ def _model_chunks(model: MdpModel):
         '  "kernel": {\n'
     )
     sep = ""
-    for key, i, a in zip(keys, rows, cols):
-        yield f"{sep}    {key}: [\n      {_row_text(model.kernel[i, a])}\n    ]"
+    for key, entries in zip(keys, _pair_entries(model)):
+        yield f"{sep}    {key}: [\n      {_row_text(model.num_states, *entries)}\n    ]"
         sep = ",\n"
     reward = ",\n".join(
         f"    {key}: {num(r)}" for key, r in zip(keys, model.reward[rows, cols].tolist())

@@ -53,11 +53,14 @@ def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
 
     The report must carry the Poisson solution of the policy's chain; its
     transition-weighted potential is read off kernel @ g, so the chain
-    itself is never gathered.
+    itself is never gathered. kernel @ g is taken block by block over the
+    model's dense kernel blocks, with the bits of the whole product.
     """
     policy.validate_for(model)
     g = report.potential
-    kg = model.kernel @ g
+    kg = np.empty((model.num_states, model.num_actions))
+    for lo, hi, block in model._blocks():
+        kg[lo:hi] = block @ g
     if isinstance(policy, RandomizedPolicy):
         pg = (policy.theta * kg).sum(axis=1)
     else:

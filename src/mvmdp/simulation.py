@@ -92,9 +92,10 @@ def simulate_path(
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
         cum_theta = _cumulative(policy.theta).tolist()
-        # cumulative kernel rows made on first visit of their pair: the whole
+        # cumulative kernel rows rebuilt on first visit of their pair: the whole
         # (S, A, S) kernel as Python floats is S*A*S objects (~300 MB at S=1206)
-        cum_kernel = [[None] * model.num_actions for _ in range(model.num_states)]
+        A = model.num_actions
+        cum_kernel = [[None] * A for _ in range(model.num_states)]
         ua = rng.random(T)
         us = rng.random(T)
         visited, chosen = [], []
@@ -105,7 +106,7 @@ def simulate_path(
             chosen.append(a)
             row = cum_kernel[i][a]
             if row is None:
-                row = cum_kernel[i][a] = _cumulative(model.kernel[i, a]).tolist()
+                row = cum_kernel[i][a] = _cumulative(model._row(i * A + a)).tolist()
             i = bisect_right(row, u_s)
         states = np.array(visited, dtype=int)
         actions = np.array(chosen, dtype=int)
@@ -200,10 +201,10 @@ def estimate_potential(
         raise ValidationError(f"state {state} out of range")
     if num_replications < 1:
         raise ValidationError(f"num_replications must be >= 1, got {num_replications}")
-    P, r, m2 = _policy_chain(model, policy)
+    P, r, m2, support = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary
     # distribution raises also at state 0
-    report = _evaluate_chain(P, r, m2, model.beta)
+    report = _evaluate_chain(P, r, m2, support, model.beta)
     if state == 0:
         return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
     f = report.cost

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import MdpModel, _check_rows
+from .model import MdpModel, _check_rows, _kept, _kernel_csr
 
 # hourly wind-level transition probabilities estimated for the benchmark site
 WIND_KERNEL = np.array(
@@ -164,13 +164,20 @@ def build(spec: WindStorageSpec) -> MdpModel:
     w, bat, a = np.nonzero(mask)
     i = state_index(spec, w, bat)
     next_battery = bat - _battery_power(spec, bat, U[a])
-    kernel = np.zeros((S, A, S))
+    # the pairs come in (state, action) order, and each pair's next states
+    # increase with the next wind level: CSR rows, the wind kernel's entries
     cols = state_index(spec, np.arange(W), next_battery[:, None])
-    kernel[i[:, None], a[:, None], cols] = spec.wind_kernel[w]
+    values = spec.wind_kernel[w]
+    keep = _kept(values)
+    counts = np.zeros(S * A, dtype=np.int64)
+    counts[i * A + a] = keep.sum(axis=1)
     reward = np.zeros((S, A))
     reward[i, a] = x[w] + U[a]
-    feasible = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask.reshape(S, A))
-    return MdpModel(S, A, feasible, kernel, reward, spec.beta)
+    acts = a.tolist()
+    ends = np.cumsum(mask.sum(axis=2).reshape(S)).tolist()
+    feasible = tuple(tuple(acts[start:end]) for start, end in zip([0, *ends], ends))
+    kernel = _kernel_csr(S, A, counts, cols[keep], values[keep])
+    return MdpModel(S, A, feasible, None, reward, spec.beta, kernel_csr=kernel)
 
 
 def action_values(spec: WindStorageSpec):

@@ -12,11 +12,14 @@ import pytest
 
 from mvmdp import (
     DeterministicPolicy,
+    JointState,
     MdpModel,
     WindStorageSpec,
     action_values,
+    build,
     build_abandonment,
     build_no_abandonment,
+    decompose_action,
     sample_random_policy,
     state_index,
 )
@@ -113,6 +116,36 @@ def threshold_policy(spec):
                 a = hold
             action[state_index(spec, w, b)] = a
     return DeterministicPolicy(action)
+
+
+def dense_wind_kernel(spec, model):
+    """Per-pair reference of the wind model's kernel as a dense (S, A, S)
+    array: each feasible decision moves the battery as `decompose_action`
+    says and the wind by its own chain, kernel row by kernel row."""
+    S, A = model.num_states, model.num_actions
+    kernel = np.zeros((S, A, S))
+    values = action_values(spec)
+    B = spec.battery_capacity
+    for i, acts in enumerate(model.feasible):
+        state = JointState.from_flat(i, B)
+        for a in acts:
+            power, _ = decompose_action(spec, state, values[a])
+            for w2 in range(len(spec.wind_states)):
+                kernel[i, a, state_index(spec, w2, state.battery - power)] = spec.wind_kernel[state.wind, w2]
+    return kernel
+
+
+WIND_SIZES = [(b, s) for b in (5, 50, 200) for s in ("no-abandon", "abandon")]
+
+
+@pytest.fixture(scope="module", params=WIND_SIZES, ids=lambda p: f"B{p[0]}-{p[1]}")
+def wind_case(request):
+    """(spec, model, dense reference kernel) of a wind model at B = 5, 50
+    and 200 in both scenarios; one is alive at a time."""
+    battery, scenario = request.param
+    spec = WindStorageSpec(battery_capacity=battery, abandonment=scenario == "abandon")
+    model = build(spec)
+    return spec, model, dense_wind_kernel(spec, model)
 
 
 def outcome(fn, *args, **kwargs):

@@ -18,6 +18,7 @@ from conftest import model_policy_cases, random_mdp, restrict_feasible, threshol
 import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
+    EvaluationReport,
     FeasibilityError,
     MdpModel,
     MixedPolicy,
@@ -28,7 +29,11 @@ from mvmdp import (
     action_values,
     build,
     check_ergodicity,
+    check_necessary_condition,
+    cli,
     closed_class_count,
+    evaluate,
+    improvement_vector,
     induced_chain,
     induced_chain_mixed,
     induced_chain_randomized,
@@ -37,11 +42,14 @@ from mvmdp import (
     load_policy,
     model_from_dict,
     model_to_dict,
+    policy_iteration,
     sample_random_policy,
     save_model,
     save_policy,
+    simulate_path,
     stationary_distribution,
 )
+from mvmdp.sensitivity import _score_table
 from mvmdp.solvers import _propose_epsilon
 
 
@@ -475,11 +483,13 @@ def sparse_mdp(rng):
     few entries of each row: several closed classes, transient states and
     self-loops all occur. Infeasible rows keep positive entries, which no
     structural check may read."""
-    m = restrict_feasible(rng, random_mdp(rng, max_states=9, max_actions=4))
+    full = random_mdp(rng, max_states=9, max_actions=4)
+    # the restricted model keeps no rows of infeasible pairs: take them from full
+    m = restrict_feasible(rng, full)
     S = m.num_states
-    keep = rng.random(m.kernel.shape) < rng.uniform(0.05, 0.6)
+    keep = rng.random(full.kernel.shape) < rng.uniform(0.05, 0.6)
     keep[..., 0] |= ~keep.any(axis=2)
-    kernel = np.where(keep, m.kernel, 0.0)
+    kernel = np.where(keep, full.kernel, 0.0)
     kernel = kernel[..., rng.permutation(S)]
     return dataclasses.replace(m, kernel=kernel / kernel.sum(axis=2, keepdims=True))
 
@@ -1003,7 +1013,7 @@ class TestReaderReference:
 class TestReaderChunks:
     """model_from_dict converts the kernel rows a fixed number at a time."""
 
-    S, A = 300, 3  # 900 feasible pairs: three full chunks and a partial one
+    S, A = 300, 3  # 900 feasible pairs: more than three chunks, the last one partial
 
     def model_dict(self):
         rng = np.random.default_rng(66)
@@ -1177,3 +1187,222 @@ def test_mixed_chain_rows_are_stochastic(seed, delta):
     P, _ = induced_chain_mixed(m, MixedPolicy(base, alt, delta))
     assert np.all(P >= -1e-15)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+def dense_row_text(row):
+    """The model file text of one dense kernel row, as the dense writer made
+    it: every entry that is not +0.0 through float.__repr__."""
+    parts = ["0.0"] * row.size
+    for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+        parts[j] = float.__repr__(row[j])
+    return ",\n      ".join(parts)
+
+
+def uniform_theta(model):
+    theta = model.feasible_mask().astype(float)
+    return RandomizedPolicy(theta / theta.sum(axis=1, keepdims=True))
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSparseKernelReaders:
+    """Each reader of the sparse kernel gives the floats, messages and bytes
+    of a dense reference kernel (conftest.dense_wind_kernel), at B = 5, 50
+    and 200 in both scenarios."""
+
+    def test_storage_and_dense_view(self, wind_case):
+        _, model, dense = wind_case
+        csr = model.kernel_csr
+        assert csr.shape == dense.shape
+        assert csr.values.size == np.count_nonzero((dense != 0) | np.signbit(dense))
+        assert all(not a.flags.writeable for a in (csr.indptr, csr.cols, csr.values))
+        # a copy shares the CSR and builds its own view, dropped after the check
+        view = dataclasses.replace(model, beta=2.0).kernel
+        assert same_bits(view, dense) and not view.flags.writeable
+
+    def test_successor_table_is_the_positive_pattern(self, wind_case):
+        _, model, dense = wind_case
+        indptr, succ = model.successor_table()
+        pairs = np.flatnonzero(model.feasible_mask())
+        S = model.num_states
+        positive = dense.reshape(-1, S) > 0
+        assert np.array_equal(np.diff(indptr), positive.sum(axis=1))
+        assert np.array_equal(succ, np.nonzero(positive[pairs])[1])
+
+    def test_induced_chain(self, wind_case):
+        spec, model, dense = wind_case
+        rng = np.random.default_rng(90)
+        idx = np.arange(model.num_states)
+        for d in (threshold_policy(spec), sample_random_policy(model, rng, require_irreducible=False)):
+            P, r = induced_chain(model, d)
+            assert same_bits(P, dense[idx, d.action])
+            assert same_bits(r, model.reward[idx, d.action])
+
+    def test_randomized_chain(self, wind_case):
+        _, model, dense = wind_case
+        theta = uniform_theta(model)
+        P, _, _ = induced_chain_randomized(model, theta)
+        assert same_bits(P, np.einsum("ia,iaj->ij", theta.theta, dense))
+
+    def test_row_check_messages(self, wind_case):
+        """Broken kernels give the per-pair loop's first message, borderline
+        sums included, from a dense kernel and from a model file."""
+        _, model, dense = wind_case
+        S, A = model.num_states, model.num_actions
+        rng = np.random.default_rng(91)
+        pairs = np.argwhere(model.feasible_mask())
+        kernel = dense.copy()
+        edits = [
+            lambda row, j: row.__setitem__(j, row[j] + 1e-11),
+            lambda row, j: row.__setitem__(j, row[j] + 1e-12 * (1 + 1e-4)),
+            lambda row, j: row.__setitem__(j, row[j] + 1e-12 * (1 - 1e-4)),
+            lambda row, j: row.__setitem__(j, row[j] - 1e-12 * (1 + 1e-4)),
+            lambda row, j: (row.__setitem__(j, row[j] - 1.5), row.__setitem__(j - 1, row[j - 1] + 1.5)),
+            lambda row, j: row.__setitem__(j, np.nan),
+            lambda row, j: row.__setitem__(j, np.inf),
+            lambda row, j: row.__setitem__(j - 1, -0.0 if row[j - 1] == 0 else row[j - 1]),
+        ]
+        messages = []
+        for edit in edits:
+            i, a = pairs[rng.integers(len(pairs))]
+            j = int(rng.choice(np.flatnonzero(kernel[i, a] > 0)))
+            saved = kernel[i, a].copy()
+            edit(kernel[i, a], j)
+            want = loop_validation_error(S, A, model.feasible, kernel, model.reward, model.beta)
+            expected = "ok" if want is None else (ValidationError, want)
+            got = outcome(MdpModel, S, A, model.feasible, kernel, model.reward, model.beta)
+            assert (got[0] if want is None else got) == expected
+            if S <= 306:
+                data = model_to_dict(model)
+                data["kernel"][f"{i},{a}"] = kernel[i, a].tolist()
+                got = outcome(model_from_dict, data)
+                assert (got[0] if want is None else got) == expected
+            messages.append(want or "valid")
+            kernel[i, a] = saved
+        assert sum("sums to" in text for text in messages) >= 3
+        assert any("negative" in text for text in messages) and "valid" in messages
+
+    def test_sums_at_the_tolerance_follow_the_dense_row(self):
+        """Rows whose sum in the CSR's order and in the dense row's order
+        fall on different sides of ROW_SUM_TOL get the dense verdict."""
+        S, tol = 300, mvmdp.model.ROW_SUM_TOL
+        kernel = np.eye(S)[:, None, :].copy()
+        sides = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            row = np.zeros(S)
+            cols = np.sort(rng.choice(S, 150, replace=False))
+            row[cols] = rng.random(150)
+            row /= row.sum()
+            row[cols[0]] += tol - (row.sum() - 1.0)
+            for _ in range(80):
+                dense_ok = abs(row.sum() - 1.0) <= tol
+                if dense_ok != (abs(np.add.reduce(row[cols]) - 1.0) <= tol):
+                    break
+                row[cols[0]] = np.nextafter(row[cols[0]], -np.inf)
+            else:
+                continue
+            sides.add(dense_ok)
+            kernel[seed] = row
+            want = loop_validation_error(S, 1, ((0,),) * S, kernel, np.zeros((S, 1)), 1.0)
+            assert (want is None) == dense_ok
+            got = outcome(MdpModel, S, 1, ((0,),) * S, kernel, np.zeros((S, 1)), 1.0)
+            assert (got[0] if want is None else got) == ("ok" if want is None else (ValidationError, want))
+            kernel[seed] = np.eye(S)[seed]
+        assert sides == {True, False}
+
+    def test_written_bytes(self, wind_case, tmp_path):
+        """The model file's kernel rows are the dense rows' text; at B <= 50
+        the whole file is json.dumps of the dense reference's dict."""
+        _, model, dense = wind_case
+        pieces = mvmdp.model._model_chunks(model)
+        head = next(pieces)
+        rows, cols = np.nonzero(model.feasible_mask())
+        sep = ""
+        for i, a, piece in zip(rows.tolist(), cols.tolist(), pieces):
+            assert piece == f'{sep}    "{i},{a}": [\n      {dense_row_text(dense[i, a])}\n    ]'
+            sep = ",\n"
+        assert next(pieces).startswith('\n  },\n  "reward"')
+        if model.num_states <= 306:
+            path = tmp_path / "m.json"
+            save_model(model, str(path))
+            data = model_to_dict(model)
+            data["kernel"] = {f"{i},{a}": dense[i, a].tolist() for i, a in zip(rows.tolist(), cols.tolist())}
+            text = json.dumps(data, indent=2) + "\n"
+            assert text.startswith(head)
+            assert path.read_text() == text
+
+    def test_negative_zero_round_trips(self, tmp_path):
+        """A -0.0 kernel entry is stored, written with its sign and read back,
+        so the file round-trips byte for byte."""
+        k = np.array([[[1.0, -0.0], [0.5, 0.5]], [[-0.0, 1.0], [0.25, 0.75]]])
+        m = small_model(kernel=k)
+        assert np.signbit(m.kernel_csr.values).sum() == 2
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(m, str(first))
+        assert first.read_text().count("-0.0") == 2
+        back = load_model(str(first))
+        save_model(back, str(second))
+        assert second.read_bytes() == first.read_bytes()
+        assert same_bits(back.kernel, k)
+
+
+def dense_view_built(model) -> bool:
+    return model._dense is not None
+
+
+class TestNoDenseView:
+    """No package path builds the dense (S, A, S) kernel of a model larger
+    than one block."""
+
+    def test_paths_at_b50(self, tmp_path):
+        spec = WindStorageSpec(battery_capacity=50, abandonment=True)
+        model = build(spec)
+        assert model._block_states() < model.num_states
+        policy, _ = policy_iteration(model, threshold_policy(spec))
+        report = evaluate(model, policy)
+        improvement_vector(model, report, policy)
+        check_necessary_condition(model, report, policy)
+        other = dataclasses.replace(model, beta=0.5)
+        assert other.kernel_csr is model.kernel_csr
+        evaluate(other, policy)
+        cli.sweep_beta(model, (0.1, 0.5), 1, seed=3)
+        simulate_path(model, uniform_theta(model), 500, seed=0)
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        back = load_model(str(path))
+        evaluate(back, policy)
+        assert not any(map(dense_view_built, (model, other, back)))
+
+    def test_b1000_builds_validates_and_scores_in_bounded_memory(self):
+        """S = 6006 and A = 8: the dense kernel alone would be ~2.3 GB."""
+        spec = WindStorageSpec(battery_capacity=1000, abandonment=True)
+        tracemalloc.start()
+        try:
+            model = build(spec)
+            indptr, succ = model.successor_table()
+            policy = threshold_policy(spec)
+            S = model.num_states
+            # a report whose potential solves the Poisson equation of the
+            # policy's chain with J = 0, from the CSR rows of its pairs
+            csr = model.kernel_csr
+            chain_ptr, cols, values = mvmdp.model._gather_rows(
+                csr.indptr, np.arange(S) * model.num_actions + policy.action, csr.cols, csr.values
+            )
+            g = np.sin(np.arange(S, dtype=float))
+            pg = np.add.reduceat(values * g[cols], chain_ptr[:-1])
+            report = EvaluationReport(
+                pi=np.full(S, 1.0 / S), j_mean=0.0, j_var=0.0, j_combined=0.0, cost=g - pg,
+                potential=g, potential_mean=g, potential_var=np.zeros(S), beta=model.beta,
+            )
+            score, kg = _score_table(model, report, policy, "policy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (S, model.num_actions) == (6006, 8)
+        assert indptr.size == S * 8 + 1 and succ.size == model.kernel_csr.values.size
+        assert np.isfinite(score[model.feasible_mask()]).all()
+        assert not dense_view_built(model)
+        assert peak < 64 * 2**20

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp, restrict_feasible
+from conftest import model_policy_cases, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     RandomizedPolicy,
@@ -328,3 +328,19 @@ class TestBracketReference:
             assert abs(dm - float(rep.pi @ bracket)) <= 1e-12
             bd = predicted_difference(m, base, rep, alt)
             assert abs(bd.linear_part - float(evaluate(m, alt).pi @ bracket)) <= 1e-12
+
+
+def test_score_table_product_is_the_dense_product(wind_case):
+    """kernel @ g, taken over dense kernel blocks, has the bits of the
+    product over the dense reference kernel at B = 5, 50 and 200 in both
+    scenarios; so do the scores built on it."""
+    from mvmdp.sensitivity import _score_table
+
+    spec, model, dense = wind_case
+    policy = threshold_policy(spec)
+    report = evaluate(model, policy)
+    score, kg = _score_table(model, report, policy, "policy")
+    want = dense @ report.potential
+    assert kg.tobytes() == want.tobytes()
+    iv = improvement_vector(model, report, policy)
+    assert np.array_equal(iv.score, score, equal_nan=True)
