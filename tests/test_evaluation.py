@@ -25,6 +25,7 @@ from mvmdp import (
     combined_metric,
     evaluate,
     induced_chain,
+    induced_chain_randomized,
     long_run_mean,
     mv_cost_vector,
     policy_iteration,
@@ -331,6 +332,32 @@ def threshold_chains(battery, scenarios=(False, True)):
         _, trace = policy_iteration(model, threshold_policy(spec))
         for record in trace.iterations[:-1]:
             yield model, record.policy
+
+
+def strided_identity_minus(P):
+    """Reference I - P: 0.0 - P subtracted straight into a column-major
+    array, then 1.0 - P[i, i] on the diagonal."""
+    S = P.shape[0]
+    M = np.empty((S, S), order="F")
+    np.subtract(0.0, P, out=M)
+    d = np.arange(S)
+    M[d, d] = 1.0 - P[d, d]
+    return M
+
+
+@pytest.mark.parametrize("battery", [5, 50, 200])
+@pytest.mark.parametrize("abandonment", [False, True])
+def test_identity_minus_has_the_reference_bits(battery, abandonment):
+    """The I - P that the pinned and normalized Poisson matrices start from,
+    for the threshold policy's chain and the uniform randomized chain."""
+    spec = WindStorageSpec(battery_capacity=battery, abandonment=abandonment)
+    model = build(spec)
+    mask = model.feasible_mask()
+    theta = RandomizedPolicy(mask / mask.sum(axis=1, keepdims=True))
+    chains = [induced_chain(model, threshold_policy(spec))[0], induced_chain_randomized(model, theta)[0]]
+    for P in chains:
+        got, want = evaluation._identity_minus(P), strided_identity_minus(P)
+        assert got.flags.f_contiguous and got.tobytes(order="F") == want.tobytes(order="F")
 
 
 class TestPoissonReference:

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import operator
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -1052,6 +1054,194 @@ class TestReaderChunks:
         assert peak - m.kernel.nbytes < 0.5 * m.kernel.nbytes
 
 
+def json_load_model(path):
+    """load_model's json route: what any file that save_model did not
+    write goes through."""
+    return model_from_dict(mvmdp.model._read_json(path, "model"))
+
+
+def same_fields(a, b):
+    """The two models hold the same sizes, feasible lists, bits of beta and
+    reward, and CSR arrays of the same dtypes and bytes."""
+    return (
+        (a.num_states, a.num_actions, a.feasible) == (b.num_states, b.num_actions, b.feasible)
+        and np.float64(a.beta).tobytes() == np.float64(b.beta).tobytes()
+        and same_bits(a.reward, b.reward)
+        and same_bits(a.feasible_mask(), b.feasible_mask())
+        and a.kernel_csr.shape == b.kernel_csr.shape
+        and all(same_bits(x, y) for x, y in zip(a.kernel_csr[1:], b.kernel_csr[1:]))
+    )
+
+
+def same_outcome(path):
+    """load_model gives the json route's model, or raises its exception
+    class with its message."""
+    got, want = outcome(load_model, path), outcome(json_load_model, path)
+    if got[0] == "ok" and want[0] == "ok":
+        return same_fields(got[1], want[1])
+    return got == want
+
+
+def kernel_rows(text: bytes):
+    """The spans of the kernel rows of a saved model file, key to bracket."""
+    return [m.span() for m in re.finditer(rb'    "\d+,\d+": \[\n.*?\n    \]', text, re.S)]
+
+
+def mutants(text: bytes, rng):
+    """(name, bytes) pairs: the saved file `text` with one seeded change
+    each, some of which json reads as the same model and most not."""
+    lines = text.split(b"\n")
+    zero = [n for n, line in enumerate(lines) if line == b"      0.0,"]
+    entries = [n for n, line in enumerate(lines) if line.startswith(b"      ") and b"." in line]
+    nonzero = [n for n in entries if lines[n].strip(b" ,") != b"0.0"]
+
+    def line_edit(n, new):
+        out = list(lines)
+        out[n] = new
+        return b"\n".join(out)
+
+    digits = [k for k, c in enumerate(text) if c in b"123456789"]
+    for _ in range(4):
+        k = int(rng.choice(digits))
+        yield "digit", text[:k] + bytes([text[k] % 9 + 49]) + text[k + 1:]
+    for form in (b"0", b"0.00", b"-0.0", b"0e0", b"0.0 ", b"+0.0"):
+        yield f"zero as {form!r}", line_edit(int(rng.choice(zero)), b"      " + form + b",")
+    n = int(rng.choice(nonzero))
+    for form in (b"NaN", b"Infinity", b"-Infinity", b"1"):
+        yield f"entry as {form!r}", line_edit(n, b"      " + form + (b"," if lines[n].endswith(b",") else b""))
+    ones = [n for n, line in enumerate(lines) if line.strip(b" ,") == b"1.0"]
+    if ones:
+        n = ones[0]
+        yield "1 for 1.0", line_edit(n, lines[n].replace(b"1.0", b"1"))
+    yield "CRLF", text.replace(b"\n", b"\r\n")
+    yield "BOM", b"\xef\xbb\xbf" + text
+    yield "no final newline", text[:-1]
+    yield "two final newlines", text + b"\n"
+    k = int(rng.choice([k for k, c in enumerate(text) if c == 10]))
+    yield "trailing space", text[:k] + b" " + text[k:]
+    yield "non-UTF-8 byte", text[:k] + b"\xff" + text[k:]
+    for _ in range(3):
+        cut = int(rng.integers(1, len(text)))
+        yield "truncated", text[:cut]
+    rows = kernel_rows(text)
+    (a0, a1), (b0, b1) = sorted(rows[k] for k in rng.choice(len(rows), 2, replace=False))
+    yield "swapped rows", text[:a0] + text[b0:b1] + text[a1:b0] + text[a0:a1] + text[b1:]
+    yield "duplicated row", text[:a1] + b",\n" + text[a0:a1] + text[a1:]
+    first = text[a0:a1].replace(b"0.0,", b"0.5,", 1)
+    yield "duplicated row, first copy differs", text[:a0] + first + b",\n" + text[a0:]
+    extra = re.sub(rb'"\d+,\d+"', b'"0,99"', text[a0:a1], count=1)
+    yield "extra row", text[:a1] + b",\n" + extra + text[a1:]
+    yield "row dropped", text[:a0] + text[a1 + 2:]
+    head = text.split(b"\n", 3)
+    yield "reordered header keys", b"\n".join([head[0], head[2], head[1], head[3]])
+    yield "duplicated header key", text.replace(b"{\n", b'{\n  "beta": 7.0,\n', 1)
+    yield "reordered reward keys", re.sub(rb'(\n    "[^\n]*),\n(    "[^\n]*)\n  }\n}', rb"\n\2,\n\1\n  }\n}", text)
+    yield "compact", json.dumps(json.loads(text)).encode()
+    yield "row sum off", line_edit(int(rng.choice(nonzero)), b"      0.123456789,")
+
+
+class TestSavedFileReader:
+    """load_model reads a file in save_model's own layout without json and
+    gives the json route's model; any other file gives the json route's
+    model or exception."""
+
+    @staticmethod
+    def saved(model, path):
+        save_model(model, str(path))
+        return str(path)
+
+    def check_fast(self, model, path):
+        path = self.saved(model, path)
+        fast = mvmdp.model._read_saved(path)
+        assert fast is not None, "a file save_model wrote must not need json"
+        assert same_fields(fast, json_load_model(path))
+        assert same_fields(load_model(path), fast)
+
+    @pytest.mark.parametrize("battery", [5, 50])
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind_files(self, tmp_path, battery, abandonment):
+        spec = WindStorageSpec(battery_capacity=battery, abandonment=abandonment)
+        self.check_fast(build(spec), tmp_path / "wind.json")
+
+    def test_random_and_extreme_files(self, tmp_path):
+        rng = np.random.default_rng(70)
+        for n in range(30):
+            model = random_mdp(rng) if n % 3 == 0 else extreme_model(rng)
+            self.check_fast(model, tmp_path / f"m{n}.json")
+
+    def test_layout_corners(self, tmp_path):
+        """S = 1, -0.0, subnormal and exponent-written entries, a row whose
+        last entry is stored, and a last action never feasible."""
+        self.check_fast(MdpModel(1, 1, ((0,),), np.ones((1, 1, 1)), np.array([[-0.0]]), 5e-324), tmp_path / "one.json")
+        k = np.zeros((3, 3, 3))
+        k[:, :2] = [
+            [[1.0 - 1e-05, 1e-05, -0.0], [0.5, 0.0, 0.5]],
+            [[0.0, 0.0, 1.0], [5e-324, 1.0, -0.0]],
+            [[-0.0, 0.25, 0.75], [1e-05, 0.0, 1.0 - 1e-05]],
+        ]
+        model = MdpModel(3, 3, ((0, 1), (1,), (0,)), k, np.full((3, 3), -1e-05), 1e-05)
+        path = self.saved(model, tmp_path / "corners.json")
+        text = open(path).read()
+        assert "1e-05" in text and "5e-324" in text and "-0.0" in text
+        self.check_fast(model, tmp_path / "corners.json")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutated_files_give_the_json_outcome(self, tmp_path, seed):
+        rng = np.random.default_rng(80 + seed)
+        model = build(WindStorageSpec(battery_capacity=5, abandonment=bool(seed % 2)))
+        if seed == 2:
+            model = extreme_model(rng)
+        text = open(self.saved(model, tmp_path / "base.json"), "rb").read()
+        names = set()
+        for n, (name, data) in enumerate(mutants(text, rng)):
+            path = tmp_path / f"mutant{n}.json"
+            path.write_bytes(data)
+            assert same_outcome(str(path)), name
+            names.add(name)
+        assert len(names) > 25
+
+    @pytest.mark.parametrize("name, data", list(malformed_dicts()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_malformed_files(self, tmp_path, name, data):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        got, want = outcome(load_model, str(path)), outcome(model_from_dict, data)
+        if want[0] == "ok":
+            assert got[0] == "ok" and same_fields(got[1], want[1])
+        else:
+            assert got == want
+
+    def test_saved_file_skips_whole_file_json(self, tmp_path, monkeypatch):
+        path = self.saved(build(WindStorageSpec(battery_capacity=5)), tmp_path / "wind.json")
+        size = os.path.getsize(path)
+        parsed = []
+        real_loads = json.loads
+
+        def loads(text, *args, **kwargs):
+            parsed.append(len(text))
+            return real_loads(text, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole file went through json")
+
+        monkeypatch.setattr(json, "loads", loads)
+        monkeypatch.setattr(json, "load", refuse)
+        monkeypatch.setattr(mvmdp.model, "_read_json", refuse)
+        load_model(path)
+        assert parsed and max(parsed) < size / 10
+
+    def test_peak_below_the_json_route(self, tmp_path):
+        path = self.saved(build(WindStorageSpec(battery_capacity=50)), tmp_path / "wind.json")
+        peaks = []
+        for read in (load_model, json_load_model):
+            tracemalloc.start()
+            try:
+                read(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+
+
 def corrupt(rng, model):
     """(feasible, kernel, reward, beta) of the model with 1 to 3 seeded
     random defects, some on infeasible rows, which must not count."""
@@ -1321,9 +1511,15 @@ class TestSparseKernelReaders:
         head = next(pieces)
         rows, cols = np.nonzero(model.feasible_mask())
         sep = ""
-        for i, a, piece in zip(rows.tolist(), cols.tolist(), pieces):
-            assert piece == f'{sep}    "{i},{a}": [\n      {dense_row_text(dense[i, a])}\n    ]'
+        piece, pos = "", 0
+        for i, a in zip(rows.tolist(), cols.tolist()):
+            if pos == len(piece):  # each piece holds whole rows
+                piece, pos = next(pieces), 0
+            row = f'{sep}    "{i},{a}": [\n      {dense_row_text(dense[i, a])}\n    ]'
+            assert piece.startswith(row, pos)
+            pos += len(row)
             sep = ",\n"
+        assert pos == len(piece)
         assert next(pieces).startswith('\n  },\n  "reward"')
         if model.num_states <= 306:
             path = tmp_path / "m.json"
