@@ -349,8 +349,20 @@ def _cmd_wind_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MVMDP_SEED", "0"))
+def _seed(given: str | None) -> int:
+    """The seed: `--seed` when given, else the MVMDP_SEED environment
+    variable, else 0. It must be an integer >= 0, as numpy's generators
+    take; any other is a ValidationError that names where it came from."""
+    source, text = "--seed", given
+    if given is None:
+        source, text = "MVMDP_SEED", os.environ.get("MVMDP_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValidationError(f"{source} must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -363,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed")
         p.add_argument("--out")
         return p
 
@@ -419,6 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.seed = _seed(args.seed)
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

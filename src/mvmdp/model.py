@@ -21,6 +21,7 @@ that a kernel small enough to be one block is read through it.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -966,11 +967,26 @@ def _json_text(data) -> str:
 def _read_json(path: str, what: str):
     """The parsed content of the JSON `what` file at path; ModelIOError when
     it cannot be read, is not UTF-8 text or is not valid JSON."""
+    return _parse_json(_read_bytes(path, what), path, what)
+
+
+def _read_bytes(path: str, what: str) -> bytes:
+    """The bytes of the `what` file at path; ModelIOError when it cannot be
+    read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ModelIOError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _parse_json(data: bytes, path: str, what: str):
+    """The parsed content of `data`, the bytes of the JSON `what` file at
+    path, decoded as `open(path, encoding="utf-8")` reads them (universal
+    newlines); ModelIOError when they are not UTF-8 text or not valid
+    JSON."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ModelIOError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -980,14 +996,15 @@ def _read_json(path: str, what: str):
 
 
 def load_model(path: str) -> MdpModel:
-    """Read a model file. A file whose bytes are what `save_model` writes
-    for the model they describe is read by `_read_saved`, which runs
-    `float` only on the kernel entries that are not 0.0; any other file
-    goes through `json` and `model_from_dict`, which alone raise, so every
-    error is the same for both. An accepted file parses by `json` to
+    """Read a model file, once. A file whose bytes are what `save_model`
+    writes for the model they describe is read by `_read_saved`, which runs
+    `float` only on the kernel entries that are not 0.0; any other file's
+    bytes go through `json` and `model_from_dict`, which alone raise, so
+    every error is the same for both. An accepted file parses by `json` to
     `model_to_dict` of its model, so both routes give the same model."""
-    model = _read_saved(path)
-    return model if model is not None else model_from_dict(_read_json(path, "model"))
+    data = _read_bytes(path, "model")
+    model = _read_saved(data)
+    return model if model is not None else model_from_dict(_parse_json(data, path, "model"))
 
 
 # the lines around the kernel rows of a saved model file
@@ -997,15 +1014,12 @@ _REWARD_OPEN = b'\n  },\n  "reward": {\n'
 _ZERO_WORDS = tuple(int.from_bytes(text, "little") for text in (b"    0.0,", b"     0.0"))
 
 
-def _read_saved(path: str):
-    """The model of the file at path if its bytes are exactly what
+def _read_saved(data: bytes):
+    """The model of the file bytes `data` if they are exactly what
     `save_model` writes for that model (`_saved_model`), else None. The
-    file is read once; the model is written back piece by piece
-    (`_model_chunks`), and each piece compared with the bytes at its
-    place."""
+    model is written back piece by piece (`_model_chunks`), and each piece
+    compared with the bytes at its place."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
         model = _saved_model(data)
         pos = 0
         for piece in _model_chunks(model):
@@ -1014,7 +1028,7 @@ def _read_saved(path: str):
                 return None
             pos += len(piece)
         return model if pos == len(data) else None
-    # whatever fails here, load_model's json route reads the file again and
+    # whatever fails here, load_model's json route parses the bytes and
     # decides; it alone raises
     except Exception:
         return None

@@ -7,11 +7,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import ValidationError
 from .evaluation import _evaluate_chain, _policy_chain
-from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, induced_chain
+from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, _csr
 
 DEFAULT_BATCHES = 30
 
@@ -50,17 +50,45 @@ class PotentialEstimate:
     seed: int
 
 
-def _cumulative(rows: np.ndarray) -> np.ndarray:
-    """Cumulative sums of probability rows along the last axis, set to 1.0
-    from each row's last positive entry on, so that every draw u in [0, 1)
-    has bisect_right(cum, u) = count(cum <= u) = a next state of positive
-    probability. Without it a draw at or above a sum that rounds below 1
-    (WIND_KERNEL row 2 cumulates to nextafter(1, 0)) leaves the row."""
-    cum = np.cumsum(rows, axis=-1)
-    n = rows.shape[-1]
-    last = n - 1 - np.argmax(rows[..., ::-1] > 0, axis=-1)
-    cum[np.arange(n) >= last[..., None]] = 1.0
-    return cum
+def _support_table(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """(nxt, thresholds), the sampling table of the probability rows of the
+    CSR (indptr, cols, values), one table row per CSR row. Row n keeps the
+    columns of its entries > 0, in increasing order, in nxt[n] and the
+    running sums of those entries in thresholds[n], the last one set to
+    1.0; shorter rows, and rows without such entries (an infeasible
+    pair's), are padded with +inf thresholds. A draw u in [0, 1) moves to
+    nxt[n, count(thresholds[n] <= u)], which bisect_right finds.
+
+    That is the column bisect_right finds on the row's dense cumulative
+    sums set to 1.0 from its last positive entry on: a dense sum rises only
+    at positive entries (adding +-0.0 leaves a nonnegative sum as it is),
+    so the thresholds are the dense sums at those columns, bit for bit, and
+    a tie falls to the first column as it does there. The 1.0 keeps a draw
+    at or above a sum that rounds below 1 (WIND_KERNEL row 2 cumulates to
+    nextafter(1, 0)) on the row."""
+    positive = values > 0
+    before = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(positive, out=before[1:])
+    starts = before[indptr]
+    counts = np.diff(starts)
+    rows = np.repeat(np.arange(counts.size), counts)
+    slots = np.arange(rows.size) - np.repeat(starts[:-1], counts)
+    thresholds = np.full((counts.size, counts.max()), np.inf)
+    thresholds[rows, slots] = values[positive]
+    # cumsum along a row adds left to right, as the dense sums do
+    thresholds = np.cumsum(thresholds, axis=1)
+    full = np.flatnonzero(counts)
+    thresholds[full, counts[full] - 1] = 1.0
+    nxt = np.zeros(thresholds.shape, dtype=np.intp)
+    nxt[rows, slots] = cols[positive]
+    return nxt, thresholds
+
+
+def _dense_support_table(rows: np.ndarray):
+    """_support_table of the dense probability rows `rows`."""
+    flat = np.flatnonzero(rows > 0)
+    indptr, cols = _csr(flat, *rows.shape)
+    return _support_table(indptr, cols, rows.reshape(-1)[flat])
 
 
 def simulate_path(
@@ -70,44 +98,53 @@ def simulate_path(
     seed: int = 0,
     start_state: int = 0,
 ) -> PathSample:
-    """Sample a length-T trajectory under the policy, deterministic in seed."""
+    """Sample a length-T trajectory under the policy, deterministic in seed.
+
+    Each step draws its next state from the `_support_table` of the kernel
+    (`model.kernel_csr`), whose rows become Python lists, which bisect
+    fastest: the S rows of a deterministic policy's pairs at once, a
+    randomized policy's on first visit of their pair.
+    """
     if T < 1:
         raise ValidationError(f"path length must be >= 1, got {T}")
     if not 0 <= start_state < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(seed)
+    A = model.num_actions
     if isinstance(policy, DeterministicPolicy):
-        P, r = induced_chain(model, policy)
-        # bisect_right on Python floats is faster than on numpy scalars
-        cum = _cumulative(P).tolist()
+        policy.validate_for(model)
+        pairs = np.arange(model.num_states) * A + policy.action
+        nxt, thresholds = (t[pairs].tolist() for t in _support_table(*model.kernel_csr[1:]))
         visited = []
         i = start_state
         # a memoryview yields Python floats one at a time: they bisect as fast
         # as a list's, and T of them are never held at once
         for u in memoryview(rng.random(T)):
             visited.append(i)
-            i = bisect_right(cum[i], u)
+            i = nxt[i][bisect_right(thresholds[i], u)]
         states = np.array(visited, dtype=int)
-        return PathSample(states, policy.action[states], r[states])
+        actions = policy.action[states]
+        return PathSample(states, actions, model.reward[states, actions])
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
-        cum_theta = _cumulative(policy.theta).tolist()
-        # cumulative kernel rows rebuilt on first visit of their pair: the whole
-        # (S, A, S) kernel as Python floats is S*A*S objects (~300 MB at S=1206)
-        A = model.num_actions
-        cum_kernel = [[None] * A for _ in range(model.num_states)]
+        act, act_thresholds = (t.tolist() for t in _dense_support_table(policy.theta))
+        nxt, thresholds = _support_table(*model.kernel_csr[1:])
+        # Python lists of a pair's table row, made on its first visit: the
+        # floats of pairs never visited are not built
+        rows = [None] * nxt.shape[0]
         ua = rng.random(T)
         us = rng.random(T)
         visited, chosen = [], []
         i = start_state
         for u_a, u_s in zip(memoryview(ua), memoryview(us)):
             visited.append(i)
-            a = bisect_right(cum_theta[i], u_a)
+            a = act[i][bisect_right(act_thresholds[i], u_a)]
             chosen.append(a)
-            row = cum_kernel[i][a]
+            p = i * A + a
+            row = rows[p]
             if row is None:
-                row = cum_kernel[i][a] = _cumulative(model._row(i * A + a)).tolist()
-            i = bisect_right(row, u_s)
+                row = rows[p] = (nxt[p].tolist(), thresholds[p].tolist())
+            i = row[0][bisect_right(row[1], u_s)]
         states = np.array(visited, dtype=int)
         actions = np.array(chosen, dtype=int)
         return PathSample(states, actions, model.reward[states, actions])
@@ -121,7 +158,9 @@ def _batch_half_width(estimates: np.ndarray) -> float:
     spread = float(np.std(estimates, ddof=1))
     if spread == 0.0:
         return 0.0
-    q = float(student_t.ppf(0.975, df=nb - 1))
+    # Student's t quantile by the call scipy.stats.t.ppf(0.975, nb - 1)
+    # makes, without the import of scipy.stats
+    q = float(stdtrit(nb - 1, 0.975))
     return q * spread / np.sqrt(nb)
 
 
@@ -167,7 +206,7 @@ def estimate_metrics(
 def _accumulate_cost(P, f, J, start, truncation, reps, seed):
     """Mean and spread over replications of sum_{t<=truncation} (f(X_t) - J)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
-    cum = _cumulative(P)
+    nxt, thresholds = _dense_support_table(P)
     cur = np.full(reps, start, dtype=int)
     acc = np.zeros(reps)
     excess = f - J
@@ -176,7 +215,7 @@ def _accumulate_cost(P, f, J, start, truncation, reps, seed):
         if t == truncation:
             break
         u = rng.random(reps)
-        cur = (cum[cur] <= u[:, None]).sum(axis=1)
+        cur = nxt[cur, (thresholds[cur] <= u[:, None]).sum(axis=1)]
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 

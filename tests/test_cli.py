@@ -490,6 +490,28 @@ class TestSeedEnvironment:
               "--out", str(from_env)])
         assert from_env.read_bytes() == explicit.read_bytes()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-pi", []),
+        ("multi-start", []),
+        ("sweep-beta", ["--beta-grid", "0.1"]),
+        ("simulate", ["--policy", "none.json"]),
+        ("check", ["--policy", "none.json"]),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+    def test_bad_seed_exits_2(self, workdir, capsys, command, extra, seed):
+        argv = [command, "--model", str(workdir / "wind.json"), "--seed", seed, *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --seed must be an integer >= 0, got {seed!r}\n"
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-2", ""])
+    def test_bad_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv("MVMDP_SEED", seed)
+        assert main(["wind-build", "--out", str(tmp_path / "w.json")]) == 2
+        assert capsys.readouterr().err == f"error: MVMDP_SEED must be an integer >= 0, got {seed!r}\n"
+        assert not (tmp_path / "w.json").exists()
+        # --seed overrides the environment variable, which then goes unread
+        assert main(["wind-build", "--seed", "3", "--out", str(tmp_path / "w.json")]) == 0
+
 
 def per_beta_sweep(model, beta_grid, starts_per_beta, seed):
     """sweep_beta before the betas shared a report memo: one public

@@ -1152,7 +1152,7 @@ class TestSavedFileReader:
 
     def check_fast(self, model, path):
         path = self.saved(model, path)
-        fast = mvmdp.model._read_saved(path)
+        fast = mvmdp.model._read_saved(open(path, "rb").read())
         assert fast is not None, "a file save_model wrote must not need json"
         assert same_fields(fast, json_load_model(path))
         assert same_fields(load_model(path), fast)
@@ -1228,6 +1228,56 @@ class TestSavedFileReader:
         monkeypatch.setattr(mvmdp.model, "_read_json", refuse)
         load_model(path)
         assert parsed and max(parsed) < size / 10
+
+    def test_declined_file_is_read_once(self, tmp_path, monkeypatch):
+        """A file the fast route declines is read from disk once: the json
+        route parses the bytes already read."""
+        text = open(self.saved(build(WindStorageSpec(battery_capacity=5)), tmp_path / "wind.json"), "rb").read()
+        path = tmp_path / "near.json"
+        path.write_bytes(text.replace(b'"beta": 0.1', b'"beta": 0.10'))
+        want = json_load_model(str(path))
+        opened = []
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(mvmdp.model, "open", counted, raising=False)
+        assert same_fields(load_model(str(path)), want)
+        assert opened == [str(path)]
+
+    @pytest.mark.parametrize("data", [
+        b'{\r\n  "a": [1,\r\n  2,, 3]\r\n}\r\n',
+        b'{\r  "a": [1,\r  2,, 3]\r}\r',
+        b'{\r\n  "a": "x\ry"\n}',
+        b'{\r\n  "a": 1\r\n}\r\n',
+        b'\xef\xbb\xbf{"a": 1}',
+        b'{"a": "\xc3\xa9\xff"}',
+        b'{"a": 1}\r\n\xe9',
+        b'',
+    ])
+    def test_json_route_decodes_as_a_text_mode_open(self, tmp_path, data):
+        """The json route parses the bytes as `open(path, encoding="utf-8")`
+        reads them: universal newlines move an error's line and column, and
+        a BOM or bytes that are not UTF-8 fail with the same message."""
+        path = str(tmp_path / "f.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+        def text_mode(path):
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+
+        got = outcome(mvmdp.model._read_json, path, "model")
+        kind, want = outcome(text_mode, path)
+        if kind == "ok":
+            assert got == (kind, want)
+        elif kind is UnicodeDecodeError:
+            assert got == (ModelIOError, f"model file {path} is not UTF-8 text: {want}")
+        else:
+            msg, line, column = re.fullmatch(r"(.*): line (\d+) column (\d+) \(char \d+\)", want).groups()
+            assert got == (ModelIOError, f"model file {path} is not valid JSON (line {line}, column {column}): {msg}")
 
     def test_peak_below_the_json_route(self, tmp_path):
         path = self.saved(build(WindStorageSpec(battery_capacity=50)), tmp_path / "wind.json")

@@ -1,4 +1,7 @@
 """Trajectory sampling, batch-means estimation, and potential estimation."""
+import os
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp
+from conftest import model_policy_cases, random_mdp, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
@@ -15,6 +18,7 @@ from mvmdp import (
     PathSample,
     RandomizedPolicy,
     ValidationError,
+    WIND_KERNEL,
     WindStorageSpec,
     build,
     estimate_metrics,
@@ -25,7 +29,18 @@ from mvmdp import (
     simulate_path,
 )
 from mvmdp import simulation
-from mvmdp.simulation import _cumulative
+from mvmdp.evaluation import _policy_chain
+
+
+def dense_cumulative(rows):
+    """The dense next-state rule the support tables replace: cumulative
+    sums along the last axis, set to 1.0 from each row's last positive
+    entry on; a draw u moves to bisect_right(cum, u) = count(cum <= u)."""
+    cum = np.cumsum(rows, axis=-1)
+    n = rows.shape[-1]
+    last = n - 1 - np.argmax(rows[..., ::-1] > 0, axis=-1)
+    cum[np.arange(n) >= last[..., None]] = 1.0
+    return cum
 
 
 class TestSimulatePath:
@@ -115,9 +130,9 @@ class TestNextStateDraw:
     def test_bisect_and_count_rules(self):
         _, _, P, i = self._wind_chain()
         u = np.nextafter(1.0, 0.0)
-        cum = _cumulative(P)
-        for j in (bisect_right(cum[i].tolist(), u), int(np.count_nonzero(cum[i] <= u))):
-            assert j < P.shape[0] and P[i, j] > 0
+        nxt, thresholds = simulation._dense_support_table(P)
+        for k in (bisect_right(thresholds[i].tolist(), u), int(np.count_nonzero(thresholds[i] <= u))):
+            assert P[i, nxt[i, k]] > 0
 
     def test_top_draw_stays_on_the_row(self, monkeypatch):
         m, d, P, i = self._wind_chain()
@@ -131,29 +146,29 @@ class TestNextStateDraw:
     def test_draws_inside_a_row_keep_their_index(self, wind_model):
         P, _ = induced_chain(wind_model, sample_random_policy(wind_model, np.random.default_rng(3)))
         u = np.random.default_rng(4).random(2000)
-        plain, cum = np.cumsum(P, axis=1), _cumulative(P)
-        for row, new in zip(plain, cum):
+        plain = np.cumsum(P, axis=1)
+        for row, nxt, thresholds in zip(plain, *simulation._dense_support_table(P)):
             inside = u[u < row[-1]]
             old = np.searchsorted(row, inside, side="right")
-            assert np.array_equal(np.searchsorted(new, inside, side="right"), old)
-            assert np.array_equal((new <= inside[:, None]).sum(axis=1), old)
+            assert np.array_equal(nxt[np.searchsorted(thresholds, inside, side="right")], old)
+            assert np.array_equal(nxt[(thresholds <= inside[:, None]).sum(axis=1)], old)
 
 
 def loop_simulate_path(model, policy, T, seed=0, start_state=0):
-    """Per-step reference: bisection on rows of numpy cumulative sums."""
+    """Per-step reference: bisection on the dense rows of dense_cumulative."""
     rng = np.random.default_rng(seed)
     states = np.empty(T, dtype=int)
     if isinstance(policy, DeterministicPolicy):
         P, r = induced_chain(model, policy)
-        cum = [list(np.cumsum(row)) for row in P]
+        cum = dense_cumulative(P).tolist()
         us = rng.random(T)
         i = start_state
         for t in range(T):
             states[t] = i
             i = bisect_right(cum[i], us[t])
         return PathSample(states, policy.action[states].copy(), r[states])
-    cum_theta = [list(np.cumsum(row)) for row in policy.theta]
-    cum_kernel = [[list(np.cumsum(row)) for row in model.kernel[i]] for i in range(model.num_states)]
+    cum_theta = dense_cumulative(policy.theta).tolist()
+    cum_kernel = dense_cumulative(model.kernel).tolist()
     ua = rng.random(T)
     us = rng.random(T)
     actions = np.empty(T, dtype=int)
@@ -164,6 +179,23 @@ def loop_simulate_path(model, policy, T, seed=0, start_state=0):
         actions[t] = a
         i = bisect_right(cum_kernel[i][a], us[t])
     return PathSample(states, actions, model.reward[states, actions].copy())
+
+
+def dense_accumulate_cost(P, f, J, start, truncation, reps, seed):
+    """Reference for simulation._accumulate_cost: every replication counts
+    its next state over a whole dense_cumulative row."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
+    cum = dense_cumulative(P)
+    cur = np.full(reps, start, dtype=int)
+    acc = np.zeros(reps)
+    excess = f - J
+    for t in range(truncation + 1):
+        acc += excess[cur]
+        if t == truncation:
+            break
+        u = rng.random(reps)
+        cur = (cum[cur] <= u[:, None]).sum(axis=1)
+    return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 
 class TestSimulateLoopReference:
@@ -215,6 +247,151 @@ class TestSimulateRandomizedLarge:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class _FixedDraws:
+    """A generator stand-in whose draws repeat `values` in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        return np.resize(self.values, n)
+
+
+def _corner_model():
+    """Six states, two actions. Action 0 follows WIND_KERNEL, whose row 2
+    cumulates to nextafter(1, 0). Action 1 has a sub-ulp entry (a tie:
+    0.5 + 2**-60 is 0.5), -0.0 entries before, between and after the
+    positive ones, a row that also cumulates to nextafter(1, 0) before its
+    last -0.0, a row of one entry and a last column of 1.0."""
+    tie = 2.0**-60
+    rows = np.array([
+        [0.5, tie, 0.0, 0.5, 0.0, 0.0],
+        [-0.0, 0.25, -0.0, 0.75, -0.0, -0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.7, -0.0, 0.2, 0.1, 0.0, -0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [tie, 0.5, 0.0, 0.0, 0.5, 0.0],
+    ])
+    kernel = np.stack([WIND_KERNEL, rows], axis=1)
+    reward = np.arange(12.0).reshape(6, 2)
+    return MdpModel(6, 2, ((0, 1),) * 6, kernel, reward, 0.5)
+
+
+def _thetas(model, rng):
+    """The uniform feasible theta and a random one with zero entries on
+    feasible actions."""
+    mask = model.feasible_mask()
+    keep = mask & (rng.random(mask.shape) < 0.6)
+    keep[np.arange(model.num_states), model.feasible_actions()[0][:, 0]] = True
+    theta = rng.dirichlet(np.ones(model.num_actions), size=model.num_states) * keep
+    return [_uniform_theta(model), RandomizedPolicy(theta / theta.sum(axis=1, keepdims=True))]
+
+
+class TestSupportTablesKeepTheDenseRule:
+    """simulate_path and _accumulate_cost give the paths and estimates of
+    the dense cumulative rows bit for bit."""
+
+    @staticmethod
+    def check_paths(model, policies, seeds, T=2000):
+        for policy in policies:
+            for seed in seeds:
+                start = seed % model.num_states
+                got = simulate_path(model, policy, T, seed=seed, start_state=start)
+                want = loop_simulate_path(model, policy, T, seed=seed, start_state=start)
+                for field in ("states", "actions", "rewards"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+    @staticmethod
+    def check_costs(P, starts, seed, reps=300, truncation=40):
+        f = np.sin(np.arange(P.shape[0]) + seed)
+        for start in starts:
+            got = simulation._accumulate_cost(P, f, 0.25, start, truncation, reps, seed)
+            assert got == dense_accumulate_cost(P, f, 0.25, start, truncation, reps, seed)
+
+    @pytest.mark.parametrize("battery", [5, 50])
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind(self, battery, abandonment):
+        spec = WindStorageSpec(battery_capacity=battery, abandonment=abandonment)
+        m = build(spec)
+        rng = np.random.default_rng(battery + abandonment)
+        policies = [threshold_policy(spec), sample_random_policy(m, rng), *_thetas(m, rng)]
+        self.check_paths(m, policies, seeds=range(2))
+        for policy in policies:
+            P = _policy_chain(m, policy)[0]
+            self.check_costs(P, starts=(0, m.num_states - 1), seed=3)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(90)
+        for m, d in model_policy_cases([], seed=90, random_models=4, policies_per_model=1):
+            self.check_paths(m, [d, *_thetas(m, rng)], seeds=(1,), T=500)
+            for policy in (d, *_thetas(m, rng)):
+                self.check_costs(_policy_chain(m, policy)[0], starts=range(m.num_states), seed=4)
+
+    def test_corner_rows(self, monkeypatch):
+        m = _corner_model()
+        rng = np.random.default_rng(91)
+        policies = [DeterministicPolicy(np.zeros(6, dtype=int)), DeterministicPolicy(np.ones(6, dtype=int))]
+        policies += _thetas(m, rng)
+        self.check_paths(m, policies, seeds=range(3), T=300)
+        chains = [_policy_chain(m, policy)[0] for policy in policies]
+        for P in chains:
+            self.check_costs(P, starts=range(6), seed=5)
+        # draws on the thresholds themselves and the largest draw
+        top = np.nextafter(1.0, 0.0)
+        draws = [0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, top, 0.5, 0.999, top, 0.1, 0.5]
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: _FixedDraws(draws))
+        self.check_paths(m, policies, seeds=range(6), T=60)
+        for P in chains:
+            self.check_costs(P, starts=range(6), seed=5, reps=len(draws))
+
+    def test_single_state(self, single_state_model):
+        d = DeterministicPolicy(np.zeros(1, dtype=int))
+        self.check_paths(single_state_model, [d, d.as_randomized(single_state_model)], seeds=(0,), T=50)
+        path = simulate_path(single_state_model, d, 50)
+        assert np.array_equal(path.states, np.zeros(50, dtype=int))
+        self.check_costs(np.ones((1, 1)), starts=(0,), seed=6)
+
+
+class TestSimulationMemory:
+    """A path's tables grow with the kernel's entries, not with S * S."""
+
+    @pytest.fixture(scope="class")
+    def b200(self):
+        spec = WindStorageSpec(battery_capacity=200)
+        return build(spec), threshold_policy(spec)
+
+    def test_peak_at_b200(self, b200):
+        m, d = b200
+        for policy in (d, _uniform_theta(m)):
+            tracemalloc.start()
+            try:
+                simulate_path(m, policy, 20_000, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, type(policy).__name__
+
+
+def test_import_leaves_scipy_stats_out():
+    """The batch-means quantile does not load scipy.stats."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mvmdp, mvmdp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_half_width_quantile_is_scipy_stats_t():
+    """_batch_half_width's quantile is scipy.stats.t.ppf's, bit for bit."""
+    from scipy.stats import t as student_t
+
+    for nb in range(2, 1001):
+        estimates = np.arange(nb, dtype=float) ** 1.5
+        want = float(student_t.ppf(0.975, df=nb - 1)) * float(np.std(estimates, ddof=1)) / np.sqrt(nb)
+        assert simulation._batch_half_width(estimates) == want
 
 
 class TestEstimateMetrics:
