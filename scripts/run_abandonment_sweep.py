@@ -11,7 +11,7 @@ import argparse
 import csv
 
 from mvmdp import WindStorageSpec, build
-from mvmdp.cli import sweep_beta
+from mvmdp.cli import _optima_path, sweep_beta
 
 
 def main():
@@ -55,8 +55,7 @@ def main():
             writer.writerow(["beta", "j_mean", "j_var", "j_combined", "policy_id"])
             for p in points:
                 writer.writerow([p.beta, p.j_mean, p.j_var, p.j_combined, p.policy_id])
-        stem, dot, ext = args.out.rpartition(".")
-        sidecar = f"{stem}_optima{dot}{ext}" if dot else f"{args.out}_optima"
+        sidecar = _optima_path(args.out)
         with open(sidecar, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["beta", "j_mean", "j_var", "j_combined"])

@@ -30,6 +30,7 @@ from .model import (
     RandomizedPolicy,
     check_ergodicity,
     _feasible_pairs,
+    _integer,
     _json_text,
     _read_json,
     _write_text,
@@ -195,7 +196,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
-    if starts_per_beta < 1:
+    if _integer(starts_per_beta, "starts per beta") < 1:
         raise ValidationError(f"starts per beta must be >= 1, got {starts_per_beta}")
     points = []
     optima_rows = []
@@ -245,6 +246,13 @@ def _beta_grid(text: str) -> tuple:
     return grid
 
 
+def _optima_path(path: str) -> str:
+    """The optima sidecar of the sweep file at path: `<stem>_optima<ext>`,
+    the extension taken from the file name only."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_optima{ext}"
+
+
 def _cmd_sweep_beta(args: argparse.Namespace) -> int:
     grid = _beta_grid(args.beta_grid)
     model = load_model(args.model)
@@ -258,10 +266,8 @@ def _cmd_sweep_beta(args: argparse.Namespace) -> int:
                 for p in points
             ),
         )
-        stem, dot, ext = args.out.rpartition(".")
-        optima_path = f"{stem}_optima.{ext}" if dot else args.out + "_optima"
         _write_csv(
-            optima_path,
+            _optima_path(args.out),
             "beta,j_mean,j_var,j_combined",
             ((_fmt(b), _fmt(m), _fmt(v), _fmt(c)) for b, m, v, c in optima_rows),
         )
@@ -273,7 +279,8 @@ def _cmd_sweep_beta(args: argparse.Namespace) -> int:
 def _simulate_estimate(model: MdpModel, policy, T: int, seed: int, burn_in: int):
     """A seeded path of T + burn_in steps, and the metric estimates from its
     last T rewards."""
-    if burn_in < 0:
+    _integer(T, "horizon")
+    if _integer(burn_in, "burn-in") < 0:
         raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
     path = simulate_path(model, policy, T + burn_in, seed=seed)
     return path, estimate_metrics(path.rewards[burn_in:], model.beta, seed=seed)

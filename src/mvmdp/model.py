@@ -8,15 +8,15 @@ have empty rows. At B=200 with abandonment (S=1206, A=8) that is 39,690
 entries, 0.47 MB, where the dense (S, A, S) array is 93 MB; at B=1000 it is
 2.4 MB against 2.3 GB.
 
-Every reader works from the CSR and rebuilds dense floats only where the
-bits depend on them: a policy's chain scatters its pairs' rows into a zero
-S x S matrix, and `kernel @ g` and the randomized chain walk dense
-(k, A, S) blocks of about _BLOCK_BYTES (`MdpModel._blocks`). The successor
-table that the structural checks read is the CSR's pattern of entries > 0.
-Row sums are checked on the CSR, and only a row near the tolerance is
-rebuilt (`_check_kernel_rows`). `MdpModel.kernel` still reads the dense
-array, built on first access; no reader in the package uses it, except
-that a kernel small enough to be one block is read through it.
+Each rule of the CSR has one implementation. The decoder, `_scatter_rows`,
+writes CSR rows into zeroed dense rows: the cached `MdpModel.kernel`, the
+(k, A, S) blocks of about _BLOCK_BYTES that `kernel @ g` and the randomized
+chain walk (`MdpModel._blocks`), a policy's chain and a row near the sum
+tolerance (`_check_kernel_rows`). The encoder, `_csr_of_entries`, turns
+entries in (pair, column) order into a _KernelCSR. The positive-entry table,
+`MdpModel._positive`, is built once; the successor table of the structural
+checks and the sampling table of `simulate_path` are read from it. No
+reader uses the dense kernel except through one block of a small kernel.
 """
 from __future__ import annotations
 
@@ -64,10 +64,14 @@ def _kernel_csr(S: int, A: int, counts: np.ndarray, cols, values) -> _KernelCSR:
     indptr = np.zeros(S * A + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     cols = np.asarray(cols, dtype=_col_dtype(S))
-    csr = _KernelCSR((S, A, S), indptr, cols, np.asarray(values, dtype=float))
-    for array in csr[1:]:
+    return _KernelCSR((S, A, S), *_read_only(indptr, cols, np.asarray(values, dtype=float)))
+
+
+def _read_only(*arrays) -> tuple:
+    """arrays, each set read-only."""
+    for array in arrays:
         array.setflags(write=False)
-    return csr
+    return arrays
 
 
 def _kept(values: np.ndarray) -> np.ndarray:
@@ -77,14 +81,22 @@ def _kept(values: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _csr_of_entries(S: int, A: int, pairs: np.ndarray, cols, values) -> _KernelCSR:
+    """The encoder: the _KernelCSR of the kernel entries `values` at pairs
+    `pairs` and columns `cols`, listed in (pair, column) order. The +0.0
+    entries are dropped and the -0.0 kept (`_kept`)."""
+    keep = _kept(values)
+    counts = np.bincount(pairs[keep], minlength=S * A)
+    return _kernel_csr(S, A, counts, cols[keep], values[keep])
+
+
 def _dense_csr(kernel: np.ndarray, mask: np.ndarray) -> _KernelCSR:
     """The _KernelCSR of the rows of the dense kernel that `mask` selects."""
     S, A = mask.shape
     flat = np.flatnonzero(_kept(kernel))
     pairs, cols = np.divmod(flat, S)
     keep = mask.reshape(-1)[pairs]
-    counts = np.bincount(pairs[keep], minlength=S * A)
-    return _kernel_csr(S, A, counts, cols[keep], kernel.reshape(-1)[flat[keep]])
+    return _csr_of_entries(S, A, pairs[keep], cols[keep], kernel.reshape(-1)[flat[keep]])
 
 
 def _restrict(csr: _KernelCSR, mask: np.ndarray) -> _KernelCSR:
@@ -96,6 +108,17 @@ def _restrict(csr: _KernelCSR, mask: np.ndarray) -> _KernelCSR:
     keep = np.repeat(feasible, counts)
     S, A = mask.shape
     return _kernel_csr(S, A, np.where(feasible, counts, 0), csr.cols[keep], csr.values[keep])
+
+
+def _scatter_rows(out: np.ndarray, indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The decoder: write CSR row n, the entries indptr[n]:indptr[n + 1] of
+    cols and values (indptr may be a slice), into row n of the zeroed,
+    C-ordered `out`; return the flat positions written."""
+    lo, hi = indptr[0], indptr[-1]
+    at = np.repeat(np.arange(indptr.size - 1) * out.shape[-1], np.diff(indptr))
+    at += cols[lo:hi]
+    out.reshape(-1)[at] = values[lo:hi]
+    return at
 
 
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray, *entries):
@@ -154,33 +177,21 @@ class MdpModel:
         kernel = kernel_csr if kernel is None else np.asarray(kernel, dtype=float)
         put("reward", np.asarray(reward, dtype=float))
         put("beta", float(beta))
-        put("_dense", None)
-        put("_successors", None)
         mask = _validate_model(self, kernel, actions, lengths)
         self.reward.setflags(write=False)
         mask.setflags(write=False)
         put("_feasible_mask", mask)
-        A = self.num_actions
-        actions = np.sort(np.where(mask, np.arange(A), A), axis=1)
-        counts = mask.sum(axis=1)
-        actions.setflags(write=False)
-        counts.setflags(write=False)
-        put("_feasible_actions", (actions, counts))
 
-    @property
+    @functools.cached_property
     def kernel(self) -> np.ndarray:
         """The dense (S, A, S) kernel: kernel[i, a] is the next-state
         distribution of feasible (i, a); infeasible rows are zero. Built
         from the CSR on first access, then cached and read-only."""
-        if self._dense is None:
-            S, A = self.num_states, self.num_actions
-            csr = self.kernel_csr
-            dense = np.zeros((S, A, S))
-            pairs = np.repeat(np.arange(S * A), np.diff(csr.indptr))
-            dense.reshape(-1)[pairs * S + csr.cols] = csr.values
-            dense.setflags(write=False)
-            object.__setattr__(self, "_dense", dense)
-        return self._dense
+        S, A = self.num_states, self.num_actions
+        dense = np.zeros((S, A, S))
+        _scatter_rows(dense, *self.kernel_csr[1:])
+        dense.setflags(write=False)
+        return dense
 
     def _block_states(self) -> int:
         """The number of states whose dense kernel slices fill a block of
@@ -202,32 +213,24 @@ class MdpModel:
         if k >= S:
             yield 0, S, self.kernel
             return
-        csr = self.kernel_csr
+        _, indptr, cols, values = self.kernel_csr
         buffer = np.zeros((k, A, S))
-        flat = buffer.reshape(-1)
         for lo in range(0, S, k):
             hi = min(lo + k, S)
-            p0, p1 = lo * A, hi * A
-            e0, e1 = int(csr.indptr[p0]), int(csr.indptr[p1])
-            at = np.repeat(np.arange(p1 - p0) * S, np.diff(csr.indptr[p0 : p1 + 1]))
-            at += csr.cols[e0:e1]
-            flat[at] = csr.values[e0:e1]
+            at = _scatter_rows(buffer, indptr[lo * A : hi * A + 1], cols, values)
             block = buffer[: hi - lo]
             block.flags.writeable = False
             yield lo, hi, block
-            flat[at] = 0.0
-
-    def _row(self, p: int) -> np.ndarray:
-        """kernel[i, a] of the pair p = i * A + a, as a new dense row."""
-        csr = self.kernel_csr
-        lo, hi = csr.indptr[p], csr.indptr[p + 1]
-        row = np.zeros(self.num_states)
-        row[csr.cols[lo:hi]] = csr.values[lo:hi]
-        return row
+            buffer.reshape(-1)[at] = 0.0
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only boolean (S, A) mask of feasible pairs, built once."""
         return self._feasible_mask
+
+    @functools.cached_property
+    def _feasible_actions(self):
+        A, mask = self.num_actions, self._feasible_mask
+        return _read_only(np.sort(np.where(mask, np.arange(A), A), axis=1), mask.sum(axis=1))
 
     def feasible_actions(self):
         """(actions, counts), read-only and built once: row i of the (S, A)
@@ -235,22 +238,24 @@ class MdpModel:
         increasing order, then A in the columns left over."""
         return self._feasible_actions
 
+    @functools.cached_property
+    def _positive(self):
+        """The positive-entry table (indptr, succ, prob), read-only and
+        built on first use: the CSR of the entries > 0 of `kernel_csr` (no
+        -0.0). succ is int32, the index type csgraph takes."""
+        csr = self.kernel_csr
+        positive = csr.values > 0
+        before = np.zeros(positive.size + 1, dtype=np.int64)
+        np.cumsum(positive, out=before[1:])
+        succ = csr.cols[positive].astype(np.int32)
+        return _read_only(before[csr.indptr], succ, csr.values[positive])
+
     def successor_table(self):
         """(indptr, succ), read-only and built on first use: the next states
         j with kernel[i, a, j] > 0 of the pair p = i * A + a are
         succ[indptr[p]:indptr[p + 1]], in increasing order. Infeasible pairs
-        have none. It is the CSR's pattern of entries > 0."""
-        if self._successors is None:
-            csr = self.kernel_csr
-            positive = csr.values > 0
-            before = np.zeros(positive.size + 1, dtype=np.int64)
-            np.cumsum(positive, out=before[1:])
-            # int32, the index type csgraph takes without converting
-            indptr, succ = before[csr.indptr], csr.cols[positive].astype(np.int32)
-            indptr.setflags(write=False)
-            succ.setflags(write=False)
-            object.__setattr__(self, "_successors", (indptr, succ))
-        return self._successors
+        have none. It is the positive-entry table without its values."""
+        return self._positive[:2]
 
     def num_policies(self) -> int:
         return math.prod(self._feasible_actions[1].tolist())
@@ -306,6 +311,16 @@ def _first_bad_state(actions: np.ndarray, lengths: np.ndarray, A: int) -> int:
     return int(first[0]) if first.size else int(lengths.size)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValidationError for a float, a string or any other
+    value that is not an integer, which would otherwise be truncated or
+    fail later with a bare TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_beta(beta: float) -> None:
     if not beta > 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
@@ -359,7 +374,9 @@ def _check_kernel_rows(model: MdpModel, where: np.ndarray) -> None:
     clear = (lows >= 0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL - margin)
     for p in np.flatnonzero(where.reshape(-1) & ~clear).tolist():
         i, a = divmod(p, A)
-        _check_rows(model._row(p)[None], f"kernel row {i},{a}")
+        row = np.zeros((1, model.num_states))
+        _scatter_rows(row, csr.indptr[p : p + 2], csr.cols, csr.values)
+        _check_rows(row, f"kernel row {i},{a}")
 
 
 def _validate_model(model: MdpModel, kernel, actions: np.ndarray, lengths: np.ndarray):
@@ -499,9 +516,8 @@ def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     if model._block_states() >= S:
         return model.kernel[idx, policy.action], model.reward[idx, policy.action]
     csr = model.kernel_csr
-    indptr, cols, values = _gather_rows(csr.indptr, idx * A + policy.action, csr.cols, csr.values)
     P = np.zeros((S, S))
-    P.reshape(-1)[np.repeat(idx * S, np.diff(indptr)) + cols] = values
+    _scatter_rows(P, *_gather_rows(csr.indptr, idx * A + policy.action, csr.cols, csr.values))
     return P, model.reward[idx, policy.action]
 
 
@@ -635,6 +651,7 @@ def check_ergodicity(
     policy's are the rows of its pairs. Always returns a report; callers
     decide whether violations are fatal.
     """
+    _integer(sample_size, "sample_size")
     S, A = model.num_states, model.num_actions
     indptr, succ = model.successor_table()
     # state * S + next state for every edge of every feasible pair, deduplicated
@@ -679,7 +696,7 @@ def sample_random_policy(
     ValidationError when no draw passes.
     """
     states = np.arange(model.num_states)
-    for _ in range(max_tries):
+    for _ in range(_integer(max_tries, "max_tries")):
         d = DeterministicPolicy(_draw_feasible(model, rng, states))
         if not require_irreducible or _irreducible(*_policy_support(model, d.action)):
             return d
@@ -1092,10 +1109,7 @@ def _saved_kernel(data: bytes, lo: int, hi: int, S: int, A: int, pairs: np.ndarr
         line += ends.size
         lo = end
     rows, cols, values = map(np.concatenate, (rows, cols, values))
-    keep = _kept(values)
-    counts = np.zeros(S * A, dtype=np.int64)
-    counts[pairs] = np.bincount(rows[keep], minlength=pairs.size)
-    return _kernel_csr(S, A, counts, cols[keep], values[keep])
+    return _csr_of_entries(S, A, pairs[rows], cols, values)
 
 
 def _parse_floats(data: bytes, first: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from scipy.special import stdtrit
 
 from .errors import ValidationError
 from .evaluation import _evaluate_chain, _policy_chain
-from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, _csr
+from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, _csr, _integer
 
 DEFAULT_BATCHES = 30
 
@@ -51,11 +51,11 @@ class PotentialEstimate:
 
 
 def _support_table(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
-    """(nxt, thresholds), the sampling table of the probability rows of the
-    CSR (indptr, cols, values), one table row per CSR row. Row n keeps the
-    columns of its entries > 0, in increasing order, in nxt[n] and the
-    running sums of those entries in thresholds[n], the last one set to
-    1.0; shorter rows, and rows without such entries (an infeasible
+    """(nxt, thresholds), the sampling table of the probability rows whose
+    entries > 0 are the CSR (indptr, cols, values), one table row per CSR
+    row. Row n keeps the columns of its entries, in increasing order, in
+    nxt[n] and the running sums of those entries in thresholds[n], the last
+    one set to 1.0; shorter rows, and rows without entries (an infeasible
     pair's), are padded with +inf thresholds. A draw u in [0, 1) moves to
     nxt[n, count(thresholds[n] <= u)], which bisect_right finds.
 
@@ -66,26 +66,23 @@ def _support_table(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
     a tie falls to the first column as it does there. The 1.0 keeps a draw
     at or above a sum that rounds below 1 (WIND_KERNEL row 2 cumulates to
     nextafter(1, 0)) on the row."""
-    positive = values > 0
-    before = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(positive, out=before[1:])
-    starts = before[indptr]
-    counts = np.diff(starts)
+    counts = np.diff(indptr)
     rows = np.repeat(np.arange(counts.size), counts)
-    slots = np.arange(rows.size) - np.repeat(starts[:-1], counts)
+    slots = np.arange(rows.size) - np.repeat(indptr[:-1], counts)
     thresholds = np.full((counts.size, counts.max()), np.inf)
-    thresholds[rows, slots] = values[positive]
+    thresholds[rows, slots] = values
     # cumsum along a row adds left to right, as the dense sums do
     thresholds = np.cumsum(thresholds, axis=1)
     full = np.flatnonzero(counts)
     thresholds[full, counts[full] - 1] = 1.0
     nxt = np.zeros(thresholds.shape, dtype=np.intp)
-    nxt[rows, slots] = cols[positive]
+    nxt[rows, slots] = cols
     return nxt, thresholds
 
 
 def _dense_support_table(rows: np.ndarray):
-    """_support_table of the dense probability rows `rows`."""
+    """_support_table of the dense probability rows `rows`, from the CSR
+    of their entries > 0."""
     flat = np.flatnonzero(rows > 0)
     indptr, cols = _csr(flat, *rows.shape)
     return _support_table(indptr, cols, rows.reshape(-1)[flat])
@@ -100,21 +97,22 @@ def simulate_path(
 ) -> PathSample:
     """Sample a length-T trajectory under the policy, deterministic in seed.
 
-    Each step draws its next state from the `_support_table` of the kernel
-    (`model.kernel_csr`), whose rows become Python lists, which bisect
+    Each step draws its next state from the `_support_table` of the
+    model's positive-entry table (`MdpModel._positive`), whose rows become
+    Python lists, which bisect
     fastest: the S rows of a deterministic policy's pairs at once, a
     randomized policy's on first visit of their pair.
     """
-    if T < 1:
+    if _integer(T, "path length") < 1:
         raise ValidationError(f"path length must be >= 1, got {T}")
-    if not 0 <= start_state < model.num_states:
+    if not 0 <= _integer(start_state, "start_state") < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(seed)
     A = model.num_actions
     if isinstance(policy, DeterministicPolicy):
         policy.validate_for(model)
         pairs = np.arange(model.num_states) * A + policy.action
-        nxt, thresholds = (t[pairs].tolist() for t in _support_table(*model.kernel_csr[1:]))
+        nxt, thresholds = (t[pairs].tolist() for t in _support_table(*model._positive))
         visited = []
         i = start_state
         # a memoryview yields Python floats one at a time: they bisect as fast
@@ -128,7 +126,7 @@ def simulate_path(
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
         act, act_thresholds = (t.tolist() for t in _dense_support_table(policy.theta))
-        nxt, thresholds = _support_table(*model.kernel_csr[1:])
+        nxt, thresholds = _support_table(*model._positive)
         # Python lists of a pair's table row, made on its first visit: the
         # floats of pairs never visited are not built
         rows = [None] * nxt.shape[0]
@@ -179,7 +177,7 @@ def estimate_metrics(
     T = rewards.shape[0]
     if T < 2:
         raise ValidationError(f"need a path of length >= 2, got {T}")
-    if num_batches < 1:
+    if _integer(num_batches, "num_batches") < 1:
         raise ValidationError(f"num_batches must be >= 1, got {num_batches}")
     _check_beta(beta)
     mean_hat = float(np.mean(rewards))
@@ -234,11 +232,11 @@ def estimate_potential(
     at `state`, then subtracts the same estimate started at state 0. J is
     the exact combined metric unless supplied.
     """
-    if truncation < 1:
+    if _integer(truncation, "truncation") < 1:
         raise ValidationError(f"truncation must be >= 1, got {truncation}")
-    if not 0 <= state < model.num_states:
+    if not 0 <= _integer(state, "state") < model.num_states:
         raise ValidationError(f"state {state} out of range")
-    if num_replications < 1:
+    if _integer(num_replications, "num_replications") < 1:
         raise ValidationError(f"num_replications must be >= 1, got {num_replications}")
     P, r, m2, support = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary

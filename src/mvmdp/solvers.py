@@ -7,7 +7,6 @@ projected-gradient baseline over randomized policies.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .model import (
     _closed_classes,
     _draw_feasible,
     _entries,
+    _integer,
     _policy_support,
     sample_random_policy,
 )
@@ -29,16 +29,6 @@ from .sensitivity import derivative_randomized, improvement_vector
 TIE_TOL = 1e-9
 DISTINCT_OPTIMA_TOL = 1e-6
 MOLLIFY_EPS = 1e-6
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; ValidationError for a float, a string or any other
-    value that is not an integer, which would otherwise be truncated or
-    fail later with a bare TypeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

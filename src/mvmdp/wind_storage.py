@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import MdpModel, _check_rows, _kept, _kernel_csr
+from .model import MdpModel, _check_rows, _csr_of_entries, _integer
 
 # hourly wind-level transition probabilities estimated for the benchmark site
 WIND_KERNEL = np.array(
@@ -51,7 +51,7 @@ class WindStorageSpec:
                 f"wind kernel shape {self.wind_kernel.shape} != {(W, W)}"
             )
         _check_rows(self.wind_kernel, "wind kernel row {}")
-        if self.battery_capacity < 1:
+        if _integer(self.battery_capacity, "battery capacity") < 1:
             raise ValidationError("battery capacity must be >= 1")
         if 0 not in self.charge_actions:
             raise ValidationError("charge action set must contain 0")
@@ -168,15 +168,12 @@ def build(spec: WindStorageSpec) -> MdpModel:
     # increase with the next wind level: CSR rows, the wind kernel's entries
     cols = state_index(spec, np.arange(W), next_battery[:, None])
     values = spec.wind_kernel[w]
-    keep = _kept(values)
-    counts = np.zeros(S * A, dtype=np.int64)
-    counts[i * A + a] = keep.sum(axis=1)
     reward = np.zeros((S, A))
     reward[i, a] = x[w] + U[a]
     acts = a.tolist()
     ends = np.cumsum(mask.sum(axis=2).reshape(S)).tolist()
     feasible = tuple(tuple(acts[start:end]) for start, end in zip([0, *ends], ends))
-    kernel = _kernel_csr(S, A, counts, cols[keep], values[keep])
+    kernel = _csr_of_entries(S, A, np.repeat(i * A + a, W), cols.reshape(-1), values.reshape(-1))
     return MdpModel(S, A, feasible, None, reward, spec.beta, kernel_csr=kernel)
 
 

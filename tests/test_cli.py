@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import outcome, random_mdp, restrict_feasible
+from conftest import outcome, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     GradientConfig,
@@ -13,6 +13,11 @@ from mvmdp import (
     MvmdpError,
     RandomizedPolicy,
     ValidationError,
+    WindStorageSpec,
+    build,
+    check_ergodicity,
+    estimate_metrics,
+    estimate_potential,
     evaluate,
     improvement_vector,
     load_model,
@@ -23,9 +28,10 @@ from mvmdp import (
     sample_random_policy,
     save_model,
     save_policy,
+    simulate_path,
 )
 from mvmdp import solvers
-from mvmdp.cli import ParetoPoint, cross_check, main, sweep_beta
+from mvmdp.cli import ParetoPoint, _optima_path, cross_check, main, sweep_beta
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +414,20 @@ class TestSweepBeta:
         sweep_beta(wind_model, (0.1, 0.5, 2.0), 6, seed=0)
         assert len(evaluated) == len(set(evaluated))
 
+    def test_optima_sidecar_beside_a_dotted_directory(self, workdir, tmp_path):
+        """The sidecar's extension comes from the file name, not from a dot
+        in a directory name."""
+        (tmp_path / "d.v2").mkdir()
+        out = tmp_path / "d.v2" / "sweep"
+        assert main(["sweep-beta", "--model", str(workdir / "wind.json"),
+                     "--beta-grid", "0.1", "--starts", "2", "--out", str(out)]) == 0
+        header, _ = read_csv(tmp_path / "d.v2" / "sweep_optima")
+        assert header == ["beta", "j_mean", "j_var", "j_combined"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.v2"]
+        assert _optima_path("out/x_sweep.csv") == "out/x_sweep_optima.csv"
+        assert _optima_path("a.tar.gz") == "a.tar_optima.gz"
+        assert _optima_path("sweep") == "sweep_optima"
+
     def test_empty_grid_rejected(self, workdir):
         model_path = str(workdir / "wind.json")
         from mvmdp import load_model
@@ -537,3 +557,35 @@ def per_beta_sweep(model, beta_grid, starts_per_beta, seed):
             seen.append(last.j_combined)
             optima_rows.append((float(beta), last.j_mean, last.j_var, last.j_combined))
     return points, optima_rows, failures
+
+
+NON_INTEGER_SIZES = {
+    "simulate_path T": (lambda m, d: simulate_path(m, d, 2.5), "path length"),
+    "simulate_path start_state": (lambda m, d: simulate_path(m, d, 10, start_state=1.5), "start_state"),
+    "estimate_metrics num_batches": (
+        lambda m, d: estimate_metrics([1.0, 2.0, 0.5, 3.0], 0.1, num_batches=2.5), "num_batches"
+    ),
+    "estimate_potential truncation": (lambda m, d: estimate_potential(m, d, 1, truncation=2.5), "truncation"),
+    "estimate_potential state": (lambda m, d: estimate_potential(m, d, 1.5), "state"),
+    "estimate_potential num_replications": (
+        lambda m, d: estimate_potential(m, d, 1, num_replications=10.5), "num_replications"
+    ),
+    "check_ergodicity sample_size": (lambda m, d: check_ergodicity(m, sample_size=2.5), "sample_size"),
+    "sample_random_policy max_tries": (
+        lambda m, d: sample_random_policy(m, np.random.default_rng(0), max_tries=2.5), "max_tries"
+    ),
+    "build battery_capacity": (lambda m, d: build(WindStorageSpec(battery_capacity=2.5)), "battery capacity"),
+    "spec battery_capacity text": (lambda m, d: WindStorageSpec(battery_capacity="5"), "battery capacity"),
+    "cross_check T": (lambda m, d: cross_check(m, d, 2.5), "horizon"),
+    "sweep_beta starts": (lambda m, d: sweep_beta(m, (0.1,), 2.5), "starts per beta"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_SIZES)
+def test_non_integer_size_is_a_validation_error(case, wind_model, wind_spec):
+    """A size, count or index that is not an integer raises ValidationError
+    naming the argument, not a bare TypeError; sweep_beta raises it before
+    the sweep instead of listing every beta as failed."""
+    call, name = NON_INTEGER_SIZES[case]
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got "):
+        call(wind_model, threshold_policy(wind_spec))

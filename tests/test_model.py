@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import model_policy_cases, random_mdp, restrict_feasible, threshold_policy
+from conftest import dense_wind_kernel, model_policy_cases, random_mdp, restrict_feasible, threshold_policy
 import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
@@ -592,12 +592,12 @@ class TestSuccessorTable:
 
     def test_table_is_built_on_first_use(self):
         m = sparse_mdp(np.random.default_rng(83))
-        assert m.__dict__["_successors"] is None
+        assert "_positive" not in m.__dict__
         sample_random_policy(m, np.random.default_rng(0), require_irreducible=False)
-        assert m.__dict__["_successors"] is None
+        assert "_positive" not in m.__dict__
         outcome(sample_random_policy, m, np.random.default_rng(0), True, 1)
-        table = m.__dict__["_successors"]
-        assert table is not None and m.successor_table() is table
+        table = m.__dict__["_positive"]
+        assert all(got is want for got, want in zip(m.successor_table(), table[:2]))
 
     def test_sampler_matches_gather_and_scan(self):
         """Same draws, same give-ups and the same stream as the dense loop,
@@ -1464,12 +1464,7 @@ class TestSparseKernelReaders:
 
     def test_successor_table_is_the_positive_pattern(self, wind_case):
         _, model, dense = wind_case
-        indptr, succ = model.successor_table()
-        pairs = np.flatnonzero(model.feasible_mask())
-        S = model.num_states
-        positive = dense.reshape(-1, S) > 0
-        assert np.array_equal(np.diff(indptr), positive.sum(axis=1))
-        assert np.array_equal(succ, np.nonzero(positive[pairs])[1])
+        self.check_positive_table(model, dense)
 
     def test_induced_chain(self, wind_case):
         spec, model, dense = wind_case
@@ -1594,9 +1589,90 @@ class TestSparseKernelReaders:
         assert second.read_bytes() == first.read_bytes()
         assert same_bits(back.kernel, k)
 
+    def check_decoders(self, spec, model, dense, monkeypatch):
+        """Every `_scatter_rows` call site gives the dense reference's bits:
+        the dense view, the kernel blocks and a policy's chain, also with
+        blocks of a few states, and each row the row check rebuilds."""
+        assert same_bits(dataclasses.replace(model, beta=1.0).kernel, dense)
+        idx = np.arange(model.num_states)
+        d = threshold_policy(spec)
+        for block_bytes in (mvmdp.model._BLOCK_BYTES, 4096):
+            monkeypatch.setattr(mvmdp.model, "_BLOCK_BYTES", block_bytes)
+            covered = 0
+            for lo, hi, block in dataclasses.replace(model, beta=1.0)._blocks():
+                assert lo == covered and same_bits(block, dense[lo:hi])
+                covered = hi
+            assert covered == model.num_states
+            assert same_bits(induced_chain(dataclasses.replace(model, beta=1.0), d)[0], dense[idx, d.action])
+        monkeypatch.undo()
+        # with no tolerance, the row check rebuilds every selected row
+        rebuilt = []
+
+        def check_rows(rows, name):
+            i, a = map(int, name.removeprefix("kernel row ").split(","))
+            rebuilt.append((i, a, same_bits(rows, dense[i, a][None])))
+
+        monkeypatch.setattr(mvmdp.model, "ROW_SUM_TOL", 0.0)
+        monkeypatch.setattr(mvmdp.model, "_check_rows", check_rows)
+        mvmdp.model._check_kernel_rows(model, model.feasible_mask())
+        monkeypatch.undo()
+        assert rebuilt == [(i, a, True) for i, a in np.argwhere(model.feasible_mask()).tolist()]
+
+    def check_encoders(self, model, dense):
+        """Every `_csr_of_entries` call site gives one CSR: the wind
+        builder's, a dense kernel's and a saved model file's."""
+        csr = model.kernel_csr
+        assert csr.values.size == np.count_nonzero((dense != 0) | np.signbit(dense))
+        S, A = model.num_states, model.num_actions
+        from_dense = MdpModel(S, A, model.feasible, dense, model.reward, model.beta).kernel_csr
+        data = "".join(mvmdp.model._model_chunks(model)).encode()
+        from_file = mvmdp.model._saved_model(data).kernel_csr
+        del data
+        for other in (from_dense, from_file):
+            assert other.shape == csr.shape
+            assert all(same_bits(got, want) for got, want in zip(other[1:], csr[1:]))
+
+    def check_positive_table(self, model, dense):
+        """The positive-entry table is the CSR of the dense entries > 0, and
+        the successor table its first two arrays."""
+        indptr, succ, prob = model._positive
+        rows = dense.reshape(-1, model.num_states)
+        positive = rows > 0
+        assert np.array_equal(np.diff(indptr), positive.sum(axis=1))
+        assert np.array_equal(succ, np.nonzero(positive)[1])
+        assert same_bits(prob, rows[positive])
+        assert all(not array.flags.writeable for array in model._positive)
+        assert all(got is want for got, want in zip(model.successor_table(), (indptr, succ)))
+
+    def test_decoders(self, wind_case, monkeypatch):
+        self.check_decoders(*wind_case, monkeypatch)
+
+    def test_encoders(self, wind_case):
+        _, model, dense = wind_case
+        self.check_encoders(model, dense)
+
+    def test_negative_zeros_are_decoded_and_not_positive(self, monkeypatch):
+        """A wind kernel with -0.0 entries: the CSR stores them, every
+        decoder writes them with their sign, and the positive-entry table
+        leaves them out, at B = 50, a kernel of several blocks."""
+        K = mvmdp.wind_storage.WIND_KERNEL.copy()
+        K[0, 0] += K[0, 4]
+        K[3, 1] += K[3, 2]
+        K[0, 4] = K[3, 2] = -0.0
+        spec = WindStorageSpec(battery_capacity=50, wind_kernel=K)
+        model = build(spec)
+        dense = dense_wind_kernel(spec, model)
+        assert model._block_states() < model.num_states
+        zeros = (dense == 0) & np.signbit(dense)
+        assert zeros.any() and np.signbit(model.kernel_csr.values).sum() == zeros.sum()
+        self.check_decoders(spec, model, dense, monkeypatch)
+        self.check_encoders(model, dense)
+        self.check_positive_table(model, dense)
+        assert np.all(model._positive[2] > 0)
+
 
 def dense_view_built(model) -> bool:
-    return model._dense is not None
+    return "kernel" in model.__dict__
 
 
 class TestNoDenseView:
