@@ -29,6 +29,7 @@ from .model import (
     MdpModel,
     RandomizedPolicy,
     check_ergodicity,
+    _check_seed,
     _feasible_pairs,
     _integer,
     _json_text,
@@ -190,7 +191,8 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     Returns (points, optima_rows, failures): one ParetoPoint per successful
     beta, all distinct local-optimum rows per beta, and (beta, message)
     pairs for betas whose runs failed. Failures do not stop the sweep, so
-    an empty grid or fewer than one start per beta is rejected before it.
+    an empty grid, fewer than one start per beta or a seed that is not an
+    integer >= 0 is rejected before it.
     The betas share one report memo, so a policy met at an earlier beta
     only has its combined potential solved again.
     """
@@ -198,6 +200,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
         raise ValidationError("beta grid must be nonempty")
     if _integer(starts_per_beta, "starts per beta") < 1:
         raise ValidationError(f"starts per beta must be >= 1, got {starts_per_beta}")
+    _check_seed(seed)
     points = []
     optima_rows = []
     failures = []

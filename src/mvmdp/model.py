@@ -267,22 +267,11 @@ def _action_lists(feasible):
     state by state, with each state's count. Raises the TypeError of
     iterating a state or of `operator.index` on an action, for the first
     state in order that is not a list of integers."""
-    try:
-        states = tuple(map(tuple, feasible))
-        flat = list(map(operator.index, itertools.chain.from_iterable(states)))
-    except TypeError:
-        # raise what iterating each state and indexing its actions in turn
-        # raises first
-        for acts in feasible:
-            list(map(operator.index, acts))
-        raise
+    states = tuple(tuple(sorted(map(operator.index, acts))) for acts in feasible)
+    flat = list(itertools.chain.from_iterable(states))
     lengths = np.fromiter(map(len, states), dtype=np.int64, count=len(states))
-    # an action beyond int64 makes an object array, which sorts and compares alike
+    # an action beyond int64 makes an object array, which compares alike
     actions = np.array(flat) if flat else np.zeros(0, dtype=np.int64)
-    actions = actions[np.lexsort((actions, np.repeat(np.arange(lengths.size), lengths)))]
-    flat = actions.tolist()
-    ends = np.cumsum(lengths).tolist()
-    states = tuple(tuple(flat[end - n : end]) for end, n in zip(ends, lengths.tolist()))
     return states, actions, lengths
 
 
@@ -312,13 +301,22 @@ def _first_bad_state(actions: np.ndarray, lengths: np.ndarray, A: int) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """value as an int; ValidationError for a float, a string or any other
-    value that is not an integer, which would otherwise be truncated or
-    fail later with a bare TypeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int; ValidationError for a bool, a float, a string or any
+    other value that is not an integer, which would otherwise be truncated,
+    taken as 0 or 1, or fail later with a bare TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """The one seed rule: an integer >= 0, as numpy's generators take;
+    ValidationError naming `seed` otherwise."""
+    if _integer(seed, "seed") < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_beta(beta: float) -> None:
@@ -651,7 +649,9 @@ def check_ergodicity(
     policy's are the rows of its pairs. Always returns a report; callers
     decide whether violations are fatal.
     """
-    _integer(sample_size, "sample_size")
+    if _integer(sample_size, "sample_size") < 0:
+        raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
+    _check_seed(seed)
     S, A = model.num_states, model.num_actions
     indptr, succ = model.successor_table()
     # state * S + next state for every edge of every feasible pair, deduplicated
@@ -1035,7 +1035,9 @@ def _read_saved(data: bytes):
     """The model of the file bytes `data` if they are exactly what
     `save_model` writes for that model (`_saved_model`), else None. The
     model is written back piece by piece (`_model_chunks`), and each piece
-    compared with the bytes at its place."""
+    compared with the bytes at its place. The write-back is the only layout
+    check: a missing, extra, unsorted or repeated entry raises on the way or
+    writes back other bytes."""
     try:
         model = _saved_model(data)
         pos = 0
@@ -1064,14 +1066,11 @@ def _saved_model(data: bytes) -> MdpModel:
     head = json.loads(data[: kernel_at - 1] + b"\n}")
     S, A = operator.index(head["num_states"]), operator.index(head["num_actions"])
     feasible = head["feasible"]
-    if len(feasible) != S:
-        raise ValueError("feasible does not list every state")
     actions = list(map(operator.index, itertools.chain.from_iterable(feasible)))
     actions = np.array(actions, dtype=np.int64)
-    states = np.repeat(np.arange(S), list(map(len, feasible)))
+    # the states the file lists, so that no array is sized by an unchecked S
+    states = np.repeat(np.arange(len(feasible)), list(map(len, feasible)))
     pairs = states * A + actions
-    if np.any(np.diff(pairs) <= 0):
-        raise ValueError("feasible does not list the pairs in increasing order")
     reward_map = json.loads(b"{" + data[reward_at + len(b"\n  },") :])["reward"]
     reward = np.zeros((S, A))
     reward[states, actions] = list(map(float, reward_map.values()))

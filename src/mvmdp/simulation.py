@@ -11,7 +11,15 @@ from scipy.special import stdtrit
 
 from .errors import ValidationError
 from .evaluation import _evaluate_chain, _policy_chain
-from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_beta, _csr, _integer
+from .model import (
+    DeterministicPolicy,
+    MdpModel,
+    RandomizedPolicy,
+    _check_beta,
+    _check_seed,
+    _csr,
+    _integer,
+)
 
 DEFAULT_BATCHES = 30
 
@@ -107,6 +115,7 @@ def simulate_path(
         raise ValidationError(f"path length must be >= 1, got {T}")
     if not 0 <= _integer(start_state, "start_state") < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     A = model.num_actions
     if isinstance(policy, DeterministicPolicy):
@@ -179,6 +188,7 @@ def estimate_metrics(
         raise ValidationError(f"need a path of length >= 2, got {T}")
     if _integer(num_batches, "num_batches") < 1:
         raise ValidationError(f"num_batches must be >= 1, got {num_batches}")
+    _check_seed(seed)
     _check_beta(beta)
     mean_hat = float(np.mean(rewards))
     var_hat = float(np.mean((rewards - mean_hat) ** 2))
@@ -238,6 +248,7 @@ def estimate_potential(
         raise ValidationError(f"state {state} out of range")
     if _integer(num_replications, "num_replications") < 1:
         raise ValidationError(f"num_replications must be >= 1, got {num_replications}")
+    _check_seed(seed)
     P, r, m2, support = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary
     # distribution raises also at state 0

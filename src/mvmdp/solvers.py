@@ -17,6 +17,7 @@ from .model import (
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _check_seed,
     _closed_classes,
     _draw_feasible,
     _entries,
@@ -75,6 +76,7 @@ class ExplorationConfig:
             raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
         if _integer(self.budget, "budget") < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
+        _check_seed(self.seed)
         if not 0.0 < self.gamma_decay <= 1.0:
             raise ValidationError(f"gamma_decay must be in (0, 1], got {self.gamma_decay}")
         if self.counts is not None and np.any(
@@ -94,6 +96,8 @@ class GradientConfig:
     def __post_init__(self):
         if not self.stop_ratio > 0:
             raise ValidationError(f"stop_ratio must be > 0, got {self.stop_ratio}")
+        if not self.stop_ratio < np.inf:
+            raise ValidationError(f"stop_ratio must be finite, got {self.stop_ratio}")
         if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValidationError("max_iterations must be >= 1")
 
@@ -138,16 +142,6 @@ def _report(model: MdpModel, policy: DeterministicPolicy, reports: dict):
     return report
 
 
-def _evaluate_iterate(model: MdpModel, policy: DeterministicPolicy, step: int, reports):
-    try:
-        return _report(model, policy, reports)
-    except EvaluationError as exc:
-        raise SolverError(
-            f"non-ergodic iterate at improvement step {step}: policy "
-            f"{list(int(a) for a in policy.action)} ({exc})"
-        ) from exc
-
-
 def _greedy_step(
     model: MdpModel, policy: DeterministicPolicy, report: EvaluationReport
 ) -> DeterministicPolicy:
@@ -178,15 +172,22 @@ def _iterate(model, initial, num_steps, step, stop_at_fixed_point, reports):
 
     Evaluates at most `num_steps` iterates, calling `step(policy, report)`
     after each one for the next iterate; a policy already in `reports` is not
-    evaluated again. With `stop_at_fixed_point` the loop ends when `step`
-    returns the policy it was given, which is recorded once more. Returns
-    (last policy, best (policy, report) evaluated, trace).
+    evaluated again. The first evaluation validates `initial`. With
+    `stop_at_fixed_point` the loop ends when `step` returns the policy it
+    was given, which is recorded once more. Returns (last policy, best
+    (policy, report) evaluated, trace).
     """
     d = initial
     records = []
     best = None
     for k in range(num_steps):
-        report = _evaluate_iterate(model, d, k, reports)
+        try:
+            report = _report(model, d, reports)
+        except EvaluationError as exc:
+            raise SolverError(
+                f"non-ergodic iterate at improvement step {k}: policy "
+                f"{list(int(a) for a in d.action)} ({exc})"
+            ) from exc
         changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
         records.append(_record(k, d, report, changed))
         if best is None or report.j_combined > best[1].j_combined:
@@ -217,7 +218,6 @@ def policy_iteration(
 
 def _policy_iteration(model, initial, max_iterations, reports):
     """policy_iteration, reading and filling the report memo `reports`."""
-    initial.validate_for(model)
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
     if _integer(max_iterations, "max_iterations") < 0:
@@ -238,11 +238,9 @@ def diversity(policies) -> int:
     policies = list(policies)
     if not policies:
         raise ValidationError("diversity needs a nonempty policy set")
-    num_states = policies[0].action.shape[0]
-    total = 0
-    for i in range(num_states):
-        total += len({int(p.action[i]) for p in policies})
-    return total
+    # a state's distinct actions: its first sorted action and each change
+    actions = np.sort(np.stack([p.action for p in policies]), axis=0)
+    return actions.shape[1] + int(np.count_nonzero(np.diff(actions, axis=0)))
 
 
 def _distinct_values(values, tol: float = DISTINCT_OPTIMA_TOL):
@@ -271,6 +269,7 @@ def _multi_start(model, num_starts, seed, reports):
     """multi_start, reading and filling the report memo `reports`."""
     if _integer(num_starts, "num_starts") < 1:
         raise ValidationError(f"num_starts must be >= 1, got {num_starts}")
+    _check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(num_starts)
     traces = []
     policies = []
@@ -327,7 +326,6 @@ def epsilon_greedy_iteration(
     the evaluation budget is spent."""
     if config.gamma != 0.0:
         raise ValidationError("epsilon-greedy run requires gamma == 0")
-    initial.validate_for(model)
     rng = np.random.default_rng(config.seed)
     steps = 0
 
@@ -389,7 +387,6 @@ def ucb_iteration(
     the best policy seen and runs until the budget is spent."""
     if config.epsilon != 0.0:
         raise ValidationError("UCB run requires epsilon == 0")
-    initial.validate_for(model)
     if config.counts is not None:
         counts = np.array(config.counts, dtype=int)
         if counts.shape != (model.num_states, model.num_actions):
@@ -424,7 +421,9 @@ def mollify(model: MdpModel, theta: RandomizedPolicy, eps: float = MOLLIFY_EPS):
     """Mix a vanishing uniform-feasible component into every state row,
     making the induced chain irreducible whenever the model's union support
     is. Used to take gradients at policies whose own chain has no unique
-    stationary distribution."""
+    stationary distribution. eps must lie in [0, 1]."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValidationError(f"eps must be in [0, 1], got {eps}")
     blended = (1.0 - eps) * theta.theta + eps * _uniform_feasible(model)
     return RandomizedPolicy(blended)
 
@@ -455,7 +454,6 @@ def gradient_solver(
     maximal-gradient action at every state and renormalizes the rows. Stops
     when the largest per-state L1 change falls below stop_ratio (rows carry
     unit mass, so this is the relative change)."""
-    initial_theta.validate_for(model)
     theta = initial_theta.theta
     records = []
     prev_argmax = None

@@ -578,6 +578,12 @@ NON_INTEGER_SIZES = {
     "spec battery_capacity text": (lambda m, d: WindStorageSpec(battery_capacity="5"), "battery capacity"),
     "cross_check T": (lambda m, d: cross_check(m, d, 2.5), "horizon"),
     "sweep_beta starts": (lambda m, d: sweep_beta(m, (0.1,), 2.5), "starts per beta"),
+    "simulate_path T bool": (lambda m, d: simulate_path(m, d, True), "path length"),
+    "multi_start num_starts bool": (lambda m, d: multi_start(m, True), "num_starts"),
+    "policy_iteration max_iterations bool": (
+        lambda m, d: policy_iteration(m, d, max_iterations=True), "max_iterations"
+    ),
+    "spec battery_capacity bool": (lambda m, d: WindStorageSpec(battery_capacity=True), "battery capacity"),
 }
 
 
@@ -589,3 +595,32 @@ def test_non_integer_size_is_a_validation_error(case, wind_model, wind_spec):
     call, name = NON_INTEGER_SIZES[case]
     with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got "):
         call(wind_model, threshold_policy(wind_spec))
+
+
+SEEDED_CALLS = {
+    "simulate_path": lambda m, d, seed: simulate_path(m, d, 10, seed=seed),
+    "estimate_metrics": lambda m, d, seed: estimate_metrics([1.0, 2.0, 3.0], 0.1, seed=seed),
+    "estimate_potential": lambda m, d, seed: estimate_potential(m, d, 1, seed=seed),
+    "multi_start": lambda m, d, seed: multi_start(m, 2, seed=seed),
+    "sweep_beta": lambda m, d, seed: sweep_beta(m, (0.1,), 2, seed=seed),
+    "check_ergodicity": lambda m, d, seed: check_ergodicity(m, sample_size=2, seed=seed, enumeration_cap=1),
+    "ExplorationConfig": lambda m, d, seed: solvers.ExplorationConfig(seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, True, "3"], ids=repr)
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+def test_seed_is_an_integer_of_at_least_0(call, seed, wind_model, wind_spec):
+    """Every seed of the public API is an integer >= 0, as numpy's
+    generators take: any other raises a ValidationError naming `seed`, not
+    numpy's bare TypeError or ValueError, and no result echoes it.
+    sweep_beta raises it before the sweep instead of listing every beta as
+    failed."""
+    with pytest.raises(ValidationError, match=r"^seed must be an integer"):
+        SEEDED_CALLS[call](wind_model, threshold_policy(wind_spec), seed)
+
+
+def test_numpy_integer_seed_is_accepted(wind_model, wind_spec):
+    d = threshold_policy(wind_spec)
+    got = simulate_path(wind_model, d, 50, seed=np.int64(3))
+    assert np.array_equal(got.states, simulate_path(wind_model, d, 50, seed=3).states)

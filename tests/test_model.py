@@ -142,6 +142,19 @@ class TestModelValidation:
             small_model(feasible=((0, action), (0, 1)))
         assert small_model(feasible=((0, np.int64(1)), (0, 1))).feasible == ((0, 1), (0, 1))
 
+    @pytest.mark.parametrize("feasible, error", [
+        ([[0], [0, "a"], 5], "'str' object cannot be interpreted as an integer"),
+        ([[0], 5, [0, "a"]], "'int' object is not iterable"),
+    ])
+    def test_first_state_that_is_not_an_integer_list_is_named(self, feasible, error):
+        with pytest.raises(ValidationError, match=f"^feasible must hold lists of integer actions: {error}$"):
+            MdpModel(3, 2, feasible, np.full((3, 2, 3), 1 / 3), np.zeros((3, 2)), 0.1)
+
+    def test_feasible_lists_are_sorted_python_ints(self):
+        m = small_model(feasible=(np.array([1, 0]), [np.int64(1)]))
+        assert m.feasible == ((0, 1), (1,))
+        assert all(type(a) is int for acts in m.feasible for a in acts)
+
     def test_nonfinite_reward_rejected(self):
         r = np.array([[1.0, np.nan], [0.5, -1.0]])
         with pytest.raises(ValidationError, match="finite"):
@@ -634,6 +647,12 @@ class TestSuccessorTable:
         assert {mode for mode, _, _ in modes} == {"enumeration", "sampling"}
         assert {(u, v) for _, u, v in modes} >= {(True, False), (True, True), (False, True)}
 
+    def test_negative_sample_size_is_rejected(self, wind_model):
+        with pytest.raises(ValidationError, match="^sample_size must be >= 0, got -1$"):
+            check_ergodicity(wind_model, sample_size=-1, enumeration_cap=1)
+        report = check_ergodicity(wind_model, sample_size=0, enumeration_cap=1)
+        assert (report.mode, report.policies_checked) == ("sampling", 0)
+
     def test_no_dense_chain_is_gathered(self, monkeypatch, wind_model, abandon_model_beta1):
         def refuse(*args, **kwargs):
             raise AssertionError("dense chain gathered")
@@ -1087,6 +1106,30 @@ def kernel_rows(text: bytes):
     return [m.span() for m in re.finditer(rb'    "\d+,\d+": \[\n.*?\n    \]', text, re.S)]
 
 
+def feasible_mutants(text: bytes, rng):
+    """(name, bytes) pairs: the saved file `text` with one state's feasible
+    list dropped, a list of several actions reversed, and an action
+    repeated, at seeded states."""
+    at = text.index(b'  "feasible": [\n')
+    end = text.index(b"\n  ],\n", at)
+    lists = [m.span() for m in re.finditer(rb"    \[\n.*?\n    \]", text[at:end], re.S)]
+    lists = [(at + lo, at + hi) for lo, hi in lists]
+    lo, hi = lists[int(rng.integers(len(lists)))]
+    if hi + 2 < end:
+        yield "feasible list dropped", text[:lo] + text[hi + 2 :]
+    else:
+        yield "feasible list dropped", text[: lo - 2] + text[hi:]
+    several = [(lo, hi) for lo, hi in lists if b"," in text[lo:hi]]
+    lo, hi = several[int(rng.integers(len(several)))]
+    # the action lines of the list, each but the last ending in a comma
+    lines = text[lo:hi].split(b"\n")[1:-1]
+    reverse = b",\n".join(line.rstrip(b",") for line in reversed(lines))
+    yield "feasible list reversed", text[:lo] + b"    [\n" + reverse + b"\n    ]" + text[hi:]
+    k = int(rng.integers(len(lines) - 1))
+    repeated = b"\n".join([b"    [", *lines[: k + 1], *lines[k:], b"    ]"])
+    yield "feasible action repeated", text[:lo] + repeated + text[hi:]
+
+
 def mutants(text: bytes, rng):
     """(name, bytes) pairs: the saved file `text` with one seeded change
     each, some of which json reads as the same model and most not."""
@@ -1199,6 +1242,19 @@ class TestSavedFileReader:
             assert same_outcome(str(path)), name
             names.add(name)
         assert len(names) > 25
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_feasible_mutations_give_the_json_outcome(self, tmp_path, seed):
+        """A feasible list dropped, reversed or with an action repeated is
+        declined by the write-back alone, and read by the json route."""
+        rng = np.random.default_rng(90 + seed)
+        model = build(WindStorageSpec(battery_capacity=5, abandonment=bool(seed % 2)))
+        text = open(self.saved(model, tmp_path / "base.json"), "rb").read()
+        for n, (name, data) in enumerate(feasible_mutants(text, rng)):
+            assert mvmdp.model._read_saved(data) is None, name
+            path = tmp_path / f"mutant{n}.json"
+            path.write_bytes(data)
+            assert same_outcome(str(path)), name
 
     @pytest.mark.parametrize("name, data", list(malformed_dicts()), ids=lambda x: x if isinstance(x, str) else "")
     def test_malformed_files(self, tmp_path, name, data):

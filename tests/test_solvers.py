@@ -20,6 +20,7 @@ from mvmdp import (
     ExplorationConfig,
     GradientConfig,
     MdpModel,
+    RandomizedPolicy,
     SolverError,
     ValidationError,
     check_necessary_condition,
@@ -200,6 +201,56 @@ class TestMultiStart:
         ]
         assert diversity(pols) == 2 + 2 + 1
         assert diversity(pols[:1]) == 3
+
+    def test_diversity_matches_the_per_state_set_loop(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            S, A = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            pols = [DeterministicPolicy(rng.integers(0, A, size=S)) for _ in range(int(rng.integers(1, 6)))]
+            # repeats of policies already in the set
+            pols += [pols[k] for k in rng.integers(0, len(pols), size=int(rng.integers(0, 3)))]
+            assert diversity(pols) == loop_diversity(pols)
+            assert diversity(iter(pols[:1])) == loop_diversity(pols[:1]) == S
+
+
+def loop_diversity(policies):
+    """diversity as a per-state loop over the set of actions the policies
+    take there."""
+    policies = list(policies)
+    return sum(len({int(p.action[i]) for p in policies}) for i in range(policies[0].action.shape[0]))
+
+
+# (solver, start, exception class, message): each solver reports a bad start
+# as `validate_for` does, before it scores anything
+WIND_THETA = np.full((36, 5), 0.2)
+BAD_STARTS = [
+    (solver, start, kind, message)
+    for solver in ("policy_iteration", "epsilon_greedy_iteration", "ucb_iteration")
+    for start, kind, message in [
+        (DeterministicPolicy(np.full(36, 4)), "FeasibilityError", "action 4 is infeasible at state 0"),
+        (DeterministicPolicy(np.zeros(3, dtype=int)), "ValidationError", "policy has 3 states, model has 36"),
+    ]
+] + [
+    ("gradient_solver", RandomizedPolicy(WIND_THETA), "FeasibilityError",
+     "theta puts mass on infeasible action 0 at state 0"),
+    ("gradient_solver", RandomizedPolicy(WIND_THETA[:3]), "ValidationError", "theta shape (3, 5) != (36, 5)"),
+]
+RUN_FROM = {
+    "policy_iteration": lambda m, start: policy_iteration(m, start),
+    "epsilon_greedy_iteration": lambda m, start: epsilon_greedy_iteration(
+        m, start, ExplorationConfig(epsilon=0.1, budget=3)
+    ),
+    "ucb_iteration": lambda m, start: ucb_iteration(m, start, ExplorationConfig(gamma=0.5, budget=3)),
+    "gradient_solver": lambda m, start: gradient_solver(m, start, GradientConfig()),
+}
+
+
+@pytest.mark.parametrize("solver, start, kind, message", BAD_STARTS)
+def test_bad_start_raises_the_validation_error(wind_model, monkeypatch, solver, start, kind, message):
+    assert outcome(start.validate_for, wind_model) == (kind, message)
+    for name in ("improvement_vector", "derivative_randomized"):
+        monkeypatch.setattr(solvers, name, lambda *args: pytest.fail("a bad start was scored"))
+    assert outcome(RUN_FROM[solver], wind_model, start) == (kind, message)
 
 
 class TestExplorationConfig:
@@ -687,6 +738,11 @@ class TestGradient:
             GradientConfig(max_iterations=0)
         with pytest.raises(ValidationError, match="max_iterations must be an integer, got 2.5"):
             GradientConfig(max_iterations=2.5)
+        # an infinite stop_ratio would stop after one step, as converged
+        with pytest.raises(ValidationError, match="^stop_ratio must be finite, got inf$"):
+            GradientConfig(stop_ratio=np.inf)
+        with pytest.raises(ValidationError, match="^stop_ratio must be > 0, got nan$"):
+            GradientConfig(stop_ratio=np.nan)
 
     def test_converges_on_random_model(self):
         rng = np.random.default_rng(27)
@@ -742,6 +798,15 @@ class TestMollify:
         for i, acts in enumerate(m.feasible):
             want[i, list(acts)] = 1.0 / len(acts)
         assert np.array_equal(_uniform_feasible(m), want)
+
+    @pytest.mark.parametrize("eps", [2.0, -0.1, np.nan, np.inf])
+    def test_eps_outside_0_1_is_rejected(self, eps):
+        m = random_mdp(np.random.default_rng(35))
+        theta = sample_random_policy(m, np.random.default_rng(36)).as_randomized(m)
+        with pytest.raises(ValidationError, match=r"eps must be in \[0, 1\], got "):
+            mollify(m, theta, eps=eps)
+        assert np.array_equal(mollify(m, theta, eps=0.0).theta, theta.theta)
+        assert np.array_equal(mollify(m, theta, eps=1.0).theta, _uniform_feasible(m))
 
     def test_small_eps_stays_close(self):
         m = random_mdp(np.random.default_rng(32))
