@@ -1035,9 +1035,10 @@ def _read_saved(data: bytes):
     """The model of the file bytes `data` if they are exactly what
     `save_model` writes for that model (`_saved_model`), else None. The
     model is written back piece by piece (`_model_chunks`), and each piece
-    compared with the bytes at its place. The write-back is the only layout
-    check: a missing, extra, unsorted or repeated entry raises on the way or
-    writes back other bytes."""
+    compared with the bytes at its place. Besides the state count, which
+    `_saved_model` checks before it sizes an array by S, the write-back is
+    the only layout check: a missing, extra, unsorted or repeated entry
+    raises on the way or writes back other bytes."""
     try:
         model = _saved_model(data)
         pos = 0
@@ -1066,10 +1067,12 @@ def _saved_model(data: bytes) -> MdpModel:
     head = json.loads(data[: kernel_at - 1] + b"\n}")
     S, A = operator.index(head["num_states"]), operator.index(head["num_actions"])
     feasible = head["feasible"]
+    # before any array is sized by S: a mistyped S must not allocate
+    if len(feasible) != S:
+        raise ValueError("feasible does not list every state")
     actions = list(map(operator.index, itertools.chain.from_iterable(feasible)))
     actions = np.array(actions, dtype=np.int64)
-    # the states the file lists, so that no array is sized by an unchecked S
-    states = np.repeat(np.arange(len(feasible)), list(map(len, feasible)))
+    states = np.repeat(np.arange(S), list(map(len, feasible)))
     pairs = states * A + actions
     reward_map = json.loads(b"{" + data[reward_at + len(b"\n  },") :])["reward"]
     reward = np.zeros((S, A))

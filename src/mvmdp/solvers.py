@@ -94,10 +94,8 @@ class GradientConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not self.stop_ratio > 0:
-            raise ValidationError(f"stop_ratio must be > 0, got {self.stop_ratio}")
-        if not self.stop_ratio < np.inf:
-            raise ValidationError(f"stop_ratio must be finite, got {self.stop_ratio}")
+        if not 0 < self.stop_ratio < np.inf:
+            raise ValidationError(f"stop_ratio must be finite and > 0, got {self.stop_ratio}")
         if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValidationError("max_iterations must be >= 1")
 
@@ -238,6 +236,8 @@ def diversity(policies) -> int:
     policies = list(policies)
     if not policies:
         raise ValidationError("diversity needs a nonempty policy set")
+    if len({p.action.shape for p in policies}) != 1:
+        raise ValidationError("diversity needs policies of one length")
     # a state's distinct actions: its first sorted action and each change
     actions = np.sort(np.stack([p.action for p in policies]), axis=0)
     return actions.shape[1] + int(np.count_nonzero(np.diff(actions, axis=0)))

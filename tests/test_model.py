@@ -1256,6 +1256,26 @@ class TestSavedFileReader:
             path.write_bytes(data)
             assert same_outcome(str(path)), name
 
+    def test_far_too_many_states_are_declined_without_allocating(self, tmp_path):
+        """A saved file whose num_states is mistyped far too large is
+        declined before any array is sized by it, on both routes."""
+        model = build(WindStorageSpec(battery_capacity=5))
+        text = open(self.saved(model, tmp_path / "base.json"), "rb").read()
+        wrong = 10**6
+        head = b'  "num_states": %d,\n' % model.num_states
+        assert text.count(head) == 1
+        path = tmp_path / "states.json"
+        path.write_bytes(text.replace(head, b'  "num_states": %d,\n' % wrong))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"^feasible has 36 entries, expected {wrong}$"):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # less than one byte per state; one float per state would be 8 MB
+        assert peak < wrong
+
     @pytest.mark.parametrize("name, data", list(malformed_dicts()), ids=lambda x: x if isinstance(x, str) else "")
     def test_malformed_files(self, tmp_path, name, data):
         path = tmp_path / "m.json"

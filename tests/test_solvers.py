@@ -212,6 +212,12 @@ class TestMultiStart:
             assert diversity(pols) == loop_diversity(pols)
             assert diversity(iter(pols[:1])) == loop_diversity(pols[:1]) == S
 
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+    def test_diversity_of_policies_of_two_lengths_is_rejected(self, lengths):
+        pols = [DeterministicPolicy(np.zeros(n, dtype=np.int64)) for n in lengths]
+        with pytest.raises(ValidationError, match="^diversity needs policies of one length$"):
+            diversity(pols)
+
 
 def loop_diversity(policies):
     """diversity as a per-state loop over the set of actions the policies
@@ -739,9 +745,9 @@ class TestGradient:
         with pytest.raises(ValidationError, match="max_iterations must be an integer, got 2.5"):
             GradientConfig(max_iterations=2.5)
         # an infinite stop_ratio would stop after one step, as converged
-        with pytest.raises(ValidationError, match="^stop_ratio must be finite, got inf$"):
+        with pytest.raises(ValidationError, match="^stop_ratio must be finite and > 0, got inf$"):
             GradientConfig(stop_ratio=np.inf)
-        with pytest.raises(ValidationError, match="^stop_ratio must be > 0, got nan$"):
+        with pytest.raises(ValidationError, match="^stop_ratio must be finite and > 0, got nan$"):
             GradientConfig(stop_ratio=np.nan)
 
     def test_converges_on_random_model(self):
