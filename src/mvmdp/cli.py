@@ -198,8 +198,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
-    if _integer(starts_per_beta, "starts per beta") < 1:
-        raise ValidationError(f"starts per beta must be >= 1, got {starts_per_beta}")
+    _integer(starts_per_beta, "starts per beta", 1)
     _check_seed(seed)
     points = []
     optima_rows = []
@@ -282,9 +281,8 @@ def _cmd_sweep_beta(args: argparse.Namespace) -> int:
 def _simulate_estimate(model: MdpModel, policy, T: int, seed: int, burn_in: int):
     """A seeded path of T + burn_in steps, and the metric estimates from its
     last T rewards."""
-    _integer(T, "horizon")
-    if _integer(burn_in, "burn-in") < 0:
-        raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
+    _integer(T, "horizon", 2)
+    _integer(burn_in, "burn-in", 0)
     path = simulate_path(model, policy, T + burn_in, seed=seed)
     return path, estimate_metrics(path.rewards[burn_in:], model.beta, seed=seed)
 

@@ -300,16 +300,20 @@ def _first_bad_state(actions: np.ndarray, lengths: np.ndarray, A: int) -> int:
     return int(first[0]) if first.size else int(lengths.size)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; ValidationError for a bool, a float, a string or any
-    other value that is not an integer, which would otherwise be truncated,
-    taken as 0 or 1, or fail later with a bare TypeError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as an int, at least `low` when given; ValidationError for a
+    bool, a float, a string or any other value that is not an integer, which
+    would otherwise be truncated, taken as 0 or 1, or fail later with a bare
+    TypeError, and "<name> must be >= <low>, got <n>" below the floor."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and n < low:
+        raise ValidationError(f"{name} must be >= {low}, got {n}")
+    return n
 
 
 def _check_seed(seed) -> None:
@@ -326,17 +330,16 @@ def _check_beta(beta: float) -> None:
         raise ValidationError(f"beta must be finite, got {beta}")
 
 
-def _check_rows(rows: np.ndarray, name: str, where=True) -> None:
+def _check_rows(rows: np.ndarray, name: str) -> None:
     """The one rule for probability rows: raise ValidationError for the first
-    row along the last axis of `rows` (in index order, among those `where`
-    selects) with a negative entry or a sum not within ROW_SUM_TOL of 1, a
-    NaN sum included. The message is "<name> has a negative entry" or
-    "<name> sums to <sum>, expected 1", `name` formatted with the row's index.
+    row along the last axis of `rows` (in index order) with a negative entry
+    or a sum not within ROW_SUM_TOL of 1, a NaN sum included. The message is
+    "<name> has a negative entry" or "<name> sums to <sum>, expected 1",
+    `name` formatted with the row's index.
     Whole-array reductions: nothing of the size of `rows` is allocated."""
     sums = rows.sum(axis=-1)
     # `not <=` also rejects NaN sums, which NaN or inf entries give
     bad = (rows.min(axis=-1, initial=0.0) < 0) | ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    bad &= where
     first = np.flatnonzero(bad)
     if first.size:
         index = np.unravel_index(first[0], bad.shape)
@@ -649,8 +652,8 @@ def check_ergodicity(
     policy's are the rows of its pairs. Always returns a report; callers
     decide whether violations are fatal.
     """
-    if _integer(sample_size, "sample_size") < 0:
-        raise ValidationError(f"sample_size must be >= 0, got {sample_size}")
+    _integer(sample_size, "sample_size", 0)
+    enumeration_cap = _integer(enumeration_cap, "enumeration_cap", 0)
     _check_seed(seed)
     S, A = model.num_states, model.num_actions
     indptr, succ = model.successor_table()
@@ -696,7 +699,7 @@ def sample_random_policy(
     ValidationError when no draw passes.
     """
     states = np.arange(model.num_states)
-    for _ in range(_integer(max_tries, "max_tries")):
+    for _ in range(_integer(max_tries, "max_tries", 1)):
         d = DeterministicPolicy(_draw_feasible(model, rng, states))
         if not require_irreducible or _irreducible(*_policy_support(model, d.action)):
             return d

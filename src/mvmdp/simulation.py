@@ -111,8 +111,7 @@ def simulate_path(
     fastest: the S rows of a deterministic policy's pairs at once, a
     randomized policy's on first visit of their pair.
     """
-    if _integer(T, "path length") < 1:
-        raise ValidationError(f"path length must be >= 1, got {T}")
+    _integer(T, "path length", 1)
     if not 0 <= _integer(start_state, "start_state") < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
     _check_seed(seed)
@@ -186,8 +185,7 @@ def estimate_metrics(
     T = rewards.shape[0]
     if T < 2:
         raise ValidationError(f"need a path of length >= 2, got {T}")
-    if _integer(num_batches, "num_batches") < 1:
-        raise ValidationError(f"num_batches must be >= 1, got {num_batches}")
+    _integer(num_batches, "num_batches", 1)
     _check_seed(seed)
     _check_beta(beta)
     mean_hat = float(np.mean(rewards))
@@ -242,12 +240,10 @@ def estimate_potential(
     at `state`, then subtracts the same estimate started at state 0. J is
     the exact combined metric unless supplied.
     """
-    if _integer(truncation, "truncation") < 1:
-        raise ValidationError(f"truncation must be >= 1, got {truncation}")
+    _integer(truncation, "truncation", 1)
     if not 0 <= _integer(state, "state") < model.num_states:
         raise ValidationError(f"state {state} out of range")
-    if _integer(num_replications, "num_replications") < 1:
-        raise ValidationError(f"num_replications must be >= 1, got {num_replications}")
+    _integer(num_replications, "num_replications", 1)
     _check_seed(seed)
     P, r, m2, support = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary

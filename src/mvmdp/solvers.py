@@ -74,8 +74,7 @@ class ExplorationConfig:
             raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if _integer(self.budget, "budget") < 1:
-            raise ValidationError(f"budget must be >= 1, got {self.budget}")
+        _integer(self.budget, "budget", 1)
         _check_seed(self.seed)
         if not 0.0 < self.gamma_decay <= 1.0:
             raise ValidationError(f"gamma_decay must be in (0, 1], got {self.gamma_decay}")
@@ -96,8 +95,7 @@ class GradientConfig:
     def __post_init__(self):
         if not 0 < self.stop_ratio < np.inf:
             raise ValidationError(f"stop_ratio must be finite and > 0, got {self.stop_ratio}")
-        if _integer(self.max_iterations, "max_iterations") < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        _integer(self.max_iterations, "max_iterations", 1)
 
 
 @dataclass(frozen=True)
@@ -218,8 +216,7 @@ def _policy_iteration(model, initial, max_iterations, reports):
     """policy_iteration, reading and filling the report memo `reports`."""
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
-    if _integer(max_iterations, "max_iterations") < 0:
-        raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
+    _integer(max_iterations, "max_iterations", 0)
     d, _, trace = _iterate(
         model,
         initial,
@@ -267,8 +264,7 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
 
 def _multi_start(model, num_starts, seed, reports):
     """multi_start, reading and filling the report memo `reports`."""
-    if _integer(num_starts, "num_starts") < 1:
-        raise ValidationError(f"num_starts must be >= 1, got {num_starts}")
+    _integer(num_starts, "num_starts", 1)
     _check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(num_starts)
     traces = []

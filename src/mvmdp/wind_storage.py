@@ -51,8 +51,7 @@ class WindStorageSpec:
                 f"wind kernel shape {self.wind_kernel.shape} != {(W, W)}"
             )
         _check_rows(self.wind_kernel, "wind kernel row {}")
-        if _integer(self.battery_capacity, "battery capacity") < 1:
-            raise ValidationError("battery capacity must be >= 1")
+        _integer(self.battery_capacity, "battery capacity", 1)
         if 0 not in self.charge_actions:
             raise ValidationError("charge action set must contain 0")
 
@@ -70,7 +69,8 @@ class JointState:
 
     @classmethod
     def from_flat(cls, index: int, battery_capacity: int = 5) -> "JointState":
-        return cls(index // (battery_capacity + 1), index % (battery_capacity + 1))
+        levels = _integer(battery_capacity, "battery capacity", 1) + 1
+        return cls(*divmod(_integer(index, "index", 0), levels))
 
 
 def state_index(spec: WindStorageSpec, wind, battery):
@@ -114,16 +114,22 @@ def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
     and the charge limit allow; the remainder is abandoned:
     A = U when U >= max(min charge, b - B), else A is that bound and
     V = A - U. Always U = A - V, 0 <= V <= X. U must be one of
-    `action_values(spec)` and feasible at the state, as in `build`.
+    `action_values(spec)` and feasible at the state, as in `build`; the
+    state must lie within the spec's wind levels and battery capacity.
     """
-    b = state.battery
+    w, b = _integer(state.wind, "wind"), _integer(state.battery, "battery")
+    W, B = len(spec.wind_states), spec.battery_capacity
+    if not (0 <= w < W and 0 <= b <= B):
+        raise ValidationError(
+            f"state (wind {w}, battery {b}) outside the spec: "
+            f"wind 0..{W - 1}, battery 0..{B}"
+        )
     if U not in action_values(spec):
         raise ValidationError(f"decision {U} is not one of the actions {action_values(spec)}")
-    lo, hi = map(int, _decision_bounds(spec, spec.wind_states[state.wind], b))
+    lo, hi = map(int, _decision_bounds(spec, spec.wind_states[w], b))
     if not lo <= U <= hi:
         raise ValidationError(
-            f"decision {U} outside feasible range [{lo}, {hi}] at "
-            f"(wind {state.wind}, battery {b})"
+            f"decision {U} outside feasible range [{lo}, {hi}] at (wind {w}, battery {b})"
         )
     a = int(_battery_power(spec, b, U))
     return a, a - U

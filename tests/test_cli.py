@@ -9,6 +9,7 @@ from conftest import outcome, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     GradientConfig,
+    JointState,
     MdpModel,
     MvmdpError,
     RandomizedPolicy,
@@ -477,6 +478,17 @@ class TestSimulateAndCheck:
         assert code == 2
         assert "burn-in must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("horizon, burn_in", [("1", "1000"), ("-5", "10")])
+    def test_horizon_below_2_exits_2_before_simulating(self, workdir, command, horizon, burn_in, capsys):
+        """A horizon below the 2 steps estimate_metrics needs is named as the
+        horizon, also when burn-in would make the path long enough to run."""
+        code = main([command, "--model", str(workdir / "wind.json"),
+                     "--policy", str(workdir / "pol.json"),
+                     "--horizon", horizon, "--burn-in", burn_in])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: horizon must be >= 2, got {horizon}\n"
+
     def test_cross_check_rejects_negative_burn_in(self, workdir):
         model = load_model(str(workdir / "wind.json"))
         policy = load_policy(str(workdir / "pol.json"))
@@ -584,6 +596,12 @@ NON_INTEGER_SIZES = {
         lambda m, d: policy_iteration(m, d, max_iterations=True), "max_iterations"
     ),
     "spec battery_capacity bool": (lambda m, d: WindStorageSpec(battery_capacity=True), "battery capacity"),
+    "check_ergodicity enumeration_cap": (lambda m, d: check_ergodicity(m, enumeration_cap=2.5), "enumeration_cap"),
+    "check_ergodicity enumeration_cap None": (
+        lambda m, d: check_ergodicity(m, enumeration_cap=None), "enumeration_cap"
+    ),
+    "from_flat index": (lambda m, d: JointState.from_flat(3.0, 5), "index"),
+    "from_flat battery_capacity": (lambda m, d: JointState.from_flat(3, 2.5), "battery capacity"),
 }
 
 
@@ -618,6 +636,49 @@ def test_seed_is_an_integer_of_at_least_0(call, seed, wind_model, wind_spec):
     failed."""
     with pytest.raises(ValidationError, match=r"^seed must be an integer"):
         SEEDED_CALLS[call](wind_model, threshold_policy(wind_spec), seed)
+
+
+# name, floor, and a call passing floor - 1 for that count
+BELOW_FLOOR = {
+    "sweep_beta starts": ("starts per beta", 1, lambda m, d: sweep_beta(m, (0.1,), 0)),
+    "cross_check burn_in": ("burn-in", 0, lambda m, d: cross_check(m, d, 100, burn_in=-1)),
+    "cross_check T": ("horizon", 2, lambda m, d: cross_check(m, d, 1)),
+    "check_ergodicity sample_size": ("sample_size", 0, lambda m, d: check_ergodicity(m, sample_size=-1)),
+    "check_ergodicity enumeration_cap": (
+        "enumeration_cap", 0, lambda m, d: check_ergodicity(m, enumeration_cap=-1)
+    ),
+    "sample_random_policy max_tries": (
+        "max_tries", 1, lambda m, d: sample_random_policy(m, np.random.default_rng(0), max_tries=0)
+    ),
+    "simulate_path T": ("path length", 1, lambda m, d: simulate_path(m, d, 0)),
+    "estimate_metrics num_batches": (
+        "num_batches", 1, lambda m, d: estimate_metrics([1.0, 2.0, 0.5, 3.0], 0.1, num_batches=0)
+    ),
+    "estimate_potential truncation": (
+        "truncation", 1, lambda m, d: estimate_potential(m, d, 1, truncation=0)
+    ),
+    "estimate_potential num_replications": (
+        "num_replications", 1, lambda m, d: estimate_potential(m, d, 1, num_replications=0)
+    ),
+    "ExplorationConfig budget": ("budget", 1, lambda m, d: solvers.ExplorationConfig(budget=0)),
+    "GradientConfig max_iterations": ("max_iterations", 1, lambda m, d: GradientConfig(max_iterations=0)),
+    "policy_iteration max_iterations": (
+        "max_iterations", 0, lambda m, d: policy_iteration(m, d, max_iterations=-1)
+    ),
+    "multi_start num_starts": ("num_starts", 1, lambda m, d: multi_start(m, 0)),
+    "spec battery_capacity": ("battery capacity", 1, lambda m, d: WindStorageSpec(battery_capacity=0)),
+    "from_flat index": ("index", 0, lambda m, d: JointState.from_flat(-1)),
+    "from_flat battery_capacity": ("battery capacity", 1, lambda m, d: JointState.from_flat(3, 0)),
+}
+
+
+@pytest.mark.parametrize("case", BELOW_FLOOR)
+def test_count_below_its_floor_is_named_with_the_floor(case, wind_model, wind_spec):
+    """Every floored count one below its floor raises the one message form,
+    naming the count, the floor and the value given."""
+    name, low, call = BELOW_FLOOR[case]
+    with pytest.raises(ValidationError, match=rf"^{name} must be >= {low}, got {low - 1}$"):
+        call(wind_model, threshold_policy(wind_spec))
 
 
 def test_numpy_integer_seed_is_accepted(wind_model, wind_spec):

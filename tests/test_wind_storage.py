@@ -96,6 +96,18 @@ class TestSpec:
         with pytest.raises(ValidationError, match="not one of the actions"):
             decompose_action(WindStorageSpec(charge_actions=(-2, 0, 2)), JointState(3, 3), 1)
 
+    @pytest.mark.parametrize("wind, battery", [(7, 0), (-1, 0), (0, 9)])
+    def test_decompose_rejects_a_state_outside_the_spec(self, wind, battery):
+        """A wind level past the last, a negative one (which indexing would
+        read as the last) and a battery level above capacity are named as
+        the state, not as an IndexError or an infeasible decision."""
+        with pytest.raises(
+            ValidationError,
+            match=rf"^state \(wind {wind}, battery {battery}\) outside the spec: "
+            r"wind 0\.\.5, battery 0\.\.5$",
+        ):
+            decompose_action(WindStorageSpec(), JointState(wind, battery), 0)
+
 
 class TestNoAbandonment:
     def test_shape_and_action_meaning(self, wind_model, wind_spec):
