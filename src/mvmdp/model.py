@@ -13,10 +13,12 @@ writes CSR rows into zeroed dense rows: the cached `MdpModel.kernel`, the
 (k, A, S) blocks of about _BLOCK_BYTES that `kernel @ g` and the randomized
 chain walk (`MdpModel._blocks`), a policy's chain and a row near the sum
 tolerance (`_check_kernel_rows`). The encoder, `_csr_of_entries`, turns
-entries in (pair, column) order into a _KernelCSR. The positive-entry table,
-`MdpModel._positive`, is built once; the successor table of the structural
-checks and the sampling table of `simulate_path` are read from it. No
-reader uses the dense kernel except through one block of a small kernel.
+entries in (pair, column) order into a _KernelCSR. The positive-entry rule,
+`_positive_rows`, makes the model's table `MdpModel._positive`, built once
+(the successor table of the structural checks and the sampling table of
+`simulate_path` are read from it), and the support graph of a chain that
+evaluation gathered (`_policy_rows`). No reader uses the dense kernel
+except through one block of a small kernel.
 """
 from __future__ import annotations
 
@@ -119,6 +121,18 @@ def _scatter_rows(out: np.ndarray, indptr: np.ndarray, cols: np.ndarray, values:
     at += cols[lo:hi]
     out.reshape(-1)[at] = values[lo:hi]
     return at
+
+
+def _positive_rows(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """(indptr, cols, values) of the entries > 0 of the CSR (indptr, cols,
+    values), row by row: no -0.0. cols is int32, the index type csgraph
+    takes."""
+    if values.min(initial=1.0) > 0:
+        return indptr, cols.astype(np.int32), values
+    positive = values > 0
+    before = np.zeros(positive.size + 1, dtype=np.int64)
+    np.cumsum(positive, out=before[1:])
+    return before[indptr], cols[positive].astype(np.int32), values[positive]
 
 
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray, *entries):
@@ -243,12 +257,7 @@ class MdpModel:
         """The positive-entry table (indptr, succ, prob), read-only and
         built on first use: the CSR of the entries > 0 of `kernel_csr` (no
         -0.0). succ is int32, the index type csgraph takes."""
-        csr = self.kernel_csr
-        positive = csr.values > 0
-        before = np.zeros(positive.size + 1, dtype=np.int64)
-        np.cumsum(positive, out=before[1:])
-        succ = csr.cols[positive].astype(np.int32)
-        return _read_only(before[csr.indptr], succ, csr.values[positive])
+        return _read_only(*_positive_rows(*self.kernel_csr[1:]))
 
     def successor_table(self):
         """(indptr, succ), read-only and built on first use: the next states
@@ -512,14 +521,22 @@ def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     scattering the policy's pairs' CSR rows into zeros, or gathered from a
     kernel of one block (`MdpModel._block_states`): the kernel's floats."""
     policy.validate_for(model)
-    S, A = model.num_states, model.num_actions
+    S = model.num_states
     idx = np.arange(S)
     if model._block_states() >= S:
         return model.kernel[idx, policy.action], model.reward[idx, policy.action]
-    csr = model.kernel_csr
     P = np.zeros((S, S))
-    _scatter_rows(P, *_gather_rows(csr.indptr, idx * A + policy.action, csr.cols, csr.values))
+    _scatter_rows(P, *_policy_rows(model, policy.action))
     return P, model.reward[idx, policy.action]
+
+
+def _policy_rows(model: MdpModel, action: np.ndarray):
+    """(indptr, cols, values): the CSR rows of `kernel_csr` of the pairs
+    (i, action[i]), gathered in state order. They are the chain of the
+    feasible action table `action` as CSR, every entry that is not +0.0."""
+    csr = model.kernel_csr
+    pairs = np.arange(model.num_states) * model.num_actions + action
+    return _gather_rows(csr.indptr, pairs, csr.cols, csr.values)
 
 
 def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):

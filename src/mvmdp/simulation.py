@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import ValidationError
-from .evaluation import _evaluate_chain, _policy_chain
+from .evaluation import _Chain, _evaluate_chain, _policy_chain
 from .model import (
     DeterministicPolicy,
     MdpModel,
@@ -19,6 +19,7 @@ from .model import (
     _check_seed,
     _csr,
     _integer,
+    _positive_rows,
 )
 
 DEFAULT_BATCHES = 30
@@ -209,10 +210,12 @@ def estimate_metrics(
     )
 
 
-def _accumulate_cost(P, f, J, start, truncation, reps, seed):
-    """Mean and spread over replications of sum_{t<=truncation} (f(X_t) - J)."""
+def _accumulate_cost(chain: _Chain, f, J, start, truncation, reps, seed):
+    """Mean and spread over replications of sum_{t<=truncation} (f(X_t) - J)
+    on the chain's rows (`evaluation._Chain`): the sampling table of their
+    entries > 0."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
-    nxt, thresholds = _dense_support_table(P)
+    nxt, thresholds = _support_table(*_positive_rows(chain.indptr, chain.cols, chain.values))
     cur = np.full(reps, start, dtype=int)
     acc = np.zeros(reps)
     excess = f - J
@@ -245,17 +248,17 @@ def estimate_potential(
         raise ValidationError(f"state {state} out of range")
     _integer(num_replications, "num_replications", 1)
     _check_seed(seed)
-    P, r, m2, support = _policy_chain(model, policy)
+    chain, r, m2 = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary
     # distribution raises also at state 0
-    report = _evaluate_chain(P, r, m2, support, model.beta)
+    report = _evaluate_chain(chain, r, m2, model.beta)
     if state == 0:
         return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
     f = report.cost
     if j_combined is None:
         j_combined = report.j_combined
-    mean_s, se_s = _accumulate_cost(P, f, j_combined, state, truncation, num_replications, seed)
-    mean_0, se_0 = _accumulate_cost(P, f, j_combined, 0, truncation, num_replications, seed)
+    mean_s, se_s = _accumulate_cost(chain, f, j_combined, state, truncation, num_replications, seed)
+    mean_0, se_0 = _accumulate_cost(chain, f, j_combined, 0, truncation, num_replications, seed)
     return PotentialEstimate(
         value=mean_s - mean_0,
         std_error=float(np.hypot(se_s, se_0)),

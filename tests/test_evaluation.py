@@ -1,6 +1,7 @@
 """Stationary distributions, metric computation, and the potential solve."""
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mvmdp import (
     build,
     combined_metric,
     evaluate,
+    improvement_vector,
     induced_chain,
     induced_chain_randomized,
     long_run_mean,
@@ -141,6 +143,17 @@ class TestPoisson:
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(EvaluationError, match="disagrees"):
             solve_poisson(P, np.array([1.0, 0.0]), 3.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
+    def test_average_off_by_a_millionth_of_the_cost_rejected(self, scale):
+        # the consistency tolerance grows with max|f|, but stays far below
+        # a millionth of it
+        P = np.array([[0.9, 0.1], [0.4, 0.6]])
+        f = scale * np.array([1.0, -2.0])
+        J = float(stationary_distribution(P) @ f)
+        assert solve_poisson(P, f, J)[0] == 0.0
+        with pytest.raises(EvaluationError, match="disagrees"):
+            solve_poisson(P, f, J + 1e-6 * scale * 2.0)
 
 
 class TestEvaluate:
@@ -345,19 +358,35 @@ def strided_identity_minus(P):
     return M
 
 
+def dense_policy_chain(model, policy):
+    """The policy's chain as a dense matrix, from the public induced_chain*."""
+    if isinstance(policy, DeterministicPolicy):
+        return induced_chain(model, policy)[0]
+    return induced_chain_randomized(model, policy)[0]
+
+
+def uniform_theta(model):
+    mask = model.feasible_mask()
+    return RandomizedPolicy(mask / mask.sum(axis=1, keepdims=True))
+
+
+def same_bits(got, want):
+    """Equal floats with equal signs of zero, and got column-major."""
+    return got.flags.f_contiguous and got.tobytes(order="F") == want.tobytes(order="F")
+
+
 @pytest.mark.parametrize("battery", [5, 50, 200])
 @pytest.mark.parametrize("abandonment", [False, True])
 def test_identity_minus_has_the_reference_bits(battery, abandonment):
     """The I - P that the pinned and normalized Poisson matrices start from,
-    for the threshold policy's chain and the uniform randomized chain."""
+    built from the rows of the threshold policy's chain and of the uniform
+    randomized chain, against the reference on the same dense chains."""
     spec = WindStorageSpec(battery_capacity=battery, abandonment=abandonment)
     model = build(spec)
-    mask = model.feasible_mask()
-    theta = RandomizedPolicy(mask / mask.sum(axis=1, keepdims=True))
-    chains = [induced_chain(model, threshold_policy(spec))[0], induced_chain_randomized(model, theta)[0]]
-    for P in chains:
-        got, want = evaluation._identity_minus(P), strided_identity_minus(P)
-        assert got.flags.f_contiguous and got.tobytes(order="F") == want.tobytes(order="F")
+    for policy in (threshold_policy(spec), uniform_theta(model)):
+        chain = evaluation._policy_chain(model, policy)[0]
+        got = evaluation._identity_minus(chain)
+        assert same_bits(got, strided_identity_minus(dense_policy_chain(model, policy)))
 
 
 class TestPoissonReference:
@@ -633,11 +662,224 @@ class TestWithBeta:
             assert self.check(m, d) == {"ok"}
 
     def test_combined_potential_failure(self, wind_model, abandon_model_beta1):
-        # at a huge beta pi @ cost and j_combined disagree by more than the
-        # consistency tolerance, although the beta-free parts are fine
+        # at beta = 1e308 the cost overflows and its potential fails the
+        # residual check, although the beta-free parts are fine
         for m in (wind_model, abandon_model_beta1):
             kinds = set()
             for seed in (0, 76):
                 d = sample_random_policy(m, np.random.default_rng(seed))
-                kinds |= self.check(m, d, betas=(1e8, 1e300, 0.3))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    kinds |= self.check(m, d, betas=(1e308, 1e300, 0.3))
             assert kinds == {"EvaluationError", "ok"}
+
+    def test_overflowing_cost_error(self, wind_model):
+        d = sample_random_policy(wind_model, np.random.default_rng(0))
+        report = evaluate(wind_model, d)
+        mb = dataclasses.replace(wind_model, beta=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got in (outcome(evaluate, mb, d), outcome(_with_beta, mb, d, report)):
+                assert got == ("EvaluationError", "potential residual nan is too large")
+
+
+LU_SOLVER = evaluation._LUSolver
+
+
+class CapturedSolvers:
+    """Stands in for evaluation._LUSolver and keeps a column-major copy of
+    every matrix handed to it, before it is factored."""
+
+    def __init__(self):
+        self.matrices = []
+
+    def __call__(self, M):
+        self.matrices.append(M.copy(order="F"))
+        return LU_SOLVER(M)
+
+
+def reference_matrices(P, pi):
+    """The balance, pinned and normalized matrices as the textbook
+    expressions give them on the dense P."""
+    S = P.shape[0]
+    balance = P.T - np.eye(S)
+    balance[-1, :] = 1.0
+    pinned = np.eye(S) - P
+    pinned[0, :] = 0.0
+    pinned[0, 0] = 1.0
+    return balance, pinned, np.eye(S) - P + np.outer(np.ones(S), pi)
+
+
+def signed_zero_model(rng, S=7, A=3):
+    """A model whose kernel holds -0.0 entries on and off the diagonal.
+    Every row moves on to the next state with positive probability, so
+    every policy's chain is irreducible."""
+    kernel = rng.dirichlet(np.ones(S), size=(S, A)) * (rng.random((S, A, S)) < 0.4)
+    states = np.arange(S)
+    kernel[states, :, (states + 1) % S] += 0.5
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    kernel[(kernel == 0) & (rng.random(kernel.shape) < 0.5)] = -0.0
+    diagonal = kernel[states, :, states]
+    kernel[states, :, states] = np.where(diagonal == 0, -0.0, diagonal)
+    reward = rng.normal(size=(S, A))
+    return MdpModel(S, A, tuple(tuple(range(A)) for _ in range(S)), kernel, reward, 0.4)
+
+
+def signed_zeros(P):
+    """(on the diagonal, off it): whether P holds a -0.0 there."""
+    negative_zero = (P == 0) & np.signbit(P)
+    diagonal = np.eye(P.shape[0], dtype=bool)
+    return bool(negative_zero[diagonal].any()), bool(negative_zero[~diagonal].any())
+
+
+class TestChainRowsKeepTheDenseBits:
+    """evaluate, stationary_distribution and solve_poisson build every
+    matrix they factor from the chain's rows; each has the floats, signs
+    of zero included, of the textbook expression on the dense chain, and
+    the reports equal the reference solves on it."""
+
+    def captured(self, monkeypatch):
+        force_overlap(monkeypatch, False)
+        solvers = CapturedSolvers()
+        monkeypatch.setattr(evaluation, "_LUSolver", solvers)
+        return solvers
+
+    def check_evaluate(self, monkeypatch, m, policy):
+        """Returns whether the normalized matrix was factored."""
+        solvers = self.captured(monkeypatch)
+        rep = evaluate(m, policy)
+        P = dense_policy_chain(m, policy)
+        want = reference_matrices(P, rep.pi)
+        got = solvers.matrices
+        assert len(got) in (2, 3)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        check_reference_report(m, policy, rep)
+        return len(got) == 3
+
+    def test_wind_chains(self, monkeypatch, wind_model, abandon_model_beta1):
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=80):
+            self.check_evaluate(monkeypatch, m, d)
+        for m in (wind_model, abandon_model_beta1):
+            self.check_evaluate(monkeypatch, m, uniform_theta(m))
+
+    def test_normalized_fallback(self, monkeypatch):
+        fell_back = [self.check_evaluate(monkeypatch, m, d) for m, d in threshold_chains(50)]
+        for closed in TRANSIENT_PIN_CHAINS:
+            d = DeterministicPolicy(np.zeros(3, dtype=int))
+            fell_back.append(self.check_evaluate(monkeypatch, transient_pin_model(closed), d))
+        assert sum(fell_back) >= 4
+
+    def test_signed_zero_kernel(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        for _ in range(4):
+            m = signed_zero_model(rng)
+            policies = [sample_random_policy(m, rng) for _ in range(3)]
+            theta = rng.dirichlet(np.ones(m.num_actions), size=m.num_states)
+            policies.append(RandomizedPolicy(theta))
+            zeros = set()
+            for policy in policies:
+                chain = evaluation._policy_chain(m, policy)[0]
+                P = dense_policy_chain(m, policy)
+                assert np.array_equal(chain.values, P[chain.rows, chain.cols])
+                assert np.signbit(chain.values).tolist() == np.signbit(P[chain.rows, chain.cols]).tolist()
+                zeros.add(signed_zeros(P))
+                self.check_evaluate(monkeypatch, m, policy)
+            assert (True, True) in zeros
+
+    def test_dense_inputs(self, monkeypatch):
+        """stationary_distribution and solve_poisson convert a dense P of
+        any layout, -0.0 entries included."""
+        rng = np.random.default_rng(82)
+        for _ in range(6):
+            m = signed_zero_model(rng)
+            P = dense_policy_chain(m, sample_random_policy(m, rng))
+            assert signed_zeros(P) != (False, False)
+            S = P.shape[0]
+            strided = np.zeros((S, 2 * S))
+            strided[:, ::2] = P
+            f = rng.normal(size=S)
+            for Q in (P, np.asfortranarray(P), strided[:, ::2]):
+                solvers = self.captured(monkeypatch)
+                pi = stationary_distribution(Q)
+                assert np.array_equal(pi, reference_pi(P))
+                J = float(pi @ f)
+                g = solve_poisson(Q, f, J)
+                want, fell_back = reference_potential(P, f, J, pi)
+                assert np.array_equal(g, want) and not fell_back
+                # stationary_distribution's balance matrix, then solve_poisson's
+                balance, pinned, _ = reference_matrices(P, pi)
+                assert len(solvers.matrices) == 3
+                for M, want in zip(solvers.matrices, (balance, balance, pinned)):
+                    assert same_bits(M, want)
+
+
+def check_reference_report(m, policy, rep):
+    """rep equals the reference stationary and per-potential solves on the
+    policy's dense chain, bit for bit."""
+    if isinstance(policy, DeterministicPolicy):
+        P, r = induced_chain(m, policy)
+        m2 = None
+    else:
+        P, r, m2 = induced_chain_randomized(m, policy)
+    pi = reference_pi(P)
+    assert np.array_equal(rep.pi, pi)
+    sq = (r - rep.j_mean) ** 2 if m2 is None else m2 - 2.0 * rep.j_mean * r + rep.j_mean**2
+    for got, f, J in (
+        (rep.potential, rep.cost, rep.j_combined),
+        (rep.potential_mean, r, rep.j_mean),
+        (rep.potential_var, sq, rep.j_var),
+    ):
+        assert np.array_equal(got, reference_potential(P, f, J, pi)[0])
+
+
+class TestEvaluationMemory:
+    """evaluate holds at most two S x S matrices at once: the two it
+    factors concurrently, or the pinned and the normalized one. No dense
+    chain is built."""
+
+    def test_peak_at_b200(self, monkeypatch):
+        spec = WindStorageSpec(battery_capacity=200, beta=0.1)
+        model = build(spec)
+        start = threshold_policy(spec)
+        fixed, _ = policy_iteration(model, start)
+        S = model.num_states
+        for policy, factorizations in ((start, 3), (fixed, 2)):
+            # the model's tables are built on first use, outside the trace
+            evaluate(model, policy)
+            solvers = CountingCalls(LU_SOLVER)
+            monkeypatch.setattr(evaluation, "_LUSolver", solvers)
+            tracemalloc.start()
+            try:
+                evaluate(model, policy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert solvers.calls == factorizations
+            assert peak <= 2.1 * S * S * 8
+
+
+SCALED_REWARDS = {
+    "times 1e4": lambda r: r * 1e4,
+    "times 1e6": lambda r: r * 1e6,
+    "plus 1e7": lambda r: r + 1e7,
+    "plus 1e9": lambda r: r + 1e9,
+}
+
+
+class TestScaledRewards:
+    """The consistency and residual tolerances grow with the right-hand
+    side, so models whose rewards are scaled or shifted evaluate, and
+    their reports pass the improvement step's residual check."""
+
+    @pytest.mark.parametrize("battery", [5, 50])
+    @pytest.mark.parametrize("change", SCALED_REWARDS)
+    def test_evaluates(self, battery, change):
+        for abandonment in (False, True):
+            spec = WindStorageSpec(battery_capacity=battery, beta=0.1, abandonment=abandonment)
+            model = build(spec)
+            start = threshold_policy(spec)
+            fixed, _ = policy_iteration(model, start)
+            scaled = dataclasses.replace(model, reward=SCALED_REWARDS[change](model.reward))
+            for policy in (start, fixed):
+                base, rep = evaluate(model, policy), evaluate(scaled, policy)
+                assert rep.j_mean == pytest.approx(SCALED_REWARDS[change](base.j_mean), rel=1e-12)
+                improvement_vector(scaled, rep, policy)

@@ -11,6 +11,8 @@ from mvmdp import (
     DeterministicPolicy,
     RandomizedPolicy,
     ValidationError,
+    WindStorageSpec,
+    build,
     check_necessary_condition,
     derivative_mixed,
     derivative_randomized,
@@ -299,6 +301,28 @@ class TestReportMismatch:
             theta = interior_theta(rng, m)
             with pytest.raises(ValidationError, match="does not match"):
                 derivative_randomized(m, theta, evaluate(other, theta))
+
+    @pytest.mark.parametrize(
+        "change", [lambda r: r, lambda r: r * 1e6, lambda r: r + 1e9], ids=["plain", "times 1e6", "plus 1e9"]
+    )
+    def test_report_of_other_wind_policy_rejected(self, change):
+        # the residual tolerance grows with the rewards, but a report of
+        # the next policy-iteration iterate still fails it
+        checked = 0
+        for abandonment in (False, True):
+            spec = WindStorageSpec(beta=0.1, abandonment=abandonment)
+            model = build(spec)
+            _, trace = policy_iteration(model, threshold_policy(spec))
+            scaled = dataclasses.replace(model, reward=change(model.reward))
+            policies = [record.policy for record in trace.iterations]
+            for policy, other in zip(policies, policies[1:]):
+                if policy == other:
+                    continue
+                improvement_vector(scaled, evaluate(scaled, policy), policy)
+                with pytest.raises(ValidationError, match="does not match"):
+                    improvement_vector(scaled, evaluate(scaled, other), policy)
+                checked += 1
+        assert checked >= 4
 
     def test_randomized_report_of_other_theta_rejected(self):
         for rng, m, _ in self.cases(61):

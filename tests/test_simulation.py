@@ -25,6 +25,7 @@ from mvmdp import (
     estimate_potential,
     evaluate,
     induced_chain,
+    induced_chain_randomized,
     sample_random_policy,
     simulate_path,
 )
@@ -305,10 +306,18 @@ class TestSupportTablesKeepTheDenseRule:
                     assert g.dtype == w.dtype and np.array_equal(g, w), field
 
     @staticmethod
-    def check_costs(P, starts, seed, reps=300, truncation=40):
+    def check_costs(model, policy, starts, seed, reps=300, truncation=40):
+        """_accumulate_cost on the rows of the policy's chain, as
+        estimate_potential runs it, against the reference on its dense
+        chain."""
+        chain = _policy_chain(model, policy)[0]
+        if isinstance(policy, DeterministicPolicy):
+            P = induced_chain(model, policy)[0]
+        else:
+            P = induced_chain_randomized(model, policy)[0]
         f = np.sin(np.arange(P.shape[0]) + seed)
         for start in starts:
-            got = simulation._accumulate_cost(P, f, 0.25, start, truncation, reps, seed)
+            got = simulation._accumulate_cost(chain, f, 0.25, start, truncation, reps, seed)
             assert got == dense_accumulate_cost(P, f, 0.25, start, truncation, reps, seed)
 
     @pytest.mark.parametrize("battery", [5, 50])
@@ -320,15 +329,14 @@ class TestSupportTablesKeepTheDenseRule:
         policies = [threshold_policy(spec), sample_random_policy(m, rng), *_thetas(m, rng)]
         self.check_paths(m, policies, seeds=range(2))
         for policy in policies:
-            P = _policy_chain(m, policy)[0]
-            self.check_costs(P, starts=(0, m.num_states - 1), seed=3)
+            self.check_costs(m, policy, starts=(0, m.num_states - 1), seed=3)
 
     def test_random_models(self):
         rng = np.random.default_rng(90)
         for m, d in model_policy_cases([], seed=90, random_models=4, policies_per_model=1):
             self.check_paths(m, [d, *_thetas(m, rng)], seeds=(1,), T=500)
             for policy in (d, *_thetas(m, rng)):
-                self.check_costs(_policy_chain(m, policy)[0], starts=range(m.num_states), seed=4)
+                self.check_costs(m, policy, starts=range(m.num_states), seed=4)
 
     def test_corner_rows(self, monkeypatch):
         m = _corner_model()
@@ -336,23 +344,22 @@ class TestSupportTablesKeepTheDenseRule:
         policies = [DeterministicPolicy(np.zeros(6, dtype=int)), DeterministicPolicy(np.ones(6, dtype=int))]
         policies += _thetas(m, rng)
         self.check_paths(m, policies, seeds=range(3), T=300)
-        chains = [_policy_chain(m, policy)[0] for policy in policies]
-        for P in chains:
-            self.check_costs(P, starts=range(6), seed=5)
+        for policy in policies:
+            self.check_costs(m, policy, starts=range(6), seed=5)
         # draws on the thresholds themselves and the largest draw
         top = np.nextafter(1.0, 0.0)
         draws = [0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, top, 0.5, 0.999, top, 0.1, 0.5]
         monkeypatch.setattr(np.random, "default_rng", lambda *args: _FixedDraws(draws))
         self.check_paths(m, policies, seeds=range(6), T=60)
-        for P in chains:
-            self.check_costs(P, starts=range(6), seed=5, reps=len(draws))
+        for policy in policies:
+            self.check_costs(m, policy, starts=range(6), seed=5, reps=len(draws))
 
     def test_single_state(self, single_state_model):
         d = DeterministicPolicy(np.zeros(1, dtype=int))
         self.check_paths(single_state_model, [d, d.as_randomized(single_state_model)], seeds=(0,), T=50)
         path = simulate_path(single_state_model, d, 50)
         assert np.array_equal(path.states, np.zeros(50, dtype=int))
-        self.check_costs(np.ones((1, 1)), starts=(0,), seed=6)
+        self.check_costs(single_state_model, d, starts=(0,), seed=6)
 
 
 class TestSimulationMemory:
