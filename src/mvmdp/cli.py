@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -373,7 +374,10 @@ def _seed(given: str | None) -> int:
     return seed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each `parse_args`
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mvmdp",
         description="Long-run mean-variance optimization of finite MDPs",

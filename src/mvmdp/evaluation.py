@@ -29,6 +29,7 @@ from .model import (
     _closed_classes,
     _policy_rows,
     _positive_rows,
+    _square,
     induced_chain_randomized,
 )
 
@@ -104,9 +105,7 @@ def _times(chain: _Chain, x: np.ndarray) -> np.ndarray:
 
 
 def _check_stochastic(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
+    P = _square(P)
     _check_rows(P, "transition row {}")
     return P
 

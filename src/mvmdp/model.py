@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph._traversal import _connected_components_directed
 
 from .errors import FeasibilityError, ModelIOError, ValidationError
 
@@ -575,9 +574,18 @@ def _csr(flat: np.ndarray, rows: int, width: int):
     return np.searchsorted(r, np.arange(rows + 1)), cols.astype(np.int32)
 
 
+def _square(P) -> np.ndarray:
+    """P as a float array; a ValidationError unless it is square 2-D."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
+    return P
+
+
 def _support(P: np.ndarray):
-    """The support graph of P, whose edges are the entries > 0, as (indptr,
-    cols)."""
+    """The support graph of the square matrix P, whose edges are the
+    entries > 0, as (indptr, cols)."""
+    P = _square(P)
     # the flat scan is several times faster than a 2-D np.nonzero at S ~ 1000
     return _csr(np.flatnonzero(P > 0), P.shape[0], P.shape[0])
 
@@ -592,10 +600,23 @@ def _policy_support(model: MdpModel, action: np.ndarray):
 
 def _strong_components(indptr: np.ndarray, cols: np.ndarray):
     """(n, labels): the strongly connected components of the graph (indptr,
-    cols) on indptr.size - 1 nodes."""
-    S = indptr.size - 1
-    graph = csr_array((np.ones(cols.size), cols, indptr.astype(np.int32)), shape=(S, S))
-    return connected_components(graph, connection="strong")
+    cols) on indptr.size - 1 nodes, numbered as
+    `connected_components(..., connection="strong")` numbers them.
+
+    It calls the Pearce (2005) routine that function runs once it has
+    validated its input, on the CSR arrays as int32 (cols must be int32
+    already; indptr is cast), so no sparse matrix is built. No row may
+    list a column twice: on a repeated edge the routine
+    (scipy 1.17.1) does not return. Every graph here has unique edges: the
+    kernel's CSR rows, the rows gathered from them, `np.flatnonzero` of a
+    dense matrix and the `np.unique` of the union graph in
+    `check_ergodicity`, which the successor table's rows alone would not
+    give.
+    """
+    # the labels start as connected_components starts them
+    labels = np.full(indptr.size - 1, -9999, dtype=np.int32)
+    n = _connected_components_directed(cols, indptr.astype(np.int32, copy=False), labels)
+    return n, labels
 
 
 def _irreducible(indptr: np.ndarray, cols: np.ndarray) -> bool:
@@ -618,15 +639,21 @@ def _closed_classes(indptr: np.ndarray, cols: np.ndarray) -> int:
 def closed_class_count(P: np.ndarray) -> int:
     """Number of closed communicating classes of the support graph of P.
 
-    Entries <= 0 are not edges; a class is closed when no edge leaves it.
-    1 means the stationary distribution is unique (irreducible or unichain);
-    2 or more means it is not.
+    P is any square matrix (array or nested list); its rows need not be
+    stochastic. Entries <= 0 are not edges; a class is closed when no edge
+    leaves it. 1 means the stationary distribution is unique (irreducible
+    or unichain); 2 or more means it is not; a 0x0 P has 0. One
+    strong-components pass on the support's CSR arrays gives the count
+    (`_strong_components`). Raises ValidationError when P is not square 2-D.
     """
     return _closed_classes(*_support(P))
 
 
 def is_irreducible(P: np.ndarray) -> bool:
-    """True when the support graph of P is a single strongly connected class."""
+    """True when the support graph of the square matrix P (array or nested
+    list, rows need not be stochastic) is a single strongly connected
+    class: one strong-components pass on its CSR arrays. A 0x0 P is not.
+    Raises ValidationError when P is not square 2-D."""
     return _irreducible(*_support(P))
 
 

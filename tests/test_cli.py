@@ -1,6 +1,9 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from mvmdp import (
     simulate_path,
 )
 from mvmdp import solvers
-from mvmdp.cli import ParetoPoint, _optima_path, cross_check, main, sweep_beta
+from mvmdp.cli import ParetoPoint, _build_parser, _optima_path, cross_check, main, sweep_beta
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,36 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(["optimize"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, workdir, tmp_path, capsys, monkeypatch):
+        """The parser is built once per process, and no call leaves state
+        for the next: after an argparse error, `--seed 3` and then no
+        `--seed` give what each gives in a fresh process, seed 0 the
+        second time."""
+        assert _build_parser() is _build_parser()
+        monkeypatch.delenv("MVMDP_SEED", raising=False)
+        model = str(workdir / "wind.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-pi", "--model", model, "--no-such-option"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        traces = []
+        for name, seed in (("seed3", ["--seed", "3"]), ("default", [])):
+            argv = ["solve-pi", "--model", model, *seed, "--out"]
+            assert main([*argv, str(tmp_path / f"{name}.csv")]) == 0
+            err = capsys.readouterr().err
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mvmdp.cli", *argv, str(tmp_path / f"{name}_fresh.csv")],
+                env=env, capture_output=True, text=True,
+            )
+            assert (fresh.returncode, fresh.stderr) == (0, err)
+            trace = (tmp_path / f"{name}.csv").read_bytes()
+            assert trace == (tmp_path / f"{name}_fresh.csv").read_bytes()
+            traces.append(trace)
+        assert main(["solve-pi", "--model", model, "--seed", "0", "--out", str(tmp_path / "seed0.csv")]) == 0
+        assert traces[1] == (tmp_path / "seed0.csv").read_bytes() != traces[0]
 
     def test_bad_beta_grid_exits_2(self, workdir, capsys):
         cases = [

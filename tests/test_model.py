@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -670,6 +671,96 @@ class TestSuccessorTable:
         m = build(WindStorageSpec(battery_capacity=200))
         with pytest.raises(ValidationError, match="no irreducible policy found in 20"):
             sample_random_policy(m, np.random.default_rng(0), max_tries=20)
+
+
+def random_graphs(rng, count):
+    """Seeded 0/1 matrices of S = 0..39 states at densities from 0 to 0.3;
+    their entries > 0 are duplicate-free graphs."""
+    for _ in range(count):
+        S = int(rng.integers(0, 40))
+        yield (rng.random((S, S)) < rng.uniform(0.0, 0.3)).astype(float)
+
+
+class TestStrongComponents:
+    """`_strong_components` calls csgraph's routine on the CSR arrays
+    directly; it must number the components as the public function does."""
+
+    def test_matches_connected_components(self):
+        rng = np.random.default_rng(90)
+        graphs = [np.zeros((0, 0)), np.ones((1, 1)), np.zeros((1, 1)), np.eye(5), *hand_chains()]
+        graphs += [random_chain(rng) for _ in range(300)]
+        graphs += list(random_graphs(rng, 1500))
+        sizes, counts = set(), set()
+        for P in graphs:
+            indptr, cols = mvmdp.model._support(P)
+            assert indptr.dtype == np.int64 and cols.dtype == np.int32
+            want_n, want_labels = connected_components(csr_matrix(P > 0), connection="strong")
+            for ptr in (indptr, indptr.astype(np.int32)):
+                n, labels = mvmdp.model._strong_components(ptr, cols)
+                assert n == want_n
+                assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+            sizes.add(P.shape[0])
+            counts.add(min(want_n, 3))
+        assert sizes >= set(range(40)) and counts == {0, 1, 2, 3}
+
+    def test_no_check_builds_a_sparse_matrix(self, monkeypatch, wind_model, abandon_model_beta1, frozen_battery_policy):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("scipy sparse matrix built")
+
+        formats = [name for name in scipy.sparse.__all__ if name.endswith(("_array", "_matrix"))]
+        assert "csr_array" in formats and "csr_matrix" in formats
+        for name in formats:
+            monkeypatch.setattr(getattr(scipy.sparse, name), "__init__", refuse)
+        with pytest.raises(AssertionError, match="sparse matrix built"):
+            scipy.sparse.csr_array(np.eye(2))
+        for m in (wind_model, abandon_model_beta1):
+            start = sample_random_policy(m, np.random.default_rng(0))
+            evaluate(m, start)
+            check_ergodicity(m, sample_size=5)
+            P, _ = induced_chain(m, start)
+            assert (closed_class_count(P), is_irreducible(P)) == (1, True)
+        P, _ = induced_chain(wind_model, frozen_battery_policy)
+        assert closed_class_count(P) > 1 and not is_irreducible(P)
+
+    @pytest.mark.parametrize("battery", [5, 50])
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_check_ergodicity_graphs_have_no_repeated_edge(self, monkeypatch, battery, abandonment):
+        """The routine does not return on a repeated edge. The union graph's
+        edges, read from the successor table's rows, are out of order and,
+        with abandonment, repeated; its np.unique sorts them and drops the
+        repeats."""
+        model = build(WindStorageSpec(battery_capacity=battery, abandonment=abandonment))
+        S, A = model.num_states, model.num_actions
+        strong_components = mvmdp.model._strong_components
+        calls = []
+
+        def checked(indptr, cols):
+            # checked before the call, which would not return on a repeat
+            edges = np.repeat(np.arange(S), np.diff(indptr)) * S + cols
+            assert np.unique(edges).size == edges.size
+            calls.append(edges.size)
+            return strong_components(indptr, cols)
+
+        monkeypatch.setattr(mvmdp.model, "_strong_components", checked)
+        report = check_ergodicity(model, sample_size=20)
+        assert len(calls) == 1 + report.policies_checked
+        table_ptr, succ = model.successor_table()
+        raw = np.repeat(np.arange(S * A) // A, np.diff(table_ptr)) * S + succ
+        assert not np.all(np.diff(raw) > 0)
+        assert (np.unique(raw).size < raw.size) == abandonment
+
+    def test_public_checks_take_square_matrices_only(self):
+        for P, shape in ((np.ones((2, 3)), "(2, 3)"), (np.ones(3), "(3,)")):
+            for check in (closed_class_count, is_irreducible):
+                with pytest.raises(ValidationError, match=re.escape(f"must be square, got shape {shape}")):
+                    check(P)
+        nested = [[[1.0, 0.0], [0.0, 1.0]]]
+        with pytest.raises(ValidationError, match=re.escape("got shape (1, 2, 2)")):
+            closed_class_count(nested)
+        assert (closed_class_count([[0.0, 1.0], [1.0, 0.0]]), is_irreducible([[0.0, 1.0], [1.0, 0.0]])) == (1, True)
+        assert (closed_class_count([[1, 0], [0, 2]]), is_irreducible([[1, 0], [0, 2]])) == (2, False)
+        assert (closed_class_count(np.zeros((0, 0))), is_irreducible(np.zeros((0, 0)))) == (0, False)
+        assert (closed_class_count(np.ones((1, 1))), is_irreducible(np.ones((1, 1)))) == (1, True)
 
 
 class TestModelIO:
