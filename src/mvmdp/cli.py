@@ -30,6 +30,7 @@ from .model import (
     MdpModel,
     RandomizedPolicy,
     check_ergodicity,
+    _check_beta,
     _check_seed,
     _feasible_pairs,
     _integer,
@@ -192,13 +193,15 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     Returns (points, optima_rows, failures): one ParetoPoint per successful
     beta, all distinct local-optimum rows per beta, and (beta, message)
     pairs for betas whose runs failed. Failures do not stop the sweep, so
-    an empty grid, fewer than one start per beta or a seed that is not an
-    integer >= 0 is rejected before it.
+    an empty grid, a beta that is not finite and > 0, fewer than one start
+    per beta or a seed that is not an integer >= 0 is rejected before it.
     The betas share one report memo, so a policy met at an earlier beta
     only has its combined potential solved again.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
+    for beta in beta_grid:
+        _check_beta(float(beta))
     _integer(starts_per_beta, "starts per beta", 1)
     _check_seed(seed)
     points = []
@@ -244,6 +247,8 @@ def _beta_grid(text: str) -> tuple:
         raise ValidationError(f"bad beta grid: {exc}") from exc
     if any(b <= 0 for b in grid):
         raise ValidationError("beta grid values must be > 0")
+    for b in grid:
+        _check_beta(b)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValidationError("beta grid must be strictly increasing")
     return grid

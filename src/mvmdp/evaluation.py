@@ -7,6 +7,9 @@ performance potentials that solve the associated Poisson equation.
 
 Every evaluation runs on the CSR rows of the policy's chain (`_Chain`):
 only the matrices LAPACK factors are dense, scattered from the rows.
+Policies are evaluated in batches, a single policy as a batch of one:
+the sparse work and the pass/fail gates run once over the batch, the
+dense work one chain at a time.
 """
 from __future__ import annotations
 
@@ -25,8 +28,9 @@ from .model import (
     MdpModel,
     RandomizedPolicy,
     _check_beta,
+    _check_policies,
     _check_rows,
-    _closed_classes,
+    _closed_class_counts,
     _policy_rows,
     _positive_rows,
     _square,
@@ -64,27 +68,38 @@ class EvaluationReport:
 
 
 class _Chain(NamedTuple):
-    """The transition matrix P of a chain as its CSR rows, the one form
-    evaluation runs on: row i of P holds values[indptr[i]:indptr[i + 1]] at
-    the columns cols[indptr[i]:indptr[i + 1]], in increasing order. Entry k
-    lies in row rows[k], at position at[k] = rows[k] * S + cols[k] of a
-    row-major P. Every entry that is not +0.0 is listed (a -0.0 is kept, as
-    `model._kept` keeps it), so the entries written into zeros give P's
-    floats. The threshold policy's chain at B=200 has 7,236 entries of its
-    1,454,436."""
+    """The transition matrices P of a batch of chains on `size` states
+    each, as the CSR rows of their disjoint union: the one form evaluation
+    runs on. State i of chain m is state m * size + i of the union, and a
+    single chain is a batch of one. Row n of the union holds
+    values[indptr[n]:indptr[n + 1]] at the columns
+    cols[indptr[n]:indptr[n + 1]], in increasing order. Entry k lies in
+    row rows[k], at position at[k] = i * size + j of its own chain's
+    row-major P, where i and j are its row and column in that chain. Every
+    entry that is not +0.0 is listed (a -0.0 is kept, as `model._kept`
+    keeps it), so the entries written into zeros give P's floats. The
+    threshold policy's chain at B=200 has 7,236 entries of its 1,454,436."""
 
     indptr: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     at: np.ndarray
+    size: int
+
+    def entries(self, m: int):
+        """(at, values) of the entries of chain m."""
+        lo, hi = self.indptr[m * self.size], self.indptr[(m + 1) * self.size]
+        return self.at[lo:hi], self.values[lo:hi]
 
 
-def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _Chain:
-    """The _Chain of the CSR (indptr, cols, values)."""
-    S = indptr.size - 1
-    rows = np.repeat(np.arange(S), np.diff(indptr))
-    return _Chain(indptr, rows, cols, values, rows * S + cols)
+def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> _Chain:
+    """The _Chain of the CSR (indptr, cols, values) holding the rows of
+    chains on `size` states one after the other, each with its own column
+    numbers."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    local = rows % size
+    return _Chain(indptr, rows, cols + (rows - local), values, local * size + cols, size)
 
 
 def _dense_chain(P: np.ndarray) -> _Chain:
@@ -95,13 +110,16 @@ def _dense_chain(P: np.ndarray) -> _Chain:
     P = np.ascontiguousarray(P)
     at = np.flatnonzero(P.view(np.int64))
     rows = at // S
-    return _Chain(np.searchsorted(rows, np.arange(S + 1)), rows, at - rows * S, P.reshape(-1)[at], at)
+    indptr = np.searchsorted(rows, np.arange(S + 1))
+    return _Chain(indptr, rows, at - rows * S, P.reshape(-1)[at], at, S)
 
 
 def _times(chain: _Chain, x: np.ndarray) -> np.ndarray:
     """P @ x, summed row by row; every row of a stochastic P has an entry,
-    which np.add.reduceat needs."""
-    return np.add.reduceat(chain.values * x[chain.cols], chain.indptr[:-1])
+    which np.add.reduceat needs. For a batch, x and the result hold the
+    chains' vectors one after the other; along the last axis of a 2-D x
+    each row is summed as a 1-D x would be."""
+    return np.add.reduceat(chain.values * x[..., chain.cols], chain.indptr[:-1], axis=-1)
 
 
 def _check_stochastic(P: np.ndarray) -> np.ndarray:
@@ -117,49 +135,37 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     the normalization row. Raises when the distribution is not unique, i.e.
     when the support graph has two or more closed communicating classes.
     """
-    return _stationary(_dense_chain(_check_stochastic(P)))
+    return _sole(_solve_chains(_dense_chain(_check_stochastic(P)), [None]))[0]
 
 
-def _stationary(chain: _Chain) -> np.ndarray:
-    """stationary_distribution of a row-stochastic P given as its rows.
+def _sole(outcomes: list):
+    """The outcome of a batch of one: its result, or its exception raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    Its support graph is the rows' entries > 0. The balance matrix P^T - I
-    with its last row set to ones is the transpose of a row-major P with 1
-    taken off its diagonal and its last column set to ones. That matrix is
-    scattered from the rows into zeros, so its transpose is the
-    column-major matrix dgesv needs, with the floats np.linalg.solve would
-    factor. The residual pi P - pi, a pass/fail gate, is a sparse product.
+
+def _balance_solve(chain: _Chain, m: int) -> np.ndarray:
+    """Chain m's pi from the balance system, before any check.
+
+    The balance matrix P^T - I with its last row set to ones is the
+    transpose of a row-major P with 1 taken off its diagonal and its last
+    column set to ones. That matrix is scattered from the rows into zeros,
+    so its transpose is the column-major matrix dgesv needs, with the
+    floats np.linalg.solve would factor. Raises np.linalg.LinAlgError when
+    it is singular.
     """
-    S = chain.indptr.size - 1
-    if _closed_classes(*_positive_rows(chain.indptr, chain.cols, chain.values)[:2]) != 1:
-        raise EvaluationError(
-            "stationary distribution is not unique: the chain has multiple "
-            "closed communicating classes"
-        )
+    S = chain.size
+    at, values = chain.entries(m)
     X = np.zeros((S, S))
     flat = X.reshape(-1)
-    flat[chain.at] = chain.values
+    flat[at] = values
     flat[:: S + 1] -= 1.0
     X[:, -1] = 1.0
     b = np.zeros(S)
     b[-1] = 1.0
-    try:
-        pi = _LUSolver(X.T).solve(b)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"stationary solve failed: {exc}") from exc
-    piP = np.bincount(chain.cols, pi[chain.rows] * chain.values, minlength=S)
-    residual = np.abs(piP - pi).max()
-    if residual > STATIONARY_TOL:
-        raise EvaluationError(
-            f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL}"
-        )
-    negative = pi < 0
-    if negative.any():
-        # transient states may come out as tiny negative round-off
-        pi = np.where(negative & (pi > -STATIONARY_TOL), 0.0, pi)
-        if (pi < 0).any():
-            raise EvaluationError("stationary solve produced a negative probability")
-    return pi
+    return _LUSolver(X.T).solve(b)
 
 
 def long_run_mean(pi: np.ndarray, r: np.ndarray) -> float:
@@ -220,22 +226,22 @@ def mv_cost_vector(r: np.ndarray, j_mean: float, beta: float) -> np.ndarray:
     return r - beta * _squared_deviation(r, j_mean)
 
 
-def poisson_residual(
-    Pg: np.ndarray, f: np.ndarray, J: float, g: np.ndarray
-) -> tuple[float, bool]:
-    """Max residual of the Poisson equation g = f - J + P g, given Pg = P @ g,
-    and whether it is within tolerance.
+def poisson_residual(Pg: np.ndarray, f: np.ndarray, J: np.ndarray, g: np.ndarray):
+    """Per row, the max residual of the Poisson equation g = f - J + P g,
+    and whether it is within tolerance. Pg, f and g stack one vector per
+    chain, Pg = P @ g, and J holds the chains' averages.
 
     The tolerance scales with the largest of max|g|, max|f| and |J|, and is
     at least POISSON_TOL: badly mixing chains have huge potentials, and
     large rewards large costs, with a proportionally larger attainable
     residual.
     """
-    residual = float(np.abs(g - (f - J) - Pg).max())
-    if residual <= POISSON_TOL:
-        return residual, True
-    scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))), abs(J))
-    return residual, residual <= 1e-12 * scale
+    residual = np.abs(g - (f - J[:, None]) - Pg).max(axis=1)
+    ok = residual <= POISSON_TOL
+    if not ok.all():
+        scale = np.maximum(np.maximum(np.abs(g).max(axis=1), np.abs(f).max(axis=1)), np.abs(J))
+        ok |= residual <= 1e-12 * scale
+    return residual, ok
 
 
 def _numpy_lapack():
@@ -321,22 +327,24 @@ class _LUSolver:
         return b
 
 
-def _identity_minus(chain: _Chain) -> np.ndarray:
-    """I - P as a new column-major array, with the floats of subtracting P
-    from a dense identity but without building one or a dense P: each
-    entry p of the rows is scattered into zeros as 0.0 - p, then 1.0 is
-    added on the diagonal. 1.0 + (0.0 - p) is 1.0 - p exactly (0.0 - p
-    negates p exactly, and a -0.0 or a missing entry gives 1.0)."""
-    S = chain.indptr.size - 1
+def _identity_minus(chain: _Chain, m: int) -> np.ndarray:
+    """I - P of chain m as a new column-major array, with the floats of
+    subtracting P from a dense identity but without building one or a
+    dense P: each entry p of the rows is scattered into zeros as 0.0 - p,
+    then 1.0 is added on the diagonal. 1.0 + (0.0 - p) is 1.0 - p exactly
+    (0.0 - p negates p exactly, and a -0.0 or a missing entry gives 1.0)."""
+    S = chain.size
+    at, values = chain.entries(m)
     M = np.zeros((S, S), order="F")
-    M[chain.rows, chain.cols] = 0.0 - chain.values
+    M[np.divmod(at, S)] = 0.0 - values
     M.reshape(-1, order="F")[:: S + 1] += 1.0
     return M
 
 
-def _pinned_solver(chain: _Chain) -> _LUSolver:
-    """The factored pinned Poisson matrix: I - P with row 0 replaced by e_0."""
-    M = _identity_minus(chain)
+def _pinned_solver(chain: _Chain, m: int) -> _LUSolver:
+    """The factored pinned Poisson matrix of chain m: I - P with row 0
+    replaced by e_0."""
+    M = _identity_minus(chain, m)
     M[0, :] = 0.0
     M[0, 0] = 1.0
     return _LUSolver(M)
@@ -350,9 +358,9 @@ def _idle_cpu() -> bool:
     return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
 
 
-def _stationary_and_pinned(chain: _Chain) -> tuple[np.ndarray, _LUSolver]:
-    """(_stationary(chain), _pinned_solver(chain)), or _stationary's
-    exception.
+def _stationary_and_pinned(chain: _Chain, m: int) -> tuple[np.ndarray, _LUSolver]:
+    """(_balance_solve(chain, m), _pinned_solver(chain, m)), or the
+    balance solve's exception.
 
     The pinned matrix needs only P, so from OVERLAP_MIN_STATES states up,
     when a CPU would idle, a second thread factors it while this one solves
@@ -360,60 +368,172 @@ def _stationary_and_pinned(chain: _Chain) -> tuple[np.ndarray, _LUSolver]:
     the same call either way, so the bits are the same. The second thread
     has ended when this returns or raises.
     """
-    if chain.indptr.size - 1 < OVERLAP_MIN_STATES or not _idle_cpu():
-        pi = _stationary(chain)
-        return pi, _pinned_solver(chain)
+    if chain.size < OVERLAP_MIN_STATES or not _idle_cpu():
+        pi = _balance_solve(chain, m)
+        return pi, _pinned_solver(chain, m)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pinned = worker.submit(_pinned_solver, chain)
-        pi = _stationary(chain)
+        pinned = worker.submit(_pinned_solver, chain, m)
+        pi = _balance_solve(chain, m)
     return pi, pinned.result()
 
 
-def _solve_potentials(chain: _Chain, pi: np.ndarray, pinned: _LUSolver, *rhs) -> list:
-    """Solve (I - P) g = f - J with g[0] = 0 for each (f, J) in rhs, given
-    _pinned_solver(chain).
+def _solve_chains(chain: _Chain, pis: list, rhs=None) -> list:
+    """For each chain m of the batch: (pi, potentials), or the
+    EvaluationError its evaluation raises.
 
-    J must equal pi.f within CONSISTENCY_TOL times max(1, max|f|). The
-    pinned system (row 0 of I - P replaced by e_0) is nonsingular for
+    pis[m] is chain m's stationary distribution when it is known, and None
+    when it is to be solved. A solved pi must be unique: the support graph
+    (the rows' entries > 0) has one closed class. Then it must pass the
+    residual gate on pi P - pi, and it must not be negative beyond
+    round-off, which is set to 0 on transient states. rhs(m, pi) lists
+    chain m's right-hand sides (f, J); each potential solves
+    (I - P) g = f - J with g[0] = 0, and J must equal pi.f within
+    CONSISTENCY_TOL times max(1, max|f|). Without rhs only pi is solved.
+
+    The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
-    singular; the normalized system (I - P + 1 pi^T) g = f - J is then
-    solved instead and shifted to g[0] = 0. Both matrices start from the
+    singular; a potential that fails the residual gate (`poisson_residual`)
+    is then solved from the normalized system (I - P + 1 pi^T) g = f - J
+    instead and shifted to g[0] = 0. Both matrices start from the
     column-major I - P; adding pi to each of its rows gives the floats of
-    adding 1 pi^T. Each is factored at most once per call, but each
+    adding 1 pi^T. Each is factored at most once per chain, but each
     right-hand side gets its own back-substitution: one multi-column solve
-    changes the low bits of the potentials. The residual gate
-    (`poisson_residual`) takes P g as a sparse product.
+    changes the low bits of the potentials.
+
+    The sparse work is done once for the batch: one strong-components pass
+    over the union counts every chain's closed classes, before any dense
+    work, and the products pi P and P g of the gates run over the union's
+    rows. The dense work is done chain by chain: its balance and pinned
+    matrices are built, factored and solved, and dropped before the next
+    chain's are built.
+    So at most two S x S matrices are held at once, as for a single chain.
+    Each chain's gates are read in the order a single evaluation reads
+    them, and the first that fails gives its error.
     """
-    normalized = None
-    potentials = []
-    for f, J in rhs:
-        consistency = abs(float(pi @ f) - J)
-        # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
-        if consistency > CONSISTENCY_TOL and consistency > CONSISTENCY_TOL * np.abs(f).max():
-            raise EvaluationError(
-                f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
-            )
-        b = f - J
-        b[0] = 0.0
-        try:
-            g = pinned.solve(b)
-        except np.linalg.LinAlgError:
-            g = None
-        if g is None or not poisson_residual(_times(chain, g), f, J, g)[1]:
+    M, S = len(pis), chain.size
+    out = [None] * M
+    counts = None
+    solved = []  # (m, pi) of each solved pi, before round-off is set to 0
+    pis = list(pis)
+    # per chain, (f, J, pinned solution or None, |pi.f - J|) of each right-hand side
+    jobs = [[] for _ in range(M)]
+    for m in range(M):
+        pinned = None
+        if pis[m] is None:
+            if counts is None:
+                graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
+                counts = _closed_class_counts(*graph, M).tolist()
+            if counts[m] != 1:
+                out[m] = EvaluationError(
+                    "stationary distribution is not unique: the chain has multiple "
+                    "closed communicating classes"
+                )
+                continue
+            try:
+                if rhs is None:
+                    pi = _balance_solve(chain, m)
+                else:
+                    pi, pinned = _stationary_and_pinned(chain, m)
+            except np.linalg.LinAlgError as exc:
+                out[m] = EvaluationError(f"stationary solve failed: {exc}")
+                continue
+            solved.append((m, pi))
+            negative = pi < 0
+            if negative.any():
+                # transient states may come out as tiny negative round-off
+                pi = np.where(negative & (pi > -STATIONARY_TOL), 0.0, pi)
+                if (pi < 0).any():
+                    out[m] = EvaluationError("stationary solve produced a negative probability")
+                    continue
+            pis[m] = pi
+        if rhs is None:
+            continue
+        if pinned is None:
+            pinned = _pinned_solver(chain, m)
+        for f, J in rhs(m, pis[m]):
+            b = f - J
+            b[0] = 0.0
+            try:
+                g = pinned.solve(b)
+            except np.linalg.LinAlgError:
+                g = None
+            jobs[m].append((f, J, g, abs(float(pis[m] @ f) - J)))
+    if solved:
+        x = np.zeros((M, S))
+        for m, pi in solved:
+            x[m] = pi
+        x = x.reshape(-1)
+        piP = np.bincount(chain.cols, x[chain.rows] * chain.values, minlength=M * S)
+        residual = np.abs(piP - x).reshape(M, S).max(axis=1).tolist()
+        for m, _ in solved:
+            if residual[m] > STATIONARY_TOL:
+                out[m] = EvaluationError(
+                    f"stationary solve residual {residual[m]:.3e} exceeds {STATIONARY_TOL}"
+                )
+                jobs[m] = []
+    if any(jobs):
+        passed = _poisson_gates(chain, jobs)[1]
+    # the normalized solutions of the potentials that failed their gate, as
+    # (f, J, g, k) for the k-th right-hand side of each chain
+    fallback = [[] for _ in range(M)]
+    for m, job in enumerate(jobs):
+        normalized = None
+        for k, (f, J, g, consistency) in enumerate(job):
+            # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
+            if consistency > CONSISTENCY_TOL and consistency > CONSISTENCY_TOL * np.abs(f).max():
+                out[m] = EvaluationError(
+                    f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
+                )
+                break
+            if passed[k][m]:
+                continue
             if normalized is None:
-                M = _identity_minus(chain)
-                M += pi
-                normalized = _LUSolver(M)
+                N = _identity_minus(chain, m)
+                N += pis[m]
+                normalized = _LUSolver(N)
             try:
                 g = normalized.solve(f - J)
             except np.linalg.LinAlgError as exc:
-                raise EvaluationError(f"potential solve failed: {exc}") from exc
-            g = g - g[0]
-            residual, ok = poisson_residual(_times(chain, g), f, J, g)
-            if not ok:
-                raise EvaluationError(f"potential residual {residual:.3e} is too large")
-        potentials.append(g)
-    return potentials
+                out[m] = EvaluationError(f"potential solve failed: {exc}")
+                break
+            fallback[m].append((f, J, g - g[0], k))
+    if any(fallback):
+        residual, passed = _poisson_gates(chain, fallback)
+        for m, retried in enumerate(fallback):
+            # every one comes before the right-hand side that failed above, if any
+            for j, (f, J, g, k) in enumerate(retried):
+                if not passed[j][m]:
+                    out[m] = EvaluationError(f"potential residual {residual[j][m]:.3e} is too large")
+                    break
+                jobs[m][k] = (f, J, g)
+    return [
+        error if error is not None else (pis[m], [g for _, _, g, *_ in jobs[m]])
+        for m, error in enumerate(out)
+    ]
+
+
+def _poisson_gates(chain: _Chain, jobs: list):
+    """(residual, passed): `poisson_residual` of the potentials that
+    jobs[m] lists for chain m of the batch, as nested lists indexed [k][m]
+    for the k-th of chain m. Each starts with (f, J, g), g None when its
+    system was singular, which fails. Every P g is taken at once, over the
+    union's rows, each with the bits of its chain's own product."""
+    M, S = len(jobs), chain.size
+    K = max(map(len, jobs))
+    zero = np.zeros(S)
+    f, J, g, solved = [], [], [], []
+    for k in range(K):
+        for job in jobs:
+            fk, Jk, gk = job[k][:3] if k < len(job) else (zero, 0.0, None)
+            f.append(fk)
+            J.append(Jk)
+            g.append(zero if gk is None else gk)
+            solved.append(gk is not None)
+    g = np.array(g)
+    Pg = _times(chain, g.reshape(K, M * S)).reshape(-1, S)
+    residual, ok = poisson_residual(Pg, np.array(f), np.array(J), g)
+    ok &= solved
+    return residual.reshape(K, M).tolist(), ok.reshape(K, M).tolist()
 
 
 def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
@@ -426,74 +546,91 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    chain = _dense_chain(P)
-    return _solve_potentials(chain, *_stationary_and_pinned(chain), (f, float(J)))[0]
+    J = float(J)
+    return _sole(_solve_chains(_dense_chain(P), [None], lambda m, pi: [(f, J)]))[1][0]
 
 
-def _policy_chain(model: MdpModel, policy):
+def _policy_chains(model: MdpModel, policies) -> tuple:
+    """(chain, r, None): the batch of the chains the deterministic
+    `policies` induce, and their reward vectors stacked in r.
+
+    The policies are checked first, as validate_for checks each. The batch
+    is one gather of the model's CSR rows (`_policy_rows`), made of rows
+    that already passed `_check_rows`, the rule of _check_stochastic.
+    """
+    action = _check_policies(model, policies)
+    r = model.reward[np.arange(model.num_states), action]
+    return _csr_chain(*_policy_rows(model, action), model.num_states), r, None
+
+
+def _policy_chain(model: MdpModel, policy) -> tuple:
     """(chain, r, m2) of the chain a deterministic or randomized policy
-    induces: m2 is the second-moment row of a randomized policy, None for
-    a deterministic one.
-
-    A deterministic chain is one gather of the model's CSR rows
-    (`_policy_rows`), made of rows that already passed `_check_rows`, the
-    rule of _check_stochastic. A randomized mixture is built dense, checked
-    again and converted once.
+    induces, as a batch of one: r holds its reward vector, and m2 its
+    second-moment row for a randomized policy (None for a deterministic
+    one). A randomized mixture is built dense, checked again and
+    converted once.
     """
     if isinstance(policy, DeterministicPolicy):
-        policy.validate_for(model)
-        r = model.reward[np.arange(model.num_states), policy.action]
-        return _csr_chain(*_policy_rows(model, policy.action)), r, None
+        return _policy_chains(model, [policy])
     if isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
-        return _dense_chain(_check_stochastic(P)), r, m2
+        return _dense_chain(_check_stochastic(P)), r[None], m2[None]
     raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
 
 
 def evaluate(model: MdpModel, policy) -> EvaluationReport:
     """Full exact evaluation of a deterministic or randomized policy."""
-    return _evaluate_chain(*_policy_chain(model, policy), model.beta)
+    return _sole(_evaluate_chains(*_policy_chain(model, policy), model.beta))
 
 
-def _evaluate_chain(chain: _Chain, r: np.ndarray, m2, beta: float) -> EvaluationReport:
-    """evaluate, given the policy's chain from _policy_chain."""
-    pi, pinned = _stationary_and_pinned(chain)
-    j_mean = long_run_mean(pi, r)
-    sq = _squared_deviation(r, j_mean, m2)
-    j_var = float(pi @ sq)
-    j_comb = combined_metric(j_mean, j_var, beta)
-    cost = r - beta * sq
-    g, g_mean, g_var = _solve_potentials(chain, pi, pinned, (cost, j_comb), (r, j_mean), (sq, j_var))
-    return EvaluationReport(
-        pi=pi,
-        j_mean=j_mean,
-        j_var=j_var,
-        j_combined=j_comb,
-        cost=cost,
-        potential=g,
-        potential_mean=g_mean,
-        potential_var=g_var,
-        beta=beta,
-    )
+def _evaluate_policies(model: MdpModel, policies, known=None) -> list:
+    """evaluate(model, p) for each deterministic policy p of `policies`, as
+    one batch (`_evaluate_chains`): each one's report, or the
+    EvaluationError evaluate raises for it. known[m], when not None, is the
+    report of policies[m] at another beta."""
+    return _evaluate_chains(*_policy_chains(model, policies), model.beta, known)
 
 
-def _with_beta(
-    model: MdpModel, policy: DeterministicPolicy, report: EvaluationReport
-) -> EvaluationReport:
-    """evaluate(model, policy), given the policy's report at another beta.
+def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float, known=None) -> list:
+    """evaluate for each chain of the batch from _policy_chain(s): a list
+    with each one's report, or the EvaluationError evaluate raises for it.
 
-    pi, j_mean, j_var and the mean and variance potentials do not depend on
-    beta and are copied; the combined metric, the cost and the combined
-    potential are recomputed with evaluate's own expressions, so the result
-    is the same floats (or the same EvaluationError) evaluate gives.
+    known[m], when given and not None, is chain m's report at another
+    beta. Its pi, j_mean, j_var and mean and variance potentials do not
+    depend on beta and are kept; the combined metric, the cost and the
+    combined potential are computed again with the expressions of a fresh
+    evaluation, so the outcome is the same floats (or the same
+    EvaluationError) evaluate gives. j_mean, j_var and each consistency
+    value are the dot products of one chain, as evaluate takes them.
     """
-    chain, r, _ = _policy_chain(model, policy)
-    j_comb = combined_metric(report.j_mean, report.j_var, model.beta)
-    cost = mv_cost_vector(r, report.j_mean, model.beta)
-    (g,) = _solve_potentials(chain, report.pi, _pinned_solver(chain), (cost, j_comb))
-    return dataclasses.replace(
-        report, j_combined=j_comb, cost=cost, potential=g, beta=model.beta
-    )
+    known = known or [None] * r.shape[0]
+    metrics = {}
+
+    def rhs(m, pi):
+        report = known[m]
+        j_mean = long_run_mean(pi, r[m]) if report is None else report.j_mean
+        sq = _squared_deviation(r[m], j_mean, None if m2 is None else m2[m])
+        j_var = float(pi @ sq) if report is None else report.j_var
+        j_comb = combined_metric(j_mean, j_var, beta)
+        cost = r[m] - beta * sq
+        metrics[m] = j_mean, j_var, j_comb, cost
+        if report is None:
+            return [(cost, j_comb), (r[m], j_mean), (sq, j_var)]
+        return [(cost, j_comb)]
+
+    outcomes = _solve_chains(chain, [None if k is None else k.pi for k in known], rhs)
+    for m, outcome in enumerate(outcomes):
+        if isinstance(outcome, EvaluationError):
+            continue
+        pi, potentials = outcome
+        j_mean, j_var, j_comb, cost = metrics[m]
+        if known[m] is None:
+            outcomes[m] = EvaluationReport(pi, j_mean, j_var, j_comb, cost, *potentials, beta)
+        else:
+            outcomes[m] = dataclasses.replace(
+                known[m], j_combined=j_comb, cost=cost, potential=potentials[0], beta=beta
+            )
+    return outcomes
 
 
 def report_to_dict(report: EvaluationReport) -> dict:

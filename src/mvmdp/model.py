@@ -442,18 +442,7 @@ class DeterministicPolicy:
         self.action.setflags(write=False)
 
     def validate_for(self, model: MdpModel) -> None:
-        if self.action.shape != (model.num_states,):
-            raise ValidationError(
-                f"policy has {self.action.shape[0]} states, model has {model.num_states}"
-            )
-        a = self.action
-        in_range = (a >= 0) & (a < model.num_actions)
-        rows = np.arange(model.num_states)
-        ok = in_range & model.feasible_mask()[rows, np.where(in_range, a, 0)]
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            i = int(bad[0])
-            raise FeasibilityError(f"action {int(a[i])} is infeasible at state {i}")
+        _check_policies(model, (self,))
 
     def as_randomized(self, model: MdpModel) -> "RandomizedPolicy":
         theta = np.zeros((model.num_states, model.num_actions))
@@ -514,6 +503,26 @@ class MixedPolicy:
         return RandomizedPolicy((1.0 - self.delta) * tb + self.delta * ta)
 
 
+def _check_policies(model: MdpModel, policies) -> np.ndarray:
+    """The action tables of the deterministic `policies` as one (M, S)
+    array, checked against the model as `validate_for` checks one: a
+    ValidationError for the first table of the wrong length, else a
+    FeasibilityError for the first infeasible action, in policy order and
+    then state order."""
+    S = model.num_states
+    for policy in policies:
+        if policy.action.shape != (S,):
+            raise ValidationError(f"policy has {policy.action.shape[0]} states, model has {S}")
+    a = np.array([policy.action for policy in policies])
+    in_range = (a >= 0) & (a < model.num_actions)
+    ok = in_range & model.feasible_mask()[np.arange(S), np.where(in_range, a, 0)]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0]) % S
+        raise FeasibilityError(f"action {int(a.flat[bad[0]])} is infeasible at state {i}")
+    return a
+
+
 def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     """Transition matrix P[i, j] = kernel[i, d(i), j] and reward vector
     r[i] = reward[i, d(i)] of the chain the policy induces. P is made by
@@ -532,10 +541,11 @@ def induced_chain(model: MdpModel, policy: DeterministicPolicy):
 def _policy_rows(model: MdpModel, action: np.ndarray):
     """(indptr, cols, values): the CSR rows of `kernel_csr` of the pairs
     (i, action[i]), gathered in state order. They are the chain of the
-    feasible action table `action` as CSR, every entry that is not +0.0."""
+    feasible action table `action` as CSR, every entry that is not +0.0.
+    For an (M, S) stack of tables the M chains' rows follow each other."""
     csr = model.kernel_csr
     pairs = np.arange(model.num_states) * model.num_actions + action
-    return _gather_rows(csr.indptr, pairs, csr.cols, csr.values)
+    return _gather_rows(csr.indptr, pairs.reshape(-1), csr.cols, csr.values)
 
 
 def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):
@@ -627,13 +637,25 @@ def _irreducible(indptr: np.ndarray, cols: np.ndarray) -> bool:
 def _closed_classes(indptr: np.ndarray, cols: np.ndarray) -> int:
     """Number of strong components of the graph (indptr, cols) that no edge
     leaves."""
+    return int(_closed_class_counts(indptr, cols, 1)[0])
+
+
+def _closed_class_counts(indptr: np.ndarray, cols: np.ndarray, graphs: int) -> np.ndarray:
+    """Per graph, the number of its strong components that no edge leaves,
+    where (indptr, cols) is the disjoint union of `graphs` graphs of equal
+    size: node i of graph m is node m * size + i, and no edge joins two
+    graphs. One strong-components pass over the union gives every count,
+    since each component lies in one graph."""
     n, labels = _strong_components(indptr, cols)
-    if n == 1:
-        return 1
+    if n == graphs:
+        # every graph has at least one component, so each has exactly one
+        return np.ones(graphs, dtype=np.int64)
     src = np.repeat(labels, np.diff(indptr))
     closed = np.ones(n, dtype=bool)
     closed[src[src != labels[cols]]] = False
-    return int(np.count_nonzero(closed))
+    graph = np.empty(n, dtype=np.int64)
+    graph[labels] = np.arange(labels.size) // (labels.size // graphs)
+    return np.bincount(graph[closed], minlength=graphs)
 
 
 def closed_class_count(P: np.ndarray) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluation import EvaluationReport, evaluate, mv_cost_vector, poisson_residual
-from .model import DeterministicPolicy, MdpModel, RandomizedPolicy
+from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_policies
 
 VIOLATION_TOL = 1e-9
 
@@ -48,31 +48,53 @@ class DifferenceBreakdown:
     direct: float
 
 
-def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
-    """Q-scores of every feasible pair (NaN elsewhere) and kernel @ g.
+def _scores(model: MdpModel, reports: list, policies: list):
+    """(score, kg, residual, ok) for each (report, policy) pair, as one
+    batch: the Q-scores of every feasible pair (NaN elsewhere) and
+    kernel @ g, stacked (M, S, A), and whether each report passes the
+    Poisson residual check on its policy's chain, with its residual. The
+    policies are deterministic, or one randomized policy.
 
-    The report must carry the Poisson solution of the policy's chain; its
+    Each report must carry the Poisson solution of its policy's chain; its
     transition-weighted potential is read off kernel @ g, so the chain
     itself is never gathered. kernel @ g is taken block by block over the
-    model's dense kernel blocks, with the bits of the whole product.
+    model's dense kernel blocks, one potential at a time, with the bits of
+    the whole product; each block is built once for the batch.
     """
-    policy.validate_for(model)
-    g = report.potential
-    kg = np.empty((model.num_states, model.num_actions))
-    for lo, hi, block in model._blocks():
-        kg[lo:hi] = block @ g
-    if isinstance(policy, RandomizedPolicy):
-        pg = (policy.theta * kg).sum(axis=1)
+    if isinstance(policies[0], RandomizedPolicy):
+        policies[0].validate_for(model)
     else:
-        pg = kg[np.arange(model.num_states), policy.action]
-    residual, ok = poisson_residual(pg, report.cost, report.j_combined, g)
-    if not ok:
-        raise ValidationError(
-            f"evaluation report does not match the {what} (Poisson residual {residual:.3e})"
-        )
-    cost = mv_cost_vector(model.reward, report.j_mean, model.beta)
+        action = _check_policies(model, policies)
+    kg = np.empty((len(reports), model.num_states, model.num_actions))
+    for lo, hi, block in model._blocks():
+        for m, report in enumerate(reports):
+            kg[m, lo:hi] = block @ report.potential
+    if isinstance(policies[0], RandomizedPolicy):
+        pg = (policies[0].theta * kg[0]).sum(axis=1)[None]
+    else:
+        pg = kg[np.arange(len(reports))[:, None], np.arange(model.num_states), action]
+    residual, ok = poisson_residual(
+        pg,
+        np.array([report.cost for report in reports]),
+        np.array([report.j_combined for report in reports]),
+        np.array([report.potential for report in reports]),
+    )
+    j_mean = np.array([report.j_mean for report in reports])
+    cost = mv_cost_vector(model.reward, j_mean[:, None, None], model.beta)
     score = np.where(model.feasible_mask(), cost + kg, np.nan)
-    return score, kg
+    return score, kg, residual, ok
+
+
+def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
+    """Q-scores of every feasible pair (NaN elsewhere) and kernel @ g of
+    one (report, policy) pair (`_scores`); a ValidationError when the
+    report does not solve the Poisson equation of the policy's chain."""
+    score, kg, residual, ok = _scores(model, [report], [policy])
+    if not ok[0]:
+        raise ValidationError(
+            f"evaluation report does not match the {what} (Poisson residual {residual[0]:.3e})"
+        )
+    return score[0], kg[0]
 
 
 def improvement_vector(

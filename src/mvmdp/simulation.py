@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import ValidationError
-from .evaluation import _Chain, _evaluate_chain, _policy_chain
+from .evaluation import _Chain, _evaluate_chains, _policy_chain, _sole
 from .model import (
     DeterministicPolicy,
     MdpModel,
@@ -251,7 +251,7 @@ def estimate_potential(
     chain, r, m2 = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary
     # distribution raises also at state 0
-    report = _evaluate_chain(chain, r, m2, model.beta)
+    report = _sole(_evaluate_chains(chain, r, m2, model.beta))
     if state == 0:
         return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
     f = report.cost

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, SolverError, ValidationError
-from .evaluation import EvaluationReport, _with_beta, evaluate
+from .evaluation import EvaluationReport, _evaluate_policies, _sole, evaluate
 from .model import (
     DeterministicPolicy,
     MdpModel,
@@ -25,7 +25,7 @@ from .model import (
     _policy_support,
     sample_random_policy,
 )
-from .sensitivity import derivative_randomized, improvement_vector
+from .sensitivity import _scores, derivative_randomized, improvement_vector
 
 TIE_TOL = 1e-9
 DISTINCT_OPTIMA_TOL = 1e-6
@@ -122,39 +122,74 @@ class ExplorationResult:
     counts: np.ndarray
 
 
-def _report(model: MdpModel, policy: DeterministicPolicy, reports: dict):
-    """evaluate(model, policy), served from `reports` when the policy was
-    evaluated before in the same solver call.
+def _reports(model: MdpModel, policies: list, reports: dict) -> dict:
+    """evaluate(model, p) for each distinct policy p of `policies`: a dict
+    from each one to its report, or to the EvaluationError evaluate raises
+    for it.
 
-    `reports` maps each policy to its last report. A report at another beta
-    (a beta sweep) only needs its combined potential solved again. A report
-    is stored only once its evaluation succeeds.
+    `reports` maps each policy evaluated before in the same solver call to
+    its last report, and a report at model.beta is served from it. The
+    others are evaluated as one batch (`_evaluate_policies`); a report at
+    another beta (a beta sweep) only needs its combined potential solved
+    again. A report is stored only once its evaluation succeeds.
     """
-    report = reports.get(policy)
-    if report is not None and report.beta == model.beta:
-        return report
-    report = evaluate(model, policy) if report is None else _with_beta(model, policy, report)
-    reports[policy] = report
-    return report
+    out = {}
+    todo = []
+    for policy in policies:
+        if policy in out:
+            continue
+        report = reports.get(policy)
+        out[policy] = report
+        if report is None or report.beta != model.beta:
+            todo.append(policy)
+    if todo:
+        batch = _evaluate_policies(model, todo, [out[policy] for policy in todo])
+        for policy, report in zip(todo, batch):
+            out[policy] = report
+            if isinstance(report, EvaluationReport):
+                reports[policy] = report
+    return out
+
+
+def _greedy_steps(model: MdpModel, policies: list, reports: list) -> list:
+    """One improvement step from each policy, scored as one batch
+    (`_scores`): per state take the best-scoring action, keeping the
+    current one unless some action beats it by more than the tie
+    tolerance; exact ties go to the lowest action index. A policy whose
+    report fails the scoring's residual check gets the ValidationError
+    improvement_vector raises, in place of its step."""
+    score, _, residual, ok = _scores(model, reports, policies)
+    action = np.array([policy.action for policy in policies])
+    current = score[np.arange(len(policies))[:, None], np.arange(model.num_states), action]
+    new_action = _switch_if_better(model, action, score, current)
+    return [
+        DeterministicPolicy(a)
+        if passed
+        else ValidationError(
+            f"evaluation report does not match the policy (Poisson residual {res:.3e})"
+        )
+        for a, passed, res in zip(new_action, ok, residual)
+    ]
 
 
 def _greedy_step(
     model: MdpModel, policy: DeterministicPolicy, report: EvaluationReport
 ) -> DeterministicPolicy:
-    """One improvement step: per state take the best-scoring action, keeping
-    the current one unless some action beats it by more than the tie
-    tolerance; exact ties go to the lowest action index."""
-    iv = improvement_vector(model, report, policy)
-    return DeterministicPolicy(_switch_if_better(model, policy, iv.score, iv.current_score))
+    """`_greedy_steps` from one policy; its error is raised."""
+    (new,) = _greedy_steps(model, [policy], [report])
+    if isinstance(new, Exception):
+        raise new
+    return new
 
 
-def _switch_if_better(model, policy, scores, current):
-    """Action table moving each state to its best feasible action when that
-    beats `current` by more than the tie tolerance; argmax gives exact ties
-    to the lowest action index."""
+def _switch_if_better(model, action, scores, current):
+    """Action tables moving each state to its best feasible action when
+    that beats `current` by more than the tie tolerance; argmax gives exact
+    ties to the lowest action index. `action` is one table or a stack of
+    them, with `scores` and `current` stacked alike."""
     scores = np.where(model.feasible_mask(), scores, -np.inf)
-    switch = scores.max(axis=1) > current + TIE_TOL
-    return np.where(switch, scores.argmax(axis=1), policy.action)
+    switch = scores.max(axis=-1) > current + TIE_TOL
+    return np.where(switch, scores.argmax(axis=-1), action)
 
 
 def _record(k: int, policy, report: EvaluationReport, changed: int = 0) -> TraceRecord:
@@ -163,37 +198,102 @@ def _record(k: int, policy, report: EvaluationReport, changed: int = 0) -> Trace
     return TraceRecord(k, policy, report.j_mean, report.j_var, report.j_combined, changed)
 
 
-def _iterate(model, initial, num_steps, step, stop_at_fixed_point, reports):
-    """The evaluate -> record -> step loop every policy-iteration variant runs.
+def _iterate(model, initials, num_steps, step, stop_at_fixed_point, reports):
+    """The evaluate -> record -> step loop every policy-iteration variant
+    runs, driving the starts `initials` in lockstep.
 
-    Evaluates at most `num_steps` iterates, calling `step(policy, report)`
-    after each one for the next iterate; a policy already in `reports` is not
-    evaluated again. The first evaluation validates `initial`. With
-    `stop_at_fixed_point` the loop ends when `step` returns the policy it
-    was given, which is recorded once more. Returns (last policy, best
-    (policy, report) evaluated, trace).
+    Each round evaluates the distinct policies the live starts are at as
+    one batch (`_reports`: a policy already in `reports` is not evaluated
+    again), records them, and calls `step(policies, reports)` once with
+    the live starts' iterates and reports. It returns each one's next
+    iterate, or the exception its step raised. A start evaluates at most
+    `num_steps` iterates; the first evaluation validates the initial
+    policies. With `stop_at_fixed_point` a start ends when its step returns
+    the policy it was given, which is recorded once more.
+
+    A start fails when an iterate does not evaluate (a SolverError) or its
+    step fails. Run one after the other, the starts after it would never
+    have run, so they are dropped at once; the starts before it run on, and
+    a failure among them takes its place. Returns one entry per start up
+    to the first that failed: (last policy, best (policy, report)
+    evaluated, trace), and for the failed start its exception.
     """
-    d = initial
-    records = []
-    best = None
+    n = len(initials)
+    policy = list(initials)
+    report = [None] * n  # of each start's current policy
+    records = [[] for _ in range(n)]
+    best = [None] * n
+    changed = [0] * n
+    runs = [None] * n
+    stop = n  # the first failed start
+    live = list(range(n))
     for k in range(num_steps):
-        try:
-            report = _report(model, d, reports)
-        except EvaluationError as exc:
-            raise SolverError(
-                f"non-ergodic iterate at improvement step {k}: policy "
-                f"{list(int(a) for a in d.action)} ({exc})"
-            ) from exc
-        changed = int(np.sum(records[-1].policy.action != d.action)) if records else 0
-        records.append(_record(k, d, report, changed))
-        if best is None or report.j_combined > best[1].j_combined:
-            best = (d, report)
-        new_d = step(d, report)
-        if stop_at_fixed_point and new_d == d:
-            records.append(_record(k + 1, d, report))
-            return d, best, SolverTrace(tuple(records), True, "fixed_point")
-        d = new_d
-    return d, best, SolverTrace(tuple(records), False, "max_iterations")
+        if not live:
+            break
+        outcomes = _reports(model, [policy[i] for i in live], reports)
+        stepping = []
+        for i in live:
+            report[i] = outcomes[policy[i]]
+            if isinstance(report[i], EvaluationError):
+                runs[i], stop = _non_ergodic(k, policy[i], report[i]), i
+                break
+            records[i].append(_record(k, policy[i], report[i], changed[i]))
+            if best[i] is None or report[i].j_combined > best[i][1].j_combined:
+                best[i] = (policy[i], report[i])
+            stepping.append(i)
+        live = []
+        if not stepping:
+            continue
+        steps = step([policy[i] for i in stepping], [report[i] for i in stepping])
+        for i, new in zip(stepping, steps):
+            if isinstance(new, Exception):
+                runs[i], stop = new, i
+                break
+        stepping = [i for i in stepping if i < stop]
+        if not stepping:
+            continue
+        moved = np.count_nonzero(
+            np.array([new.action for new in steps[: len(stepping)]])
+            != np.array([policy[i].action for i in stepping]),
+            axis=1,
+        ).tolist()
+        for i, new, moves in zip(stepping, steps, moved):
+            if stop_at_fixed_point and moves == 0:
+                records[i].append(_record(k + 1, policy[i], report[i]))
+                runs[i] = (policy[i], best[i], SolverTrace(tuple(records[i]), True, "fixed_point"))
+            else:
+                policy[i], changed[i] = new, moves
+                live.append(i)
+    for i in live:
+        runs[i] = (policy[i], best[i], SolverTrace(tuple(records[i]), False, "max_iterations"))
+    return runs[: stop + 1]
+
+
+def _non_ergodic(k: int, policy: DeterministicPolicy, exc: EvaluationError) -> SolverError:
+    """The SolverError of an iterate at improvement step k that did not
+    evaluate, caused by its EvaluationError."""
+    error = SolverError(
+        f"non-ergodic iterate at improvement step {k}: policy "
+        f"{list(int(a) for a in policy.action)} ({exc})"
+    )
+    error.__cause__ = exc
+    return error
+
+
+def _greedy(model: MdpModel):
+    """The step of policy iteration as `_iterate` calls it: the greedy
+    steps of each round's distinct policies as one batch. Each distinct
+    policy is scored once per solver call, since its step depends only
+    on it and its report."""
+    steps = {}
+
+    def step(policies, reports):
+        todo = {p: report for p, report in zip(policies, reports) if p not in steps}
+        if todo:
+            steps.update(zip(todo, _greedy_steps(model, list(todo), list(todo.values()))))
+        return [steps[p] for p in policies]
+
+    return step
 
 
 def policy_iteration(
@@ -209,23 +309,19 @@ def policy_iteration(
     that changes the policy. Returns (final policy, trace); the trace ends
     with the repeated fixed-point policy.
     """
-    return _policy_iteration(model, initial, max_iterations, {})
+    d, _, trace = _sole(_policy_iteration(model, [initial], max_iterations, {}))
+    return d, trace
 
 
-def _policy_iteration(model, initial, max_iterations, reports):
-    """policy_iteration, reading and filling the report memo `reports`."""
+def _policy_iteration(model, initials, max_iterations, reports):
+    """policy_iteration from each of `initials` in lockstep, reading and
+    filling the report memo `reports`: the runs of `_iterate`."""
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
     _integer(max_iterations, "max_iterations", 0)
-    d, _, trace = _iterate(
-        model,
-        initial,
-        max_iterations + 1,
-        lambda d, report: _greedy_step(model, d, report),
-        stop_at_fixed_point=True,
-        reports=reports,
+    return _iterate(
+        model, initials, max_iterations + 1, _greedy(model), stop_at_fixed_point=True, reports=reports
     )
-    return d, trace
 
 
 def diversity(policies) -> int:
@@ -254,10 +350,16 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
 
     The best run by final combined metric wins; ties go to the lowest start
     index. distinct_optima lists the final values that differ by more than
-    1e-6, descending. All starts share one report per policy, so a policy
-    that several starts pass through, and the winner's best_report, are
-    evaluated once per call; only the final policy of a start that hit the
-    iteration cap can need an evaluation after its run.
+    1e-6, descending. The starts run in lockstep: each round evaluates the
+    distinct new policies they are at as one batch, and scores the
+    distinct policies as one batch. All starts share one report per
+    policy, so a policy that several starts pass through, and the winner's
+    best_report, are evaluated once per call; only the final policy of a
+    start that hit the iteration cap can need an evaluation after its run.
+    Results and errors are those of running the starts one after the
+    other: the error of the lowest-index start that fails, where a draw
+    that finds no start counts as its start failing. Before an error is
+    raised, starts after the failed one may have been evaluated.
     """
     return _multi_start(model, num_starts, seed, {})
 
@@ -266,27 +368,37 @@ def _multi_start(model, num_starts, seed, reports):
     """multi_start, reading and filling the report memo `reports`."""
     _integer(num_starts, "num_starts", 1)
     _check_seed(seed)
-    children = np.random.SeedSequence(seed).spawn(num_starts)
-    traces = []
-    policies = []
-    finals = []
+    initials = []
+    draw_error = None
+    for child in np.random.SeedSequence(seed).spawn(num_starts):
+        try:
+            initials.append(sample_random_policy(model, np.random.default_rng(child)))
+        except ValidationError as exc:
+            # the starts before it run first, and their errors come first
+            draw_error = exc
+            break
+    runs = _policy_iteration(model, initials, None, reports)
+    # a capped start's final policy may be new: its EvaluationError is raised bare
+    capped = [k for k, run in enumerate(runs) if not isinstance(run, Exception) and not run[2].converged]
+    ends = _reports(model, [runs[k][0] for k in capped], reports)
+    for k in capped:
+        if isinstance(ends[runs[k][0]], EvaluationError):
+            runs[k:] = [ends[runs[k][0]]]
+            break
+    if runs and isinstance(runs[-1], Exception):
+        raise runs[-1]
+    if draw_error is not None:
+        raise draw_error
+    finals = [reports[policy].j_combined for policy, _, _ in runs]
     best = 0
-    for k in range(num_starts):
-        rng = np.random.default_rng(children[k])
-        initial = sample_random_policy(model, rng)
-        policy, trace = _policy_iteration(model, initial, None, reports)
-        # a capped start's final policy may be new: its EvaluationError propagates
-        final = _report(model, policy, reports).j_combined
-        traces.append(trace)
-        policies.append(policy)
-        finals.append(final)
+    for k, final in enumerate(finals):
         if final > finals[best]:
             best = k
     return MultiStartResult(
-        best_policy=policies[best],
-        best_report=_report(model, policies[best], reports),
+        best_policy=runs[best][0],
+        best_report=reports[runs[best][0]],
         best_index=best,
-        traces=tuple(traces),
+        traces=tuple(trace for _, _, trace in runs),
         distinct_optima=_distinct_values(finals),
     )
 
@@ -325,16 +437,17 @@ def epsilon_greedy_iteration(
     rng = np.random.default_rng(config.seed)
     steps = 0
 
-    def step(d, report):
+    def step(policies, reports):
         nonlocal steps
+        (d,), (report,) = policies, reports
         steps += 1
         if steps == config.budget:
             # the budget is spent: no later iterate would evaluate a proposal
-            return d
-        return _propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)
+            return [d]
+        return [_propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)]
 
-    _, best, trace = _iterate(
-        model, initial, config.budget, step, stop_at_fixed_point=False, reports={}
+    _, best, trace = _sole(
+        _iterate(model, [initial], config.budget, step, stop_at_fixed_point=False, reports={})
     )
     return ExplorationResult(
         best_policy=best[0],
@@ -366,7 +479,7 @@ def _ucb_step(
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = scores + gamma * np.sqrt(2.0 * np.log(total)[:, None] / n)
     current = scores[np.arange(model.num_states), policy.action]
-    new_action = _switch_if_better(model, policy, scores, current)
+    new_action = _switch_if_better(model, policy.action, scores, current)
     if gamma > 0:
         unvisited = mask & (counts == 0)
         first = np.where(unvisited, iv.score, -np.inf).argmax(axis=1)
@@ -393,14 +506,15 @@ def ucb_iteration(
         counts = np.zeros((model.num_states, model.num_actions), dtype=int)
     gamma = config.gamma
 
-    def step(d, report):
+    def step(policies, reports):
         nonlocal gamma
+        (d,), (report,) = policies, reports
         new_d = _ucb_step(model, d, report, counts, gamma)
         gamma *= config.gamma_decay
-        return new_d
+        return [new_d]
 
-    _, best, trace = _iterate(
-        model, initial, config.budget, step, stop_at_fixed_point=False, reports={}
+    _, best, trace = _sole(
+        _iterate(model, [initial], config.budget, step, stop_at_fixed_point=False, reports={})
     )
     return ExplorationResult(
         best_policy=best[0], best_report=best[1], trace=trace, counts=counts

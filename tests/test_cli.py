@@ -34,7 +34,7 @@ from mvmdp import (
     save_policy,
     simulate_path,
 )
-from mvmdp import solvers
+from mvmdp import cli, solvers
 from mvmdp.cli import ParetoPoint, _build_parser, _optima_path, cross_check, main, sweep_beta
 
 
@@ -93,6 +93,8 @@ class TestArguments:
             ("0.0,0.5", "> 0"),
             ("0.1,x", "bad beta grid"),
             ("", "bad beta grid"),
+            ("0.1,nan", "beta must be > 0, got nan"),
+            ("0.1,inf", "beta must be finite, got inf"),
         ]
         for grid, message in cases:
             assert main(["sweep-beta", "--model", str(workdir / "wind.json"),
@@ -439,12 +441,14 @@ class TestSweepBeta:
 
     def test_sweep_evaluates_each_policy_once(self, monkeypatch, wind_model):
         evaluated = []
+        inner = solvers._evaluate_policies
 
-        def counting(model, policy):
-            evaluated.append(policy)
-            return evaluate(model, policy)
+        def counting(model, policies, known):
+            # a policy met at an earlier beta brings its report along
+            evaluated.extend(p for p, report in zip(policies, known) if report is None)
+            return inner(model, policies, known)
 
-        monkeypatch.setattr(solvers, "evaluate", counting)
+        monkeypatch.setattr(solvers, "_evaluate_policies", counting)
         sweep_beta(wind_model, (0.1, 0.5, 2.0), 6, seed=0)
         assert len(evaluated) == len(set(evaluated))
 
@@ -468,6 +472,17 @@ class TestSweepBeta:
 
         with pytest.raises(ValidationError, match="nonempty"):
             sweep_beta(load_model(model_path), (), 2)
+
+    @pytest.mark.parametrize("beta, message", [
+        (float("nan"), "beta must be > 0, got nan"),
+        (float("inf"), "beta must be finite, got inf"),
+        (-1.0, "beta must be > 0, got -1.0"),
+    ])
+    def test_bad_beta_rejected_before_any_run(self, monkeypatch, wind_model, beta, message):
+        runs = []
+        monkeypatch.setattr(cli, "_multi_start", lambda *args: runs.append(args))
+        assert outcome(sweep_beta, wind_model, (0.1, 0.5, beta), 2) == ("ValidationError", message)
+        assert runs == []
 
 
 class TestSimulateAndCheck:

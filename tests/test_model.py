@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import dense_wind_kernel, model_policy_cases, random_mdp, restrict_feasible, threshold_policy
+import mvmdp.evaluation
 import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
@@ -593,6 +594,30 @@ class TestSuccessorTable:
             seen |= {self.check_policy(m, a) for a in actions}
         assert {(True, 1), (False, 1)} <= seen
         assert any(closed > 1 for _, closed in seen)
+
+    def test_union_counts_each_chain(self):
+        """evaluate's batch gate: one strong-components pass over the
+        disjoint union of a batch's chains gives each chain's closed-class
+        count, on batches that mix irreducible, unichain-with-transient and
+        multichain members; the union lists no edge twice."""
+        rng = np.random.default_rng(87)
+        models = [sparse_mdp(rng) for _ in range(30)] + [m for _, m in wind_models()]
+        mixed = 0
+        for m in models:
+            for _ in range(3):
+                actions = [random_actions(rng, m) for _ in range(8)]
+                policies = [DeterministicPolicy(a) for a in actions]
+                chain = mvmdp.evaluation._policy_chains(m, policies)[0]
+                indptr, cols = mvmdp.model._positive_rows(chain.indptr, chain.cols, chain.values)[:2]
+                rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+                edges = rows * (indptr.size - 1) + cols
+                assert np.unique(edges).size == edges.size
+                got = mvmdp.model._closed_class_counts(indptr, cols, len(policies))
+                verdicts = [self.check_policy(m, a) for a in actions]
+                assert got.tolist() == [closed for _, closed in verdicts]
+                kinds = {(irreducible, min(closed, 2)) for irreducible, closed in verdicts}
+                mixed += kinds == {(True, 1), (False, 1), (False, 2)}
+        assert mixed > 0
 
     def test_feasible_action_table(self):
         rng = np.random.default_rng(82)

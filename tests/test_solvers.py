@@ -570,14 +570,16 @@ def memo_free_iterate(model, initial, num_steps, step, stop_at_fixed_point):
     return d, best, SolverTrace(tuple(records), False, "max_iterations")
 
 
-def memo_free_multi_start(model, num_starts, seed, max_iterations=None):
-    """multi_start before the report memo: independent policy iterations,
-    then the winner (and a capped start's final policy) evaluated again."""
+def memo_free_multi_start(model, num_starts, seed, max_iterations=None, sampler=sample_random_policy):
+    """multi_start before the report memo and the lockstep rounds:
+    independent policy iterations one after the other, each start drawn
+    (by `sampler`) when the one before it has finished, then the winner
+    (and a capped start's final policy) evaluated again."""
     children = np.random.SeedSequence(seed).spawn(num_starts)
     traces, policies, finals = [], [], []
     best = 0
     for k in range(num_starts):
-        initial = sample_random_policy(model, np.random.default_rng(children[k]))
+        initial = sampler(model, np.random.default_rng(children[k]))
         cap = 10 * model.num_states * model.num_actions
         policy, _, trace = memo_free_iterate(
             model,
@@ -685,7 +687,7 @@ class TestMemoReference:
             monkeypatch.setattr(
                 solvers,
                 "_policy_iteration",
-                lambda m, initial, _, reports: inner(m, initial, cap, reports),
+                lambda m, initials, _, reports: inner(m, initials, cap, reports),
             )
             for m in self.models(wind_model, abandon_model_beta1, abandon_model_b20):
                 got = outcome(multi_start, m, 10, 0)
@@ -721,12 +723,13 @@ class TestMemoReference:
         self, monkeypatch, wind_model, abandon_model_beta1
     ):
         evaluated = []
+        inner = solvers._evaluate_policies
 
-        def counting(model, policy):
-            evaluated.append(policy)
-            return evaluate(model, policy)
+        def counting(model, policies, known):
+            evaluated.extend(policies)
+            return inner(model, policies, known)
 
-        monkeypatch.setattr(solvers, "evaluate", counting)
+        monkeypatch.setattr(solvers, "_evaluate_policies", counting)
         for m in (wind_model, abandon_model_beta1):
             evaluated.clear()
             res = multi_start(m, 10, seed=0)
@@ -734,6 +737,77 @@ class TestMemoReference:
             assert len(evaluated) == len(set(evaluated)) == len(visited)
             # the starts do meet: without the memo there are more evaluations
             assert sum(len(t.iterations) - 1 for t in res.traces) > len(visited)
+
+    def test_one_batch_per_round(self, monkeypatch, wind_model):
+        """multi_start(wind, 10, seed=0) evaluates the policies each round
+        meets for the first time as one batch, in start order, and
+        evaluates and scores each distinct policy once."""
+        batches, scored = [], []
+        evaluate_batch, score_batch = solvers._evaluate_policies, solvers._scores
+
+        def counting_evaluations(model, policies, known):
+            batches.append(list(policies))
+            return evaluate_batch(model, policies, known)
+
+        def counting_scores(model, reports, policies):
+            scored.extend(policies)
+            return score_batch(model, reports, policies)
+
+        monkeypatch.setattr(solvers, "_evaluate_policies", counting_evaluations)
+        monkeypatch.setattr(solvers, "_scores", counting_scores)
+        res = multi_start(wind_model, 10, seed=0)
+        assert all(t.converged for t in res.traces)
+        # a converged trace ends with its fixed point recorded a second time
+        evaluated = [[rec.policy for rec in t.iterations[:-1]] for t in res.traces]
+        seen, want = set(), []
+        for k in range(max(map(len, evaluated))):
+            new = [it[k] for it in evaluated if k < len(it) and it[k] not in seen]
+            want.append(list(dict.fromkeys(new)))
+            seen.update(new)
+        assert batches == [batch for batch in want if batch]
+        assert max(map(len, batches)) > 1
+        assert len(scored) == len(set(scored)) and set(scored) == seen
+
+    def test_error_order_matches_one_start_after_another(
+        self, monkeypatch, wind_model, abandon_model_beta1, abandon_model_b20
+    ):
+        """The lowest-index start that fails gives the error: a draw that
+        finds no start, or a multichain start, only when every start before
+        it runs through; the starts after a failed start never count."""
+
+        def sampler(fail_at, bad_at, bad):
+            calls = []
+
+            def draw(model, rng):
+                calls.append(None)
+                if len(calls) - 1 == fail_at:
+                    raise ValidationError(f"no start {fail_at}")
+                if len(calls) - 1 == bad_at:
+                    return bad
+                return sample_random_policy(model, rng)
+
+            return draw
+
+        kinds = set()
+        for m in self.models(wind_model, abandon_model_beta1, abandon_model_b20)[:4]:
+            # a constant action that leaves the battery alone: one closed
+            # class per battery level
+            constant = (DeterministicPolicy(np.full(m.num_states, a)) for a in range(m.num_actions))
+            bad = next(
+                d for d in constant
+                if m.feasible_mask()[:, d.action[0]].all()
+                and closed_class_count(induced_chain(m, d)[0]) > 1
+            )
+            for seed in (0, 1):
+                for fail_at, bad_at in ((None, 4), (2, None), (7, None), (7, 3), (3, 7), (0, None)):
+                    monkeypatch.setattr(solvers, "sample_random_policy", sampler(fail_at, bad_at, bad))
+                    got = outcome(multi_start, m, 10, seed)
+                    want = outcome(
+                        memo_free_multi_start, m, 10, seed, sampler=sampler(fail_at, bad_at, bad)
+                    )
+                    assert_same_outcome(got, want)
+                    kinds.add(want[0] if want[0] != "ValidationError" else want[1])
+        assert {"SolverError", "no start 2", "no start 7", "no start 0"} <= kinds
 
 
 class TestGradient:
