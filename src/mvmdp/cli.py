@@ -48,6 +48,7 @@ from .simulation import estimate_metrics, simulate_path
 from .solvers import (
     GradientConfig,
     SolverTrace,
+    _draw_starts,
     _multi_start,
     _uniform_feasible,
     gradient_solver,
@@ -195,8 +196,9 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     pairs for betas whose runs failed. Failures do not stop the sweep, so
     an empty grid, a beta that is not finite and > 0, fewer than one start
     per beta or a seed that is not an integer >= 0 is rejected before it.
-    The betas share one report memo, so a policy met at an earlier beta
-    only has its combined potential solved again.
+    The betas share one draw of the starts and one report memo, so a
+    policy met at an earlier beta only has its combined potential solved
+    again.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
@@ -204,6 +206,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
         _check_beta(float(beta))
     _integer(starts_per_beta, "starts per beta", 1)
     _check_seed(seed)
+    starts = _draw_starts(model, starts_per_beta, seed)
     points = []
     optima_rows = []
     failures = []
@@ -211,7 +214,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     for beta in beta_grid:
         model_b = dataclasses.replace(model, beta=float(beta))
         try:
-            result = _multi_start(model_b, starts_per_beta, seed, reports)
+            result = _multi_start(model_b, *starts, reports)
         except MvmdpError as exc:
             failures.append((float(beta), str(exc)))
             continue

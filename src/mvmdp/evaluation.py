@@ -8,8 +8,11 @@ performance potentials that solve the associated Poisson equation.
 Every evaluation runs on the CSR rows of the policy's chain (`_Chain`):
 only the matrices LAPACK factors are dense, scattered from the rows.
 Policies are evaluated in batches, a single policy as a batch of one:
-the sparse work and the pass/fail gates run once over the batch, the
-dense work one chain at a time.
+the closed-class count runs once over the batch, and the rest a chunk of
+about 1 MB of matrices at a time (`_solve_chains`): the dense matrices
+are scattered into one stack per kind and factored slice by slice, and
+the metrics, right-hand sides and pass/fail gates are array operations
+over the chunk.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .model import (
+    _BLOCK_BYTES,
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
@@ -41,7 +45,7 @@ STATIONARY_TOL = 1e-10
 CONSISTENCY_TOL = 1e-9
 POISSON_TOL = 1e-8
 # Below this many states, starting a second thread costs more than the
-# factorization it overlaps (_stationary_and_pinned): on 2 cores with one
+# factorization it overlaps (_solve_chunk): on 2 cores with one
 # BLAS thread the two break even near S = 216 and threads win from S = 246.
 OVERLAP_MIN_STATES = 240
 
@@ -74,32 +78,31 @@ class _Chain(NamedTuple):
     single chain is a batch of one. Row n of the union holds
     values[indptr[n]:indptr[n + 1]] at the columns
     cols[indptr[n]:indptr[n + 1]], in increasing order. Entry k lies in
-    row rows[k], at position at[k] = i * size + j of its own chain's
-    row-major P, where i and j are its row and column in that chain. Every
-    entry that is not +0.0 is listed (a -0.0 is kept, as `model._kept`
-    keeps it), so the entries written into zeros give P's floats. The
-    threshold policy's chain at B=200 has 7,236 entries of its 1,454,436."""
+    row rows[k]: in the C-order (M, size, size) stack of the chains' P it
+    is at position at[k] = (m * size + i) * size + j, where m is its chain
+    and i and j its row and column there, and in the stack of their
+    transposes at ta[k] = (m * size + j) * size + i. Every entry that is
+    not +0.0 is listed (a -0.0 is kept, as `model._kept` keeps it), so the
+    entries written into zeros give P's floats. The threshold policy's
+    chain at B=200 has 7,236 entries of its 1,454,436."""
 
     indptr: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     at: np.ndarray
+    ta: np.ndarray
     size: int
-
-    def entries(self, m: int):
-        """(at, values) of the entries of chain m."""
-        lo, hi = self.indptr[m * self.size], self.indptr[(m + 1) * self.size]
-        return self.at[lo:hi], self.values[lo:hi]
 
 
 def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> _Chain:
     """The _Chain of the CSR (indptr, cols, values) holding the rows of
     chains on `size` states one after the other, each with its own column
     numbers."""
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    rows = np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
     local = rows % size
-    return _Chain(indptr, rows, cols + (rows - local), values, local * size + cols, size)
+    union = cols + (rows - local)
+    return _Chain(indptr, rows, union, values, rows * size + cols, union * size + local, size)
 
 
 def _dense_chain(P: np.ndarray) -> _Chain:
@@ -111,7 +114,8 @@ def _dense_chain(P: np.ndarray) -> _Chain:
     at = np.flatnonzero(P.view(np.int64))
     rows = at // S
     indptr = np.searchsorted(rows, np.arange(S + 1))
-    return _Chain(indptr, rows, at - rows * S, P.reshape(-1)[at], at, S)
+    cols = at - rows * S
+    return _Chain(indptr, rows, cols, P.reshape(-1)[at], at, cols * S + rows, S)
 
 
 def _times(chain: _Chain, x: np.ndarray) -> np.ndarray:
@@ -144,28 +148,6 @@ def _sole(outcomes: list):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def _balance_solve(chain: _Chain, m: int) -> np.ndarray:
-    """Chain m's pi from the balance system, before any check.
-
-    The balance matrix P^T - I with its last row set to ones is the
-    transpose of a row-major P with 1 taken off its diagonal and its last
-    column set to ones. That matrix is scattered from the rows into zeros,
-    so its transpose is the column-major matrix dgesv needs, with the
-    floats np.linalg.solve would factor. Raises np.linalg.LinAlgError when
-    it is singular.
-    """
-    S = chain.size
-    at, values = chain.entries(m)
-    X = np.zeros((S, S))
-    flat = X.reshape(-1)
-    flat[at] = values
-    flat[:: S + 1] -= 1.0
-    X[:, -1] = 1.0
-    b = np.zeros(S)
-    b[-1] = 1.0
-    return _LUSolver(X.T).solve(b)
 
 
 def long_run_mean(pi: np.ndarray, r: np.ndarray) -> float:
@@ -204,10 +186,13 @@ def steady_state_variance(
 def _squared_deviation(r: np.ndarray, j_mean: float, m2: np.ndarray | None = None) -> np.ndarray:
     """(r - j_mean)**2 per state, the variance part of the mean-variance
     cost; for a randomized policy with per-state second-moment row m2, its
-    mixture over actions m2 - 2 j_mean r + j_mean**2."""
+    mixture over actions m2 - 2 j_mean r + j_mean**2. j_mean may be a
+    float or an array that broadcasts against r; float_power squares it
+    as a float's ** does, where an array's ** 2 multiplies, which can round
+    differently."""
     if m2 is None:
         return (r - j_mean) ** 2
-    return m2 - 2.0 * j_mean * r + j_mean**2
+    return m2 - 2.0 * j_mean * r + np.float_power(j_mean, 2.0)
 
 
 def combined_metric(j_mean: float, j_var: float, beta: float) -> float:
@@ -276,78 +261,191 @@ def _numpy_lapack():
 _LAPACK = _numpy_lapack()
 
 
-class _LUSolver:
-    """x = M^-1 b for one right-hand side b at a time, factoring M once.
+class _LU:
+    """The LU factors of a stack of matrices, each slice factored in place.
 
-    Every dense solve of this module goes through it: the stationary
-    balance system and the Poisson systems. M must be a column-major
-    float64 matrix, which the callers build in place, so dgesv gets it
-    without the column-major copy np.linalg.solve makes first. The
-    constructor factors M with dgesv, the call np.linalg.solve makes, on a
-    zero right-hand side: it overwrites M with its LU factors, and every
-    solve back-substitutes with them (dgetrs). Each b is overwritten with
-    its solution, which has the bits of np.linalg.solve(M, b).
-    Factoring with dgetrf would not keep them: with more than one BLAS
-    thread, OpenBLAS factors differently in dgetrf than in a one-column
-    dgesv from N = 100 up, and the two round differently. A singular M raises
-    np.linalg.LinAlgError("Singular matrix") at every solve, as
-    np.linalg.solve does. Without the LAPACK symbols nothing is factored
-    and each b gets its own np.linalg.solve.
+    Slice j of the C-order float64 (c, S, S) stack, read column-major, is
+    matrix j: the callers scatter each matrix's transpose into it, so dgesv
+    gets it without the column-major copy np.linalg.solve makes first. The
+    constructor factors each with dgesv, the call np.linalg.solve makes,
+    with one right-hand side b[j], which is overwritten with its solution:
+    the bits of np.linalg.solve(matrix j, b[j]). `solve` back-substitutes
+    with the factors (dgetrs), one right-hand side per call; each solution
+    has the bits np.linalg.solve would give it. Factoring with dgetrf would
+    not keep them: with more than one BLAS thread, OpenBLAS factors
+    differently in dgetrf than in a one-column dgesv from N = 100 up, and
+    the two round differently. singular[j] says whether matrix j is
+    singular (np.linalg.solve raises for it); its b[j] is left as it was
+    and it solves nothing. Arrays go to LAPACK by address, slice j at the
+    stack's address plus j S^2 doubles, with the ctypes arguments built once
+    per stack. Without the LAPACK symbols nothing is factored and every
+    solve is its own np.linalg.solve.
     """
 
-    def __init__(self, M: np.ndarray):
-        S = M.shape[0]
-        if M.shape != (S, S) or M.dtype != np.float64 or not M.flags.f_contiguous:
-            raise ValueError(f"need a square column-major float64 matrix, got {M.dtype} {M.shape}")
-        # self keeps M and ipiv alive as long as their addresses are used
-        self.M = M
-        self.lapack = _LAPACK
-        if self.lapack is None:
+    def __init__(self, stack: np.ndarray, b: np.ndarray):
+        c, S = b.shape
+        if stack.shape != (c, S, S) or not _c_doubles(stack) or not _c_doubles(b):
+            raise ValueError(f"need C-order float64 (c, S, S) and (c, S) arrays, got {stack.shape}")
+        # self keeps the stack and ipiv alive as long as their addresses are used
+        self.stack, self.lapack = stack, _LAPACK
+        self.singular = [False] * c
+        if not c:
             return
-        self.ipiv = np.empty(S, dtype=np.int64)
-        self.addresses = M.ctypes.data, self.ipiv.ctypes.data
-        self.n = ctypes.c_int64(S)
-        n, one, info = ctypes.byref(self.n), ctypes.byref(ctypes.c_int64(1)), ctypes.c_int64()
-        # one column, as np.linalg.solve passes, so OpenBLAS factors as it does there
-        zero = np.zeros(S)
-        lu, ipiv = self.addresses
-        self.lapack[0](n, one, lu, n, ipiv, zero.ctypes.data, n, ctypes.byref(info))
-        self.singular = info.value > 0
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
         if self.lapack is None:
-            return np.linalg.solve(self.M, b)
-        if b.shape != (self.n.value,) or b.dtype != np.float64 or not b.flags.c_contiguous:
-            raise ValueError(f"need a contiguous float64 vector, got {b.dtype} {b.shape}")
-        if self.singular:
-            raise np.linalg.LinAlgError("Singular matrix")
-        n, one, info = ctypes.byref(self.n), ctypes.byref(ctypes.c_int64(1)), ctypes.c_int64()
-        lu, ipiv = self.addresses
-        self.lapack[1](b"N", n, one, lu, n, ipiv, b.ctypes.data, n, ctypes.byref(info))
-        return b
+            for j in range(c):
+                try:
+                    b[j] = np.linalg.solve(stack[j].T, b[j])
+                except np.linalg.LinAlgError:
+                    self.singular[j] = True
+            return
+        self.ipiv = (ctypes.c_int64 * (c * S))()
+        self.n, self.info = ctypes.c_int64(S), ctypes.c_int64()
+        n, info = ctypes.byref(self.n), ctypes.byref(self.info)
+        self.addresses = lu, ipiv = _address(stack), ctypes.addressof(self.ipiv)
+        x = _address(b)
+        for j in range(c):
+            self.lapack[0](n, _ONE, lu + j * S * S * 8, n, ipiv + j * S * 8, x + j * S * 8, n, info)
+            self.singular[j] = self.info.value > 0
+
+    def solve(self, slots: list, x: np.ndarray) -> list:
+        """Solves each row x[k] in place with the matrix of slice slots[k],
+        skipping the rows whose slot is None; returns the rows left
+        unsolved because their matrix is singular."""
+        S = self.stack.shape[1]
+        if not _c_doubles(x) or x.shape != (len(slots), S):
+            raise ValueError(f"need a C-order float64 ({len(slots)}, S) array, got {x.shape}")
+        rows = [k for k, j in enumerate(slots) if j is not None and not self.singular[j]]
+        if self.lapack is None:
+            for k in rows:
+                x[k] = np.linalg.solve(self.stack[slots[k]].T, x[k])
+        else:
+            n, info = ctypes.byref(self.n), ctypes.byref(self.info)
+            (lu, ipiv), b = self.addresses, _address(x)
+            for k in rows:
+                j = slots[k]
+                self.lapack[1](
+                    b"N", n, _ONE, lu + j * S * S * 8, n, ipiv + j * S * 8, b + k * S * 8, n, info
+                )
+        return [k for k, j in enumerate(slots) if j is not None and self.singular[j]]
 
 
-def _identity_minus(chain: _Chain, m: int) -> np.ndarray:
-    """I - P of chain m as a new column-major array, with the floats of
-    subtracting P from a dense identity but without building one or a
-    dense P: each entry p of the rows is scattered into zeros as 0.0 - p,
+# one right-hand side; LAPACK only reads it, so every thread may pass it
+_ONE = ctypes.byref(ctypes.c_int64(1))
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable contiguous array's data, about three
+    times faster than a.ctypes.data."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def _c_doubles(a: np.ndarray) -> bool:
+    return a.dtype == np.float64 and a.flags.c_contiguous
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y along the last axis, broadcast over the others, as one stacked
+    np.matmul: numpy takes each as one ddot, with the bits of x[i] @ y[i]
+    (np.einsum and (x * y).sum(axis=-1) round differently)."""
+    return np.matmul(x[..., None, :], y[..., None])[..., 0, 0]
+
+
+def _chunks(live: list, S: int) -> list:
+    """`live` in runs of as many chains as fit one S x S float64 matrix each
+    in _BLOCK_BYTES, and at least one: from S = 257 up, one chain a run."""
+    size = max(1, _BLOCK_BYTES // (S * S * 8))
+    return [live[k : k + size] for k in range(0, len(live), size)]
+
+
+def _sub_chain(chain: _Chain, lo: int, hi: int) -> _Chain:
+    """Chains lo, ..., hi - 1 of the batch, as a batch of their own."""
+    S = chain.size
+    if lo == 0 and hi * S == chain.indptr.size - 1:
+        return chain
+    a, b = chain.indptr[lo * S], chain.indptr[hi * S]
+    shift = lo * S
+    return _Chain(
+        chain.indptr[shift : hi * S + 1] - a,
+        chain.rows[a:b] - shift,
+        chain.cols[a:b] - shift,
+        chain.values[a:b],
+        chain.at[a:b] - shift * S,
+        chain.ta[a:b] - shift * S,
+        S,
+    )
+
+
+def _scatter(chain: _Chain, members: list, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A C-order (c, S, S) stack of zeros with slice j holding chain
+    members[j] (increasing): values[k] at position at[k] for each entry k
+    of it, where `at` gives the positions in the stack of the whole batch
+    (chain.at or chain.ta)."""
+    c, S = len(members), chain.size
+    X = np.zeros((c, S, S))
+    if not c:
+        return X
+    if c * S != chain.indptr.size - 1:
+        lo, hi = chain.indptr[members[0] * S], chain.indptr[(members[-1] + 1) * S]
+        place = np.full(members[-1] + 1, -1)
+        place[members] = np.arange(c)
+        owner = chain.rows[lo:hi] // S
+        slot = place[owner]
+        kept = slot >= 0
+        at = at[lo:hi][kept] - (owner[kept] - slot[kept]) * (S * S)
+        values = values[lo:hi][kept]
+    X.reshape(-1)[at] = values
+    return X
+
+
+def _diagonals(X: np.ndarray) -> np.ndarray:
+    """A view of the diagonal of each (S, S) slice of the stack X; of one
+    slice, a 1-D view, on which numpy's in-place ops run about twice as
+    fast as on the 2-D one."""
+    c, S, _ = X.shape
+    return X.reshape(-1)[:: S + 1] if c == 1 else X.reshape(c, S * S)[:, :: S + 1]
+
+
+def _stationary(chain: _Chain, members: list):
+    """(pi, singular): each of the chains `members`' solution of the
+    balance system, before any check, and whether its matrix is singular.
+
+    The balance matrix P^T - I with its last row set to ones is the
+    transpose of P - I with its last column set to ones. That is scattered
+    from the rows into zeros, one C-order slice per chain, so each slice
+    read column-major is the balance matrix with the floats
+    np.linalg.solve would factor, and dgesv solves it for e_S as
+    np.linalg.solve does. The stack is dropped on return.
+    """
+    c, S = len(members), chain.size
+    X = _scatter(chain, members, chain.at, chain.values)
+    diagonal = _diagonals(X)
+    diagonal -= 1.0
+    X[:, :, -1] = 1.0
+    b = np.zeros((c, S))
+    b[:, -1] = 1.0
+    return b, _LU(X, b).singular
+
+
+def _identity_minus_stack(chain: _Chain, members: list) -> np.ndarray:
+    """The transposes of I - P of the chains `members`, one C-order slice
+    each, so that read column-major each slice is I - P. The floats are
+    those of subtracting P from a dense identity, without building one or
+    a dense P: each entry p of the rows is scattered into zeros as 0.0 - p,
     then 1.0 is added on the diagonal. 1.0 + (0.0 - p) is 1.0 - p exactly
     (0.0 - p negates p exactly, and a -0.0 or a missing entry gives 1.0)."""
-    S = chain.size
-    at, values = chain.entries(m)
-    M = np.zeros((S, S), order="F")
-    M[np.divmod(at, S)] = 0.0 - values
-    M.reshape(-1, order="F")[:: S + 1] += 1.0
-    return M
+    X = _scatter(chain, members, chain.ta, 0.0 - chain.values)
+    diagonal = _diagonals(X)
+    diagonal += 1.0
+    return X
 
 
-def _pinned_solver(chain: _Chain, m: int) -> _LUSolver:
-    """The factored pinned Poisson matrix of chain m: I - P with row 0
-    replaced by e_0."""
-    M = _identity_minus(chain, m)
-    M[0, :] = 0.0
-    M[0, 0] = 1.0
-    return _LUSolver(M)
+def _pinned(chain: _Chain, members: list) -> _LU:
+    """The factored pinned Poisson matrices of the chains `members`: I - P
+    with row 0 replaced by e_0, factored on a zero right-hand side."""
+    X = _identity_minus_stack(chain, members)
+    X[:, :, 0] = 0.0
+    X[:, 0, 0] = 1.0
+    return _LU(X, np.zeros((len(members), chain.size)))
 
 
 def _idle_cpu() -> bool:
@@ -358,37 +456,26 @@ def _idle_cpu() -> bool:
     return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
 
 
-def _stationary_and_pinned(chain: _Chain, m: int) -> tuple[np.ndarray, _LUSolver]:
-    """(_balance_solve(chain, m), _pinned_solver(chain, m)), or the
-    balance solve's exception.
-
-    The pinned matrix needs only P, so from OVERLAP_MIN_STATES states up,
-    when a CPU would idle, a second thread factors it while this one solves
-    for pi: LAPACK runs without the interpreter lock. Each factorization is
-    the same call either way, so the bits are the same. The second thread
-    has ended when this returns or raises.
-    """
-    if chain.size < OVERLAP_MIN_STATES or not _idle_cpu():
-        pi = _balance_solve(chain, m)
-        return pi, _pinned_solver(chain, m)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pinned = worker.submit(_pinned_solver, chain, m)
-        pi = _balance_solve(chain, m)
-    return pi, pinned.result()
-
-
 def _solve_chains(chain: _Chain, pis: list, rhs=None) -> list:
-    """For each chain m of the batch: (pi, potentials), or the
-    EvaluationError its evaluation raises.
+    """For each chain m of the batch: (pi, F, J, G), or the EvaluationError
+    its evaluation raises.
 
     pis[m] is chain m's stationary distribution when it is known, and None
     when it is to be solved. A solved pi must be unique: the support graph
     (the rows' entries > 0) has one closed class. Then it must pass the
     residual gate on pi P - pi, and it must not be negative beyond
-    round-off, which is set to 0 on transient states. rhs(m, pi) lists
-    chain m's right-hand sides (f, J); each potential solves
-    (I - P) g = f - J with g[0] = 0, and J must equal pi.f within
-    CONSISTENCY_TOL times max(1, max|f|). Without rhs only pi is solved.
+    round-off, which is set to 0 on transient states. Without rhs only pi
+    is solved, and F, J and G are None.
+
+    rhs(members, pi) gives the right-hand sides of the chains `members`,
+    whose pis are the rows of pi: (F, J, PF, wanted), F of shape (K, c, S)
+    and the others (K, c), the k-th of chain members[q] being (F[k, q],
+    J[k, q]) where wanted[k, q]. PF holds the dot products pi . F with the
+    bits of `_dots(pi, F)`: it often has them already. Each potential g
+    solves (I - P) g = f - J with g[0] = 0, and J must equal pi.f within
+    CONSISTENCY_TOL times max(1, max|f|). A chain's F and G are its (K, S)
+    rows of them, with the potential of its k-th right-hand side in G[k],
+    and J is the list of its averages; what is not wanted is not solved.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
@@ -400,140 +487,203 @@ def _solve_chains(chain: _Chain, pis: list, rhs=None) -> list:
     right-hand side gets its own back-substitution: one multi-column solve
     changes the low bits of the potentials.
 
-    The sparse work is done once for the batch: one strong-components pass
-    over the union counts every chain's closed classes, before any dense
-    work, and the products pi P and P g of the gates run over the union's
-    rows. The dense work is done chain by chain: its balance and pinned
-    matrices are built, factored and solved, and dropped before the next
-    chain's are built.
-    So at most two S x S matrices are held at once, as for a single chain.
-    Each chain's gates are read in the order a single evaluation reads
-    them, and the first that fails gives its error.
+    One strong-components pass over the union counts every chain's closed
+    classes, before any dense work. The chains that pass are then solved a
+    chunk at a time (`_chunks`, `_solve_chunk`), so at most one chunk's two
+    stacks of S x S matrices are held at once: about 2 MB, or two matrices
+    once one exceeds _BLOCK_BYTES, as for a single chain. Each chain's
+    gates are read in the order a single evaluation reads them, and the
+    first that fails gives its error.
     """
     M, S = len(pis), chain.size
     out = [None] * M
-    counts = None
-    solved = []  # (m, pi) of each solved pi, before round-off is set to 0
-    pis = list(pis)
-    # per chain, (f, J, pinned solution or None, |pi.f - J|) of each right-hand side
-    jobs = [[] for _ in range(M)]
-    for m in range(M):
-        pinned = None
-        if pis[m] is None:
-            if counts is None:
-                graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
-                counts = _closed_class_counts(*graph, M).tolist()
-            if counts[m] != 1:
+    if any(pi is None for pi in pis):
+        graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
+        counts = _closed_class_counts(*graph, M).tolist()
+        for m, pi in enumerate(pis):
+            if pi is None and counts[m] != 1:
                 out[m] = EvaluationError(
                     "stationary distribution is not unique: the chain has multiple "
                     "closed communicating classes"
                 )
-                continue
-            try:
-                if rhs is None:
-                    pi = _balance_solve(chain, m)
-                else:
-                    pi, pinned = _stationary_and_pinned(chain, m)
-            except np.linalg.LinAlgError as exc:
-                out[m] = EvaluationError(f"stationary solve failed: {exc}")
-                continue
-            solved.append((m, pi))
-            negative = pi < 0
-            if negative.any():
-                # transient states may come out as tiny negative round-off
-                pi = np.where(negative & (pi > -STATIONARY_TOL), 0.0, pi)
-                if (pi < 0).any():
-                    out[m] = EvaluationError("stationary solve produced a negative probability")
-                    continue
-            pis[m] = pi
-        if rhs is None:
-            continue
-        if pinned is None:
-            pinned = _pinned_solver(chain, m)
-        for f, J in rhs(m, pis[m]):
-            b = f - J
-            b[0] = 0.0
-            try:
-                g = pinned.solve(b)
-            except np.linalg.LinAlgError:
-                g = None
-            jobs[m].append((f, J, g, abs(float(pis[m] @ f) - J)))
-    if solved:
-        x = np.zeros((M, S))
-        for m, pi in solved:
-            x[m] = pi
-        x = x.reshape(-1)
-        piP = np.bincount(chain.cols, x[chain.rows] * chain.values, minlength=M * S)
-        residual = np.abs(piP - x).reshape(M, S).max(axis=1).tolist()
-        for m, _ in solved:
-            if residual[m] > STATIONARY_TOL:
-                out[m] = EvaluationError(
-                    f"stationary solve residual {residual[m]:.3e} exceeds {STATIONARY_TOL}"
-                )
-                jobs[m] = []
-    if any(jobs):
-        passed = _poisson_gates(chain, jobs)[1]
-    # the normalized solutions of the potentials that failed their gate, as
-    # (f, J, g, k) for the k-th right-hand side of each chain
-    fallback = [[] for _ in range(M)]
-    for m, job in enumerate(jobs):
-        normalized = None
-        for k, (f, J, g, consistency) in enumerate(job):
-            # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
-            if consistency > CONSISTENCY_TOL and consistency > CONSISTENCY_TOL * np.abs(f).max():
-                out[m] = EvaluationError(
-                    f"supplied average {J!r} disagrees with pi.f by {consistency:.3e}"
-                )
-                break
-            if passed[k][m]:
-                continue
-            if normalized is None:
-                N = _identity_minus(chain, m)
-                N += pis[m]
-                normalized = _LUSolver(N)
-            try:
-                g = normalized.solve(f - J)
-            except np.linalg.LinAlgError as exc:
-                out[m] = EvaluationError(f"potential solve failed: {exc}")
-                break
-            fallback[m].append((f, J, g - g[0], k))
-    if any(fallback):
-        residual, passed = _poisson_gates(chain, fallback)
-        for m, retried in enumerate(fallback):
-            # every one comes before the right-hand side that failed above, if any
-            for j, (f, J, g, k) in enumerate(retried):
-                if not passed[j][m]:
-                    out[m] = EvaluationError(f"potential residual {residual[j][m]:.3e} is too large")
-                    break
-                jobs[m][k] = (f, J, g)
-    return [
-        error if error is not None else (pis[m], [g for _, _, g, *_ in jobs[m]])
-        for m, error in enumerate(out)
-    ]
+    live = [m for m in range(M) if out[m] is None]
+    for run in _chunks(live, S):
+        lo = run[0]
+        sub = _sub_chain(chain, lo, run[-1] + 1)
+        outcomes = _solve_chunk(sub, [m - lo for m in run], [pis[m] for m in run], rhs, lo)
+        for m, outcome in zip(run, outcomes):
+            out[m] = outcome
+    return out
 
 
-def _poisson_gates(chain: _Chain, jobs: list):
-    """(residual, passed): `poisson_residual` of the potentials that
-    jobs[m] lists for chain m of the batch, as nested lists indexed [k][m]
-    for the k-th of chain m. Each starts with (f, J, g), g None when its
-    system was singular, which fails. Every P g is taken at once, over the
-    union's rows, each with the bits of its chain's own product."""
-    M, S = len(jobs), chain.size
-    K = max(map(len, jobs))
-    zero = np.zeros(S)
-    f, J, g, solved = [], [], [], []
-    for k in range(K):
-        for job in jobs:
-            fk, Jk, gk = job[k][:3] if k < len(job) else (zero, 0.0, None)
-            f.append(fk)
-            J.append(Jk)
-            g.append(zero if gk is None else gk)
-            solved.append(gk is not None)
-    g = np.array(g)
-    Pg = _times(chain, g.reshape(K, M * S)).reshape(-1, S)
-    residual, ok = poisson_residual(Pg, np.array(f), np.array(J), g)
-    ok &= solved
-    return residual.reshape(K, M).tolist(), ok.reshape(K, M).tolist()
+def _solve_chunk(chain: _Chain, members: list, pis: list, rhs, offset: int) -> list:
+    """_solve_chains for the chains `members` (increasing) of the batch
+    `chain`, whose pis are pis and whose numbers in rhs's batch are
+    offset + members.
+
+    The balance matrices of the members to be solved are scattered into
+    one stack and the pinned matrices of all members into another, with
+    one assignment each, and each slice is factored by address (`_LU`).
+    From OVERLAP_MIN_STATES states up, when a CPU would idle, a second
+    thread builds and factors the pinned stack while this one solves for
+    pi: LAPACK runs without the interpreter lock. Each factorization is the
+    same call either way, so the bits are the same; the second thread has
+    ended before anything else runs. The costs, the right-hand sides, the
+    consistency values and the gates are array operations over the chunk;
+    the stationary gate is one bincount and the Poisson gates one 2-D
+    reduceat over the chunk's rows, each row summed as its chain alone
+    sums it. Both stacks are gone before a chain that needs the normalized
+    system builds it, as a stack of one.
+    """
+    c, S = len(members), chain.size
+    n = (chain.indptr.size - 1) // S
+    fresh = [q for q in range(c) if pis[q] is None]
+    balance = [members[q] for q in fresh]
+    if rhs is not None and balance and S >= OVERLAP_MIN_STATES and _idle_cpu():
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            pinned = worker.submit(_pinned, chain, members)
+            raw, singular = _stationary(chain, balance)
+        pinned = pinned.result()
+    else:
+        raw, singular = _stationary(chain, balance)
+        pinned = None if rhs is None else _pinned(chain, members)
+    solved, negative = raw, [False] * len(fresh)
+    if (raw < 0).any():
+        # transient states may come out as tiny negative round-off
+        solved = np.where((raw < 0) & (raw > -STATIONARY_TOL), 0.0, raw)
+        negative = (solved < 0).any(axis=1).tolist()
+    if len(fresh) == c:
+        pi = solved
+    else:
+        pi = np.empty((c, S))
+        pi[fresh] = solved
+        for q, known in enumerate(pis):
+            if known is not None:
+                pi[q] = known
+    errors = [None] * c
+    if balance:
+        # the unclamped pis; a singular chain's row is never read
+        if len(balance) == n:
+            x = raw.reshape(-1)
+        else:
+            x = np.zeros((n, S))
+            x[balance] = raw
+            x = x.reshape(-1)
+        piP = np.bincount(chain.cols, x[chain.rows] * chain.values, minlength=n * S)
+        residual = np.abs(piP - x).reshape(n, S).max(axis=1)
+        residual = (residual if len(balance) == n else residual[balance]).tolist()
+        for q, bad, res, neg in zip(fresh, singular, residual, negative):
+            if bad:
+                errors[q] = "stationary solve failed: Singular matrix"
+            elif res > STATIONARY_TOL:
+                errors[q] = f"stationary solve residual {res:.3e} exceeds {STATIONARY_TOL}"
+            elif neg:
+                errors[q] = "stationary solve produced a negative probability"
+    good = [q for q in range(c) if errors[q] is None]
+    if len(good) < c:
+        pi = pi[good]
+    if rhs is not None and good:
+        F, J, PF, wanted = rhs([offset + members[q] for q in good], pi)
+        G = F - J[..., None]
+        G[..., 0] = 0.0
+        slots = [good[q] if w else None for row in wanted.tolist() for q, w in enumerate(row)]
+        unsolved = pinned.solve(slots, G.reshape(-1, S))
+        # a potential whose pinned matrix is singular fails its gate
+        done = wanted
+        if unsolved:
+            done = wanted.copy()
+            done.reshape(-1)[unsolved] = False
+            G.reshape(-1, S)[unsolved] = 0.0
+    del pinned  # the pinned factors go before any normalized matrix is built
+    if rhs is None or not good:
+        return _outcomes(errors, good, pi)
+    kept = [members[q] for q in good]
+    consistency = np.abs(PF - J)
+    # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
+    off = consistency > CONSISTENCY_TOL
+    if off.any():
+        off &= wanted & (consistency > CONSISTENCY_TOL * np.abs(F).max(axis=2))
+    passed = _poisson_gates(chain, kept, F, J, G)[1] & done
+    if off.any() or not passed[wanted].all():
+        # the right-hand sides after an inconsistent one are never solved
+        retry = wanted & ~passed & ~np.logical_or.accumulate(off, axis=0)
+        for q, error in zip(good, _fall_back(chain, kept, pi, F, J, G, retry, off, consistency)):
+            errors[q] = error
+    return _outcomes(errors, good, pi, F, J.T.tolist(), G)
+
+
+def _outcomes(errors: list, good: list, pi, F=None, J=None, G=None) -> list:
+    """The outcome of each chain q of a chunk: EvaluationError(errors[q]),
+    or (pi, F, J, G) of the chain, its rows of the chunk's arrays (pi[i],
+    F[:, i], J[i] and G[:, i] for q = good[i]; F, J and G None without
+    right-hand sides)."""
+    out = [None if e is None else EvaluationError(e) for e in errors]
+    for i, q in enumerate(good):
+        if out[q] is None:
+            out[q] = (pi[i], None, None, None) if F is None else (pi[i], F[:, i], J[i], G[:, i])
+    return out
+
+
+def _fall_back(chain, members, pi, F, J, G, retry, off, consistency) -> list:
+    """Solves each potential G[k, q] of chain members[q] that `retry` marks
+    from the normalized system instead, a chain at a time. Returns each
+    chain's error: that of its first right-hand side that is inconsistent
+    (`off`, with its consistency value) or fails the normalized solve or
+    its gate, or None."""
+    stuck = np.zeros(retry.shape, dtype=bool)
+    for q in np.flatnonzero(retry.any(axis=0)).tolist():
+        ks = np.flatnonzero(retry[:, q])
+        b = F[ks, q] - J[ks, q][:, None]
+        normalized = _normalized(chain, members[q], pi[q])
+        if not normalized.solve([0] * ks.size, b):
+            G[ks, q] = b - b[:, :1]
+        else:
+            stuck[ks, q] = True
+        del normalized
+    residual, passed = _poisson_gates(chain, members, F, J, G)
+    failed = off | stuck | (retry & ~stuck & ~passed)
+    errors = [None] * len(members)
+    for q in np.flatnonzero(failed.any(axis=0)).tolist():
+        k = int(np.argmax(failed[:, q]))
+        if off[k, q]:
+            errors[q] = (
+                f"supplied average {float(J[k, q])!r} disagrees with pi.f by "
+                f"{consistency[k, q]:.3e}"
+            )
+        elif stuck[k, q]:
+            errors[q] = "potential solve failed: Singular matrix"
+        else:
+            errors[q] = f"potential residual {residual[k, q]:.3e} is too large"
+    return errors
+
+
+def _normalized(chain: _Chain, member: int, pi: np.ndarray) -> _LU:
+    """The factored normalized Poisson matrix I - P + 1 pi^T of chain
+    `member`, as a stack of one."""
+    X = _identity_minus_stack(chain, [member])
+    X[0] += pi[:, None]
+    return _LU(X, np.zeros((1, chain.size)))
+
+
+def _poisson_gates(chain: _Chain, members: list, F, J, G):
+    """(residual, passed), each (K, c): `poisson_residual` of each potential
+    G[k, q] of chain members[q], for the right-hand side (F[k, q],
+    J[k, q]). Every P g is taken at once over the batch's rows, each with
+    the bits of its chain's own product."""
+    K, c, S = G.shape
+    n = (chain.indptr.size - 1) // S
+    if c < n:
+        g = np.zeros((K, n, S))
+        g[:, members] = G
+    else:
+        g = G
+    Pg = _times(chain, g.reshape(K, n * S)).reshape(K, n, S)
+    if c < n:
+        Pg = Pg[:, members]
+    residual, passed = poisson_residual(
+        Pg.reshape(-1, S), F.reshape(-1, S), J.reshape(-1), G.reshape(-1, S)
+    )
+    return residual.reshape(K, c), passed.reshape(K, c)
 
 
 def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
@@ -546,8 +696,12 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    J = float(J)
-    return _sole(_solve_chains(_dense_chain(P), [None], lambda m, pi: [(f, J)]))[1][0]
+    J = np.array([[float(J)]])
+
+    def rhs(members, pi):
+        return f[None, None], J, _dots(pi, f[None, None]), np.ones((1, 1), dtype=bool)
+
+    return _sole(_solve_chains(_dense_chain(P), [None], rhs))[3][0]
 
 
 def _policy_chains(model: MdpModel, policies) -> tuple:
@@ -565,16 +719,16 @@ def _policy_chains(model: MdpModel, policies) -> tuple:
 
 def _policy_chain(model: MdpModel, policy) -> tuple:
     """(chain, r, m2) of the chain a deterministic or randomized policy
-    induces, as a batch of one: r holds its reward vector, and m2 its
-    second-moment row for a randomized policy (None for a deterministic
-    one). A randomized mixture is built dense, checked again and
+    induces, as a batch of one: r holds its reward vector, and m2 is None
+    for a deterministic policy and [its second-moment row] for a
+    randomized one. A randomized mixture is built dense, checked again and
     converted once.
     """
     if isinstance(policy, DeterministicPolicy):
         return _policy_chains(model, [policy])
     if isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
-        return _dense_chain(_check_stochastic(P)), r[None], m2[None]
+        return _dense_chain(_check_stochastic(P)), r[None], [m2]
     raise ValidationError(f"cannot evaluate policy of type {type(policy).__name__}")
 
 
@@ -595,35 +749,51 @@ def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float, known=None) 
     """evaluate for each chain of the batch from _policy_chain(s): a list
     with each one's report, or the EvaluationError evaluate raises for it.
 
+    r stacks the chains' reward vectors. m2 is None, or a list with each
+    chain's second-moment row, None for a deterministic policy's chain.
     known[m], when given and not None, is chain m's report at another
     beta. Its pi, j_mean, j_var and mean and variance potentials do not
     depend on beta and are kept; the combined metric, the cost and the
     combined potential are computed again with the expressions of a fresh
     evaluation, so the outcome is the same floats (or the same
-    EvaluationError) evaluate gives. j_mean, j_var and each consistency
-    value are the dot products of one chain, as evaluate takes them.
+    EvaluationError) evaluate gives. j_mean, j_var and the costs are taken
+    for a chunk at a time, each with the bits of one chain's scalar
+    expressions: each dot product is one chain's ddot (`_dots`).
     """
-    known = known or [None] * r.shape[0]
-    metrics = {}
+    M = r.shape[0]
+    known = known or [None] * M
+    given = None
+    if any(report is not None for report in known):
+        fixed = np.array([report is not None for report in known])
+        given = np.array([(k.j_mean, k.j_var) if k is not None else (0.0, 0.0) for k in known])
 
-    def rhs(m, pi):
-        report = known[m]
-        j_mean = long_run_mean(pi, r[m]) if report is None else report.j_mean
-        sq = _squared_deviation(r[m], j_mean, None if m2 is None else m2[m])
-        j_var = float(pi @ sq) if report is None else report.j_var
-        j_comb = combined_metric(j_mean, j_var, beta)
-        cost = r[m] - beta * sq
-        metrics[m] = j_mean, j_var, j_comb, cost
-        if report is None:
-            return [(cost, j_comb), (r[m], j_mean), (sq, j_var)]
-        return [(cost, j_comb)]
+    def rhs(members, pi):
+        # the costs, rewards and squared deviations, and their averages
+        rows = r.take(members, axis=0)
+        j_mean = _dots(pi, rows)
+        if given is not None:
+            kept = fixed[members]
+            j_mean = np.where(kept, given[members, 0], j_mean)
+        sq = _squared_deviation(rows, j_mean[:, None])
+        if m2 is not None:
+            for q, m in enumerate(members):
+                if m2[m] is not None:
+                    sq[q] = _squared_deviation(rows[q], j_mean[q], m2[m])
+        F = np.array([rows - beta * sq, rows, sq])
+        # pi . cost for the consistency check, pi . r = j_mean and pi . sq = j_var
+        PF = _dots(pi, F)
+        j_var = PF[2]
+        wanted = np.ones((3, len(members)), dtype=bool)
+        if given is not None:
+            j_var = np.where(kept, given[members, 1], j_var)
+            wanted[1:, kept] = False
+        return F, np.array([j_mean - beta * j_var, j_mean, j_var]), PF, wanted
 
     outcomes = _solve_chains(chain, [None if k is None else k.pi for k in known], rhs)
     for m, outcome in enumerate(outcomes):
         if isinstance(outcome, EvaluationError):
             continue
-        pi, potentials = outcome
-        j_mean, j_var, j_comb, cost = metrics[m]
+        pi, (cost, _, _), (j_comb, j_mean, j_var), potentials = outcome
         if known[m] is None:
             outcomes[m] = EvaluationReport(pi, j_mean, j_var, j_comb, cost, *potentials, beta)
         else:

@@ -440,6 +440,9 @@ class DeterministicPolicy:
         if self.action.ndim != 1:
             raise ValidationError("policy action table must be 1-dimensional")
         self.action.setflags(write=False)
+        # the table is read-only, so its hash is taken once; the solvers'
+        # memos look each policy up many times
+        object.__setattr__(self, "_hash", hash(self.action.tobytes()))
 
     def validate_for(self, model: MdpModel) -> None:
         _check_policies(model, (self,))
@@ -455,7 +458,11 @@ class DeterministicPolicy:
         )
 
     def __hash__(self) -> int:
-        return hash(self.action.tobytes())
+        return self._hash
+
+    def __reduce__(self):
+        # bytes hash differently in another process: rebuild, not copy, the hash
+        return DeterministicPolicy, (self.action,)
 
 
 @dataclass(frozen=True)
@@ -516,8 +523,8 @@ def _check_policies(model: MdpModel, policies) -> np.ndarray:
     a = np.array([policy.action for policy in policies])
     in_range = (a >= 0) & (a < model.num_actions)
     ok = in_range & model.feasible_mask()[np.arange(S), np.where(in_range, a, 0)]
-    bad = np.flatnonzero(~ok)
-    if bad.size:
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         i = int(bad[0]) % S
         raise FeasibilityError(f"action {int(a.flat[bad[0]])} is infeasible at state {i}")
     return a

@@ -58,17 +58,20 @@ def _scores(model: MdpModel, reports: list, policies: list):
     Each report must carry the Poisson solution of its policy's chain; its
     transition-weighted potential is read off kernel @ g, so the chain
     itself is never gathered. kernel @ g is taken block by block over the
-    model's dense kernel blocks, one potential at a time, with the bits of
-    the whole product; each block is built once for the batch.
+    model's dense kernel blocks, with the bits of the whole product; each
+    block is built once for the batch and multiplied by every potential in
+    one stacked np.matmul, which numpy takes as one gemv per (potential,
+    state) pair, as block @ g does (block @ G.T is a gemm and rounds
+    differently).
     """
     if isinstance(policies[0], RandomizedPolicy):
         policies[0].validate_for(model)
     else:
         action = _check_policies(model, policies)
+    G = np.array([report.potential for report in reports])
     kg = np.empty((len(reports), model.num_states, model.num_actions))
     for lo, hi, block in model._blocks():
-        for m, report in enumerate(reports):
-            kg[m, lo:hi] = block @ report.potential
+        np.matmul(block, G[:, None, :, None], out=kg[:, lo:hi, :, None])
     if isinstance(policies[0], RandomizedPolicy):
         pg = (policies[0].theta * kg[0]).sum(axis=1)[None]
     else:
@@ -77,7 +80,7 @@ def _scores(model: MdpModel, reports: list, policies: list):
         pg,
         np.array([report.cost for report in reports]),
         np.array([report.j_combined for report in reports]),
-        np.array([report.potential for report in reports]),
+        G,
     )
     j_mean = np.array([report.j_mean for report in reports])
     cost = mv_cost_vector(model.reward, j_mean[:, None, None], model.beta)

@@ -361,22 +361,29 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
     that finds no start counts as its start failing. Before an error is
     raised, starts after the failed one may have been evaluated.
     """
-    return _multi_start(model, num_starts, seed, {})
+    return _multi_start(model, *_draw_starts(model, num_starts, seed), {})
 
 
-def _multi_start(model, num_starts, seed, reports):
-    """multi_start, reading and filling the report memo `reports`."""
+def _draw_starts(model, num_starts, seed):
+    """(initials, draw_error): multi_start's seeded random starts, up to the
+    first draw that finds none, and that draw's ValidationError (None when
+    every draw succeeds). The sampler reads only the model's structure, so
+    the starts do not depend on beta."""
     _integer(num_starts, "num_starts", 1)
     _check_seed(seed)
     initials = []
-    draw_error = None
     for child in np.random.SeedSequence(seed).spawn(num_starts):
         try:
             initials.append(sample_random_policy(model, np.random.default_rng(child)))
         except ValidationError as exc:
-            # the starts before it run first, and their errors come first
-            draw_error = exc
-            break
+            return initials, exc
+    return initials, None
+
+
+def _multi_start(model, initials, draw_error, reports):
+    """multi_start from the starts `_draw_starts` drew, reading and filling
+    the report memo `reports`. The starts before a failed draw run first,
+    and their errors come first."""
     runs = _policy_iteration(model, initials, None, reports)
     # a capped start's final policy may be new: its EvaluationError is raised bare
     capped = [k for k, run in enumerate(runs) if not isinstance(run, Exception) and not run[2].converged]

@@ -452,6 +452,19 @@ class TestSweepBeta:
         sweep_beta(wind_model, (0.1, 0.5, 2.0), 6, seed=0)
         assert len(evaluated) == len(set(evaluated))
 
+    def test_starts_are_drawn_once_per_sweep(self, monkeypatch, wind_model):
+        draws = []
+        inner = solvers.sample_random_policy
+
+        def counting(model, rng):
+            draws.append(model.beta)
+            return inner(model, rng)
+
+        monkeypatch.setattr(solvers, "sample_random_policy", counting)
+        points, _, failures = sweep_beta(wind_model, (0.1, 0.5, 2.0), 4, seed=0)
+        assert len(points) == 3 and failures == []
+        assert draws == [wind_model.beta] * 4
+
     def test_optima_sidecar_beside_a_dotted_directory(self, workdir, tmp_path):
         """The sidecar's extension comes from the file name, not from a dot
         in a directory name."""

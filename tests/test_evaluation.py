@@ -98,6 +98,14 @@ class TestMetrics:
         with pytest.raises(ValidationError, match="length mismatch: pi has .* second_moment has"):
             steady_state_variance(pi, r, 1.5, second_moment=second_moment)
 
+    def test_stacked_second_moment_deviation_squares_as_a_float(self):
+        # for this mean, a float's ** 2 (pow) and x * x differ in the last bit
+        j = 0.3624182010806754
+        r, m2 = np.array([[1.5, -0.25]]), np.array([[2.5, 0.5]])
+        want = m2 - 2.0 * j * r + j**2
+        got = evaluation._squared_deviation(r, np.array([[j]]), m2)
+        assert got.tobytes() == want.tobytes()
+
     def test_combined_metric_identity_and_beta_check(self):
         assert combined_metric(2.0, 0.5, 0.1) == pytest.approx(1.95)
         with pytest.raises(ValidationError, match="beta"):
@@ -385,7 +393,7 @@ def test_identity_minus_has_the_reference_bits(battery, abandonment):
     model = build(spec)
     for policy in (threshold_policy(spec), uniform_theta(model)):
         chain = evaluation._policy_chain(model, policy)[0]
-        got = evaluation._identity_minus(chain, 0)
+        got = evaluation._identity_minus_stack(chain, [0])[0].T
         assert same_bits(got, strided_identity_minus(dense_policy_chain(model, policy)))
 
 
@@ -547,10 +555,10 @@ class TestFactorOnce:
             gesv, getrs = map(CountingCalls, lapack[:2])
             monkeypatch.setattr(evaluation, "_LAPACK", (gesv, getrs, lapack[2]))
             assert_reports_equal(evaluate(wind_model, d), reference)
-            # one factorization and one back-substitution for the stationary
-            # solve, one factorization and three back-substitutions for the
-            # three potentials
-            assert (solve.calls, gesv.calls, getrs.calls) == (0, 2, 4)
+            # one factorization that also solves for pi, then one
+            # factorization and three back-substitutions for the three
+            # potentials
+            assert (solve.calls, gesv.calls, getrs.calls) == (0, 2, 3)
 
     @pytest.mark.parametrize("missing", [OSError("no library"), AttributeError("no symbol")])
     def test_without_lapack_symbols_reports_are_the_same(self, monkeypatch, missing, wind_model):
@@ -688,19 +696,19 @@ class TestWithBeta:
                 assert got == ("EvaluationError", "potential residual nan is too large")
 
 
-LU_SOLVER = evaluation._LUSolver
+LU = evaluation._LU
 
 
 class CapturedSolvers:
-    """Stands in for evaluation._LUSolver and keeps a column-major copy of
-    every matrix handed to it, before it is factored."""
+    """Stands in for evaluation._LU and keeps a column-major copy of every
+    matrix of each stack handed to it, before it is factored."""
 
     def __init__(self):
         self.matrices = []
 
-    def __call__(self, M):
-        self.matrices.append(M.copy(order="F"))
-        return LU_SOLVER(M)
+    def __call__(self, stack, b):
+        self.matrices += [matrix.T.copy(order="F") for matrix in stack]
+        return LU(stack, b)
 
 
 def reference_matrices(P, pi):
@@ -746,7 +754,7 @@ class TestChainRowsKeepTheDenseBits:
     def captured(self, monkeypatch):
         force_overlap(monkeypatch, False)
         solvers = CapturedSolvers()
-        monkeypatch.setattr(evaluation, "_LUSolver", solvers)
+        monkeypatch.setattr(evaluation, "_LU", solvers)
         return solvers
 
     def check_evaluate(self, monkeypatch, m, policy):
@@ -852,8 +860,8 @@ class TestEvaluationMemory:
         for policy, factorizations in ((start, 3), (fixed, 2)):
             # the model's tables are built on first use, outside the trace
             evaluate(model, policy)
-            solvers = CountingCalls(LU_SOLVER)
-            monkeypatch.setattr(evaluation, "_LUSolver", solvers)
+            solvers = CountingCalls(LU)
+            monkeypatch.setattr(evaluation, "_LU", solvers)
             tracemalloc.start()
             try:
                 evaluate(model, policy)
@@ -890,3 +898,123 @@ class TestScaledRewards:
                 base, rep = evaluate(model, policy), evaluate(scaled, policy)
                 assert rep.j_mean == pytest.approx(SCALED_REWARDS[change](base.j_mean), rel=1e-12)
                 improvement_vector(scaled, rep, policy)
+
+
+def one_action_model(P, reward, beta):
+    """A one-action model whose only policy induces the chain P."""
+    S = P.shape[0]
+    return MdpModel(S, 1, ((0,),) * S, P[:, None, :], reward[:, None], beta)
+
+
+def transient_entry_chain(rng, S, escape):
+    """State 0 is transient and entered from nowhere; states 1..S-1 form an
+    irreducible chain. escape is the probability of leaving state 0: 1.0
+    spreads it over the other states, and 1e-17 keeps P[0, 0] at 1.0 in
+    floats, so the balance matrix has a zero row and is exactly singular
+    although the chain has one closed class."""
+    P = np.zeros((S, S))
+    P[1:, 1:] = rng.dirichlet(np.ones(S - 1), size=S - 1)
+    if escape == 1.0:
+        P[0, 1:] = 1.0 / (S - 1)
+    else:
+        P[0, 0], P[0, 1] = 1.0, escape
+    return P
+
+
+def batch_members(battery, rng):
+    """(model, policy, known beta or None) of each member of a batch on the
+    wind model's states at this battery capacity, in an order that mixes
+    the kinds: irreducible, transient state 0 with a singular pinned
+    system, multichain, singular balance matrix; deterministic and
+    randomized; fresh and known at another beta."""
+    beta = 0.3
+    spec = WindStorageSpec(battery_capacity=battery, beta=beta)
+    wind = build(spec)
+    S = wind.num_states
+    hold = DeterministicPolicy(np.full(S, 2))  # never moves the battery
+
+    def synthetic(escape):
+        P = transient_entry_chain(rng, S, escape)
+        return one_action_model(P, rng.normal(size=S), beta), DeterministicPolicy(np.zeros(S, dtype=int))
+
+    irreducible = [sample_random_policy(wind, rng) for _ in range(5)]
+    return [
+        (wind, irreducible[0], None),
+        synthetic(1.0) + (None,),
+        (wind, hold, None),
+        (wind, uniform_theta(wind), None),
+        (wind, irreducible[1], 2.0),
+        synthetic(1e-17) + (None,),
+        (wind, irreducible[2], None),
+        synthetic(1.0) + (0.05,),
+        (wind, threshold_policy(spec), None),
+        (wind, uniform_theta(wind), 1.5),
+        (wind, irreducible[3], None),
+        (wind, hold, None),
+        (wind, irreducible[4], 0.7),
+        synthetic(1e-17) + (None,),
+    ]
+
+
+def mixed_batch(members):
+    """_evaluate_chains' arguments for the members as one batch: their
+    chains' rows one after the other, their rewards, second-moment rows and
+    known reports."""
+    parts = [evaluation._policy_chain(model, policy) for model, policy, _ in members]
+    S = parts[0][0].size
+    indptr = [np.zeros(1, dtype=np.int64)]
+    for chain, _, _ in parts:
+        indptr.append(chain.indptr[1:] + indptr[-1][-1])
+    chain = evaluation._csr_chain(
+        np.concatenate(indptr),
+        np.concatenate([chain.cols.astype(np.int64) for chain, _, _ in parts]),
+        np.concatenate([chain.values for chain, _, _ in parts]),
+        S,
+    )
+    r = np.concatenate([part[1] for part in parts])
+    m2 = [None if part[2] is None else part[2][0] for part in parts]
+    known = [
+        None if other is None else evaluate(dataclasses.replace(model, beta=other), policy)
+        for model, policy, other in members
+    ]
+    return chain, r, m2, known
+
+
+class TestMixedBatch:
+    """Each member of a batch gets exactly the report, or the error, that
+    evaluate gives it alone, whatever the other members are, on one BLAS
+    thread or more, with or without the second thread."""
+
+    @pytest.mark.parametrize("battery", [5, 20])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_members_match_evaluate_alone(self, monkeypatch, battery, overlap):
+        members = batch_members(battery, np.random.default_rng(90 + battery))
+        chain, r, m2, known = mixed_batch(members)
+        S = chain.size
+        want = [outcome(evaluate, model, policy) for model, policy, _ in members]
+        pool = force_overlap(monkeypatch, overlap)
+        got = evaluation._evaluate_chains(chain, r, m2, members[0][0].beta, known)
+        for have, (kind, expected) in zip(got, want):
+            if kind == "ok":
+                assert isinstance(have, evaluation.EvaluationReport)
+                assert_reports_equal(have, expected)
+            else:
+                assert (type(have).__name__, str(have)) == (kind, expected)
+        assert {kind if kind == "ok" else message for kind, message in want} == {
+            "ok",
+            "stationary distribution is not unique: the chain has multiple closed "
+            "communicating classes",
+            "stationary solve failed: Singular matrix",
+        }
+        # the multichain members never reach the dense work
+        live = [m for m, (_, message) in enumerate(want) if "not unique" not in str(message)]
+        runs = evaluation._chunks(live, S)
+        assert len(runs) == (2 if battery == 20 else 1)
+        assert pool.calls == (len(runs) if overlap else 0)
+        # the transient-entry members that evaluate need the normalized system
+        fell_back = 0
+        for (model, policy, _), report in zip(members, got):
+            if model.num_actions == 1 and isinstance(report, evaluation.EvaluationReport):
+                P, _ = induced_chain(model, policy)
+                fell_back += reference_potential(P, report.cost, report.j_combined, report.pi)[1]
+        assert fell_back == 2

@@ -5,7 +5,10 @@ import itertools
 import json
 import operator
 import os
+import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -213,6 +216,37 @@ class TestPolicies:
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert len({a, b, c}) == 2
+
+    def test_each_policy_hashes_its_table_once(self, monkeypatch):
+        tables = []
+
+        def counting_hash(value):
+            tables.append(value)
+            return hash(value)
+
+        monkeypatch.setattr(mvmdp.model, "hash", counting_hash, raising=False)
+        a = DeterministicPolicy(np.array([0, 1, 2]))
+        b = DeterministicPolicy(np.array([0, 1, 2]))
+        assert tables == [a.action.tobytes()] * 2
+        memo = {a: 1}
+        for _ in range(5):
+            assert memo[b] == 1 and hash(a) == hash(b)
+        assert len(tables) == 2
+
+    def test_copies_hash_their_own_table(self):
+        a = DeterministicPolicy(np.array([0, 1, 2]))
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a.action.tobytes())
+            assert not b.action.flags.writeable
+        # bytes hash differently under another hash seed: an unpickled
+        # policy takes its hash in the process that loads it
+        code = "import pickle, sys; p = pickle.load(sys.stdin.buffer); print(hash(p) == hash(p.action.tobytes()))"
+        src = os.path.dirname(os.path.dirname(mvmdp.model.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(a), capture_output=True, env=env, check=True
+        )
+        assert run.stdout.split() == [b"True"]
 
     def test_as_randomized_is_one_hot(self):
         m = small_model()
