@@ -1,5 +1,6 @@
 """Stationary distributions, metric computation, and the potential solve."""
 import dataclasses
+import re
 import threading
 import tracemalloc
 
@@ -1018,3 +1019,42 @@ class TestMixedBatch:
                 P, _ = induced_chain(model, policy)
                 fell_back += reference_potential(P, report.cost, report.j_combined, report.pi)[1]
         assert fell_back == 2
+
+
+STATIONARY = evaluation._stationary
+
+
+class TestStationaryGates:
+    """The checks on a solved pi, on solves perturbed after the fact: the
+    residual gate on pi P - pi, then the sign check, with round-off above
+    -STATIONARY_TOL set to 0. The chain's state 0 is transient but nearly
+    absorbing, so a change x in pi[0] moves pi P - pi by only ~1e-4 x."""
+
+    def run(self, monkeypatch, shift):
+        kernel = np.zeros((3, 1, 3))
+        kernel[0, 0, :2] = [0.9999, 1e-4]
+        kernel[1:, 0, 1:] = [[0.3, 0.7], [0.6, 0.4]]
+        m = MdpModel(3, 1, ((0,),) * 3, kernel, np.array([[5.0], [1.0], [-2.0]]), 0.4)
+
+        def perturbed(chain, members):
+            pi, singular = STATIONARY(chain, members)
+            pi[:, 0] += shift
+            return pi, singular
+
+        monkeypatch.setattr(evaluation, "_stationary", perturbed)
+        return outcome(evaluate, m, DeterministicPolicy(np.zeros(3, dtype=int)))
+
+    def test_round_off_is_set_to_zero(self, monkeypatch):
+        kind, report = self.run(monkeypatch, -5e-11)
+        assert kind == "ok" and report.pi[0] == 0.0 and not np.signbit(report.pi[0])
+
+    def test_negative_probability(self, monkeypatch):
+        assert self.run(monkeypatch, -2e-10) == (
+            "EvaluationError", "stationary solve produced a negative probability"
+        )
+
+    def test_residual_comes_before_the_sign(self, monkeypatch):
+        for shift in (1e-3, -1e-3):
+            kind, message = self.run(monkeypatch, shift)
+            assert kind == "EvaluationError"
+            assert re.fullmatch(r"stationary solve residual 1\.\d{3}e-07 exceeds 1e-10", message)
