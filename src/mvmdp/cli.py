@@ -301,11 +301,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policy = load_policy(args.policy)
     path, est = _simulate_estimate(model, policy, args.horizon, args.seed, args.burn_in)
     if args.path_out is not None:
-        rows = (
-            (str(t), str(int(s)), str(int(a)), _fmt(r))
-            for t, (s, a, r) in enumerate(zip(path.states, path.actions, path.rewards))
-        )
-        _write_csv(args.path_out, "t,state,action,reward", rows)
+        A = model.num_actions
+        pairs = (path.states * A + path.actions).tolist()
+        # the "state,action,reward" text of each pair on the path, made once
+        text = {p: f"{p // A},{p % A},{_fmt(model.reward.flat[p])}\n" for p in set(pairs)}
+        lines = (f"{t},{text[p]}" for t, p in enumerate(pairs))
+        _write_text(args.path_out, itertools.chain(["t,state,action,reward\n"], lines), "output")
     _write_json(args.out, dataclasses.asdict(est))
     return 0
 

@@ -3,6 +3,7 @@ the performance potential, with batch-means confidence intervals. These are
 the independent cross-checks for the exact evaluation module."""
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -97,6 +98,192 @@ def _dense_support_table(rows: np.ndarray):
     return _support_table(indptr, cols, rows.reshape(-1)[flat])
 
 
+CHUNK_STEPS = 100
+"""Steps per chunk of the chunked walk (`_walk`): each numpy step of a pass
+advances every chunk still walking by one step."""
+
+PROBE_LANES = 32
+"""Lanes of the coalescence probe (`_coalesces`): pairs of walks on the
+draws of as many chunks, before any pass runs."""
+
+MIN_CHUNKS = 500
+"""Paths of fewer chunks than this (50,000 steps) walk in the per-step
+loop: the fixed cost of the probe and of a pass's numpy calls, about a
+hundred loop steps per call, does not pay on them."""
+
+LOOP_LANES = 32
+"""A repair pass walks its chunks in numpy while at least this many walk;
+the ones left walk to their ends in the per-step loop, one by one."""
+
+MAX_REPAIR_PASSES = 8
+"""Repair passes before the rest of the path goes to the per-step loop."""
+
+BUCKET_BITS = 8
+"""A draw u falls in bucket floor(u * 2**BUCKET_BITS) of `_Sampler`'s
+table."""
+
+BUCKET_ENTRIES = 2**17
+"""The largest `_Sampler` table, in (row, bucket) entries: larger sets of
+rows draw by the exact count alone."""
+
+
+def _next_states(nxt, thresholds, rows, u):
+    """nxt[rows, count(thresholds[rows] <= u)]: the next states of draws u
+    on the `_support_table` rows `rows`."""
+    return nxt[rows, (thresholds[rows] <= u[:, None]).sum(axis=1)]
+
+
+class _Sampler:
+    """`_next_states` of a `_support_table` (nxt, thresholds), answered for
+    most draws by a table of buckets of [0, 1), 2**BUCKET_BITS per row.
+
+    Bucket b of a row spans [b, b + 1) / 2**BUCKET_BITS. A draw u in it
+    has count(thresholds <= u) = low, the count at the bucket's lower edge,
+    unless the bucket holds a threshold strictly inside: if those have one
+    value `split`, the count is high, the count below the upper edge, from
+    split on. The edges and the scaled thresholds are exact (the scale is a
+    power of two), so the table gives the exact count, not a rounded one.
+    A bucket with two distinct thresholds inside is marked -1, and its
+    draws take the exact count."""
+
+    def __init__(self, nxt, thresholds):
+        self.nxt, self.thresholds = nxt, thresholds
+        rows = thresholds.shape[0]
+        n = 1 << BUCKET_BITS
+        scaled = np.minimum(thresholds * n, n)  # +inf and sums >= 1 to n
+        scaled[:, -1] = n
+        # count(thresholds <= u) is k on the buckets from ceil(t[k-1] n) to
+        # ceil(t[k] n) - 1, and count(thresholds < (b + 1) / n) is k on the
+        # buckets from floor(t[k-1] n) to floor(t[k] n) - 1: each row's
+        # next states repeated over those bucket runs
+        edges = np.stack([np.ceil(scaled), np.floor(scaled)]).astype(np.intp)
+        runs = np.diff(edges, axis=2, prepend=0)
+        low, high = (np.repeat(nxt.ravel(), r.ravel()) for r in runs)
+        self.next = np.stack([low, high], axis=1).ravel()
+        inside = edges[0] != edges[1]
+        at = np.arange(rows)[:, None] * n + edges[1]
+        self.split = np.full(rows * n, np.inf)
+        self.split[at[inside]] = thresholds[inside]
+        # sorted thresholds: two distinct values inside one bucket sit side by side
+        mixed = inside[:, 1:] & inside[:, :-1] & (at[:, 1:] == at[:, :-1])
+        mixed &= thresholds[:, 1:] != thresholds[:, :-1]
+        self.mixed = bool(mixed.any())
+        if self.mixed:
+            self.next.reshape(-1, 2)[at[:, 1:][mixed]] = -1
+
+    def __call__(self, rows, u):
+        at = (u * (1 << BUCKET_BITS)).astype(np.intp)
+        at += rows << BUCKET_BITS
+        split = self.split.take(at)
+        at <<= 1
+        at += u >= split
+        out = self.next.take(at)
+        if self.mixed:
+            exact = np.flatnonzero(out < 0)
+            if exact.size:
+                out[exact] = _next_states(self.nxt, self.thresholds, rows[exact], u[exact])
+        return out
+
+
+def _draw_rule(nxt, thresholds, table):
+    """The next-state rule of the `_support_table` (nxt, thresholds): a
+    `_Sampler` if `table` and its table fits in BUCKET_ENTRIES, else the
+    exact count of `_next_states`."""
+    if table and thresholds.shape[0] << BUCKET_BITS <= BUCKET_ENTRIES:
+        return _Sampler(nxt, thresholds)
+    return functools.partial(_next_states, nxt, thresholds)
+
+
+def _coalesces(step, draws, start, chunks, num_states):
+    """Whether walks fed the same draws, one from `start` and one from
+    another state, meet within a chunk in at least three of four lanes.
+    Lane i walks the draws of chunk i * chunks // PROBE_LANES from state
+    i * num_states // PROBE_LANES. Walks that met stay together, so the
+    lanes are never dropped; the probe gives up a quarter of the way
+    through the chunk if fewer than a quarter of them have met."""
+    lanes = np.arange(PROBE_LANES)
+    t = np.tile(lanes * chunks // PROBE_LANES * CHUNK_STEPS, 2)
+    cur = np.concatenate([np.full(PROBE_LANES, start), lanes * num_states // PROBE_LANES])
+    for j in range(CHUNK_STEPS + 1):
+        apart = np.count_nonzero(cur[:PROBE_LANES] != cur[PROBE_LANES:])
+        met = 4 * apart <= PROBE_LANES
+        if met or j == CHUNK_STEPS or (4 * j == CHUNK_STEPS and 4 * apart > 3 * PROBE_LANES):
+            return met
+        cur = step(cur, *(d.take(t) for d in draws))[0]
+        t += 1
+
+
+def _walk(steps, loop, draws, start, records, num_states):
+    """Fill records[:, t] with the state at step t of the path from `start`
+    on `draws` (row 0) and the side outputs of that step (rows 1:).
+
+    steps(table) is a function step(states, *draws_t) that advances many
+    walks by one step at once, by `_draw_rule(..., table)`, and gives
+    (next states, *side outputs). loop(i, t0, t1) walks records[:, t0:t1]
+    from state i one step at a time and gives the state at step t1.
+
+    The horizon is cut into chunks of CHUNK_STEPS steps. A first pass
+    walks them all together, chunk 0 from `start` and every other one from
+    `start` as a guess. Each repair pass then walks again, from the
+    recorded end of the chunk before, every chunk whose recorded start
+    differs from that end. It drops a chunk as soon as the new walk stands
+    where the recorded walk stood at the same step: from there on both are
+    fed the same draws, so the rest of the record is already the new walk
+    (coupling). Chunk 0 is exact and a pass makes the next chunk exact, so
+    once no start differs the records are the path, bit for bit, whatever
+    the guesses were.
+
+    The loop takes over where the passes would cost more than it: the
+    whole path when it has fewer than MIN_CHUNKS chunks or the probe
+    (`_coalesces`) finds too few walks meeting; the last LOOP_LANES
+    chunks of a pass, each to its end; the path from its first chunk that
+    is not exact after MAX_REPAIR_PASSES passes or after a pass in which
+    fewer than half of the chunks met; and the steps after the last whole
+    chunk."""
+    T = records.shape[1]
+    K = T // CHUNK_STEPS
+    if K < MIN_CHUNKS or not _coalesces(steps(False), draws, start, K, num_states):
+        loop(start, 0, T)
+        return
+    step = steps(True)
+    grids = records[:, : K * CHUNK_STEPS].reshape(len(records), K, CHUNK_STEPS)
+    draws = [d[: K * CHUNK_STEPS].reshape(K, CHUNK_STEPS) for d in draws]
+    cur = np.full(K, start)
+    for j in range(CHUNK_STEPS):
+        out = step(cur, *(d[:, j] for d in draws))
+        for grid, value in zip(grids, (cur, *out[1:])):
+            grid[:, j] = value
+        cur = out[0]
+    ends = cur
+    pending = np.arange(1, K)
+    for _ in range(MAX_REPAIR_PASSES):
+        lanes = pending = pending[grids[0, pending, 0] != ends[pending - 1]]
+        if not lanes.size:
+            break
+        cur = ends[lanes - 1]
+        for j in range(CHUNK_STEPS):
+            apart = cur != grids[0, lanes, j]
+            if not apart.all():
+                lanes, cur = lanes[apart], cur[apart]
+            if lanes.size < LOOP_LANES:
+                # the last few chunks walk to their ends in the loop
+                cur = np.array([loop(i, k * CHUNK_STEPS + j, (k + 1) * CHUNK_STEPS)
+                                for i, k in zip(cur.tolist(), lanes.tolist())], dtype=int)
+                break
+            out = step(cur, *(d[lanes, j] for d in draws))
+            for grid, value in zip(grids, (cur, *out[1:])):
+                grid[lanes, j] = value
+            cur = out[0]
+        changed = lanes[cur != ends[lanes]]
+        ends[lanes] = cur
+        walked, pending = pending.size, changed[changed < K - 1] + 1
+        if 2 * changed.size > walked:
+            break
+    first = pending.min() if pending.size else K
+    if first * CHUNK_STEPS < T:
+        loop(ends[first - 1], first * CHUNK_STEPS, T)
+
+
 def simulate_path(
     model: MdpModel,
     policy,
@@ -106,55 +293,97 @@ def simulate_path(
 ) -> PathSample:
     """Sample a length-T trajectory under the policy, deterministic in seed.
 
-    Each step draws its next state from the `_support_table` of the
-    model's positive-entry table (`MdpModel._positive`), whose rows become
-    Python lists, which bisect
-    fastest: the S rows of a deterministic policy's pairs at once, a
-    randomized policy's on first visit of their pair.
+    The draws are rng.random(T) for the next states of a deterministic
+    policy, and rng.random(T) for the actions then rng.random(T) for the
+    next states of a randomized one. Step t moves from state i by draw u to
+    nxt[n, count(thresholds[n] <= u)] of the `_support_table` row n of its
+    pair (and picks the action of a randomized policy the same way from
+    its theta row), so the path is a function of the draws and the start.
+
+    Long paths are walked in chunks, all at once in numpy (`_walk`): every
+    chunk starts from a guess, and chunks whose guess was wrong are walked
+    again from the true start until they meet their first walk, after which
+    the two agree, being fed the same draws. The result is the path of the
+    per-step loop, state for state. Short paths, and chains on which walks
+    from two states rarely meet within a chunk, run in that loop, on Python
+    lists of the table rows (a randomized policy's pair rows made on their
+    first visit), which bisect fastest.
     """
     _integer(T, "path length", 1)
     if not 0 <= _integer(start_state, "start_state") < model.num_states:
         raise ValidationError(f"start_state {start_state} out of range")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    A = model.num_actions
+    S, A = model.num_states, model.num_actions
     if isinstance(policy, DeterministicPolicy):
         policy.validate_for(model)
-        pairs = np.arange(model.num_states) * A + policy.action
-        nxt, thresholds = (t[pairs].tolist() for t in _support_table(*model._positive))
-        visited = []
-        i = start_state
-        # a memoryview yields Python floats one at a time: they bisect as fast
-        # as a list's, and T of them are never held at once
-        for u in memoryview(rng.random(T)):
-            visited.append(i)
-            i = nxt[i][bisect_right(thresholds[i], u)]
-        states = np.array(visited, dtype=int)
-        actions = policy.action[states]
-        return PathSample(states, actions, model.reward[states, actions])
+        pairs = np.arange(S) * A + policy.action
+        nxt, thresholds = (t[pairs] for t in _support_table(*model._positive))
+        u = rng.random(T)
+        records = np.empty((1, T), dtype=int)
+
+        def steps(table):
+            draw = _draw_rule(nxt, thresholds, table)
+            return lambda cur, u_t: (draw(cur, u_t),)
+
+        lists = functools.cache(lambda: (nxt.tolist(), thresholds.tolist()))
+
+        def loop(i, t0, t1):
+            nxt_rows, rows = lists()
+            visited = []
+            # a memoryview yields Python floats one at a time: they bisect
+            # as fast as a list's, and T of them are never held at once
+            for u_t in memoryview(u[t0:t1]):
+                visited.append(i)
+                i = nxt_rows[i][bisect_right(rows[i], u_t)]
+            records[0, t0:t1] = visited
+            return i
+
+        _walk(steps, loop, [u], start_state, records, S)
+        states = records[0]
+        reward = model.reward[np.arange(S), policy.action]
+        return PathSample(states, policy.action.take(states), reward.take(states))
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
-        act, act_thresholds = (t.tolist() for t in _dense_support_table(policy.theta))
+        act, act_thresholds = _dense_support_table(policy.theta)
         nxt, thresholds = _support_table(*model._positive)
+        ua = rng.random(T)
+        us = rng.random(T)
+        records = np.empty((2, T), dtype=int)
+
+        def steps(table):
+            choose, move = _draw_rule(act, act_thresholds, table), _draw_rule(nxt, thresholds, table)
+
+            def step(cur, ua_t, us_t):
+                a = choose(cur, ua_t)
+                return move(cur * A + a, us_t), a
+
+            return step
+
+        act_lists = functools.cache(lambda: (act.tolist(), act_thresholds.tolist()))
         # Python lists of a pair's table row, made on its first visit: the
         # floats of pairs never visited are not built
         rows = [None] * nxt.shape[0]
-        ua = rng.random(T)
-        us = rng.random(T)
-        visited, chosen = [], []
-        i = start_state
-        for u_a, u_s in zip(memoryview(ua), memoryview(us)):
-            visited.append(i)
-            a = act[i][bisect_right(act_thresholds[i], u_a)]
-            chosen.append(a)
-            p = i * A + a
-            row = rows[p]
-            if row is None:
-                row = rows[p] = (nxt[p].tolist(), thresholds[p].tolist())
-            i = row[0][bisect_right(row[1], u_s)]
-        states = np.array(visited, dtype=int)
-        actions = np.array(chosen, dtype=int)
-        return PathSample(states, actions, model.reward[states, actions])
+
+        def loop(i, t0, t1):
+            act_rows, act_sums = act_lists()
+            visited, chosen = [], []
+            for u_a, u_s in zip(memoryview(ua[t0:t1]), memoryview(us[t0:t1])):
+                visited.append(i)
+                a = act_rows[i][bisect_right(act_sums[i], u_a)]
+                chosen.append(a)
+                p = i * A + a
+                row = rows[p]
+                if row is None:
+                    row = rows[p] = (nxt[p].tolist(), thresholds[p].tolist())
+                i = row[0][bisect_right(row[1], u_s)]
+            records[0, t0:t1] = visited
+            records[1, t0:t1] = chosen
+            return i
+
+        _walk(steps, loop, [ua, us], start_state, records, S)
+        states, actions = records
+        return PathSample(states, actions, model.reward.take(states * A + actions))
     raise ValidationError(f"cannot simulate policy of type {type(policy).__name__}")
 
 
@@ -223,8 +452,7 @@ def _accumulate_cost(chain: _Chain, f, J, start, truncation, reps, seed):
         acc += excess[cur]
         if t == truncation:
             break
-        u = rng.random(reps)
-        cur = nxt[cur, (thresholds[cur] <= u[:, None]).sum(axis=1)]
+        cur = _next_states(nxt, thresholds, cur, rng.random(reps))
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 

@@ -514,6 +514,30 @@ class TestSimulateAndCheck:
         assert header == ["t", "state", "action", "reward"]
         assert len(rows) == 5100
 
+    @pytest.mark.parametrize("scenario", ["no-abandon", "abandon"])
+    def test_path_out_bytes_match_per_row_formatting(self, tmp_path, scenario):
+        """--path-out writes the bytes of formatting each row of the path on
+        its own, burn-in steps included, for both policy kinds."""
+        spec = WindStorageSpec(abandonment=scenario == "abandon")
+        model = build(spec)
+        theta = model.feasible_mask().astype(float)
+        policies = [threshold_policy(spec), RandomizedPolicy(theta / theta.sum(axis=1, keepdims=True))]
+        save_model(model, str(tmp_path / "model.json"))
+        for k, policy in enumerate(policies):
+            save_policy(policy, str(tmp_path / "policy.json"))
+            out = tmp_path / f"path{k}.csv"
+            assert main(["simulate", "--model", str(tmp_path / "model.json"),
+                         "--policy", str(tmp_path / "policy.json"), "--horizon", "60000",
+                         "--burn-in", "250", "--seed", str(k + 1), "--out", str(tmp_path / "est.json"),
+                         "--path-out", str(out)]) == 0
+            path = simulate_path(load_model(str(tmp_path / "model.json")), policy, 60250, seed=k + 1)
+            rows = zip(path.states, path.actions, path.rewards)
+            want = "t,state,action,reward\n" + "".join(
+                ",".join((str(t), str(int(s)), str(int(a)), repr(float(r)))) + "\n"
+                for t, (s, a, r) in enumerate(rows)
+            )
+            assert out.read_bytes() == want.encode()
+
     def test_check_passes_on_converged_policy(self, workdir):
         out = workdir / "check.json"
         code = main(["check", "--model", str(workdir / "wind.json"),

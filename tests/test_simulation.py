@@ -362,6 +362,155 @@ class TestSupportTablesKeepTheDenseRule:
         self.check_costs(single_state_model, d, starts=(0,), seed=6)
 
 
+def _cycle_model(S=50):
+    """A permutation cycle: one entry per row, so walks from two states
+    never meet."""
+    kernel = np.zeros((S, 1, S))
+    kernel[np.arange(S), 0, (np.arange(S) + 1) % S] = 1.0
+    return MdpModel(S, 1, ((0,),) * S, kernel, np.arange(S, dtype=float)[:, None], 0.5)
+
+
+def _same_path(got, want):
+    for field in ("states", "actions", "rewards"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+
+CHUNK = simulation.CHUNK_STEPS
+
+
+class TestChunkedWalk:
+    """The chunked walk gives the per-step reference path bit for bit, at
+    every chunk layout, on chains that couple fast, slowly or never, and
+    whether the probe hands the path to the loop or not."""
+
+    @pytest.fixture(params=["probe", "no probe"])
+    def probe(self, request, monkeypatch):
+        """As is, or with the coalescence probe always passing, so that the
+        passes run also on chains the probe would hand to the loop."""
+        if request.param == "no probe":
+            monkeypatch.setattr(simulation, "_coalesces", lambda *args: True)
+        return request.param
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_chunk_edges_on_random_models(self, seed, T, randomized, skip_probe):
+        """Paths of no chunk, one chunk, one chunk and a step, and three
+        chunks and a step, with chunks allowed from the first one."""
+        rng = np.random.default_rng(seed)
+        m = random_mdp(rng)
+        policy = _thetas(m, rng)[1] if randomized else sample_random_policy(m, rng)
+        start = int(rng.integers(m.num_states))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "MIN_CHUNKS", 1)
+            if skip_probe:
+                patch.setattr(simulation, "_coalesces", lambda *args: True)
+            got = simulate_path(m, policy, T, seed=seed % 1000, start_state=start)
+        _same_path(got, loop_simulate_path(m, policy, T, seed=seed % 1000, start_state=start))
+
+    def test_permutation_cycle(self, probe):
+        m = _cycle_model()
+        d = DeterministicPolicy(np.zeros(m.num_states, dtype=int))
+        for start in (0, 17):
+            _same_path(simulate_path(m, d, 60_001, seed=start, start_state=start),
+                       loop_simulate_path(m, d, 60_001, seed=start, start_state=start))
+
+    @pytest.mark.parametrize("battery", [5, 20, 50])
+    def test_wind_thresholds_and_thetas(self, probe, battery):
+        spec = WindStorageSpec(battery_capacity=battery, abandonment=battery == 20)
+        m = build(spec)
+        rng = np.random.default_rng(battery)
+        for k, policy in enumerate([threshold_policy(spec), *_thetas(m, rng)]):
+            T = 50_000 + 37 * k
+            _same_path(simulate_path(m, policy, T, seed=k, start_state=k),
+                       loop_simulate_path(m, policy, T, seed=k, start_state=k))
+
+    @pytest.mark.parametrize("loop_lanes, passes", [(1, 8), (10**9, 8), (32, 1), (32, 2)])
+    def test_loop_hand_overs(self, monkeypatch, loop_lanes, passes):
+        """Stragglers walked by the loop, chunk by chunk, and the rest of the
+        path handed to the loop after a capped number of repair passes."""
+        monkeypatch.setattr(simulation, "_coalesces", lambda *args: True)
+        monkeypatch.setattr(simulation, "LOOP_LANES", loop_lanes)
+        monkeypatch.setattr(simulation, "MAX_REPAIR_PASSES", passes)
+        spec = WindStorageSpec(battery_capacity=20)
+        m = build(spec)
+        for policy in (threshold_policy(spec), _uniform_theta(m)):
+            _same_path(simulate_path(m, policy, 50_050, seed=3), loop_simulate_path(m, policy, 50_050, seed=3))
+
+    def test_work_bound_on_the_cycle(self, monkeypatch, probe):
+        """The numpy steps of the probe and the passes, counted one per walk
+        advanced, stay within 3 T on a chain that never couples."""
+        steps = []
+        rule = simulation._draw_rule
+
+        def counted(*args):
+            draw = rule(*args)
+
+            def step(rows, u):
+                steps.append(rows.size)
+                return draw(rows, u)
+
+            return step
+
+        monkeypatch.setattr(simulation, "_draw_rule", counted)
+        m = _cycle_model()
+        T = 60_000
+        simulate_path(m, DeterministicPolicy(np.zeros(m.num_states, dtype=int)), T, seed=1)
+        assert 0 < sum(steps) <= 3 * T
+
+    def test_fixed_and_top_draws(self, monkeypatch):
+        """The walk draws only through `Generator.random(n)`: stand-ins that
+        repeat a few values, or give the largest draw only, still give the
+        reference path."""
+        m = _corner_model()
+        policies = [DeterministicPolicy(np.zeros(6, dtype=int)), DeterministicPolicy(np.ones(6, dtype=int))]
+        policies += _thetas(m, np.random.default_rng(92))
+        top = np.nextafter(1.0, 0.0)
+        draws = [0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, top, 0.5, 0.999, top, 0.1, 0.5]
+        for stand_in in (_FixedDraws(draws), _TopDraws()):
+            monkeypatch.setattr(np.random, "default_rng", lambda *args: stand_in)
+            for k, policy in enumerate(policies):
+                _same_path(simulate_path(m, policy, 50_000 + k, start_state=k),
+                           loop_simulate_path(m, policy, 50_000 + k, start_state=k))
+
+
+class TestSampler:
+    """The bucket table counts thresholds below a draw as the exact rule
+    does, also on bucket edges, on thresholds, on ties and where one bucket
+    holds two distinct thresholds."""
+
+    def test_matches_the_exact_count(self):
+        rng = np.random.default_rng(93)
+        mixed = 0
+        for trial in range(200):
+            rows = rng.dirichlet(np.full(8, rng.uniform(0.05, 3.0)), size=int(rng.integers(1, 30)))
+            if trial % 3 == 0:
+                rows = np.round(rows * rng.choice([8, 64, 256, 1000]))
+                rows[rows.sum(axis=1) == 0, 0] = 1.0
+                rows /= rows.sum(axis=1, keepdims=True)
+            if trial % 5 == 0:
+                rows[:, 0] = 2.0**-60  # a tie: the next sum equals this one
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            rows[(rows > 0).sum(axis=1) == 0, -1] = 1.0
+            nxt, thresholds = simulation._dense_support_table(rows)
+            sampler = simulation._Sampler(nxt, thresholds)
+            mixed += sampler.mixed
+            at = rng.integers(0, rows.shape[0], 3000)
+            u = rng.random(3000)
+            u[:500] = rng.integers(0, 2**simulation.BUCKET_BITS, 500) / 2**simulation.BUCKET_BITS
+            on = thresholds[at[500:1000], rng.integers(0, thresholds.shape[1], 500)]
+            u[500:1000] = np.where(on < 1, on, np.nextafter(1.0, 0.0))
+            u[1000:1500] = np.nextafter(u[500:1000], 0.0)
+            u[1500:1600] = np.nextafter(1.0, 0.0)
+            assert np.array_equal(sampler(at, u), simulation._next_states(nxt, thresholds, at, u)), trial
+        assert 0 < mixed < 200
+
+
 class TestSimulationMemory:
     """A path's tables grow with the kernel's entries, not with S * S."""
 
