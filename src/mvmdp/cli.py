@@ -196,9 +196,8 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     pairs for betas whose runs failed. Failures do not stop the sweep, so
     an empty grid, a beta that is not finite and > 0, fewer than one start
     per beta or a seed that is not an integer >= 0 is rejected before it.
-    The betas share one draw of the starts and one report memo, so a
-    policy met at an earlier beta only has its combined potential solved
-    again.
+    The betas share one draw of the starts; each beta's multi-start
+    evaluates its policies afresh, with a report memo of its own.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
@@ -210,11 +209,10 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     points = []
     optima_rows = []
     failures = []
-    reports = {}
     for beta in beta_grid:
         model_b = dataclasses.replace(model, beta=float(beta))
         try:
-            result = _multi_start(model_b, *starts, reports)
+            result = _multi_start(model_b, *starts, {})
         except MvmdpError as exc:
             failures.append((float(beta), str(exc)))
             continue

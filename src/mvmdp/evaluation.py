@@ -7,12 +7,15 @@ performance potentials that solve the associated Poisson equation.
 
 Every evaluation runs on the CSR rows of the policy's chain (`_Chain`):
 only the matrices LAPACK factors are dense, scattered from the rows.
-Policies are evaluated in batches, a single policy as a batch of one:
-the closed-class count runs once over the batch, and the rest a chunk of
-about 1 MB of matrices at a time (`_solve_chains`): the dense matrices
-are scattered into one stack per kind and factored slice by slice, and
-the metrics, right-hand sides and pass/fail gates are array operations
-over the chunk.
+Policies are evaluated in batches, a single policy as a batch of one,
+and every chain of a batch is evaluated whole: its own stationary
+distribution and every potential, at the batch's beta. The closed-class
+count runs once over the batch, and the rest a chunk of about 1 MB of
+matrices at a time (`_solve_chains`): the chunk's chains are gathered
+into a batch of their own (`_only`), their dense matrices are scattered
+into one stack per kind and factored slice by slice, and the metrics,
+right-hand sides and pass/fail gates are array operations over the
+chunk.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .model import (
     _check_policies,
     _check_rows,
     _closed_class_counts,
+    _gather_rows,
     _policy_rows,
     _positive_rows,
     _square,
@@ -139,7 +143,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     the normalization row. Raises when the distribution is not unique, i.e.
     when the support graph has two or more closed communicating classes.
     """
-    return _sole(_solve_chains(_dense_chain(_check_stochastic(P)), [None]))[0]
+    return _sole(_solve_chains(_dense_chain(_check_stochastic(P))))[0]
 
 
 def _sole(outcomes: list):
@@ -350,49 +354,24 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., None])[..., 0, 0]
 
 
-def _chunks(live: list, S: int) -> list:
-    """`live` in runs of as many chains as fit one S x S float64 matrix each
-    in _BLOCK_BYTES, and at least one: from S = 257 up, one chain a run."""
-    size = max(1, _BLOCK_BYTES // (S * S * 8))
-    return [live[k : k + size] for k in range(0, len(live), size)]
-
-
-def _sub_chain(chain: _Chain, lo: int, hi: int) -> _Chain:
-    """Chains lo, ..., hi - 1 of the batch, as a batch of their own."""
+def _only(chain: _Chain, ids: list) -> _Chain:
+    """Chains `ids` (increasing) of the batch, as a batch of their own: their
+    rows gathered and numbered again. The batch itself when ids are all of
+    it."""
     S = chain.size
-    if lo == 0 and hi * S == chain.indptr.size - 1:
+    if len(ids) * S == chain.indptr.size - 1:
         return chain
-    a, b = chain.indptr[lo * S], chain.indptr[hi * S]
-    shift = lo * S
-    return _Chain(
-        chain.indptr[shift : hi * S + 1] - a,
-        chain.rows[a:b] - shift,
-        chain.cols[a:b] - shift,
-        chain.values[a:b],
-        chain.at[a:b] - shift * S,
-        chain.ta[a:b] - shift * S,
-        S,
-    )
+    rows = (np.asarray(ids, dtype=np.int64)[:, None] * S + np.arange(S)).reshape(-1)
+    indptr, cols, values = _gather_rows(chain.indptr, rows, chain.cols, chain.values)
+    return _csr_chain(indptr, cols % S, values, S)
 
 
-def _scatter(chain: _Chain, members: list, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A C-order (c, S, S) stack of zeros with slice j holding chain
-    members[j] (increasing): values[k] at position at[k] for each entry k
-    of it, where `at` gives the positions in the stack of the whole batch
-    (chain.at or chain.ta)."""
-    c, S = len(members), chain.size
-    X = np.zeros((c, S, S))
-    if not c:
-        return X
-    if c * S != chain.indptr.size - 1:
-        lo, hi = chain.indptr[members[0] * S], chain.indptr[(members[-1] + 1) * S]
-        place = np.full(members[-1] + 1, -1)
-        place[members] = np.arange(c)
-        owner = chain.rows[lo:hi] // S
-        slot = place[owner]
-        kept = slot >= 0
-        at = at[lo:hi][kept] - (owner[kept] - slot[kept]) * (S * S)
-        values = values[lo:hi][kept]
+def _scatter(chain: _Chain, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A C-order (n, S, S) stack of zeros, slice m for chain m of the batch,
+    holding values[k] at position at[k] for each entry k (`at` is chain.at
+    or chain.ta)."""
+    S = chain.size
+    X = np.zeros(((chain.indptr.size - 1) // S, S, S))
     X.reshape(-1)[at] = values
     return X
 
@@ -405,9 +384,9 @@ def _diagonals(X: np.ndarray) -> np.ndarray:
     return X.reshape(-1)[:: S + 1] if c == 1 else X.reshape(c, S * S)[:, :: S + 1]
 
 
-def _stationary(chain: _Chain, members: list):
-    """(pi, singular): each of the chains `members`' solution of the
-    balance system, before any check, and whether its matrix is singular.
+def _stationary(chain: _Chain):
+    """(pi, singular): each chain's solution of the balance system, before
+    any check, and whether its matrix is singular.
 
     The balance matrix P^T - I with its last row set to ones is the
     transpose of P - I with its last column set to ones. That is scattered
@@ -416,36 +395,35 @@ def _stationary(chain: _Chain, members: list):
     np.linalg.solve would factor, and dgesv solves it for e_S as
     np.linalg.solve does. The stack is dropped on return.
     """
-    c, S = len(members), chain.size
-    X = _scatter(chain, members, chain.at, chain.values)
+    X = _scatter(chain, chain.at, chain.values)
     diagonal = _diagonals(X)
     diagonal -= 1.0
     X[:, :, -1] = 1.0
-    b = np.zeros((c, S))
+    b = np.zeros(X.shape[:2])
     b[:, -1] = 1.0
     return b, _LU(X, b).singular
 
 
-def _identity_minus_stack(chain: _Chain, members: list) -> np.ndarray:
-    """The transposes of I - P of the chains `members`, one C-order slice
+def _identity_minus_stack(chain: _Chain) -> np.ndarray:
+    """The transposes of I - P of the batch's chains, one C-order slice
     each, so that read column-major each slice is I - P. The floats are
     those of subtracting P from a dense identity, without building one or
     a dense P: each entry p of the rows is scattered into zeros as 0.0 - p,
     then 1.0 is added on the diagonal. 1.0 + (0.0 - p) is 1.0 - p exactly
     (0.0 - p negates p exactly, and a -0.0 or a missing entry gives 1.0)."""
-    X = _scatter(chain, members, chain.ta, 0.0 - chain.values)
+    X = _scatter(chain, chain.ta, 0.0 - chain.values)
     diagonal = _diagonals(X)
     diagonal += 1.0
     return X
 
 
-def _pinned(chain: _Chain, members: list) -> _LU:
-    """The factored pinned Poisson matrices of the chains `members`: I - P
+def _pinned(chain: _Chain) -> _LU:
+    """The factored pinned Poisson matrices of the batch's chains: I - P
     with row 0 replaced by e_0, factored on a zero right-hand side."""
-    X = _identity_minus_stack(chain, members)
+    X = _identity_minus_stack(chain)
     X[:, :, 0] = 0.0
     X[:, 0, 0] = 1.0
-    return _LU(X, np.zeros((len(members), chain.size)))
+    return _LU(X, np.zeros(X.shape[:2]))
 
 
 def _idle_cpu() -> bool:
@@ -456,26 +434,24 @@ def _idle_cpu() -> bool:
     return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
 
 
-def _solve_chains(chain: _Chain, pis: list, rhs=None) -> list:
+def _solve_chains(chain: _Chain, rhs=None) -> list:
     """For each chain m of the batch: (pi, F, J, G), or the EvaluationError
     its evaluation raises.
 
-    pis[m] is chain m's stationary distribution when it is known, and None
-    when it is to be solved. A solved pi must be unique: the support graph
-    (the rows' entries > 0) has one closed class. Then it must pass the
-    residual gate on pi P - pi, and it must not be negative beyond
-    round-off, which is set to 0 on transient states. Without rhs only pi
-    is solved, and F, J and G are None.
+    pi must be unique: the support graph (the rows' entries > 0) has one
+    closed class. Then it must pass the residual gate on pi P - pi, and it
+    must not be negative beyond round-off, which is set to 0 on transient
+    states. Without rhs only pi is solved, and F, J and G are None.
 
     rhs(members, pi) gives the right-hand sides of the chains `members`,
-    whose pis are the rows of pi: (F, J, PF, wanted), F of shape (K, c, S)
-    and the others (K, c), the k-th of chain members[q] being (F[k, q],
-    J[k, q]) where wanted[k, q]. PF holds the dot products pi . F with the
+    whose stationary distributions are the rows of pi: (F, J, PF), F of
+    shape (K, c, S) and the others (K, c), the k-th of chain members[q]
+    being (F[k, q], J[k, q]). PF holds the dot products pi . F with the
     bits of `_dots(pi, F)`: it often has them already. Each potential g
     solves (I - P) g = f - J with g[0] = 0, and J must equal pi.f within
     CONSISTENCY_TOL times max(1, max|f|). A chain's F and G are its (K, S)
     rows of them, with the potential of its k-th right-hand side in G[k],
-    and J is the list of its averages; what is not wanted is not solved.
+    and J is the list of its averages.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
@@ -489,125 +465,102 @@ def _solve_chains(chain: _Chain, pis: list, rhs=None) -> list:
 
     One strong-components pass over the union counts every chain's closed
     classes, before any dense work. The chains that pass are then solved a
-    chunk at a time (`_chunks`, `_solve_chunk`), so at most one chunk's two
-    stacks of S x S matrices are held at once: about 2 MB, or two matrices
-    once one exceeds _BLOCK_BYTES, as for a single chain. Each chain's
-    gates are read in the order a single evaluation reads them, and the
-    first that fails gives its error.
+    chunk at a time (`_only`, `_solve_chunk`), as many as fit one S x S
+    matrix each in _BLOCK_BYTES and at least one, so at most one chunk's
+    two stacks of S x S matrices are held at once: about 2 MB, or two
+    matrices once one exceeds _BLOCK_BYTES, as for a single chain. Each
+    chain's gates are read in the order a single evaluation reads them, and
+    the first that fails gives its error.
     """
-    M, S = len(pis), chain.size
-    out = [None] * M
-    if any(pi is None for pi in pis):
-        graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
-        counts = _closed_class_counts(*graph, M).tolist()
-        for m, pi in enumerate(pis):
-            if pi is None and counts[m] != 1:
-                out[m] = EvaluationError(
-                    "stationary distribution is not unique: the chain has multiple "
-                    "closed communicating classes"
-                )
+    S = chain.size
+    M = (chain.indptr.size - 1) // S
+    graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
+    counts = _closed_class_counts(*graph, M).tolist()
+    out = [
+        None if count == 1 else EvaluationError(
+            "stationary distribution is not unique: the chain has multiple "
+            "closed communicating classes"
+        )
+        for count in counts
+    ]
     live = [m for m in range(M) if out[m] is None]
-    for run in _chunks(live, S):
-        lo = run[0]
-        sub = _sub_chain(chain, lo, run[-1] + 1)
-        outcomes = _solve_chunk(sub, [m - lo for m in run], [pis[m] for m in run], rhs, lo)
-        for m, outcome in zip(run, outcomes):
+    size = max(1, _BLOCK_BYTES // (S * S * 8))
+    for k in range(0, len(live), size):
+        run = live[k : k + size]
+        for m, outcome in zip(run, _solve_chunk(_only(chain, run), rhs, run)):
             out[m] = outcome
     return out
 
 
-def _solve_chunk(chain: _Chain, members: list, pis: list, rhs, offset: int) -> list:
-    """_solve_chains for the chains `members` (increasing) of the batch
-    `chain`, whose pis are pis and whose numbers in rhs's batch are
-    offset + members.
+def _solve_chunk(chain: _Chain, rhs, ids: list) -> list:
+    """_solve_chains for every chain of the batch `chain`, whose numbers in
+    rhs's batch are ids.
 
-    The balance matrices of the members to be solved are scattered into
-    one stack and the pinned matrices of all members into another, with
-    one assignment each, and each slice is factored by address (`_LU`).
-    From OVERLAP_MIN_STATES states up, when a CPU would idle, a second
-    thread builds and factors the pinned stack while this one solves for
-    pi: LAPACK runs without the interpreter lock. Each factorization is the
-    same call either way, so the bits are the same; the second thread has
-    ended before anything else runs. The costs, the right-hand sides, the
-    consistency values and the gates are array operations over the chunk;
-    the stationary gate is one bincount and the Poisson gates one 2-D
-    reduceat over the chunk's rows, each row summed as its chain alone
+    The balance matrices are scattered into one stack and the pinned
+    matrices into another, with one assignment each, and each slice is
+    factored by address (`_LU`). From OVERLAP_MIN_STATES states up, when a
+    CPU would idle, a second thread builds and factors the pinned stack
+    while this one solves for pi: LAPACK runs without the interpreter lock.
+    Each factorization is the same call either way, so the bits are the
+    same; the second thread has ended before anything else runs. The costs,
+    the right-hand sides, the consistency values and the gates are array
+    operations over the chunk; the stationary gate is one bincount over the
+    chunk's rows and the Poisson gates one 2-D reduceat over the rows of
+    the chains that pass it (`_only`), each row summed as its chain alone
     sums it. Both stacks are gone before a chain that needs the normalized
     system builds it, as a stack of one.
     """
-    c, S = len(members), chain.size
-    n = (chain.indptr.size - 1) // S
-    fresh = [q for q in range(c) if pis[q] is None]
-    balance = [members[q] for q in fresh]
-    if rhs is not None and balance and S >= OVERLAP_MIN_STATES and _idle_cpu():
+    c, S = len(ids), chain.size
+    if rhs is not None and S >= OVERLAP_MIN_STATES and _idle_cpu():
         with ThreadPoolExecutor(max_workers=1) as worker:
-            pinned = worker.submit(_pinned, chain, members)
-            raw, singular = _stationary(chain, balance)
+            pinned = worker.submit(_pinned, chain)
+            raw, singular = _stationary(chain)
         pinned = pinned.result()
     else:
-        raw, singular = _stationary(chain, balance)
-        pinned = None if rhs is None else _pinned(chain, members)
-    solved, negative = raw, [False] * len(fresh)
+        raw, singular = _stationary(chain)
+        pinned = None if rhs is None else _pinned(chain)
+    pi, negative = raw, [False] * c
     if (raw < 0).any():
         # transient states may come out as tiny negative round-off
-        solved = np.where((raw < 0) & (raw > -STATIONARY_TOL), 0.0, raw)
-        negative = (solved < 0).any(axis=1).tolist()
-    if len(fresh) == c:
-        pi = solved
-    else:
-        pi = np.empty((c, S))
-        pi[fresh] = solved
-        for q, known in enumerate(pis):
-            if known is not None:
-                pi[q] = known
+        pi = np.where((raw < 0) & (raw > -STATIONARY_TOL), 0.0, raw)
+        negative = (pi < 0).any(axis=1).tolist()
+    # the gate reads the unclamped solutions; a singular chain's is never read
+    x = raw.reshape(-1)
+    piP = np.bincount(chain.cols, x[chain.rows] * chain.values, minlength=c * S)
+    residual = np.abs(piP - x).reshape(c, S).max(axis=1).tolist()
     errors = [None] * c
-    if balance:
-        # the unclamped pis; a singular chain's row is never read
-        if len(balance) == n:
-            x = raw.reshape(-1)
-        else:
-            x = np.zeros((n, S))
-            x[balance] = raw
-            x = x.reshape(-1)
-        piP = np.bincount(chain.cols, x[chain.rows] * chain.values, minlength=n * S)
-        residual = np.abs(piP - x).reshape(n, S).max(axis=1)
-        residual = (residual if len(balance) == n else residual[balance]).tolist()
-        for q, bad, res, neg in zip(fresh, singular, residual, negative):
-            if bad:
-                errors[q] = "stationary solve failed: Singular matrix"
-            elif res > STATIONARY_TOL:
-                errors[q] = f"stationary solve residual {res:.3e} exceeds {STATIONARY_TOL}"
-            elif neg:
-                errors[q] = "stationary solve produced a negative probability"
+    for q, (bad, res, neg) in enumerate(zip(singular, residual, negative)):
+        if bad:
+            errors[q] = "stationary solve failed: Singular matrix"
+        elif res > STATIONARY_TOL:
+            errors[q] = f"stationary solve residual {res:.3e} exceeds {STATIONARY_TOL}"
+        elif neg:
+            errors[q] = "stationary solve produced a negative probability"
     good = [q for q in range(c) if errors[q] is None]
     if len(good) < c:
         pi = pi[good]
     if rhs is not None and good:
-        F, J, PF, wanted = rhs([offset + members[q] for q in good], pi)
+        F, J, PF = rhs([ids[q] for q in good], pi)
         G = F - J[..., None]
         G[..., 0] = 0.0
-        slots = [good[q] if w else None for row in wanted.tolist() for q, w in enumerate(row)]
-        unsolved = pinned.solve(slots, G.reshape(-1, S))
+        unsolved = pinned.solve(good * F.shape[0], G.reshape(-1, S))
         # a potential whose pinned matrix is singular fails its gate
-        done = wanted
-        if unsolved:
-            done = wanted.copy()
-            done.reshape(-1)[unsolved] = False
-            G.reshape(-1, S)[unsolved] = 0.0
+        G.reshape(-1, S)[unsolved] = 0.0
     del pinned  # the pinned factors go before any normalized matrix is built
     if rhs is None or not good:
         return _outcomes(errors, good, pi)
-    kept = [members[q] for q in good]
+    kept = _only(chain, good)
     consistency = np.abs(PF - J)
     # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
     off = consistency > CONSISTENCY_TOL
     if off.any():
-        off &= wanted & (consistency > CONSISTENCY_TOL * np.abs(F).max(axis=2))
-    passed = _poisson_gates(chain, kept, F, J, G)[1] & done
-    if off.any() or not passed[wanted].all():
+        off &= consistency > CONSISTENCY_TOL * np.abs(F).max(axis=2)
+    passed = _poisson_gates(kept, F, J, G)[1]
+    passed.reshape(-1)[unsolved] = False
+    if off.any() or not passed.all():
         # the right-hand sides after an inconsistent one are never solved
-        retry = wanted & ~passed & ~np.logical_or.accumulate(off, axis=0)
-        for q, error in zip(good, _fall_back(chain, kept, pi, F, J, G, retry, off, consistency)):
+        retry = ~passed & ~np.logical_or.accumulate(off, axis=0)
+        for q, error in zip(good, _fall_back(kept, pi, F, J, G, retry, off, consistency)):
             errors[q] = error
     return _outcomes(errors, good, pi, F, J.T.tolist(), G)
 
@@ -624,8 +577,8 @@ def _outcomes(errors: list, good: list, pi, F=None, J=None, G=None) -> list:
     return out
 
 
-def _fall_back(chain, members, pi, F, J, G, retry, off, consistency) -> list:
-    """Solves each potential G[k, q] of chain members[q] that `retry` marks
+def _fall_back(chain, pi, F, J, G, retry, off, consistency) -> list:
+    """Solves each potential G[k, q] of chain q that `retry` marks
     from the normalized system instead, a chain at a time. Returns each
     chain's error: that of its first right-hand side that is inconsistent
     (`off`, with its consistency value) or fails the normalized solve or
@@ -634,15 +587,15 @@ def _fall_back(chain, members, pi, F, J, G, retry, off, consistency) -> list:
     for q in np.flatnonzero(retry.any(axis=0)).tolist():
         ks = np.flatnonzero(retry[:, q])
         b = F[ks, q] - J[ks, q][:, None]
-        normalized = _normalized(chain, members[q], pi[q])
+        normalized = _normalized(chain, q, pi[q])
         if not normalized.solve([0] * ks.size, b):
             G[ks, q] = b - b[:, :1]
         else:
             stuck[ks, q] = True
         del normalized
-    residual, passed = _poisson_gates(chain, members, F, J, G)
+    residual, passed = _poisson_gates(chain, F, J, G)
     failed = off | stuck | (retry & ~stuck & ~passed)
-    errors = [None] * len(members)
+    errors = [None] * retry.shape[1]
     for q in np.flatnonzero(failed.any(axis=0)).tolist():
         k = int(np.argmax(failed[:, q]))
         if off[k, q]:
@@ -660,29 +613,19 @@ def _fall_back(chain, members, pi, F, J, G, retry, off, consistency) -> list:
 def _normalized(chain: _Chain, member: int, pi: np.ndarray) -> _LU:
     """The factored normalized Poisson matrix I - P + 1 pi^T of chain
     `member`, as a stack of one."""
-    X = _identity_minus_stack(chain, [member])
+    X = _identity_minus_stack(_only(chain, [member]))
     X[0] += pi[:, None]
     return _LU(X, np.zeros((1, chain.size)))
 
 
-def _poisson_gates(chain: _Chain, members: list, F, J, G):
+def _poisson_gates(chain: _Chain, F, J, G):
     """(residual, passed), each (K, c): `poisson_residual` of each potential
-    G[k, q] of chain members[q], for the right-hand side (F[k, q],
-    J[k, q]). Every P g is taken at once over the batch's rows, each with
-    the bits of its chain's own product."""
+    G[k, q] of chain q, for the right-hand side (F[k, q], J[k, q]). Every
+    P g is taken at once over the batch's rows, each with the bits of its
+    chain's own product."""
     K, c, S = G.shape
-    n = (chain.indptr.size - 1) // S
-    if c < n:
-        g = np.zeros((K, n, S))
-        g[:, members] = G
-    else:
-        g = G
-    Pg = _times(chain, g.reshape(K, n * S)).reshape(K, n, S)
-    if c < n:
-        Pg = Pg[:, members]
-    residual, passed = poisson_residual(
-        Pg.reshape(-1, S), F.reshape(-1, S), J.reshape(-1), G.reshape(-1, S)
-    )
+    Pg = _times(chain, G.reshape(K, c * S)).reshape(-1, S)
+    residual, passed = poisson_residual(Pg, F.reshape(-1, S), J.reshape(-1), G.reshape(-1, S))
     return residual.reshape(K, c), passed.reshape(K, c)
 
 
@@ -699,9 +642,9 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     J = np.array([[float(J)]])
 
     def rhs(members, pi):
-        return f[None, None], J, _dots(pi, f[None, None]), np.ones((1, 1), dtype=bool)
+        return f[None, None], J, _dots(pi, f[None, None])
 
-    return _sole(_solve_chains(_dense_chain(P), [None], rhs))[3][0]
+    return _sole(_solve_chains(_dense_chain(P), rhs))[3][0]
 
 
 def _policy_chains(model: MdpModel, policies) -> tuple:
@@ -737,43 +680,28 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
     return _sole(_evaluate_chains(*_policy_chain(model, policy), model.beta))
 
 
-def _evaluate_policies(model: MdpModel, policies, known=None) -> list:
+def _evaluate_policies(model: MdpModel, policies) -> list:
     """evaluate(model, p) for each deterministic policy p of `policies`, as
     one batch (`_evaluate_chains`): each one's report, or the
-    EvaluationError evaluate raises for it. known[m], when not None, is the
-    report of policies[m] at another beta."""
-    return _evaluate_chains(*_policy_chains(model, policies), model.beta, known)
+    EvaluationError evaluate raises for it."""
+    return _evaluate_chains(*_policy_chains(model, policies), model.beta)
 
 
-def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float, known=None) -> list:
+def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float) -> list:
     """evaluate for each chain of the batch from _policy_chain(s): a list
     with each one's report, or the EvaluationError evaluate raises for it.
 
     r stacks the chains' reward vectors. m2 is None, or a list with each
     chain's second-moment row, None for a deterministic policy's chain.
-    known[m], when given and not None, is chain m's report at another
-    beta. Its pi, j_mean, j_var and mean and variance potentials do not
-    depend on beta and are kept; the combined metric, the cost and the
-    combined potential are computed again with the expressions of a fresh
-    evaluation, so the outcome is the same floats (or the same
-    EvaluationError) evaluate gives. j_mean, j_var and the costs are taken
-    for a chunk at a time, each with the bits of one chain's scalar
-    expressions: each dot product is one chain's ddot (`_dots`).
+    j_mean, j_var and the costs are taken for a chunk at a time, each with
+    the bits of one chain's scalar expressions: each dot product is one
+    chain's ddot (`_dots`).
     """
-    M = r.shape[0]
-    known = known or [None] * M
-    given = None
-    if any(report is not None for report in known):
-        fixed = np.array([report is not None for report in known])
-        given = np.array([(k.j_mean, k.j_var) if k is not None else (0.0, 0.0) for k in known])
 
     def rhs(members, pi):
         # the costs, rewards and squared deviations, and their averages
         rows = r.take(members, axis=0)
         j_mean = _dots(pi, rows)
-        if given is not None:
-            kept = fixed[members]
-            j_mean = np.where(kept, given[members, 0], j_mean)
         sq = _squared_deviation(rows, j_mean[:, None])
         if m2 is not None:
             for q, m in enumerate(members):
@@ -783,23 +711,13 @@ def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float, known=None) 
         # pi . cost for the consistency check, pi . r = j_mean and pi . sq = j_var
         PF = _dots(pi, F)
         j_var = PF[2]
-        wanted = np.ones((3, len(members)), dtype=bool)
-        if given is not None:
-            j_var = np.where(kept, given[members, 1], j_var)
-            wanted[1:, kept] = False
-        return F, np.array([j_mean - beta * j_var, j_mean, j_var]), PF, wanted
+        return F, np.array([j_mean - beta * j_var, j_mean, j_var]), PF
 
-    outcomes = _solve_chains(chain, [None if k is None else k.pi for k in known], rhs)
+    outcomes = _solve_chains(chain, rhs)
     for m, outcome in enumerate(outcomes):
-        if isinstance(outcome, EvaluationError):
-            continue
-        pi, (cost, _, _), (j_comb, j_mean, j_var), potentials = outcome
-        if known[m] is None:
+        if not isinstance(outcome, EvaluationError):
+            pi, (cost, _, _), (j_comb, j_mean, j_var), potentials = outcome
             outcomes[m] = EvaluationReport(pi, j_mean, j_var, j_comb, cost, *potentials, beta)
-        else:
-            outcomes[m] = dataclasses.replace(
-                known[m], j_combined=j_comb, cost=cost, potential=potentials[0], beta=beta
-            )
     return outcomes
 
 

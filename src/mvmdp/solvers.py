@@ -128,23 +128,14 @@ def _reports(model: MdpModel, policies: list, reports: dict) -> dict:
     for it.
 
     `reports` maps each policy evaluated before in the same solver call to
-    its last report, and a report at model.beta is served from it. The
-    others are evaluated as one batch (`_evaluate_policies`); a report at
-    another beta (a beta sweep) only needs its combined potential solved
-    again. A report is stored only once its evaluation succeeds.
+    its report, which is served from it; the others are evaluated as one
+    batch (`_evaluate_policies`). A report is stored only once its
+    evaluation succeeds.
     """
-    out = {}
-    todo = []
-    for policy in policies:
-        if policy in out:
-            continue
-        report = reports.get(policy)
-        out[policy] = report
-        if report is None or report.beta != model.beta:
-            todo.append(policy)
+    out = {policy: reports.get(policy) for policy in policies}
+    todo = [policy for policy, report in out.items() if report is None]
     if todo:
-        batch = _evaluate_policies(model, todo, [out[policy] for policy in todo])
-        for policy, report in zip(todo, batch):
+        for policy, report in zip(todo, _evaluate_policies(model, todo)):
             out[policy] = report
             if isinstance(report, EvaluationReport):
                 reports[policy] = report

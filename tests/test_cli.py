@@ -40,9 +40,13 @@ from mvmdp.cli import ParetoPoint, _build_parser, _optima_path, cross_check, mai
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """A directory holding wind.json and the policy pol.json that solve-pi
+    finds on it from seed 0, with its trace trace.csv."""
     d = tmp_path_factory.mktemp("cli")
     assert main(["wind-build", "--scenario", "no-abandon", "--beta", "0.1",
                  "--out", str(d / "wind.json")]) == 0
+    assert main(["solve-pi", "--model", str(d / "wind.json"), "--seed", "0",
+                 "--out", str(d / "trace.csv"), "--policy-out", str(d / "pol.json")]) == 0
     return d
 
 
@@ -182,9 +186,6 @@ class TestSolveAndEvaluate:
     def test_solve_pi_artifacts(self, workdir):
         trace = workdir / "trace.csv"
         pol = workdir / "pol.json"
-        code = main(["solve-pi", "--model", str(workdir / "wind.json"),
-                     "--seed", "0", "--out", str(trace), "--policy-out", str(pol)])
-        assert code == 0
         header, rows = read_csv(trace)
         assert header == ["iter", "j_mean", "j_var", "j_combined", "states_changed"]
         assert rows[0][0] == "0" and rows[0][4] == "0"
@@ -417,7 +418,7 @@ class TestSweepBeta:
         header, rows = read_csv(out)
         assert rows == [] or rows == [[""]]
 
-    def test_shared_memo_matches_per_beta_multi_start(
+    def test_sweep_matches_per_beta_multi_start(
         self, wind_model, abandon_model_beta1, abandon_model_b20
     ):
         grid = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -438,19 +439,6 @@ class TestSweepBeta:
                 assert got == want
                 failed += len(want[1][2])
         assert failed > 0
-
-    def test_sweep_evaluates_each_policy_once(self, monkeypatch, wind_model):
-        evaluated = []
-        inner = solvers._evaluate_policies
-
-        def counting(model, policies, known):
-            # a policy met at an earlier beta brings its report along
-            evaluated.extend(p for p, report in zip(policies, known) if report is None)
-            return inner(model, policies, known)
-
-        monkeypatch.setattr(solvers, "_evaluate_policies", counting)
-        sweep_beta(wind_model, (0.1, 0.5, 2.0), 6, seed=0)
-        assert len(evaluated) == len(set(evaluated))
 
     def test_starts_are_drawn_once_per_sweep(self, monkeypatch, wind_model):
         draws = []
@@ -631,8 +619,8 @@ class TestSeedEnvironment:
 
 
 def per_beta_sweep(model, beta_grid, starts_per_beta, seed):
-    """sweep_beta before the betas shared a report memo: one public
-    multi_start per beta."""
+    """sweep_beta as one public multi_start per beta, each drawing its
+    starts from the same seed."""
     points, optima_rows, failures = [], [], []
     for beta in beta_grid:
         model_b = dataclasses.replace(model, beta=float(beta))

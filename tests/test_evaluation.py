@@ -1,5 +1,6 @@
 """Stationary distributions, metric computation, and the potential solve."""
 import dataclasses
+import itertools
 import re
 import threading
 import tracemalloc
@@ -16,6 +17,7 @@ from conftest import (
     random_mdp,
     threshold_policy,
 )
+import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
@@ -39,7 +41,6 @@ from mvmdp import (
     steady_state_variance,
 )
 from mvmdp import evaluation
-from mvmdp.evaluation import _evaluate_policies, _sole
 
 
 class TestStationaryDistribution:
@@ -394,7 +395,7 @@ def test_identity_minus_has_the_reference_bits(battery, abandonment):
     model = build(spec)
     for policy in (threshold_policy(spec), uniform_theta(model)):
         chain = evaluation._policy_chain(model, policy)[0]
-        got = evaluation._identity_minus_stack(chain, [0])[0].T
+        got = evaluation._identity_minus_stack(chain)[0].T
         assert same_bits(got, strided_identity_minus(dense_policy_chain(model, policy)))
 
 
@@ -639,62 +640,27 @@ class TestOverlap:
         assert self.check(monkeypatch, wind_model, frozen_battery_policy, 0) == "EvaluationError"
 
 
-def with_beta(model, policy, report):
-    """evaluate(model, policy) given the policy's report at another beta,
-    as the solvers' memo asks for it: a batch of one."""
-    return _sole(_evaluate_policies(model, [policy], [report]))
-
-
 class TestWithBeta:
-    """A report at one beta turns into evaluate's report at another, field
-    for field, or raises evaluate's exception."""
-
-    BETAS = (1e-3, 0.2, 0.5, 1.0, 5.0, 100.0)
-
-    def check(self, model, policy, betas=BETAS):
-        report = evaluate(model, policy)
-        kinds = set()
-        for beta in betas:
-            mb = dataclasses.replace(model, beta=beta)
-            got = outcome(with_beta, mb, policy, report)
-            want = outcome(evaluate, mb, policy)
-            assert got[0] == want[0]
-            kinds.add(want[0])
-            if want[0] == "ok":
-                assert_reports_equal(got[1], want[1])
-            else:
-                assert got[1] == want[1]
-        return kinds
-
-    def test_matches_evaluate(self, wind_model, abandon_model_beta1):
-        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=75):
-            assert self.check(m, d) == {"ok"}
-
-    def test_transient_pin_state(self):
-        for closed in TRANSIENT_PIN_CHAINS:
-            m = transient_pin_model(closed)
-            d = DeterministicPolicy(np.zeros(3, dtype=int))
-            assert evaluate(m, d).pi[0] == pytest.approx(0.0, abs=1e-12)
-            assert self.check(m, d) == {"ok"}
+    """evaluate at betas far from the model's own: an overflowing cost
+    fails the potential's residual check, although the beta-free parts are
+    fine."""
 
     def test_combined_potential_failure(self, wind_model, abandon_model_beta1):
-        # at beta = 1e308 the cost overflows and its potential fails the
-        # residual check, although the beta-free parts are fine
         for m in (wind_model, abandon_model_beta1):
             kinds = set()
-            for seed in (0, 76):
-                d = sample_random_policy(m, np.random.default_rng(seed))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    kinds |= self.check(m, d, betas=(1e308, 1e300, 0.3))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for seed, beta in itertools.product((0, 76), (1e308, 1e300, 0.3)):
+                    d = sample_random_policy(m, np.random.default_rng(seed))
+                    kinds.add(outcome(evaluate, dataclasses.replace(m, beta=beta), d)[0])
             assert kinds == {"EvaluationError", "ok"}
 
     def test_overflowing_cost_error(self, wind_model):
         d = sample_random_policy(wind_model, np.random.default_rng(0))
-        report = evaluate(wind_model, d)
         mb = dataclasses.replace(wind_model, beta=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            for got in (outcome(evaluate, mb, d), outcome(with_beta, mb, d, report)):
-                assert got == ("EvaluationError", "potential residual nan is too large")
+            assert outcome(evaluate, mb, d) == (
+                "EvaluationError", "potential residual nan is too large"
+            )
 
 
 LU = evaluation._LU
@@ -923,11 +889,10 @@ def transient_entry_chain(rng, S, escape):
 
 
 def batch_members(battery, rng):
-    """(model, policy, known beta or None) of each member of a batch on the
-    wind model's states at this battery capacity, in an order that mixes
-    the kinds: irreducible, transient state 0 with a singular pinned
-    system, multichain, singular balance matrix; deterministic and
-    randomized; fresh and known at another beta."""
+    """(model, policy) of each member of a batch on the wind model's states
+    at this battery capacity, in an order that mixes the kinds:
+    irreducible, transient state 0 with a singular pinned system,
+    multichain, singular balance matrix; deterministic and randomized."""
     beta = 0.3
     spec = WindStorageSpec(battery_capacity=battery, beta=beta)
     wind = build(spec)
@@ -940,28 +905,28 @@ def batch_members(battery, rng):
 
     irreducible = [sample_random_policy(wind, rng) for _ in range(5)]
     return [
-        (wind, irreducible[0], None),
-        synthetic(1.0) + (None,),
-        (wind, hold, None),
-        (wind, uniform_theta(wind), None),
-        (wind, irreducible[1], 2.0),
-        synthetic(1e-17) + (None,),
-        (wind, irreducible[2], None),
-        synthetic(1.0) + (0.05,),
-        (wind, threshold_policy(spec), None),
-        (wind, uniform_theta(wind), 1.5),
-        (wind, irreducible[3], None),
-        (wind, hold, None),
-        (wind, irreducible[4], 0.7),
-        synthetic(1e-17) + (None,),
+        (wind, irreducible[0]),
+        synthetic(1.0),
+        (wind, hold),
+        (wind, uniform_theta(wind)),
+        (wind, irreducible[1]),
+        synthetic(1e-17),
+        (wind, irreducible[2]),
+        synthetic(1.0),
+        (wind, threshold_policy(spec)),
+        (wind, uniform_theta(wind)),
+        (wind, irreducible[3]),
+        (wind, hold),
+        (wind, irreducible[4]),
+        synthetic(1e-17),
     ]
 
 
 def mixed_batch(members):
     """_evaluate_chains' arguments for the members as one batch: their
-    chains' rows one after the other, their rewards, second-moment rows and
-    known reports."""
-    parts = [evaluation._policy_chain(model, policy) for model, policy, _ in members]
+    chains' rows one after the other, their rewards and second-moment
+    rows."""
+    parts = [evaluation._policy_chain(model, policy) for model, policy in members]
     S = parts[0][0].size
     indptr = [np.zeros(1, dtype=np.int64)]
     for chain, _, _ in parts:
@@ -974,11 +939,7 @@ def mixed_batch(members):
     )
     r = np.concatenate([part[1] for part in parts])
     m2 = [None if part[2] is None else part[2][0] for part in parts]
-    known = [
-        None if other is None else evaluate(dataclasses.replace(model, beta=other), policy)
-        for model, policy, other in members
-    ]
-    return chain, r, m2, known
+    return chain, r, m2
 
 
 class TestMixedBatch:
@@ -990,11 +951,11 @@ class TestMixedBatch:
     @pytest.mark.parametrize("overlap", [False, True])
     def test_members_match_evaluate_alone(self, monkeypatch, battery, overlap):
         members = batch_members(battery, np.random.default_rng(90 + battery))
-        chain, r, m2, known = mixed_batch(members)
+        chain, r, m2 = mixed_batch(members)
         S = chain.size
-        want = [outcome(evaluate, model, policy) for model, policy, _ in members]
+        want = [outcome(evaluate, model, policy) for model, policy in members]
         pool = force_overlap(monkeypatch, overlap)
-        got = evaluation._evaluate_chains(chain, r, m2, members[0][0].beta, known)
+        got = evaluation._evaluate_chains(chain, r, m2, members[0][0].beta)
         for have, (kind, expected) in zip(got, want):
             if kind == "ok":
                 assert isinstance(have, evaluation.EvaluationReport)
@@ -1009,12 +970,13 @@ class TestMixedBatch:
         }
         # the multichain members never reach the dense work
         live = [m for m, (_, message) in enumerate(want) if "not unique" not in str(message)]
-        runs = evaluation._chunks(live, S)
-        assert len(runs) == (2 if battery == 20 else 1)
-        assert pool.calls == (len(runs) if overlap else 0)
+        per_chunk = max(1, mvmdp.model._BLOCK_BYTES // (S * S * 8))
+        chunks = -(-len(live) // per_chunk)
+        assert chunks == (2 if battery == 20 else 1)
+        assert pool.calls == (chunks if overlap else 0)
         # the transient-entry members that evaluate need the normalized system
         fell_back = 0
-        for (model, policy, _), report in zip(members, got):
+        for (model, policy), report in zip(members, got):
             if model.num_actions == 1 and isinstance(report, evaluation.EvaluationReport):
                 P, _ = induced_chain(model, policy)
                 fell_back += reference_potential(P, report.cost, report.j_combined, report.pi)[1]
@@ -1036,8 +998,8 @@ class TestStationaryGates:
         kernel[1:, 0, 1:] = [[0.3, 0.7], [0.6, 0.4]]
         m = MdpModel(3, 1, ((0,),) * 3, kernel, np.array([[5.0], [1.0], [-2.0]]), 0.4)
 
-        def perturbed(chain, members):
-            pi, singular = STATIONARY(chain, members)
+        def perturbed(chain):
+            pi, singular = STATIONARY(chain)
             pi[:, 0] += shift
             return pi, singular
 

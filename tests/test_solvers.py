@@ -725,9 +725,9 @@ class TestMemoReference:
         evaluated = []
         inner = solvers._evaluate_policies
 
-        def counting(model, policies, known):
+        def counting(model, policies):
             evaluated.extend(policies)
-            return inner(model, policies, known)
+            return inner(model, policies)
 
         monkeypatch.setattr(solvers, "_evaluate_policies", counting)
         for m in (wind_model, abandon_model_beta1):
@@ -745,9 +745,9 @@ class TestMemoReference:
         batches, scored = [], []
         evaluate_batch, score_batch = solvers._evaluate_policies, solvers._scores
 
-        def counting_evaluations(model, policies, known):
+        def counting_evaluations(model, policies):
             batches.append(list(policies))
-            return evaluate_batch(model, policies, known)
+            return evaluate_batch(model, policies)
 
         def counting_scores(model, reports, policies):
             scored.extend(policies)
