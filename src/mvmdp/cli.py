@@ -43,7 +43,7 @@ from .model import (
     save_model,
     save_policy,
 )
-from .sensitivity import improvement_vector
+from .sensitivity import _scores
 from .simulation import estimate_metrics, simulate_path
 from .solvers import (
     GradientConfig,
@@ -121,7 +121,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if not isinstance(policy, DeterministicPolicy):
             raise ValidationError("--scores-out needs a deterministic policy")
         states, actions = _feasible_pairs(model)
-        scores = improvement_vector(model, report, policy).score[states, actions].tolist()
+        # the report was made just now from this policy: nothing to check
+        scores = _scores(model, [report])[0][0, states, actions].tolist()
         rows = ((str(i), str(a), _fmt(q)) for i, a, q in zip(states, actions, scores))
         _write_csv(args.scores_out, "state,action,score", rows)
     _write_json(args.out, report_to_dict(report))

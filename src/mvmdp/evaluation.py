@@ -312,13 +312,12 @@ class _LU:
             self.singular[j] = self.info.value > 0
 
     def solve(self, slots: list, x: np.ndarray) -> list:
-        """Solves each row x[k] in place with the matrix of slice slots[k],
-        skipping the rows whose slot is None; returns the rows left
-        unsolved because their matrix is singular."""
+        """Solves each row x[k] in place with the matrix of slice slots[k];
+        returns the rows left unsolved because their matrix is singular."""
         S = self.stack.shape[1]
         if not _c_doubles(x) or x.shape != (len(slots), S):
             raise ValueError(f"need a C-order float64 ({len(slots)}, S) array, got {x.shape}")
-        rows = [k for k, j in enumerate(slots) if j is not None and not self.singular[j]]
+        rows = [k for k, j in enumerate(slots) if not self.singular[j]]
         if self.lapack is None:
             for k in rows:
                 x[k] = np.linalg.solve(self.stack[slots[k]].T, x[k])
@@ -330,7 +329,7 @@ class _LU:
                 self.lapack[1](
                     b"N", n, _ONE, lu + j * S * S * 8, n, ipiv + j * S * 8, b + k * S * 8, n, info
                 )
-        return [k for k, j in enumerate(slots) if j is not None and self.singular[j]]
+        return [k for k, j in enumerate(slots) if self.singular[j]]
 
 
 # one right-hand side; LAPACK only reads it, so every thread may pass it
@@ -647,15 +646,13 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     return _sole(_solve_chains(_dense_chain(P), rhs))[3][0]
 
 
-def _policy_chains(model: MdpModel, policies) -> tuple:
-    """(chain, r, None): the batch of the chains the deterministic
-    `policies` induce, and their reward vectors stacked in r.
-
-    The policies are checked first, as validate_for checks each. The batch
-    is one gather of the model's CSR rows (`_policy_rows`), made of rows
-    that already passed `_check_rows`, the rule of _check_stochastic.
+def _policy_chains(model: MdpModel, action: np.ndarray) -> tuple:
+    """(chain, r, None): the batch of the chains of the (M, S) stack of
+    feasible action tables `action`, which is not checked, and their reward
+    vectors stacked in r. The batch is one gather of the model's CSR rows
+    (`_policy_rows`), made of rows that already passed `_check_rows`, the
+    rule of _check_stochastic.
     """
-    action = _check_policies(model, policies)
     r = model.reward[np.arange(model.num_states), action]
     return _csr_chain(*_policy_rows(model, action), model.num_states), r, None
 
@@ -664,11 +661,12 @@ def _policy_chain(model: MdpModel, policy) -> tuple:
     """(chain, r, m2) of the chain a deterministic or randomized policy
     induces, as a batch of one: r holds its reward vector, and m2 is None
     for a deterministic policy and [its second-moment row] for a
-    randomized one. A randomized mixture is built dense, checked again and
-    converted once.
+    randomized one. The policy is checked first, as validate_for checks
+    it. A randomized mixture is built dense, checked again and converted
+    once.
     """
     if isinstance(policy, DeterministicPolicy):
-        return _policy_chains(model, [policy])
+        return _policy_chains(model, _check_policies(model, [policy]))
     if isinstance(policy, RandomizedPolicy):
         P, r, m2 = induced_chain_randomized(model, policy)
         return _dense_chain(_check_stochastic(P)), r[None], [m2]
@@ -683,8 +681,10 @@ def evaluate(model: MdpModel, policy) -> EvaluationReport:
 def _evaluate_policies(model: MdpModel, policies) -> list:
     """evaluate(model, p) for each deterministic policy p of `policies`, as
     one batch (`_evaluate_chains`): each one's report, or the
-    EvaluationError evaluate raises for it."""
-    return _evaluate_chains(*_policy_chains(model, policies), model.beta)
+    EvaluationError evaluate raises for it. The action tables are stacked
+    unchecked: the policies must be feasible for the model."""
+    action = np.array([policy.action for policy in policies])
+    return _evaluate_chains(*_policy_chains(model, action), model.beta)
 
 
 def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float) -> list:

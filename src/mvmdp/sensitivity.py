@@ -48,56 +48,49 @@ class DifferenceBreakdown:
     direct: float
 
 
-def _scores(model: MdpModel, reports: list, policies: list):
-    """(score, kg, residual, ok) for each (report, policy) pair, as one
-    batch: the Q-scores of every feasible pair (NaN elsewhere) and
-    kernel @ g, stacked (M, S, A), and whether each report passes the
-    Poisson residual check on its policy's chain, with its residual. The
-    policies are deterministic, or one randomized policy.
+def _scores(model: MdpModel, reports: list):
+    """(score, kg) of the reports, as one batch: the Q-scores of every
+    feasible pair (NaN elsewhere) and kernel @ g, stacked (M, S, A). The
+    reports are not checked (`_score_table` checks for the public
+    functions).
 
-    Each report must carry the Poisson solution of its policy's chain; its
-    transition-weighted potential is read off kernel @ g, so the chain
-    itself is never gathered. kernel @ g is taken block by block over the
-    model's dense kernel blocks, with the bits of the whole product; each
-    block is built once for the batch and multiplied by every potential in
-    one stacked np.matmul, which numpy takes as one gemv per (potential,
-    state) pair, as block @ g does (block @ G.T is a gemm and rounds
-    differently).
+    kernel @ g is taken block by block over the model's dense kernel
+    blocks, with the bits of the whole product; each block is built once
+    for the batch and multiplied by every potential in one stacked
+    np.matmul, which numpy takes as one gemv per (potential, state) pair,
+    as block @ g does (block @ G.T is a gemm and rounds differently).
     """
-    if isinstance(policies[0], RandomizedPolicy):
-        policies[0].validate_for(model)
-    else:
-        action = _check_policies(model, policies)
     G = np.array([report.potential for report in reports])
     kg = np.empty((len(reports), model.num_states, model.num_actions))
     for lo, hi, block in model._blocks():
         np.matmul(block, G[:, None, :, None], out=kg[:, lo:hi, :, None])
-    if isinstance(policies[0], RandomizedPolicy):
-        pg = (policies[0].theta * kg[0]).sum(axis=1)[None]
-    else:
-        pg = kg[np.arange(len(reports))[:, None], np.arange(model.num_states), action]
-    residual, ok = poisson_residual(
-        pg,
-        np.array([report.cost for report in reports]),
-        np.array([report.j_combined for report in reports]),
-        G,
-    )
     j_mean = np.array([report.j_mean for report in reports])
     cost = mv_cost_vector(model.reward, j_mean[:, None, None], model.beta)
     score = np.where(model.feasible_mask(), cost + kg, np.nan)
-    return score, kg, residual, ok
+    return score, kg
 
 
 def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
-    """Q-scores of every feasible pair (NaN elsewhere) and kernel @ g of
-    one (report, policy) pair (`_scores`); a ValidationError when the
-    report does not solve the Poisson equation of the policy's chain."""
-    score, kg, residual, ok = _scores(model, [report], [policy])
+    """`_scores` of one report, once its deterministic or randomized policy
+    is checked; a ValidationError when the report does not solve the
+    Poisson equation of the policy's chain, whose P g is read off kernel @ g
+    without gathering the chain."""
+    if isinstance(policy, RandomizedPolicy):
+        policy.validate_for(model)
+    else:
+        action = _check_policies(model, [policy])[0]
+    (score,), (kg,) = _scores(model, [report])
+    if isinstance(policy, RandomizedPolicy):
+        pg = (policy.theta * kg).sum(axis=1)
+    else:
+        pg = kg[np.arange(model.num_states), action]
+    f, J, g = np.array([report.cost]), np.array([report.j_combined]), np.array([report.potential])
+    residual, ok = poisson_residual(pg[None], f, J, g)
     if not ok[0]:
         raise ValidationError(
             f"evaluation report does not match the {what} (Poisson residual {residual[0]:.3e})"
         )
-    return score[0], kg[0]
+    return score, kg
 
 
 def improvement_vector(
@@ -181,6 +174,12 @@ def derivative_randomized(
                  + 2 beta J_mean r(i,a)) for feasible pairs, NaN elsewhere.
     """
     _, kg = _score_table(model, theta_report, theta, "randomized policy")
-    pi, j_mean, beta, r = theta_report.pi, theta_report.j_mean, model.beta, model.reward
+    return _gradient(model, theta_report, kg)
+
+
+def _gradient(model: MdpModel, report: EvaluationReport, kg: np.ndarray) -> np.ndarray:
+    """derivative_randomized from the report of theta and its kernel @ g
+    (`_scores`), unchecked."""
+    pi, j_mean, beta, r = report.pi, report.j_mean, model.beta, model.reward
     bracket = kg + r - beta * r**2 + 2.0 * beta * j_mean * r
     return np.where(model.feasible_mask(), pi[:, None] * bracket, np.nan)

@@ -17,6 +17,7 @@ from .model import (
     DeterministicPolicy,
     MdpModel,
     RandomizedPolicy,
+    _check_policies,
     _check_seed,
     _closed_classes,
     _draw_feasible,
@@ -25,7 +26,7 @@ from .model import (
     _policy_support,
     sample_random_policy,
 )
-from .sensitivity import _scores, derivative_randomized, improvement_vector
+from .sensitivity import _gradient, _scores
 
 TIE_TOL = 1e-9
 DISTINCT_OPTIMA_TOL = 1e-6
@@ -143,34 +144,15 @@ def _reports(model: MdpModel, policies: list, reports: dict) -> dict:
 
 
 def _greedy_steps(model: MdpModel, policies: list, reports: list) -> list:
-    """One improvement step from each policy, scored as one batch
-    (`_scores`): per state take the best-scoring action, keeping the
+    """One improvement step from each policy, scored from its report as one
+    batch (`_scores`): per state take the best-scoring action, keeping the
     current one unless some action beats it by more than the tie
-    tolerance; exact ties go to the lowest action index. A policy whose
-    report fails the scoring's residual check gets the ValidationError
-    improvement_vector raises, in place of its step."""
-    score, _, residual, ok = _scores(model, reports, policies)
+    tolerance; exact ties go to the lowest action index. A step takes
+    feasible actions only, so its policy needs no check."""
+    score, _ = _scores(model, reports)
     action = np.array([policy.action for policy in policies])
     current = score[np.arange(len(policies))[:, None], np.arange(model.num_states), action]
-    new_action = _switch_if_better(model, action, score, current)
-    return [
-        DeterministicPolicy(a)
-        if passed
-        else ValidationError(
-            f"evaluation report does not match the policy (Poisson residual {res:.3e})"
-        )
-        for a, passed, res in zip(new_action, ok, residual)
-    ]
-
-
-def _greedy_step(
-    model: MdpModel, policy: DeterministicPolicy, report: EvaluationReport
-) -> DeterministicPolicy:
-    """`_greedy_steps` from one policy; its error is raised."""
-    (new,) = _greedy_steps(model, [policy], [report])
-    if isinstance(new, Exception):
-        raise new
-    return new
+    return [DeterministicPolicy(a) for a in _switch_if_better(model, action, score, current)]
 
 
 def _switch_if_better(model, action, scores, current):
@@ -193,22 +175,25 @@ def _iterate(model, initials, num_steps, step, stop_at_fixed_point, reports):
     """The evaluate -> record -> step loop every policy-iteration variant
     runs, driving the starts `initials` in lockstep.
 
-    Each round evaluates the distinct policies the live starts are at as
-    one batch (`_reports`: a policy already in `reports` is not evaluated
-    again), records them, and calls `step(policies, reports)` once with
-    the live starts' iterates and reports. It returns each one's next
-    iterate, or the exception its step raised. A start evaluates at most
-    `num_steps` iterates; the first evaluation validates the initial
-    policies. With `stop_at_fixed_point` a start ends when its step returns
-    the policy it was given, which is recorded once more.
+    The starts are checked once, as validate_for checks each; the later
+    iterates come from steps and are not checked again. Each round
+    evaluates the distinct policies the live starts are at as one batch
+    (`_reports`: a policy already in `reports` is not evaluated again),
+    records them, and calls `step(policies, reports)` once with the live
+    starts' iterates and reports; it returns each one's next iterate. A
+    start evaluates at most `num_steps` iterates. With
+    `stop_at_fixed_point` a start ends when its step returns the policy it
+    was given, which is recorded once more.
 
-    A start fails when an iterate does not evaluate (a SolverError) or its
-    step fails. Run one after the other, the starts after it would never
-    have run, so they are dropped at once; the starts before it run on, and
-    a failure among them takes its place. Returns one entry per start up
-    to the first that failed: (last policy, best (policy, report)
-    evaluated, trace), and for the failed start its exception.
+    A start fails when an iterate does not evaluate (a SolverError). Run
+    one after the other, the starts after it would never have run, so they
+    are dropped at once; the starts before it run on, and a failure among
+    them takes its place. Returns one entry per start up to the first that
+    failed: (last policy, best (policy, report) evaluated, trace), and for
+    the failed start its SolverError.
     """
+    if initials:
+        _check_policies(model, initials)
     n = len(initials)
     policy = list(initials)
     report = [None] * n  # of each start's current policy
@@ -236,15 +221,8 @@ def _iterate(model, initials, num_steps, step, stop_at_fixed_point, reports):
         if not stepping:
             continue
         steps = step([policy[i] for i in stepping], [report[i] for i in stepping])
-        for i, new in zip(stepping, steps):
-            if isinstance(new, Exception):
-                runs[i], stop = new, i
-                break
-        stepping = [i for i in stepping if i < stop]
-        if not stepping:
-            continue
         moved = np.count_nonzero(
-            np.array([new.action for new in steps[: len(stepping)]])
+            np.array([new.action for new in steps])
             != np.array([policy[i].action for i in stepping]),
             axis=1,
         ).tolist()
@@ -442,7 +420,8 @@ def epsilon_greedy_iteration(
         if steps == config.budget:
             # the budget is spent: no later iterate would evaluate a proposal
             return [d]
-        return [_propose_epsilon(model, _greedy_step(model, d, report), config.epsilon, rng)]
+        (greedy,) = _greedy_steps(model, [d], [report])
+        return [_propose_epsilon(model, greedy, config.epsilon, rng)]
 
     _, best, trace = _sole(
         _iterate(model, [initial], config.budget, step, stop_at_fixed_point=False, reports={})
@@ -467,9 +446,9 @@ def _ucb_step(
     Never-scored pairs are taken first (infinite bonus); otherwise the bonus
     is gamma * sqrt(2 ln(total state count) / pair count). Counts increment
     afterwards for every feasible pair scored."""
-    iv = improvement_vector(model, report, policy)
+    (score,), _ = _scores(model, [report])
     mask = model.feasible_mask()
-    scores = iv.score
+    scores = score
     if gamma > 0:
         n = counts.astype(float)
         total = np.where(mask, n, 0.0).sum(axis=1)
@@ -480,7 +459,7 @@ def _ucb_step(
     new_action = _switch_if_better(model, policy.action, scores, current)
     if gamma > 0:
         unvisited = mask & (counts == 0)
-        first = np.where(unvisited, iv.score, -np.inf).argmax(axis=1)
+        first = np.where(unvisited, score, -np.inf).argmax(axis=1)
         new_action = np.where(unvisited.any(axis=1), first, new_action)
     counts[mask] += 1
     return DeterministicPolicy(new_action)
@@ -543,14 +522,13 @@ class GradientResult:
     report: EvaluationReport
 
 
-def _evaluate_theta(model: MdpModel, theta: RandomizedPolicy):
+def _evaluate_theta(model: MdpModel, theta: RandomizedPolicy) -> EvaluationReport:
     """Evaluate theta, falling back to a mollified copy when the strict
     chain has no unique stationary distribution."""
     try:
-        return theta, evaluate(model, theta)
+        return evaluate(model, theta)
     except EvaluationError:
-        soft = mollify(model, theta)
-        return soft, evaluate(model, soft)
+        return evaluate(model, mollify(model, theta))
 
 
 def gradient_solver(
@@ -569,8 +547,8 @@ def gradient_solver(
     converged = False
     for l in range(1, config.max_iterations + 1):
         pol = RandomizedPolicy(theta)
-        eval_pol, report = _evaluate_theta(model, pol)
-        grad = derivative_randomized(model, eval_pol, report)
+        report = _evaluate_theta(model, pol)
+        grad = _gradient(model, report, _scores(model, [report])[1][0])
         arg = np.nanargmax(np.where(np.isnan(grad), -np.inf, grad), axis=1)
         changed = 0 if prev_argmax is None else int(np.sum(arg != prev_argmax))
         records.append(_record(l - 1, pol, report, changed))
@@ -586,7 +564,7 @@ def gradient_solver(
             stop_reason = "threshold"
             break
     final = RandomizedPolicy(theta)
-    _, final_report = _evaluate_theta(model, final)
+    final_report = _evaluate_theta(model, final)
     records.append(_record(len(records), final, final_report))
     return GradientResult(
         theta=final,

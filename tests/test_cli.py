@@ -133,6 +133,21 @@ class TestArguments:
         assert main(["solve-gd", "--model", str(workdir / "wind.json"),
                      "--max-iterations", "0"]) == 2
 
+    @pytest.mark.parametrize("command, option, out_option, message", [
+        ("solve-pi", "--initial", "--out", "initial policy file must be deterministic"),
+        ("evaluate", "--policy", "--scores-out", "--scores-out needs a deterministic policy"),
+    ])
+    def test_theta_file_where_a_deterministic_policy_is_needed_exits_2(
+        self, workdir, tmp_path, capsys, command, option, out_option, message
+    ):
+        model = str(workdir / "wind.json")
+        theta = str(tmp_path / "theta.json")
+        save_policy(RandomizedPolicy(solvers._uniform_feasible(load_model(model))), theta)
+        out = tmp_path / "out.csv"
+        assert main([command, "--model", model, option, theta, out_option, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestWindBuild:
     def test_abandon_scenario(self, tmp_path):
@@ -252,6 +267,31 @@ class TestSolveAndEvaluate:
         assert header == ["iter", "j_mean", "j_var", "j_combined", "states_changed"]
         assert len(rows) >= 2
         assert isinstance(load_policy(str(pol)), RandomizedPolicy)
+
+    def test_solve_gd_from_initial_files(self, workdir, tmp_path):
+        """--initial takes a deterministic policy file, as its one-hot
+        theta, or a theta file; the final theta is the library's."""
+        model_path = str(workdir / "wind.json")
+        model = load_model(model_path)
+        deterministic = load_policy(str(workdir / "pol.json")).as_randomized(model)
+        mixed = RandomizedPolicy(0.5 * deterministic.theta + 0.5 * solvers._uniform_feasible(model))
+        save_policy(mixed, str(tmp_path / "theta.json"))
+        for initial, start in ((workdir / "pol.json", deterministic), (tmp_path / "theta.json", mixed)):
+            result = gradient_solver(model, start, GradientConfig(max_iterations=20))
+            save_policy(result.theta, str(tmp_path / "want.json"))
+            out = tmp_path / "got.json"
+            code = main(["solve-gd", "--model", model_path, "--initial", str(initial),
+                         "--max-iterations", "20", "--policy-out", str(out)])
+            assert code == (0 if result.trace.converged else 3)
+            assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_multi_start_policy_out(self, workdir, tmp_path):
+        out = tmp_path / "best.json"
+        code = main(["multi-start", "--model", str(workdir / "wind.json"),
+                     "--starts", "4", "--seed", "0", "--policy-out", str(out)])
+        assert code == 0
+        best = multi_start(load_model(str(workdir / "wind.json")), 4, seed=0).best_policy
+        assert load_policy(str(out)) == best
 
     def test_multi_start_csv(self, workdir):
         out = workdir / "starts.csv"

@@ -94,6 +94,14 @@ class TestMetrics:
         via_m2 = steady_state_variance(pi, r, j, second_moment=r**2)
         assert via_m2 == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("call", [
+        long_run_mean,
+        lambda pi, r: steady_state_variance(pi, r, 0.0),
+    ], ids=["long_run_mean", "steady_state_variance"])
+    def test_pi_and_r_lengths_are_checked(self, call):
+        with pytest.raises(ValidationError, match=r"^length mismatch: pi has \(2,\), r has \(3,\)$"):
+            call(np.array([0.5, 0.5]), np.array([1.0, 2.0, 3.0]))
+
     @pytest.mark.parametrize("second_moment", [[1.0, 2.0, 3.0], [[1.0], [2.0]], [1.0]])
     def test_second_moment_shape_is_checked(self, second_moment):
         pi, r = np.array([0.5, 0.5]), np.array([1.0, 2.0])
@@ -148,6 +156,11 @@ class TestPoisson:
         g = solve_poisson(P, f, 1.0)
         assert g[0] == 0.0
         assert np.allclose(g, f - 1.0 + P @ g, atol=1e-8)
+
+    def test_cost_length_is_checked(self):
+        P = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match=r"^cost length \(3,\) does not match P \(2, 2\)$"):
+            solve_poisson(P, np.array([1.0, 0.0, 2.0]), 1.0)
 
     def test_inconsistent_average_rejected(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])

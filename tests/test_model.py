@@ -200,6 +200,14 @@ class TestPolicies:
             DeterministicPolicy(action)
         assert DeterministicPolicy(np.array([0, 1], dtype=np.uint8)) == DeterministicPolicy([0, 1])
 
+    @pytest.mark.parametrize("make, table, message", [
+        (DeterministicPolicy, [[0, 1]], "policy action table must be 1-dimensional"),
+        (RandomizedPolicy, [0.5, 0.5], "theta must be 2-dimensional (states x actions)"),
+    ], ids=["2-D action table", "1-D theta"])
+    def test_table_of_the_wrong_dimension_rejected(self, make, table, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(np.array(table))
+
     def test_deterministic_validate_out_of_range_actions(self):
         m = small_model(feasible=((0,), (0, 1)))
         with pytest.raises(FeasibilityError, match="action -1 is infeasible at state 1"):
@@ -333,6 +341,9 @@ class TestInducedChains:
         Pa, ra = induced_chain(m, alt)
         assert np.allclose(Pm, Pb + 0.3 * (Pa - Pb))
         assert np.allclose(rm, rb + 0.3 * (ra - rb))
+        # the same chain as the mixture's randomized policy
+        Pt, rt, _ = induced_chain_randomized(m, MixedPolicy(base, alt, 0.3).as_randomized(m))
+        assert np.allclose(Pt, Pm) and np.allclose(rt, rm)
 
 
 class TestStructure:
@@ -640,13 +651,12 @@ class TestSuccessorTable:
         for m in models:
             for _ in range(3):
                 actions = [random_actions(rng, m) for _ in range(8)]
-                policies = [DeterministicPolicy(a) for a in actions]
-                chain = mvmdp.evaluation._policy_chains(m, policies)[0]
+                chain = mvmdp.evaluation._policy_chains(m, np.array(actions))[0]
                 indptr, cols = mvmdp.model._positive_rows(chain.indptr, chain.cols, chain.values)[:2]
                 rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
                 edges = rows * (indptr.size - 1) + cols
                 assert np.unique(edges).size == edges.size
-                got = mvmdp.model._closed_class_counts(indptr, cols, len(policies))
+                got = mvmdp.model._closed_class_counts(indptr, cols, len(actions))
                 verdicts = [self.check_policy(m, a) for a in actions]
                 assert got.tolist() == [closed for _, closed in verdicts]
                 kinds = {(irreducible, min(closed, 2)) for irreducible, closed in verdicts}
@@ -888,6 +898,13 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=f"^cannot write {what} file {path}: "):
             write(path)
 
+    def test_unsupported_policy_type_is_not_saved(self, tmp_path):
+        base = DeterministicPolicy(np.array([0, 0]))
+        path = tmp_path / "mixed.json"
+        with pytest.raises(ValidationError, match="^cannot serialize policy of type MixedPolicy$"):
+            save_policy(MixedPolicy(base, base, 0.5), str(path))
+        assert not path.exists()
+
     def test_policy_file_without_keys(self, tmp_path):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"weights": [1, 2]}))
@@ -899,8 +916,9 @@ class TestModelIO:
         None,
         {"action": ["a"]},
         {"action": [0.5, 1]},
+        {"action": [[0, 1], [0]]},
         {"theta": [["x", 1.0]]},
-    ], ids=["number", "null", "word action", "fractional action", "word theta"])
+    ], ids=["number", "null", "word action", "fractional action", "ragged action", "word theta"])
     def test_mistyped_policy_file(self, tmp_path, content):
         p = tmp_path / "p.json"
         p.write_text(json.dumps(content))

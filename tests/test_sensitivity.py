@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_policy_cases, random_mdp, restrict_feasible, threshold_policy
+from conftest import model_policy_cases, outcome, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     RandomizedPolicy,
@@ -329,6 +329,51 @@ class TestReportMismatch:
             theta, other_theta = interior_theta(rng, m), interior_theta(rng, m)
             with pytest.raises(ValidationError, match="does not match"):
                 derivative_randomized(m, theta, evaluate(m, other_theta))
+
+
+# (call, bad policy, exception class, message): every public function that
+# takes a policy checks it as validate_for does, before it reads a report;
+# each call gets (model, good policy, its report, bad policy)
+WIND_POLICY_CALLS = {
+    "evaluate": lambda m, good, rep, bad: evaluate(m, bad),
+    "improvement_vector": lambda m, good, rep, bad: improvement_vector(m, rep, bad),
+    "check_necessary_condition": lambda m, good, rep, bad: check_necessary_condition(m, rep, bad),
+    "predicted_difference base": lambda m, good, rep, bad: predicted_difference(m, bad, rep, good),
+    "predicted_difference new": lambda m, good, rep, bad: predicted_difference(m, good, rep, bad),
+    "derivative_mixed base": lambda m, good, rep, bad: derivative_mixed(m, bad, rep, good),
+    "derivative_mixed alt": lambda m, good, rep, bad: derivative_mixed(m, good, rep, bad),
+}
+WIND_THETA_CALLS = {
+    "evaluate": lambda m, good, rep, bad: evaluate(m, bad),
+    "derivative_randomized": lambda m, good, rep, bad: derivative_randomized(m, bad, rep),
+}
+BAD_POLICY_CASES = [
+    (call, False, bad, kind, message)
+    for call in WIND_POLICY_CALLS
+    for bad, kind, message in [
+        (DeterministicPolicy(np.full(36, 4)), "FeasibilityError", "action 4 is infeasible at state 0"),
+        (DeterministicPolicy(np.zeros(3, dtype=int)), "ValidationError", "policy has 3 states, model has 36"),
+    ]
+] + [
+    (call, True, bad, kind, message)
+    for call in WIND_THETA_CALLS
+    for bad, kind, message in [
+        (RandomizedPolicy(np.full((36, 5), 0.2)), "FeasibilityError",
+         "theta puts mass on infeasible action 0 at state 0"),
+        (RandomizedPolicy(np.full((3, 5), 0.2)), "ValidationError", "theta shape (3, 5) != (36, 5)"),
+    ]
+]
+
+
+@pytest.mark.parametrize("call, randomized, bad, kind, message", BAD_POLICY_CASES)
+def test_public_functions_check_the_policy(wind_model, call, randomized, bad, kind, message):
+    good = sample_random_policy(wind_model, np.random.default_rng(0))
+    calls = WIND_POLICY_CALLS
+    if randomized:
+        good, calls = good.as_randomized(wind_model), WIND_THETA_CALLS
+    assert outcome(bad.validate_for, wind_model) == (kind, message)
+    got = outcome(calls[call], wind_model, good, evaluate(wind_model, good), bad)
+    assert got == (kind, message)
 
 
 def reference_bracket(model, base, report, other):

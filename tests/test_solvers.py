@@ -36,6 +36,9 @@ from mvmdp import (
     sample_random_policy,
     ucb_iteration,
 )
+import mvmdp.evaluation
+import mvmdp.model
+import mvmdp.sensitivity
 from mvmdp import solvers
 from mvmdp.sensitivity import improvement_vector
 from mvmdp.solvers import (
@@ -45,11 +48,15 @@ from mvmdp.solvers import (
     SolverTrace,
     TraceRecord,
     _distinct_values,
-    _greedy_step,
+    _greedy_steps,
     _propose_epsilon,
     _ucb_step,
     _uniform_feasible,
 )
+
+
+def _greedy_step(model, policy, report):
+    return _greedy_steps(model, [policy], [report])[0]
 
 
 class TestPolicyIteration:
@@ -254,9 +261,50 @@ RUN_FROM = {
 @pytest.mark.parametrize("solver, start, kind, message", BAD_STARTS)
 def test_bad_start_raises_the_validation_error(wind_model, monkeypatch, solver, start, kind, message):
     assert outcome(start.validate_for, wind_model) == (kind, message)
-    for name in ("improvement_vector", "derivative_randomized"):
+    for name in ("_scores", "_gradient"):
         monkeypatch.setattr(solvers, name, lambda *args: pytest.fail("a bad start was scored"))
     assert outcome(RUN_FROM[solver], wind_model, start) == (kind, message)
+
+
+def test_multi_start_checks_its_starts_once(wind_model, monkeypatch):
+    """The starts are checked once, as one batch, where they come in; the
+    iterates the steps make and the reports evaluation makes are not
+    checked again."""
+    checked = []
+    check = mvmdp.model._check_policies
+
+    def counting(model, policies):
+        checked.append(len(policies))
+        return check(model, policies)
+
+    for module in (solvers, mvmdp.evaluation, mvmdp.sensitivity):
+        monkeypatch.setattr(module, "_check_policies", counting, raising=False)
+    multi_start(wind_model, 10, seed=0)
+    assert checked == [10]
+
+
+def test_gradient_solver_checks_each_theta_once(wind_model, monkeypatch):
+    """Each iterate's theta is checked by its evaluation alone, not again
+    when its gradient is taken."""
+    checked, evaluated = [], []
+    validate, evaluate_theta = RandomizedPolicy.validate_for, solvers.evaluate
+
+    def counting_checks(self, model):
+        checked.append(self)
+        return validate(self, model)
+
+    def counting_evaluations(model, policy):
+        evaluated.append(policy)
+        return evaluate_theta(model, policy)
+
+    monkeypatch.setattr(RandomizedPolicy, "validate_for", counting_checks)
+    monkeypatch.setattr(solvers, "evaluate", counting_evaluations)
+    start = RandomizedPolicy(_uniform_feasible(wind_model))
+    gradient_solver(wind_model, start, GradientConfig(max_iterations=5))
+    # five iterates and the final theta
+    assert len(evaluated) == 6
+    assert len(checked) == len(evaluated)
+    assert all(c is e for c, e in zip(checked, evaluated))
 
 
 class TestExplorationConfig:
@@ -743,18 +791,18 @@ class TestMemoReference:
         meets for the first time as one batch, in start order, and
         evaluates and scores each distinct policy once."""
         batches, scored = [], []
-        evaluate_batch, score_batch = solvers._evaluate_policies, solvers._scores
+        evaluate_batch, step_batch = solvers._evaluate_policies, solvers._greedy_steps
 
         def counting_evaluations(model, policies):
             batches.append(list(policies))
             return evaluate_batch(model, policies)
 
-        def counting_scores(model, reports, policies):
+        def counting_steps(model, policies, reports):
             scored.extend(policies)
-            return score_batch(model, reports, policies)
+            return step_batch(model, policies, reports)
 
         monkeypatch.setattr(solvers, "_evaluate_policies", counting_evaluations)
-        monkeypatch.setattr(solvers, "_scores", counting_scores)
+        monkeypatch.setattr(solvers, "_greedy_steps", counting_steps)
         res = multi_start(wind_model, 10, seed=0)
         assert all(t.converged for t in res.traces)
         # a converged trace ends with its fixed point recorded a second time
