@@ -197,30 +197,30 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     pairs for betas whose runs failed. Failures do not stop the sweep, so
     an empty grid, a beta that is not finite and > 0, fewer than one start
     per beta or a seed that is not an integer >= 0 is rejected before it.
-    The betas share one draw of the starts; each beta's multi-start
-    evaluates its policies afresh, with a report memo of its own.
+    The betas share one draw of the starts, and their multi-starts run as
+    one lockstep (`solvers._multi_start`): each round factors each distinct
+    policy once, and every beta that reached it solves its own potentials
+    on those factors, with the floats of a multi_start at that beta alone.
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
-    for beta in beta_grid:
-        _check_beta(float(beta))
+    betas = [float(beta) for beta in beta_grid]
+    for beta in betas:
+        _check_beta(beta)
     _integer(starts_per_beta, "starts per beta", 1)
     _check_seed(seed)
-    starts = _draw_starts(model, starts_per_beta, seed)
+    results = _multi_start(model, betas, *_draw_starts(model, starts_per_beta, seed))
     points = []
     optima_rows = []
     failures = []
-    for beta in beta_grid:
-        model_b = dataclasses.replace(model, beta=float(beta))
-        try:
-            result = _multi_start(model_b, *starts, {})
-        except MvmdpError as exc:
-            failures.append((float(beta), str(exc)))
+    for beta, result in zip(betas, results):
+        if isinstance(result, MvmdpError):
+            failures.append((beta, str(result)))
             continue
         best = result.best_report
         points.append(
             ParetoPoint(
-                beta=float(beta),
+                beta=beta,
                 j_mean=best.j_mean,
                 j_var=best.j_var,
                 j_combined=best.j_combined,
@@ -235,9 +235,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
             if any(abs(last.j_combined - v) <= 1e-6 for v in seen):
                 continue
             seen.append(last.j_combined)
-            optima_rows.append(
-                (float(beta), last.j_mean, last.j_var, last.j_combined)
-            )
+            optima_rows.append((beta, last.j_mean, last.j_var, last.j_combined))
     return points, optima_rows, failures
 
 

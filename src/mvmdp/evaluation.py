@@ -7,15 +7,16 @@ performance potentials that solve the associated Poisson equation.
 
 Every evaluation runs on the CSR rows of the policy's chain (`_Chain`):
 only the matrices LAPACK factors are dense, scattered from the rows.
-Policies are evaluated in batches, a single policy as a batch of one,
-and every chain of a batch is evaluated whole: its own stationary
-distribution and every potential, at the batch's beta. The closed-class
-count runs once over the batch, and the rest a chunk of about 1 MB of
-matrices at a time (`_solve_chains`): the chunk's chains are gathered
-into a batch of their own (`_only`), their dense matrices are scattered
-into one stack per kind and factored slice by slice, and the metrics,
+Policies are evaluated in batches, a single policy as a batch of one.
+A member of a batch is a chain at a beta, and it is evaluated whole: its
+chain's stationary distribution and every potential at its beta. The
+closed-class count runs once over the batch's distinct chains, and the
+rest a chunk of about 1 MB of matrices at a time (`_solve_chains`): the
+chunk's chains are gathered into a batch of their own (`_only`), their
+dense matrices are scattered into one stack per kind and factored slice
+by slice, once for all the members of a chain, and the metrics,
 right-hand sides and pass/fail gates are array operations over the
-chunk.
+chunk's members.
 """
 from __future__ import annotations
 
@@ -143,7 +144,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     the normalization row. Raises when the distribution is not unique, i.e.
     when the support graph has two or more closed communicating classes.
     """
-    return _sole(_solve_chains(_dense_chain(_check_stochastic(P))))[0]
+    return _sole(_solve_chains(_dense_chain(_check_stochastic(P)), [0]))[0]
 
 
 def _sole(outcomes: list):
@@ -354,11 +355,11 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _only(chain: _Chain, ids: list) -> _Chain:
-    """Chains `ids` (increasing) of the batch, as a batch of their own: their
-    rows gathered and numbered again. The batch itself when ids are all of
-    it."""
+    """Chains `ids` of the batch, in that order and repeats included, as a
+    batch of their own: their rows gathered and numbered again. The batch
+    itself when ids are all of it in order."""
     S = chain.size
-    if len(ids) * S == chain.indptr.size - 1:
+    if ids == list(range((chain.indptr.size - 1) // S)):
         return chain
     rows = (np.asarray(ids, dtype=np.int64)[:, None] * S + np.arange(S)).reshape(-1)
     indptr, cols, values = _gather_rows(chain.indptr, rows, chain.cols, chain.values)
@@ -433,24 +434,25 @@ def _idle_cpu() -> bool:
     return cpus >= 2 * (_LAPACK[2]() if _LAPACK else 1)
 
 
-def _solve_chains(chain: _Chain, rhs=None) -> list:
-    """For each chain m of the batch: (pi, F, J, G), or the EvaluationError
-    its evaluation raises.
+def _solve_chains(chain: _Chain, of: list, rhs=None) -> list:
+    """For each member j of the batch: (pi, F, J, G), or the EvaluationError
+    its evaluation raises. Member j is chain of[j], with right-hand sides of
+    its own.
 
     pi must be unique: the support graph (the rows' entries > 0) has one
     closed class. Then it must pass the residual gate on pi P - pi, and it
     must not be negative beyond round-off, which is set to 0 on transient
     states. Without rhs only pi is solved, and F, J and G are None.
 
-    rhs(members, pi) gives the right-hand sides of the chains `members`,
-    whose stationary distributions are the rows of pi: (F, J, PF), F of
-    shape (K, c, S) and the others (K, c), the k-th of chain members[q]
-    being (F[k, q], J[k, q]). PF holds the dot products pi . F with the
-    bits of `_dots(pi, F)`: it often has them already. Each potential g
-    solves (I - P) g = f - J with g[0] = 0, and J must equal pi.f within
-    CONSISTENCY_TOL times max(1, max|f|). A chain's F and G are its (K, S)
-    rows of them, with the potential of its k-th right-hand side in G[k],
-    and J is the list of its averages.
+    rhs(members, pi) gives the right-hand sides of the members `members`,
+    whose chains' stationary distributions are the rows of pi: (F, J, PF),
+    F of shape (K, c, S) and the others (K, c), the k-th of member
+    members[q] being (F[k, q], J[k, q]). PF holds the dot products pi . F
+    with the bits of `_dots(pi, F)`: it often has them already. Each
+    potential g solves (I - P) g = f - J with g[0] = 0, and J must equal
+    pi.f within CONSISTENCY_TOL times max(1, max|f|). A member's F and G are
+    its (K, S) rows of them, with the potential of its k-th right-hand side
+    in G[k], and J is the list of its averages.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
@@ -458,42 +460,47 @@ def _solve_chains(chain: _Chain, rhs=None) -> list:
     is then solved from the normalized system (I - P + 1 pi^T) g = f - J
     instead and shifted to g[0] = 0. Both matrices start from the
     column-major I - P; adding pi to each of its rows gives the floats of
-    adding 1 pi^T. Each is factored at most once per chain, but each
-    right-hand side gets its own back-substitution: one multi-column solve
-    changes the low bits of the potentials.
+    adding 1 pi^T. The balance and pinned matrices are factored once per
+    chain, whatever its number of members, and the normalized one at most
+    once per member, but each right-hand side gets its own
+    back-substitution: one multi-column solve changes the low bits of the
+    potentials.
 
     One strong-components pass over the union counts every chain's closed
     classes, before any dense work. The chains that pass are then solved a
     chunk at a time (`_only`, `_solve_chunk`), as many as fit one S x S
-    matrix each in _BLOCK_BYTES and at least one, so at most one chunk's
-    two stacks of S x S matrices are held at once: about 2 MB, or two
-    matrices once one exceeds _BLOCK_BYTES, as for a single chain. Each
-    chain's gates are read in the order a single evaluation reads them, and
-    the first that fails gives its error.
+    matrix each in _BLOCK_BYTES and at least one, with all their members,
+    so at most one chunk's two stacks of S x S matrices are held at once:
+    about 2 MB, or two matrices once one exceeds _BLOCK_BYTES, as for a
+    single chain. Each member's gates are read in the order a single
+    evaluation reads them, and the first that fails gives its error.
     """
     S = chain.size
     M = (chain.indptr.size - 1) // S
     graph = _positive_rows(chain.indptr, chain.cols, chain.values)[:2]
     counts = _closed_class_counts(*graph, M).tolist()
     out = [
-        None if count == 1 else EvaluationError(
+        None if counts[m] == 1 else EvaluationError(
             "stationary distribution is not unique: the chain has multiple "
             "closed communicating classes"
         )
-        for count in counts
+        for m in of
     ]
-    live = [m for m in range(M) if out[m] is None]
+    live = [m for m in range(M) if counts[m] == 1]
     size = max(1, _BLOCK_BYTES // (S * S * 8))
     for k in range(0, len(live), size):
         run = live[k : k + size]
-        for m, outcome in zip(run, _solve_chunk(_only(chain, run), rhs, run)):
-            out[m] = outcome
+        slot = {m: q for q, m in enumerate(run)}
+        ids = [j for j, m in enumerate(of) if m in slot]
+        slots = [slot[of[j]] for j in ids]
+        for j, outcome in zip(ids, _solve_chunk(_only(chain, run), rhs, ids, slots)):
+            out[j] = outcome
     return out
 
 
-def _solve_chunk(chain: _Chain, rhs, ids: list) -> list:
-    """_solve_chains for every chain of the batch `chain`, whose numbers in
-    rhs's batch are ids.
+def _solve_chunk(chain: _Chain, rhs, ids: list, slots: list) -> list:
+    """_solve_chains for the members `ids` of rhs's batch, member ids[j]
+    being chain slots[j] of the batch `chain`.
 
     The balance matrices are scattered into one stack and the pinned
     matrices into another, with one assignment each, and each slice is
@@ -501,15 +508,16 @@ def _solve_chunk(chain: _Chain, rhs, ids: list) -> list:
     CPU would idle, a second thread builds and factors the pinned stack
     while this one solves for pi: LAPACK runs without the interpreter lock.
     Each factorization is the same call either way, so the bits are the
-    same; the second thread has ended before anything else runs. The costs,
-    the right-hand sides, the consistency values and the gates are array
-    operations over the chunk; the stationary gate is one bincount over the
-    chunk's rows and the Poisson gates one 2-D reduceat over the rows of
-    the chains that pass it (`_only`), each row summed as its chain alone
-    sums it. Both stacks are gone before a chain that needs the normalized
-    system builds it, as a stack of one.
+    same; the second thread has ended before anything else runs. The
+    stationary gate is one bincount over the chunk's rows, read by every
+    member of a chain. The costs, the right-hand sides, the consistency
+    values and the Poisson gates are array operations over the members
+    that pass it, the gates one 2-D reduceat over their chains' rows
+    (`_only`), each row summed as its chain alone sums it. Both stacks are
+    gone before a member that needs the normalized system builds it, as a
+    stack of one.
     """
-    c, S = len(ids), chain.size
+    c, S = (chain.indptr.size - 1) // chain.size, chain.size
     if rhs is not None and S >= OVERLAP_MIN_STATES and _idle_cpu():
         with ThreadPoolExecutor(max_workers=1) as worker:
             pinned = worker.submit(_pinned, chain)
@@ -535,20 +543,22 @@ def _solve_chunk(chain: _Chain, rhs, ids: list) -> list:
             errors[q] = f"stationary solve residual {res:.3e} exceeds {STATIONARY_TOL}"
         elif neg:
             errors[q] = "stationary solve produced a negative probability"
-    good = [q for q in range(c) if errors[q] is None]
-    if len(good) < c:
-        pi = pi[good]
+    errors = [errors[q] for q in slots]  # each member reads its chain's gate
+    good = [j for j, error in enumerate(errors) if error is None]
+    on = [slots[j] for j in good]  # their chains
+    if on != list(range(c)):
+        pi = pi[on]
     if rhs is not None and good:
-        F, J, PF = rhs([ids[q] for q in good], pi)
+        F, J, PF = rhs([ids[j] for j in good], pi)
         G = F - J[..., None]
         G[..., 0] = 0.0
-        unsolved = pinned.solve(good * F.shape[0], G.reshape(-1, S))
+        unsolved = pinned.solve(on * F.shape[0], G.reshape(-1, S))
         # a potential whose pinned matrix is singular fails its gate
         G.reshape(-1, S)[unsolved] = 0.0
     del pinned  # the pinned factors go before any normalized matrix is built
     if rhs is None or not good:
         return _outcomes(errors, good, pi)
-    kept = _only(chain, good)
+    kept = _only(chain, on)
     consistency = np.abs(PF - J)
     # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
     off = consistency > CONSISTENCY_TOL
@@ -559,14 +569,14 @@ def _solve_chunk(chain: _Chain, rhs, ids: list) -> list:
     if off.any() or not passed.all():
         # the right-hand sides after an inconsistent one are never solved
         retry = ~passed & ~np.logical_or.accumulate(off, axis=0)
-        for q, error in zip(good, _fall_back(kept, pi, F, J, G, retry, off, consistency)):
-            errors[q] = error
+        for j, error in zip(good, _fall_back(kept, pi, F, J, G, retry, off, consistency)):
+            errors[j] = error
     return _outcomes(errors, good, pi, F, J.T.tolist(), G)
 
 
 def _outcomes(errors: list, good: list, pi, F=None, J=None, G=None) -> list:
-    """The outcome of each chain q of a chunk: EvaluationError(errors[q]),
-    or (pi, F, J, G) of the chain, its rows of the chunk's arrays (pi[i],
+    """The outcome of each member q of a chunk: EvaluationError(errors[q]),
+    or (pi, F, J, G) of the member, its rows of the chunk's arrays (pi[i],
     F[:, i], J[i] and G[:, i] for q = good[i]; F, J and G None without
     right-hand sides)."""
     out = [None if e is None else EvaluationError(e) for e in errors]
@@ -643,7 +653,7 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     def rhs(members, pi):
         return f[None, None], J, _dots(pi, f[None, None])
 
-    return _sole(_solve_chains(_dense_chain(P), rhs))[3][0]
+    return _sole(_solve_chains(_dense_chain(P), [0], rhs))[3][0]
 
 
 def _policy_chains(model: MdpModel, action: np.ndarray) -> tuple:
@@ -675,49 +685,56 @@ def _policy_chain(model: MdpModel, policy) -> tuple:
 
 def evaluate(model: MdpModel, policy) -> EvaluationReport:
     """Full exact evaluation of a deterministic or randomized policy."""
-    return _sole(_evaluate_chains(*_policy_chain(model, policy), model.beta))
+    return _sole(_evaluate_chains(*_policy_chain(model, policy), [0], [model.beta]))
 
 
-def _evaluate_policies(model: MdpModel, policies) -> list:
-    """evaluate(model, p) for each deterministic policy p of `policies`, as
-    one batch (`_evaluate_chains`): each one's report, or the
-    EvaluationError evaluate raises for it. The action tables are stacked
-    unchecked: the policies must be feasible for the model."""
-    action = np.array([policy.action for policy in policies])
-    return _evaluate_chains(*_policy_chains(model, action), model.beta)
+def _evaluate_policies(model: MdpModel, members) -> list:
+    """evaluate(dataclasses.replace(model, beta=b), p) for each (p, b) pair
+    of `members`, deterministic policies p, as one batch
+    (`_evaluate_chains`): each one's report, or the EvaluationError evaluate
+    raises for it. Each distinct policy's chain is gathered, and factored,
+    once for all its betas. The action tables are stacked unchecked: the
+    policies must be feasible for the model."""
+    chains = {}  # each distinct policy's number, in order of first appearance
+    of = [chains.setdefault(policy, len(chains)) for policy, _ in members]
+    action = np.array([policy.action for policy in chains])
+    return _evaluate_chains(*_policy_chains(model, action), of, [beta for _, beta in members])
 
 
-def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, beta: float) -> list:
-    """evaluate for each chain of the batch from _policy_chain(s): a list
-    with each one's report, or the EvaluationError evaluate raises for it.
+def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, of: list, betas: list) -> list:
+    """evaluate for each member j of the batch from _policy_chain(s), chain
+    of[j] at the beta betas[j]: a list with each one's report, or the
+    EvaluationError evaluate raises for it (`_solve_chains`).
 
     r stacks the chains' reward vectors. m2 is None, or a list with each
     chain's second-moment row, None for a deterministic policy's chain.
     j_mean, j_var and the costs are taken for a chunk at a time, each with
     the bits of one chain's scalar expressions: each dot product is one
-    chain's ddot (`_dots`).
+    chain's ddot (`_dots`), and each product with beta one float product.
     """
 
-    def rhs(members, pi):
+    def rhs(ids, pi):
         # the costs, rewards and squared deviations, and their averages
-        rows = r.take(members, axis=0)
+        chains = [of[j] for j in ids]
+        beta = np.array([betas[j] for j in ids])
+        rows = r.take(chains, axis=0)
         j_mean = _dots(pi, rows)
         sq = _squared_deviation(rows, j_mean[:, None])
         if m2 is not None:
-            for q, m in enumerate(members):
+            for q, m in enumerate(chains):
                 if m2[m] is not None:
                     sq[q] = _squared_deviation(rows[q], j_mean[q], m2[m])
-        F = np.array([rows - beta * sq, rows, sq])
+        F = np.array([rows - beta[:, None] * sq, rows, sq])
         # pi . cost for the consistency check, pi . r = j_mean and pi . sq = j_var
         PF = _dots(pi, F)
         j_var = PF[2]
         return F, np.array([j_mean - beta * j_var, j_mean, j_var]), PF
 
-    outcomes = _solve_chains(chain, rhs)
-    for m, outcome in enumerate(outcomes):
+    outcomes = _solve_chains(chain, of, rhs)
+    for j, outcome in enumerate(outcomes):
         if not isinstance(outcome, EvaluationError):
             pi, (cost, _, _), (j_comb, j_mean, j_var), potentials = outcome
-            outcomes[m] = EvaluationReport(pi, j_mean, j_var, j_comb, cost, *potentials, beta)
+            outcomes[j] = EvaluationReport(pi, j_mean, j_var, j_comb, cost, *potentials, betas[j])
     return outcomes
 
 

@@ -453,8 +453,11 @@ class DeterministicPolicy:
         return RandomizedPolicy(theta)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DeterministicPolicy) and np.array_equal(
-            self.action, other.action
+        # both tables are 1-D and of numpy's int: equal bytes, equal tables;
+        # the memos compare equal policies that are distinct objects
+        return (
+            isinstance(other, DeterministicPolicy)
+            and self.action.tobytes() == other.action.tobytes()
         )
 
     def __hash__(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .evaluation import EvaluationReport, evaluate, mv_cost_vector, poisson_residual
+from .evaluation import EvaluationReport, _squared_deviation, evaluate, poisson_residual
 from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_policies
 
 VIOLATION_TOL = 1e-9
@@ -48,9 +48,10 @@ class DifferenceBreakdown:
     direct: float
 
 
-def _scores(model: MdpModel, reports: list):
+def _scores(model: MdpModel, reports: list, beta: float | None = None):
     """(score, kg) of the reports, as one batch: the Q-scores of every
-    feasible pair (NaN elsewhere) and kernel @ g, stacked (M, S, A). The
+    feasible pair (NaN elsewhere) and kernel @ g, stacked (M, S, A). Each
+    report is scored at `beta`, or without it at its own beta. The
     reports are not checked (`_score_table` checks for the public
     functions).
 
@@ -65,21 +66,25 @@ def _scores(model: MdpModel, reports: list):
     for lo, hi, block in model._blocks():
         np.matmul(block, G[:, None, :, None], out=kg[:, lo:hi, :, None])
     j_mean = np.array([report.j_mean for report in reports])
-    cost = mv_cost_vector(model.reward, j_mean[:, None, None], model.beta)
+    if beta is None:
+        beta = np.array([report.beta for report in reports])[:, None, None]
+    # mv_cost_vector's floats, for a beta per report
+    cost = model.reward - beta * _squared_deviation(model.reward, j_mean[:, None, None])
     score = np.where(model.feasible_mask(), cost + kg, np.nan)
     return score, kg
 
 
 def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
-    """`_scores` of one report, once its deterministic or randomized policy
-    is checked; a ValidationError when the report does not solve the
+    """`_scores` of one report at model.beta, whatever beta it was
+    evaluated at, once its deterministic or randomized policy is checked;
+    a ValidationError when the report does not solve the
     Poisson equation of the policy's chain, whose P g is read off kernel @ g
     without gathering the chain."""
     if isinstance(policy, RandomizedPolicy):
         policy.validate_for(model)
     else:
         action = _check_policies(model, [policy])[0]
-    (score,), (kg,) = _scores(model, [report])
+    (score,), (kg,) = _scores(model, [report], model.beta)
     if isinstance(policy, RandomizedPolicy):
         pg = (policy.theta * kg).sum(axis=1)
     else:

@@ -479,7 +479,7 @@ def estimate_potential(
     chain, r, m2 = _policy_chain(model, policy)
     # evaluated first, so that a policy without a unique stationary
     # distribution raises also at state 0
-    report = _sole(_evaluate_chains(chain, r, m2, model.beta))
+    report = _sole(_evaluate_chains(chain, r, m2, [0], [model.beta]))
     if state == 0:
         return PotentialEstimate(0.0, 0.0, state, truncation, num_replications, seed)
     f = report.cost

@@ -123,32 +123,33 @@ class ExplorationResult:
     counts: np.ndarray
 
 
-def _reports(model: MdpModel, policies: list, reports: dict) -> dict:
-    """evaluate(model, p) for each distinct policy p of `policies`: a dict
-    from each one to its report, or to the EvaluationError evaluate raises
-    for it.
+def _reports(model: MdpModel, keys: list, reports: dict) -> dict:
+    """The evaluation of policy p at beta b for each distinct (p, b) pair
+    of `keys`: a dict from each one to its report, or to the
+    EvaluationError evaluate raises for it.
 
-    `reports` maps each policy evaluated before in the same solver call to
+    `reports` maps each pair evaluated before in the same solver call to
     its report, which is served from it; the others are evaluated as one
     batch (`_evaluate_policies`). A report is stored only once its
     evaluation succeeds.
     """
-    out = {policy: reports.get(policy) for policy in policies}
-    todo = [policy for policy, report in out.items() if report is None]
+    out = {key: reports.get(key) for key in keys}
+    todo = [key for key, report in out.items() if report is None]
     if todo:
-        for policy, report in zip(todo, _evaluate_policies(model, todo)):
-            out[policy] = report
+        for key, report in zip(todo, _evaluate_policies(model, todo)):
+            out[key] = report
             if isinstance(report, EvaluationReport):
-                reports[policy] = report
+                reports[key] = report
     return out
 
 
 def _greedy_steps(model: MdpModel, policies: list, reports: list) -> list:
-    """One improvement step from each policy, scored from its report as one
-    batch (`_scores`): per state take the best-scoring action, keeping the
-    current one unless some action beats it by more than the tie
-    tolerance; exact ties go to the lowest action index. A step takes
-    feasible actions only, so its policy needs no check."""
+    """One improvement step from each policy, scored from its report at
+    the report's beta, as one batch (`_scores`): per state take the
+    best-scoring action, keeping the current one unless some action beats
+    it by more than the tie tolerance; exact ties go to the lowest action
+    index. A step takes feasible actions only, so its policy needs no
+    check."""
     score, _ = _scores(model, reports)
     action = np.array([policy.action for policy in policies])
     current = score[np.arange(len(policies))[:, None], np.arange(model.num_states), action]
@@ -171,71 +172,79 @@ def _record(k: int, policy, report: EvaluationReport, changed: int = 0) -> Trace
     return TraceRecord(k, policy, report.j_mean, report.j_var, report.j_combined, changed)
 
 
-def _iterate(model, initials, num_steps, step, stop_at_fixed_point, reports):
+def _iterate(model, initials, betas, num_steps, step, stop_at_fixed_point, reports):
     """The evaluate -> record -> step loop every policy-iteration variant
-    runs, driving the starts `initials` in lockstep.
+    runs, driving each start of `initials` at each beta of `betas` in one
+    lockstep: a run per (beta, start) pair, the runs at one beta making up
+    its group.
 
     The starts are checked once, as validate_for checks each; the later
     iterates come from steps and are not checked again. Each round
-    evaluates the distinct policies the live starts are at as one batch
-    (`_reports`: a policy already in `reports` is not evaluated again),
-    records them, and calls `step(policies, reports)` once with the live
-    starts' iterates and reports; it returns each one's next iterate. A
-    start evaluates at most `num_steps` iterates. With
-    `stop_at_fixed_point` a start ends when its step returns the policy it
-    was given, which is recorded once more.
+    evaluates the distinct (policy, beta) pairs the live runs are at as one
+    batch (`_reports`: a pair already in `reports` is not evaluated again),
+    records them, and calls `step(keys, reports)` once with the live runs'
+    (policy, beta) pairs and reports; it returns each one's next policy. A
+    run evaluates at most `num_steps` iterates. With `stop_at_fixed_point`
+    a run ends when its step returns the policy it was given, which is
+    recorded once more.
 
-    A start fails when an iterate does not evaluate (a SolverError). Run
-    one after the other, the starts after it would never have run, so they
-    are dropped at once; the starts before it run on, and a failure among
-    them takes its place. Returns one entry per start up to the first that
+    A run fails when an iterate does not evaluate (a SolverError). Run one
+    after the other, the starts after it in its group would never have
+    run, so they are dropped at once; the starts before it run on, and a
+    failure among them takes its place. A failure touches no other group.
+    Returns, for each beta, one entry per start up to the first that
     failed: (last policy, best (policy, report) evaluated, trace), and for
     the failed start its SolverError.
     """
     if initials:
         _check_policies(model, initials)
     n = len(initials)
-    policy = list(initials)
-    report = [None] * n  # of each start's current policy
-    records = [[] for _ in range(n)]
-    best = [None] * n
-    changed = [0] * n
-    runs = [None] * n
-    stop = n  # the first failed start
-    live = list(range(n))
+    key = [(policy, beta) for beta in betas for policy in initials]  # run g * n + i
+    report = [None] * len(key)  # of each run's current policy
+    records = [[] for _ in key]
+    best = [None] * len(key)
+    changed = [0] * len(key)
+    runs = [None] * len(key)
+    ends = [n] * len(betas)  # each group's starts up to its first failed one
+    live = list(range(len(key)))
     for k in range(num_steps):
         if not live:
             break
-        outcomes = _reports(model, [policy[i] for i in live], reports)
+        outcomes = _reports(model, [key[t] for t in live], reports)
         stepping = []
-        for i in live:
-            report[i] = outcomes[policy[i]]
-            if isinstance(report[i], EvaluationError):
-                runs[i], stop = _non_ergodic(k, policy[i], report[i]), i
-                break
-            records[i].append(_record(k, policy[i], report[i], changed[i]))
-            if best[i] is None or report[i].j_combined > best[i][1].j_combined:
-                best[i] = (policy[i], report[i])
-            stepping.append(i)
+        failed = None  # the group whose run failed last in this round
+        for t in live:
+            if t // n == failed:
+                continue
+            policy, report[t] = key[t][0], outcomes[key[t]]
+            if isinstance(report[t], EvaluationError):
+                runs[t], failed = _non_ergodic(k, policy, report[t]), t // n
+                ends[failed] = t % n + 1
+                continue
+            records[t].append(_record(k, policy, report[t], changed[t]))
+            if best[t] is None or report[t].j_combined > best[t][1].j_combined:
+                best[t] = (policy, report[t])
+            stepping.append(t)
         live = []
         if not stepping:
             continue
-        steps = step([policy[i] for i in stepping], [report[i] for i in stepping])
+        steps = step([key[t] for t in stepping], [report[t] for t in stepping])
         moved = np.count_nonzero(
             np.array([new.action for new in steps])
-            != np.array([policy[i].action for i in stepping]),
+            != np.array([key[t][0].action for t in stepping]),
             axis=1,
         ).tolist()
-        for i, new, moves in zip(stepping, steps, moved):
+        for t, new, moves in zip(stepping, steps, moved):
+            policy = key[t][0]
             if stop_at_fixed_point and moves == 0:
-                records[i].append(_record(k + 1, policy[i], report[i]))
-                runs[i] = (policy[i], best[i], SolverTrace(tuple(records[i]), True, "fixed_point"))
+                records[t].append(_record(k + 1, policy, report[t]))
+                runs[t] = (policy, best[t], SolverTrace(tuple(records[t]), True, "fixed_point"))
             else:
-                policy[i], changed[i] = new, moves
-                live.append(i)
-    for i in live:
-        runs[i] = (policy[i], best[i], SolverTrace(tuple(records[i]), False, "max_iterations"))
-    return runs[: stop + 1]
+                key[t], changed[t] = (new, key[t][1]), moves
+                live.append(t)
+    for t in live:
+        runs[t] = (key[t][0], best[t], SolverTrace(tuple(records[t]), False, "max_iterations"))
+    return [runs[g * n : g * n + end] for g, end in enumerate(ends)]
 
 
 def _non_ergodic(k: int, policy: DeterministicPolicy, exc: EvaluationError) -> SolverError:
@@ -251,16 +260,17 @@ def _non_ergodic(k: int, policy: DeterministicPolicy, exc: EvaluationError) -> S
 
 def _greedy(model: MdpModel):
     """The step of policy iteration as `_iterate` calls it: the greedy
-    steps of each round's distinct policies as one batch. Each distinct
-    policy is scored once per solver call, since its step depends only
-    on it and its report."""
+    steps of each round's distinct (policy, beta) pairs as one batch. Each
+    pair is scored once per solver call, since its step depends only on
+    the policy and its report at that beta."""
     steps = {}
 
-    def step(policies, reports):
-        todo = {p: report for p, report in zip(policies, reports) if p not in steps}
+    def step(keys, reports):
+        todo = {key: report for key, report in zip(keys, reports) if key not in steps}
         if todo:
-            steps.update(zip(todo, _greedy_steps(model, list(todo), list(todo.values()))))
-        return [steps[p] for p in policies]
+            new = _greedy_steps(model, [policy for policy, _ in todo], list(todo.values()))
+            steps.update(zip(todo, new))
+        return [steps[key] for key in keys]
 
     return step
 
@@ -278,18 +288,21 @@ def policy_iteration(
     that changes the policy. Returns (final policy, trace); the trace ends
     with the repeated fixed-point policy.
     """
-    d, _, trace = _sole(_policy_iteration(model, [initial], max_iterations, {}))
+    (runs,) = _policy_iteration(model, [initial], [model.beta], max_iterations, {})
+    d, _, trace = _sole(runs)
     return d, trace
 
 
-def _policy_iteration(model, initials, max_iterations, reports):
-    """policy_iteration from each of `initials` in lockstep, reading and
-    filling the report memo `reports`: the runs of `_iterate`."""
+def _policy_iteration(model, initials, betas, max_iterations, reports):
+    """policy_iteration from each of `initials` at each beta of `betas` in
+    one lockstep, reading and filling the report memo `reports`: the runs
+    of `_iterate`, one list per beta."""
     if max_iterations is None:
         max_iterations = 10 * model.num_states * model.num_actions
     _integer(max_iterations, "max_iterations", 0)
     return _iterate(
-        model, initials, max_iterations + 1, _greedy(model), stop_at_fixed_point=True, reports=reports
+        model, initials, betas, max_iterations + 1, _greedy(model), stop_at_fixed_point=True,
+        reports=reports,
     )
 
 
@@ -329,8 +342,13 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
     other: the error of the lowest-index start that fails, where a draw
     that finds no start counts as its start failing. Before an error is
     raised, starts after the failed one may have been evaluated.
+    `cli.sweep_beta` runs this lockstep over every beta of its grid at
+    once; multi_start is its case of one beta, model.beta.
     """
-    return _multi_start(model, *_draw_starts(model, num_starts, seed), {})
+    (result,) = _multi_start(model, [model.beta], *_draw_starts(model, num_starts, seed))
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _draw_starts(model, num_starts, seed):
@@ -349,33 +367,52 @@ def _draw_starts(model, num_starts, seed):
     return initials, None
 
 
-def _multi_start(model, initials, draw_error, reports):
-    """multi_start from the starts `_draw_starts` drew, reading and filling
-    the report memo `reports`. The starts before a failed draw run first,
-    and their errors come first."""
-    runs = _policy_iteration(model, initials, None, reports)
+def _multi_start(model, betas, initials, draw_error) -> list:
+    """multi_start at each beta of `betas` from the starts `_draw_starts`
+    drew, as one lockstep over every (beta, start) pair: for each beta its
+    MultiStartResult, or the exception multi_start raises there. The betas
+    share one report memo, keyed by (policy, beta). At each beta the
+    starts before a failed draw run first, and their errors come first."""
+    reports = {}
+    groups = _policy_iteration(model, initials, betas, None, reports)
     # a capped start's final policy may be new: its EvaluationError is raised bare
-    capped = [k for k, run in enumerate(runs) if not isinstance(run, Exception) and not run[2].converged]
-    ends = _reports(model, [runs[k][0] for k in capped], reports)
-    for k in capped:
-        if isinstance(ends[runs[k][0]], EvaluationError):
-            runs[k:] = [ends[runs[k][0]]]
-            break
-    if runs and isinstance(runs[-1], Exception):
-        raise runs[-1]
-    if draw_error is not None:
-        raise draw_error
-    finals = [reports[policy].j_combined for policy, _, _ in runs]
+    capped = [
+        (run[0], beta)
+        for beta, runs in zip(betas, groups)
+        for run in runs
+        if not isinstance(run, Exception) and not run[2].converged
+    ]
+    ends = _reports(model, capped, reports)
+    out = []
+    for beta, runs in zip(betas, groups):
+        for k, run in enumerate(runs):
+            end = None if isinstance(run, Exception) else ends.get((run[0], beta))
+            if isinstance(end, EvaluationError):
+                runs[k:] = [end]
+                break
+        if runs and isinstance(runs[-1], Exception):
+            out.append(runs[-1])
+        elif draw_error is not None:
+            out.append(draw_error)
+        else:
+            out.append(_best_run(runs, [reports[policy, beta] for policy, _, _ in runs]))
+    return out
+
+
+def _best_run(runs, finals: list) -> MultiStartResult:
+    """The MultiStartResult of one beta's runs, whose final policies have
+    the reports `finals`."""
+    values = [report.j_combined for report in finals]
     best = 0
-    for k, final in enumerate(finals):
-        if final > finals[best]:
+    for k, value in enumerate(values):
+        if value > values[best]:
             best = k
     return MultiStartResult(
         best_policy=runs[best][0],
-        best_report=reports[runs[best][0]],
+        best_report=finals[best],
         best_index=best,
         traces=tuple(trace for _, _, trace in runs),
-        distinct_optima=_distinct_values(finals),
+        distinct_optima=_distinct_values(values),
     )
 
 
@@ -413,9 +450,9 @@ def epsilon_greedy_iteration(
     rng = np.random.default_rng(config.seed)
     steps = 0
 
-    def step(policies, reports):
+    def step(keys, reports):
         nonlocal steps
-        (d,), (report,) = policies, reports
+        ((d, _),), (report,) = keys, reports
         steps += 1
         if steps == config.budget:
             # the budget is spent: no later iterate would evaluate a proposal
@@ -423,9 +460,10 @@ def epsilon_greedy_iteration(
         (greedy,) = _greedy_steps(model, [d], [report])
         return [_propose_epsilon(model, greedy, config.epsilon, rng)]
 
-    _, best, trace = _sole(
-        _iterate(model, [initial], config.budget, step, stop_at_fixed_point=False, reports={})
+    (runs,) = _iterate(
+        model, [initial], [model.beta], config.budget, step, stop_at_fixed_point=False, reports={}
     )
+    _, best, trace = _sole(runs)
     return ExplorationResult(
         best_policy=best[0],
         best_report=best[1],
@@ -483,16 +521,17 @@ def ucb_iteration(
         counts = np.zeros((model.num_states, model.num_actions), dtype=int)
     gamma = config.gamma
 
-    def step(policies, reports):
+    def step(keys, reports):
         nonlocal gamma
-        (d,), (report,) = policies, reports
+        ((d, _),), (report,) = keys, reports
         new_d = _ucb_step(model, d, report, counts, gamma)
         gamma *= config.gamma_decay
         return [new_d]
 
-    _, best, trace = _sole(
-        _iterate(model, [initial], config.budget, step, stop_at_fixed_point=False, reports={})
+    (runs,) = _iterate(
+        model, [initial], [model.beta], config.budget, step, stop_at_fixed_point=False, reports={}
     )
+    _, best, trace = _sole(runs)
     return ExplorationResult(
         best_policy=best[0], best_report=best[1], trace=trace, counts=counts
     )

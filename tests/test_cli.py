@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import outcome, random_mdp, restrict_feasible, threshold_policy
+from conftest import assert_reports_equal, outcome, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
     GradientConfig,
@@ -34,7 +34,7 @@ from mvmdp import (
     save_policy,
     simulate_path,
 )
-from mvmdp import cli, solvers
+from mvmdp import cli, evaluation, solvers
 from mvmdp.cli import ParetoPoint, _build_parser, _optima_path, cross_check, main, sweep_beta
 
 
@@ -524,6 +524,103 @@ class TestSweepBeta:
         monkeypatch.setattr(cli, "_multi_start", lambda *args: runs.append(args))
         assert outcome(sweep_beta, wind_model, (0.1, 0.5, beta), 2) == ("ValidationError", message)
         assert runs == []
+
+
+GRID = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+
+
+class TestSweepLockstep:
+    """sweep_beta runs every (beta, start) pair in one lockstep: each round
+    factors each distinct policy once, and each beta keeps its own starts,
+    failures and floats."""
+
+    def test_each_rounds_distinct_policies_are_factored_once(self, monkeypatch, wind_model):
+        slices, batches = [], []
+        stationary, evaluate_batch = evaluation._stationary, solvers._evaluate_policies
+
+        def counting_stationary(chain):
+            slices.append((chain.indptr.size - 1) // chain.size)
+            return stationary(chain)
+
+        def recording(model, members):
+            outcomes = evaluate_batch(model, members)
+            batches.append(list(zip(members, outcomes)))
+            return outcomes
+
+        monkeypatch.setattr(evaluation, "_stationary", counting_stationary)
+        monkeypatch.setattr(solvers, "_evaluate_policies", recording)
+        points, _, failures = sweep_beta(wind_model, GRID, 8, seed=0)
+        assert len(points) == len(GRID) and failures == []
+        # 180 when each beta factored its own policies, in 30 batches
+        assert sum(slices) == sum(len({policy for (policy, _), _ in batch}) for batch in batches) == 30
+        assert len(batches) == 5
+        shared = 0
+        for batch in batches:
+            betas = {}
+            for (policy, beta), _ in batch:
+                betas.setdefault(policy, set()).add(beta)
+            for (policy, beta), report in batch:
+                if len(betas[policy]) < 2:
+                    continue
+                want = evaluate(dataclasses.replace(wind_model, beta=beta), policy)
+                for name in ("pi", "potential", "potential_mean", "potential_var"):
+                    assert np.array_equal(getattr(report, name), getattr(want, name)), name
+                assert (report.j_combined, report.beta) == (want.j_combined, beta)
+                shared += 1
+        assert shared > 0
+
+    def test_a_failed_start_touches_no_other_beta(self, abandon_model_b20):
+        """Start 0 fails at beta 0.1 and start 2 at beta 1 and above; the
+        betas 0.2 and 0.5 keep all four starts, in order, as multi_start
+        at each of them alone has them."""
+        model, seed = abandon_model_b20, 2
+        initials, draw_error = solvers._draw_starts(model, 4, seed)
+        groups = solvers._policy_iteration(model, initials, list(GRID), None, {})
+        assert [len(runs) for runs in groups] == [1, 4, 4, 3, 3, 3]
+        results = solvers._multi_start(model, list(GRID), initials, draw_error)
+        for beta, result in zip(GRID, results):
+            want = outcome(multi_start, dataclasses.replace(model, beta=beta), 4, seed)
+            if want[0] != "ok":
+                assert (type(result).__name__, str(result)) == want
+                continue
+            assert result.traces == want[1].traces
+            assert result.best_index == want[1].best_index
+            assert result.distinct_optima == want[1].distinct_optima
+            assert_reports_equal(result.best_report, want[1].best_report)
+        assert [isinstance(result, Exception) for result in results] == [
+            True, False, False, True, True, True
+        ]
+        got = outcome(sweep_beta, model, GRID, 4, seed)
+        assert got == outcome(per_beta_sweep, model, GRID, 4, seed)
+        assert [point.beta for point in got[1][0]] == [0.2, 0.5]
+
+    def test_round_graphs_have_increasing_columns(self, monkeypatch, wind_model, abandon_model_beta1):
+        """scipy's strong-components pass never returns on a repeated edge
+        (CHANGES.md): the union graph of a round, whose rows come from
+        every beta, lists each distinct policy's chain once, with strictly
+        increasing columns in every row."""
+        graphs, distinct = [], []
+        counts, evaluate_batch = evaluation._closed_class_counts, solvers._evaluate_policies
+
+        def recording(indptr, cols, M):
+            graphs.append((indptr.copy(), cols.copy(), M))
+            return counts(indptr, cols, M)
+
+        def counting(model, members):
+            distinct.append(len({policy for policy, _ in members}))
+            return evaluate_batch(model, members)
+
+        monkeypatch.setattr(evaluation, "_closed_class_counts", recording)
+        monkeypatch.setattr(solvers, "_evaluate_policies", counting)
+        for model in (wind_model, abandon_model_beta1):
+            sweep_beta(model, GRID, 8, seed=0)
+        assert [M for _, _, M in graphs] == distinct
+        assert len(graphs) >= 10 and max(distinct) > 1
+        for indptr, cols, M in graphs:
+            assert indptr.size - 1 == M * wind_model.num_states
+            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert (np.diff(cols)[same_row] > 0).all()
 
 
 class TestSimulateAndCheck:

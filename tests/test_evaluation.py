@@ -968,7 +968,9 @@ class TestMixedBatch:
         S = chain.size
         want = [outcome(evaluate, model, policy) for model, policy in members]
         pool = force_overlap(monkeypatch, overlap)
-        got = evaluation._evaluate_chains(chain, r, m2, members[0][0].beta)
+        got = evaluation._evaluate_chains(
+            chain, r, m2, list(range(len(members))), [members[0][0].beta] * len(members)
+        )
         for have, (kind, expected) in zip(got, want):
             if kind == "ok":
                 assert isinstance(have, evaluation.EvaluationReport)
@@ -994,6 +996,56 @@ class TestMixedBatch:
                 P, _ = induced_chain(model, policy)
                 fell_back += reference_potential(P, report.cost, report.j_combined, report.pi)[1]
         assert fell_back == 2
+
+    @pytest.mark.parametrize("battery", [5, 20])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_members_at_several_betas_match_evaluate_alone(self, monkeypatch, battery, overlap):
+        """Members that share a chain, each at its own beta, get what
+        evaluate gives each alone at that beta, the failures and the
+        normalized fall-back included; each chain is factored once."""
+        rng = np.random.default_rng(95 + battery)
+        members = batch_members(battery, rng)
+        chain, r, m2 = mixed_batch(members)
+        of = [m for _ in range(3) for m in rng.permutation(len(members)).tolist()]
+        beta = rng.choice([0.05, 0.3, 1.7], size=len(of)).tolist()
+        want = [
+            outcome(evaluate, dataclasses.replace(members[m][0], beta=b), members[m][1])
+            for m, b in zip(of, beta)
+        ]
+        slices = []
+        stationary = evaluation._stationary
+
+        def counting(chunk):
+            slices.append((chunk.indptr.size - 1) // chunk.size)
+            return stationary(chunk)
+
+        monkeypatch.setattr(evaluation, "_stationary", counting)
+        force_overlap(monkeypatch, overlap)
+        got = evaluation._evaluate_chains(chain, r, m2, of, beta)
+        for have, b, (kind, expected) in zip(got, beta, want):
+            if kind == "ok":
+                assert_reports_equal(have, expected)
+                assert have.beta == b
+            else:
+                assert (type(have).__name__, str(have)) == (kind, expected)
+        multichain = sum("not unique" in str(message) for _, message in want)
+        assert sum(slices) == len(members) - multichain // 3
+        assert len({b for b, (kind, _) in zip(beta, want) if kind == "ok"}) == 3
+
+    @pytest.mark.parametrize("battery", [5, 20])
+    def test_chains_in_another_order_match_evaluate_alone(self, battery):
+        """Members that are every chain of the batch once, in reverse order
+        and all passing, get what evaluate gives each alone: the Poisson
+        gates and the fall-back read each member's own chain."""
+        members = batch_members(battery, np.random.default_rng(90 + battery))
+        want = [outcome(evaluate, model, policy) for model, policy in members]
+        members = [member for member, (kind, _) in zip(members, want) if kind == "ok"]
+        want = [expected for kind, expected in want if kind == "ok"]
+        chain, r, m2 = mixed_batch(members)
+        of = list(reversed(range(len(members))))
+        got = evaluation._evaluate_chains(chain, r, m2, of, [members[m][0].beta for m in of])
+        for have, m in zip(got, of):
+            assert_reports_equal(have, want[m])
 
 
 STATIONARY = evaluation._stationary

@@ -220,6 +220,24 @@ class TestLoopReference:
             violated += bool(want)
         assert violated > 0
 
+    def test_report_at_another_beta_is_scored_at_model_beta(self, wind_model, abandon_model_beta1):
+        """The public functions score at model.beta whatever beta the report
+        was evaluated at (the solvers score at the report's own beta)."""
+        rng = np.random.default_rng(55)
+        for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=56):
+            other = dataclasses.replace(m, beta=7.0 * m.beta + 0.5)
+            rep = evaluate(other, d)
+            iv = improvement_vector(m, rep, d)
+            assert np.array_equal(iv.score, loop_scores(m, rep), equal_nan=True)
+            assert not np.array_equal(iv.score, loop_scores(other, rep), equal_nan=True)
+            assert check_necessary_condition(m, rep, d) == loop_violations(m, iv)
+            w = np.where(m.feasible_mask(), rng.uniform(0.1, 1.0, size=iv.score.shape), 0.0)
+            theta = RandomizedPolicy(w / w.sum(axis=1, keepdims=True))
+            rep = evaluate(other, theta)
+            got = derivative_randomized(m, theta, rep)
+            assert np.array_equal(got, loop_gradient(m, rep), equal_nan=True)
+            assert not np.array_equal(got, loop_gradient(other, rep), equal_nan=True)
+
     def test_gradient(self, wind_model, abandon_model_beta1):
         rng = np.random.default_rng(51)
         for m, d in model_policy_cases([wind_model, abandon_model_beta1], seed=52):

@@ -735,7 +735,7 @@ class TestMemoReference:
             monkeypatch.setattr(
                 solvers,
                 "_policy_iteration",
-                lambda m, initials, _, reports: inner(m, initials, cap, reports),
+                lambda m, initials, betas, _, reports: inner(m, initials, betas, cap, reports),
             )
             for m in self.models(wind_model, abandon_model_beta1, abandon_model_b20):
                 got = outcome(multi_start, m, 10, 0)
@@ -773,9 +773,9 @@ class TestMemoReference:
         evaluated = []
         inner = solvers._evaluate_policies
 
-        def counting(model, policies):
-            evaluated.extend(policies)
-            return inner(model, policies)
+        def counting(model, members):
+            evaluated.extend(policy for policy, _ in members)
+            return inner(model, members)
 
         monkeypatch.setattr(solvers, "_evaluate_policies", counting)
         for m in (wind_model, abandon_model_beta1):
@@ -793,9 +793,9 @@ class TestMemoReference:
         batches, scored = [], []
         evaluate_batch, step_batch = solvers._evaluate_policies, solvers._greedy_steps
 
-        def counting_evaluations(model, policies):
-            batches.append(list(policies))
-            return evaluate_batch(model, policies)
+        def counting_evaluations(model, members):
+            batches.append([policy for policy, _ in members])
+            return evaluate_batch(model, members)
 
         def counting_steps(model, policies, reports):
             scored.extend(policies)
