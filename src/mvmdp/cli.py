@@ -245,8 +245,6 @@ def _beta_grid(text: str) -> tuple:
         grid = tuple(float(b) for b in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad beta grid: {exc}") from exc
-    if any(b <= 0 for b in grid):
-        raise ValidationError("beta grid values must be > 0")
     for b in grid:
         _check_beta(b)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):

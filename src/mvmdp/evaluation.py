@@ -40,6 +40,7 @@ from .model import (
     _check_rows,
     _closed_class_counts,
     _gather_rows,
+    _kept,
     _policy_rows,
     _positive_rows,
     _square,
@@ -111,12 +112,11 @@ def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, size: i
 
 
 def _dense_chain(P: np.ndarray) -> _Chain:
-    """The _Chain of the dense float64 P: its entries whose bits are not all
-    zero, which are those `model._kept` keeps. A P not in row-major order is
-    copied into it first."""
+    """The _Chain of the dense float64 P: its entries that `model._kept`
+    keeps. A P not in row-major order is copied into it first."""
     S = P.shape[0]
     P = np.ascontiguousarray(P)
-    at = np.flatnonzero(P.view(np.int64))
+    at = np.flatnonzero(_kept(P))
     rows = at // S
     indptr = np.searchsorted(rows, np.arange(S + 1))
     cols = at - rows * S
@@ -133,6 +133,8 @@ def _times(chain: _Chain, x: np.ndarray) -> np.ndarray:
 
 def _check_stochastic(P: np.ndarray) -> np.ndarray:
     P = _square(P)
+    if not P.size:
+        raise ValidationError("transition matrix has no states")
     _check_rows(P, "transition row {}")
     return P
 

@@ -76,10 +76,9 @@ def _read_only(*arrays) -> tuple:
 
 
 def _kept(values: np.ndarray) -> np.ndarray:
-    """Where values are not +0.0: the entries a _KernelCSR stores."""
-    keep = values != 0
-    keep |= np.signbit(values)
-    return keep
+    """Where the float64 values are not +0.0, the one value whose bits are
+    all zero: the entries a _KernelCSR stores."""
+    return values.view(np.int64) != 0
 
 
 def _csr_of_entries(S: int, A: int, pairs: np.ndarray, cols, values) -> _KernelCSR:
@@ -283,29 +282,25 @@ def _action_lists(feasible):
     return states, actions, lengths
 
 
-def _state_error(i: int, acts: tuple, A: int):
-    """Why the sorted action list of state i is invalid, or None."""
-    if not acts:
-        return f"state {i} has no feasible action"
-    if acts[0] < 0 or acts[-1] >= A:
-        return f"state {i} lists action outside [0, {A}): {acts}"
-    if len(set(acts)) != len(acts):
-        return f"state {i} lists duplicate actions: {acts}"
-    return None
-
-
-def _first_bad_state(actions: np.ndarray, lengths: np.ndarray, A: int) -> int:
-    """The first state whose sorted action list `_state_error` rejects:
-    empty, with an action outside [0, A), or with a repeated action; the
-    number of states when there is none. `actions` holds the lists end to
-    end."""
+def _first_bad_state(feasible: tuple, actions: np.ndarray, lengths: np.ndarray, A: int):
+    """(i, message): the first state i whose sorted action list in
+    `feasible` is empty, holds an action outside [0, A) or repeats one,
+    and why, the first of those reasons that holds; (number of states,
+    None) when there is none. `actions` holds the lists end to end."""
     state = np.repeat(np.arange(lengths.size), lengths)
-    bad = lengths == 0
-    bad[state[(actions < 0) | (actions >= A)]] = True
-    repeated = (actions[1:] == actions[:-1]) & (state[1:] == state[:-1])
-    bad[state[1:][repeated]] = True
-    first = np.flatnonzero(bad)
-    return int(first[0]) if first.size else int(lengths.size)
+    empty = lengths == 0
+    outside, repeated = np.zeros_like(empty), np.zeros_like(empty)
+    outside[state[(actions < 0) | (actions >= A)]] = True
+    repeated[state[1:][(actions[1:] == actions[:-1]) & (state[1:] == state[:-1])]] = True
+    first = np.flatnonzero(empty | outside | repeated)
+    if not first.size:
+        return int(lengths.size), None
+    i = int(first[0])
+    if empty[i]:
+        return i, f"state {i} has no feasible action"
+    if outside[i]:
+        return i, f"state {i} lists action outside [0, {A}): {feasible[i]}"
+    return i, f"state {i} lists duplicate actions: {feasible[i]}"
 
 
 def _integer(value, name: str, low: int | None = None) -> int:
@@ -406,7 +401,7 @@ def _validate_model(model: MdpModel, kernel, actions: np.ndarray, lengths: np.nd
         raise ValidationError(f"kernel shape {kernel.shape} != {(S, A, S)}")
     if model.reward.shape != (S, A):
         raise ValidationError(f"reward shape {model.reward.shape} != {(S, A)}")
-    first_bad_state = _first_bad_state(actions, lengths, A)
+    first_bad_state, state_error = _first_bad_state(model.feasible, actions, lengths, A)
     # the pairs of the states before the first bad one, all of them valid
     good = int(lengths[:first_bad_state].sum())
     mask = np.zeros((S, A), dtype=bool)
@@ -424,7 +419,7 @@ def _validate_model(model: MdpModel, kernel, actions: np.ndarray, lengths: np.nd
         i, a = divmod(int(bad_reward[0]), A)
         raise ValidationError(f"reward {i},{a} is not finite")
     if first_bad_state < S:
-        raise ValidationError(_state_error(first_bad_state, model.feasible[first_bad_state], A))
+        raise ValidationError(state_error)
     return mask
 
 
@@ -536,16 +531,13 @@ def _check_policies(model: MdpModel, policies) -> np.ndarray:
 def induced_chain(model: MdpModel, policy: DeterministicPolicy):
     """Transition matrix P[i, j] = kernel[i, d(i), j] and reward vector
     r[i] = reward[i, d(i)] of the chain the policy induces. P is made by
-    scattering the policy's pairs' CSR rows into zeros, or gathered from a
-    kernel of one block (`MdpModel._block_states`): the kernel's floats."""
+    scattering the policy's pairs' CSR rows into zeros: the kernel's
+    floats."""
     policy.validate_for(model)
     S = model.num_states
-    idx = np.arange(S)
-    if model._block_states() >= S:
-        return model.kernel[idx, policy.action], model.reward[idx, policy.action]
     P = np.zeros((S, S))
     _scatter_rows(P, *_policy_rows(model, policy.action))
-    return P, model.reward[idx, policy.action]
+    return P, model.reward[np.arange(S), policy.action]
 
 
 def _policy_rows(model: MdpModel, action: np.ndarray):

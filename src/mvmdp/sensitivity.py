@@ -48,23 +48,27 @@ class DifferenceBreakdown:
     direct: float
 
 
-def _scores(model: MdpModel, reports: list, beta: float | None = None):
-    """(score, kg) of the reports, as one batch: the Q-scores of every
-    feasible pair (NaN elsewhere) and kernel @ g, stacked (M, S, A). Each
-    report is scored at `beta`, or without it at its own beta. The
-    reports are not checked (`_score_table` checks for the public
-    functions).
-
-    kernel @ g is taken block by block over the model's dense kernel
-    blocks, with the bits of the whole product; each block is built once
-    for the batch and multiplied by every potential in one stacked
-    np.matmul, which numpy takes as one gemv per (potential, state) pair,
-    as block @ g does (block @ G.T is a gemm and rounds differently).
-    """
+def _kernel_times(model: MdpModel, reports: list) -> np.ndarray:
+    """kernel @ g of the reports' potentials g, stacked (M, S, A), block
+    by block over the model's dense kernel blocks, with the bits of the
+    whole product; each block is built once for the batch and multiplied
+    by every potential in one stacked np.matmul, which numpy takes as one
+    gemv per (potential, state) pair, as block @ g does (block @ G.T is a
+    gemm and rounds differently)."""
     G = np.array([report.potential for report in reports])
     kg = np.empty((len(reports), model.num_states, model.num_actions))
     for lo, hi, block in model._blocks():
         np.matmul(block, G[:, None, :, None], out=kg[:, lo:hi, :, None])
+    return kg
+
+
+def _scores(model: MdpModel, reports: list, beta: float | None = None):
+    """(score, kg) of the reports, as one batch: the Q-scores of every
+    feasible pair (NaN elsewhere) and kernel @ g (`_kernel_times`), stacked
+    (M, S, A). Each report is scored at `beta`, or without it at its own
+    beta. The reports are not checked (`_score_table` checks for the
+    public functions)."""
+    kg = _kernel_times(model, reports)
     j_mean = np.array([report.j_mean for report in reports])
     if beta is None:
         beta = np.array([report.beta for report in reports])[:, None, None]
@@ -184,7 +188,7 @@ def derivative_randomized(
 
 def _gradient(model: MdpModel, report: EvaluationReport, kg: np.ndarray) -> np.ndarray:
     """derivative_randomized from the report of theta and its kernel @ g
-    (`_scores`), unchecked."""
+    (`_kernel_times`), unchecked."""
     pi, j_mean, beta, r = report.pi, report.j_mean, model.beta, model.reward
     bracket = kg + r - beta * r**2 + 2.0 * beta * j_mean * r
     return np.where(model.feasible_mask(), pi[:, None] * bracket, np.nan)

@@ -115,9 +115,6 @@ LOOP_LANES = 32
 """A repair pass walks its chunks in numpy while at least this many walk;
 the ones left walk to their ends in the per-step loop, one by one."""
 
-MAX_REPAIR_PASSES = 8
-"""Repair passes before the rest of the path goes to the per-step loop."""
-
 BUCKET_BITS = 8
 """A draw u falls in bucket floor(u * 2**BUCKET_BITS) of `_Sampler`'s
 table."""
@@ -185,11 +182,11 @@ class _Sampler:
         return out
 
 
-def _draw_rule(nxt, thresholds, table):
+def _draw_rule(nxt, thresholds):
     """The next-state rule of the `_support_table` (nxt, thresholds): a
-    `_Sampler` if `table` and its table fits in BUCKET_ENTRIES, else the
-    exact count of `_next_states`."""
-    if table and thresholds.shape[0] << BUCKET_BITS <= BUCKET_ENTRIES:
+    `_Sampler` if its table fits in BUCKET_ENTRIES, else the exact count of
+    `_next_states`. Both give the same next states."""
+    if thresholds.shape[0] << BUCKET_BITS <= BUCKET_ENTRIES:
         return _Sampler(nxt, thresholds)
     return functools.partial(_next_states, nxt, thresholds)
 
@@ -213,14 +210,15 @@ def _coalesces(step, draws, start, chunks, num_states):
         t += 1
 
 
-def _walk(steps, loop, draws, start, records, num_states):
+def _walk(make_step, loop, draws, start, records, num_states):
     """Fill records[:, t] with the state at step t of the path from `start`
     on `draws` (row 0) and the side outputs of that step (rows 1:).
 
-    steps(table) is a function step(states, *draws_t) that advances many
-    walks by one step at once, by `_draw_rule(..., table)`, and gives
-    (next states, *side outputs). loop(i, t0, t1) walks records[:, t0:t1]
-    from state i one step at a time and gives the state at step t1.
+    make_step() builds step(states, *draws_t), which advances many walks by
+    one step at once, by `_draw_rule`, and gives (next states, *side
+    outputs): once, for the probe and the passes. loop(i, t0, t1) walks
+    records[:, t0:t1] from state i one step at a time and gives the state
+    at step t1.
 
     The horizon is cut into chunks of CHUNK_STEPS steps. A first pass
     walks them all together, chunk 0 from `start` and every other one from
@@ -237,15 +235,14 @@ def _walk(steps, loop, draws, start, records, num_states):
     whole path when it has fewer than MIN_CHUNKS chunks or the probe
     (`_coalesces`) finds too few walks meeting; the last LOOP_LANES
     chunks of a pass, each to its end; the path from its first chunk that
-    is not exact after MAX_REPAIR_PASSES passes or after a pass in which
-    fewer than half of the chunks met; and the steps after the last whole
-    chunk."""
+    is not exact after a pass in which fewer than half of the chunks met
+    (so a pass walks at most half the chunks of the one before, and all
+    passes fewer than 2K); and the steps after the last whole chunk."""
     T = records.shape[1]
     K = T // CHUNK_STEPS
-    if K < MIN_CHUNKS or not _coalesces(steps(False), draws, start, K, num_states):
+    if K < MIN_CHUNKS or not _coalesces(step := make_step(), draws, start, K, num_states):
         loop(start, 0, T)
         return
-    step = steps(True)
     grids = records[:, : K * CHUNK_STEPS].reshape(len(records), K, CHUNK_STEPS)
     draws = [d[: K * CHUNK_STEPS].reshape(K, CHUNK_STEPS) for d in draws]
     cur = np.full(K, start)
@@ -256,7 +253,7 @@ def _walk(steps, loop, draws, start, records, num_states):
         cur = out[0]
     ends = cur
     pending = np.arange(1, K)
-    for _ in range(MAX_REPAIR_PASSES):
+    while True:
         lanes = pending = pending[grids[0, pending, 0] != ends[pending - 1]]
         if not lanes.size:
             break
@@ -322,8 +319,8 @@ def simulate_path(
         u = rng.random(T)
         records = np.empty((1, T), dtype=int)
 
-        def steps(table):
-            draw = _draw_rule(nxt, thresholds, table)
+        def make_step():
+            draw = _draw_rule(nxt, thresholds)
             return lambda cur, u_t: (draw(cur, u_t),)
 
         lists = functools.cache(lambda: (nxt.tolist(), thresholds.tolist()))
@@ -339,7 +336,7 @@ def simulate_path(
             records[0, t0:t1] = visited
             return i
 
-        _walk(steps, loop, [u], start_state, records, S)
+        _walk(make_step, loop, [u], start_state, records, S)
         states = records[0]
         reward = model.reward[np.arange(S), policy.action]
         return PathSample(states, policy.action.take(states), reward.take(states))
@@ -351,8 +348,8 @@ def simulate_path(
         us = rng.random(T)
         records = np.empty((2, T), dtype=int)
 
-        def steps(table):
-            choose, move = _draw_rule(act, act_thresholds, table), _draw_rule(nxt, thresholds, table)
+        def make_step():
+            choose, move = _draw_rule(act, act_thresholds), _draw_rule(nxt, thresholds)
 
             def step(cur, ua_t, us_t):
                 a = choose(cur, ua_t)
@@ -381,7 +378,7 @@ def simulate_path(
             records[1, t0:t1] = chosen
             return i
 
-        _walk(steps, loop, [ua, us], start_state, records, S)
+        _walk(make_step, loop, [ua, us], start_state, records, S)
         states, actions = records
         return PathSample(states, actions, model.reward.take(states * A + actions))
     raise ValidationError(f"cannot simulate policy of type {type(policy).__name__}")
@@ -442,9 +439,9 @@ def estimate_metrics(
 def _accumulate_cost(chain: _Chain, f, J, start, truncation, reps, seed):
     """Mean and spread over replications of sum_{t<=truncation} (f(X_t) - J)
     on the chain's rows (`evaluation._Chain`): the sampling table of their
-    entries > 0."""
+    entries > 0, drawn by `_draw_rule`."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
-    nxt, thresholds = _support_table(*_positive_rows(chain.indptr, chain.cols, chain.values))
+    draw = _draw_rule(*_support_table(*_positive_rows(chain.indptr, chain.cols, chain.values)))
     cur = np.full(reps, start, dtype=int)
     acc = np.zeros(reps)
     excess = f - J
@@ -452,7 +449,7 @@ def _accumulate_cost(chain: _Chain, f, J, start, truncation, reps, seed):
         acc += excess[cur]
         if t == truncation:
             break
-        cur = _next_states(nxt, thresholds, cur, rng.random(reps))
+        cur = draw(cur, rng.random(reps))
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
 
 

@@ -26,7 +26,7 @@ from .model import (
     _policy_support,
     sample_random_policy,
 )
-from .sensitivity import _gradient, _scores
+from .sensitivity import _gradient, _kernel_times, _scores
 
 TIE_TOL = 1e-9
 DISTINCT_OPTIMA_TOL = 1e-6
@@ -550,6 +550,7 @@ def mollify(model: MdpModel, theta: RandomizedPolicy, eps: float = MOLLIFY_EPS):
     stationary distribution. eps must lie in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must be in [0, 1], got {eps}")
+    theta.validate_for(model)
     blended = (1.0 - eps) * theta.theta + eps * _uniform_feasible(model)
     return RandomizedPolicy(blended)
 
@@ -587,7 +588,7 @@ def gradient_solver(
     for l in range(1, config.max_iterations + 1):
         pol = RandomizedPolicy(theta)
         report = _evaluate_theta(model, pol)
-        grad = _gradient(model, report, _scores(model, [report])[1][0])
+        grad = _gradient(model, report, _kernel_times(model, [report])[0])
         arg = np.nanargmax(np.where(np.isnan(grad), -np.inf, grad), axis=1)
         changed = 0 if prev_argmax is None else int(np.sum(arg != prev_argmax))
         records.append(_record(l - 1, pol, report, changed))

@@ -118,6 +118,7 @@ def decompose_action(spec: WindStorageSpec, state: JointState, U: int):
     state must lie within the spec's wind levels and battery capacity.
     """
     w, b = _integer(state.wind, "wind"), _integer(state.battery, "battery")
+    U = _integer(U, "decision")
     W, B = len(spec.wind_states), spec.battery_capacity
     if not (0 <= w < W and 0 <= b <= B):
         raise ValidationError(

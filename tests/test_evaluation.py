@@ -4,6 +4,7 @@ import itertools
 import re
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     random_mdp,
     threshold_policy,
 )
+from exact import exact_evaluation
 import mvmdp.model
 from mvmdp import (
     DeterministicPolicy,
@@ -74,6 +76,10 @@ class TestStationaryDistribution:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValidationError, match="transition row 0 sums to"):
             stationary_distribution(np.array([[0.5, bad], [0.5, 0.5]]))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="^transition matrix has no states$"):
+            stationary_distribution(np.zeros((0, 0)))
 
 
 class TestMetrics:
@@ -156,6 +162,10 @@ class TestPoisson:
         g = solve_poisson(P, f, 1.0)
         assert g[0] == 0.0
         assert np.allclose(g, f - 1.0 + P @ g, atol=1e-8)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="^transition matrix has no states$"):
+            solve_poisson(np.zeros((0, 0)), [], 0.0)
 
     def test_cost_length_is_checked(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -1085,3 +1095,67 @@ class TestStationaryGates:
             kind, message = self.run(monkeypatch, shift)
             assert kind == "EvaluationError"
             assert re.fullmatch(r"stationary solve residual 1\.\d{3}e-07 exceeds 1e-10", message)
+
+
+EPS = np.finfo(float).eps
+
+
+def transient_start_mdp(rng):
+    """A random_mdp of up to 10 states that no state enters state 0 in:
+    state 0 is transient under every policy."""
+    m = random_mdp(rng, max_states=10)
+    kernel = m.kernel.copy()
+    kernel[:, :, 0] = 0.0
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return MdpModel(m.num_states, m.num_actions, m.feasible, kernel, m.reward, m.beta)
+
+
+class TestExactOracle:
+    """evaluate against the exact rational evaluation (tests/exact.py) of
+    the same float chain, rewards and beta.
+
+    Errors are taken relative to max(1, max |exact value|) per field.
+    Measured on 40 seeded random_mdp cases (S from 2 to 10, every fourth
+    with a transient state 0) and on both B=5 wind models at the threshold
+    policy and the PI optimum, on one BLAS thread: at most 0.9 eps for pi,
+    2.7 eps for j_mean, j_var and j_combined, and 35 eps for the potentials
+    (potential_var of the B=5 threshold chains; eps = 2**-52). The bounds
+    below leave a factor of about 4 over those."""
+
+    BOUNDS = {"pi": 4 * EPS, "j_mean": 16 * EPS, "j_var": 16 * EPS, "j_combined": 16 * EPS,
+              "potential": 128 * EPS, "potential_mean": 128 * EPS, "potential_var": 128 * EPS}
+
+    @classmethod
+    def check(cls, model, policy):
+        P, r = induced_chain(model, policy)
+        exact = exact_evaluation(P, r, model.beta)
+        report = evaluate(model, policy)
+        for name, bound in cls.BOUNDS.items():
+            want = np.atleast_1d(np.array(exact[name], dtype=object))
+            got = np.atleast_1d(getattr(report, name))
+            error = max(abs(Fraction(float(g)) - w) for g, w in zip(got, want))
+            scale = max(1, *map(abs, want))
+            assert error <= bound * scale, (name, float(error / scale) / EPS)
+        return exact, report
+
+    def test_random_models(self):
+        rng = np.random.default_rng(110)
+        for _ in range(12):
+            m = random_mdp(rng, max_states=10)
+            self.check(m, sample_random_policy(m, rng))
+
+    def test_transient_state_0(self):
+        rng = np.random.default_rng(111)
+        m = transient_start_mdp(rng)
+        exact, report = self.check(m, sample_random_policy(m, rng, require_irreducible=False))
+        assert exact["pi"][0] == 0 and report.pi[0] == 0.0
+
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind_b5(self, abandonment):
+        spec = WindStorageSpec(beta=1.0 if abandonment else 0.1, abandonment=abandonment)
+        m = build(spec)
+        start = threshold_policy(spec)
+        optimum, _ = policy_iteration(m, start)
+        assert optimum != start
+        for policy in (start, optimum):
+            self.check(m, policy)

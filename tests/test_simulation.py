@@ -31,6 +31,7 @@ from mvmdp import (
 )
 from mvmdp import simulation
 from mvmdp.evaluation import _policy_chain
+from mvmdp.model import _positive_rows
 
 
 def dense_cumulative(rows):
@@ -197,6 +198,52 @@ def dense_accumulate_cost(P, f, J, start, truncation, reps, seed):
         u = rng.random(reps)
         cur = (cum[cur] <= u[:, None]).sum(axis=1)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+
+
+def next_states_accumulate_cost(chain, f, J, start, truncation, reps, seed):
+    """Reference for simulation._accumulate_cost: every step of every
+    replication takes the exact count of `_next_states` on the chain's
+    support table, with no bucket table."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
+    nxt, thresholds = simulation._support_table(*_positive_rows(chain.indptr, chain.cols, chain.values))
+    cur = np.full(reps, start, dtype=int)
+    acc = np.zeros(reps)
+    excess = f - J
+    for t in range(truncation + 1):
+        acc += excess[cur]
+        if t == truncation:
+            break
+        cur = simulation._next_states(nxt, thresholds, cur, rng.random(reps))
+    return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+
+
+class TestPotentialWalkReference:
+    """estimate_potential gives the value and std_error of the exact-count
+    walk bit for bit."""
+
+    @staticmethod
+    def check(model, policy, state, truncation, reps, seed):
+        report = evaluate(model, policy)
+        chain = _policy_chain(model, policy)[0]
+        args = (report.cost, report.j_combined)
+        mean_s, se_s = next_states_accumulate_cost(chain, *args, state, truncation, reps, seed)
+        mean_0, se_0 = next_states_accumulate_cost(chain, *args, 0, truncation, reps, seed)
+        got = estimate_potential(model, policy, state, truncation, reps, seed)
+        assert (got.value, got.std_error) == (mean_s - mean_0, float(np.hypot(se_s, se_0)))
+
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind_b5(self, abandonment):
+        spec = WindStorageSpec(abandonment=abandonment)
+        m = build(spec)
+        for k, policy in enumerate([threshold_policy(spec), _uniform_theta(m)]):
+            self.check(m, policy, 7 + 20 * k, 200, 2000, seed=k)
+        self.check(m, threshold_policy(spec), m.num_states - 1, 200, 10_000, seed=0)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(120)
+        for k, (m, d) in enumerate(model_policy_cases([], seed=120, random_models=3, policies_per_model=1)):
+            for policy in (d, *_thetas(m, rng)):
+                self.check(m, policy, m.num_states - 1, 50, 500, seed=k)
 
 
 class TestSimulateLoopReference:
@@ -430,13 +477,12 @@ class TestChunkedWalk:
             _same_path(simulate_path(m, policy, T, seed=k, start_state=k),
                        loop_simulate_path(m, policy, T, seed=k, start_state=k))
 
-    @pytest.mark.parametrize("loop_lanes, passes", [(1, 8), (10**9, 8), (32, 1), (32, 2)])
-    def test_loop_hand_overs(self, monkeypatch, loop_lanes, passes):
-        """Stragglers walked by the loop, chunk by chunk, and the rest of the
-        path handed to the loop after a capped number of repair passes."""
+    @pytest.mark.parametrize("loop_lanes", [1, 10**9])
+    def test_loop_hand_overs(self, monkeypatch, loop_lanes):
+        """Stragglers walked by the loop, chunk by chunk, or every chunk of
+        the first pass handed to the loop."""
         monkeypatch.setattr(simulation, "_coalesces", lambda *args: True)
         monkeypatch.setattr(simulation, "LOOP_LANES", loop_lanes)
-        monkeypatch.setattr(simulation, "MAX_REPAIR_PASSES", passes)
         spec = WindStorageSpec(battery_capacity=20)
         m = build(spec)
         for policy in (threshold_policy(spec), _uniform_theta(m)):
@@ -462,6 +508,24 @@ class TestChunkedWalk:
         T = 60_000
         simulate_path(m, DeterministicPolicy(np.zeros(m.num_states, dtype=int)), T, seed=1)
         assert 0 < sum(steps) <= 3 * T
+
+    def test_one_draw_rule_per_path(self, monkeypatch):
+        """A long deterministic path builds its step once, for the probe
+        and the passes alike; a path under MIN_CHUNKS chunks builds none."""
+        calls = []
+        rule = simulation._draw_rule
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(simulation, "_draw_rule", counted)
+        spec = WindStorageSpec()
+        m, d = build(spec), threshold_policy(spec)
+        for T, want in ((simulation.MIN_CHUNKS * CHUNK - 1, 0), (60_000, 1)):
+            calls.clear()
+            _same_path(simulate_path(m, d, T, seed=2), loop_simulate_path(m, d, T, seed=2))
+            assert len(calls) == want, T
 
     def test_fixed_and_top_draws(self, monkeypatch):
         """The walk draws only through `Generator.random(n)`: stand-ins that

@@ -307,6 +307,20 @@ def test_gradient_solver_checks_each_theta_once(wind_model, monkeypatch):
     assert all(c is e for c, e in zip(checked, evaluated))
 
 
+def test_gradient_solver_takes_kernel_times_g_alone(wind_model, monkeypatch):
+    """Each gradient step computes kernel @ g and no score table, with the
+    bits kernel @ g has in the score table."""
+    start = RandomizedPolicy(_uniform_feasible(wind_model))
+    config = GradientConfig(max_iterations=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_kernel_times", lambda model, reports: mvmdp.sensitivity._scores(model, reports)[1])
+        want = gradient_solver(wind_model, start, config)
+    monkeypatch.setattr(solvers, "_scores", lambda *args: pytest.fail("a score table was built"))
+    got = gradient_solver(wind_model, start, config)
+    assert np.array_equal(got.theta.theta, want.theta.theta)
+    assert [r.j_combined for r in got.trace.iterations] == [r.j_combined for r in want.trace.iterations]
+
+
 class TestExplorationConfig:
     def test_epsilon_range(self):
         ExplorationConfig(epsilon=0.0)
@@ -935,6 +949,10 @@ class TestMollify:
             mollify(m, theta, eps=eps)
         assert np.array_equal(mollify(m, theta, eps=0.0).theta, theta.theta)
         assert np.array_equal(mollify(m, theta, eps=1.0).theta, _uniform_feasible(m))
+
+    def test_theta_of_another_shape_is_rejected(self, wind_model):
+        with pytest.raises(ValidationError, match=r"^theta shape \(2, 2\) != \(36, 5\)$"):
+            mollify(wind_model, RandomizedPolicy(np.ones((2, 2))))
 
     def test_small_eps_stays_close(self):
         m = random_mdp(np.random.default_rng(32))

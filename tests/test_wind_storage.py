@@ -1,4 +1,6 @@
 """Wind-plus-battery benchmark construction in both scenarios."""
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ class TestSpec:
             r"wind 0\.\.5, battery 0\.\.5$",
         ):
             decompose_action(WindStorageSpec(), JointState(wind, battery), 0)
+
+    @pytest.mark.parametrize("decision", [True, 1.0, "1"])
+    def test_decompose_takes_an_integer_decision(self, decision):
+        """A decision is an integer, as the state's levels are: a bool or a
+        float is not read as one, and an integer of numpy's gives plain
+        ints."""
+        state = JointState(wind=3, battery=2)
+        with pytest.raises(ValidationError, match=rf"^decision must be an integer, got {re.escape(repr(decision))}$"):
+            decompose_action(WindStorageSpec(), state, decision)
+        got = decompose_action(WindStorageSpec(), state, np.int64(1))
+        assert got == (1, 0) and [type(x) for x in got] == [int, int]
 
 
 class TestNoAbandonment:
