@@ -19,6 +19,7 @@ from .model import (
     _check_beta,
     _check_seed,
     _csr,
+    _entries,
     _integer,
     _positive_rows,
 )
@@ -405,10 +406,17 @@ def estimate_metrics(
 ) -> SimulationEstimate:
     """Time-average metric estimates from one path, with batch-means CIs.
 
-    Accepts a PathSample or a bare reward sequence. The point estimates use
-    the full path; half-widths come from the spread of per-batch estimates.
+    Accepts a PathSample or a bare reward sequence, which must be 1-D and
+    hold numbers. The point estimates use the full path; half-widths come
+    from the spread of per-batch estimates.
     """
-    rewards = path.rewards if isinstance(path, PathSample) else np.asarray(path, float)
+    if isinstance(path, PathSample):
+        rewards = path.rewards
+    else:
+        message = "rewards must be a 1-D sequence of numbers"
+        rewards = np.asarray(_entries(path, "biuf", message), float)
+        if rewards.ndim != 1:
+            raise ValidationError(f"{message}, got shape {rewards.shape}")
     T = rewards.shape[0]
     if T < 2:
         raise ValidationError(f"need a path of length >= 2, got {T}")

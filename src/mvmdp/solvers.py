@@ -175,8 +175,7 @@ def _record(k: int, policy, report: EvaluationReport, changed: int = 0) -> Trace
 def _iterate(model, initials, betas, num_steps, step, stop_at_fixed_point, reports):
     """The evaluate -> record -> step loop every policy-iteration variant
     runs, driving each start of `initials` at each beta of `betas` in one
-    lockstep: a run per (beta, start) pair, the runs at one beta making up
-    its group.
+    lockstep: a run per (beta, start) pair.
 
     The starts are checked once, as validate_for checks each; the later
     iterates come from steps and are not checked again. Each round
@@ -186,45 +185,32 @@ def _iterate(model, initials, betas, num_steps, step, stop_at_fixed_point, repor
     (policy, beta) pairs and reports; it returns each one's next policy. A
     run evaluates at most `num_steps` iterates. With `stop_at_fixed_point`
     a run ends when its step returns the policy it was given, which is
-    recorded once more.
+    recorded once more. A run fails when an iterate does not evaluate.
 
-    A run fails when an iterate does not evaluate (a SolverError). Run one
-    after the other, the starts after it in its group would never have
-    run, so they are dropped at once; the starts before it run on, and a
-    failure among them takes its place. A failure touches no other group.
-    Returns, for each beta, one entry per start up to the first that
-    failed: (last policy, best (policy, report) evaluated, trace), and for
-    the failed start its SolverError.
+    Every run goes to its own end, whatever the others do. Returns, for
+    each beta, one entry per start: (last policy, trace), or the
+    SolverError of the iterate that failed.
     """
     if initials:
         _check_policies(model, initials)
-    n = len(initials)
     key = [(policy, beta) for beta in betas for policy in initials]  # run g * n + i
     report = [None] * len(key)  # of each run's current policy
     records = [[] for _ in key]
-    best = [None] * len(key)
     changed = [0] * len(key)
     runs = [None] * len(key)
-    ends = [n] * len(betas)  # each group's starts up to its first failed one
     live = list(range(len(key)))
     for k in range(num_steps):
         if not live:
             break
         outcomes = _reports(model, [key[t] for t in live], reports)
         stepping = []
-        failed = None  # the group whose run failed last in this round
         for t in live:
-            if t // n == failed:
-                continue
             policy, report[t] = key[t][0], outcomes[key[t]]
             if isinstance(report[t], EvaluationError):
-                runs[t], failed = _non_ergodic(k, policy, report[t]), t // n
-                ends[failed] = t % n + 1
-                continue
-            records[t].append(_record(k, policy, report[t], changed[t]))
-            if best[t] is None or report[t].j_combined > best[t][1].j_combined:
-                best[t] = (policy, report[t])
-            stepping.append(t)
+                runs[t] = _non_ergodic(k, policy, report[t])
+            else:
+                records[t].append(_record(k, policy, report[t], changed[t]))
+                stepping.append(t)
         live = []
         if not stepping:
             continue
@@ -238,13 +224,14 @@ def _iterate(model, initials, betas, num_steps, step, stop_at_fixed_point, repor
             policy = key[t][0]
             if stop_at_fixed_point and moves == 0:
                 records[t].append(_record(k + 1, policy, report[t]))
-                runs[t] = (policy, best[t], SolverTrace(tuple(records[t]), True, "fixed_point"))
+                runs[t] = (policy, SolverTrace(tuple(records[t]), True, "fixed_point"))
             else:
                 key[t], changed[t] = (new, key[t][1]), moves
                 live.append(t)
     for t in live:
-        runs[t] = (key[t][0], best[t], SolverTrace(tuple(records[t]), False, "max_iterations"))
-    return [runs[g * n : g * n + end] for g, end in enumerate(ends)]
+        runs[t] = (key[t][0], SolverTrace(tuple(records[t]), False, "max_iterations"))
+    n = len(initials)
+    return [runs[g * n : (g + 1) * n] for g in range(len(betas))]
 
 
 def _non_ergodic(k: int, policy: DeterministicPolicy, exc: EvaluationError) -> SolverError:
@@ -286,11 +273,11 @@ def policy_iteration(
     potentials, and moves every state to its best-scoring action until the
     policy repeats. The combined metric strictly increases at every step
     that changes the policy. Returns (final policy, trace); the trace ends
-    with the repeated fixed-point policy.
+    with the repeated fixed-point policy. An iterate that does not
+    evaluate raises SolverError.
     """
     (runs,) = _policy_iteration(model, [initial], [model.beta], max_iterations, {})
-    d, _, trace = _sole(runs)
-    return d, trace
+    return _sole(runs)
 
 
 def _policy_iteration(model, initials, betas, max_iterations, reports):
@@ -338,12 +325,13 @@ def multi_start(model: MdpModel, num_starts: int, seed: int = 0) -> MultiStartRe
     policy, so a policy that several starts pass through, and the winner's
     best_report, are evaluated once per call; only the final policy of a
     start that hit the iteration cap can need an evaluation after its run.
-    Results and errors are those of running the starts one after the
-    other: the error of the lowest-index start that fails, where a draw
-    that finds no start counts as its start failing. Before an error is
-    raised, starts after the failed one may have been evaluated.
-    `cli.sweep_beta` runs this lockstep over every beta of its grid at
-    once; multi_start is its case of one beta, model.beta.
+    Every start runs to its own end, so results and errors are those of
+    running the starts one after the other. The error raised is that of
+    the lowest-index start that fails: its run fails, or its capped final
+    policy does not evaluate. A draw that finds no start counts as its
+    start failing, so its error is raised only when every start before it
+    runs through. `cli.sweep_beta` runs this lockstep over every beta of
+    its grid at once; multi_start is its case of one beta, model.beta.
     """
     (result,) = _multi_start(model, [model.beta], *_draw_starts(model, num_starts, seed))
     if isinstance(result, Exception):
@@ -371,31 +359,27 @@ def _multi_start(model, betas, initials, draw_error) -> list:
     """multi_start at each beta of `betas` from the starts `_draw_starts`
     drew, as one lockstep over every (beta, start) pair: for each beta its
     MultiStartResult, or the exception multi_start raises there. The betas
-    share one report memo, keyed by (policy, beta). At each beta the
-    starts before a failed draw run first, and their errors come first."""
+    share one report memo, keyed by (policy, beta).
+
+    Each start's outcome at a beta is its run's SolverError, or the report
+    of its final policy: a converged run's is in the memo, and a capped
+    run's may be new, so its EvaluationError is raised bare. At each beta
+    the lowest-index start whose outcome is an error gives the error, and
+    the draw error comes only after every start."""
     reports = {}
     groups = _policy_iteration(model, initials, betas, None, reports)
-    # a capped start's final policy may be new: its EvaluationError is raised bare
-    capped = [
+    ended = [
         (run[0], beta)
         for beta, runs in zip(betas, groups)
         for run in runs
-        if not isinstance(run, Exception) and not run[2].converged
+        if isinstance(run, tuple)
     ]
-    ends = _reports(model, capped, reports)
+    finals = _reports(model, ended, reports)
     out = []
     for beta, runs in zip(betas, groups):
-        for k, run in enumerate(runs):
-            end = None if isinstance(run, Exception) else ends.get((run[0], beta))
-            if isinstance(end, EvaluationError):
-                runs[k:] = [end]
-                break
-        if runs and isinstance(runs[-1], Exception):
-            out.append(runs[-1])
-        elif draw_error is not None:
-            out.append(draw_error)
-        else:
-            out.append(_best_run(runs, [reports[policy, beta] for policy, _, _ in runs]))
+        ends = [finals[run[0], beta] if isinstance(run, tuple) else run for run in runs]
+        error = next((end for end in ends if isinstance(end, Exception)), draw_error)
+        out.append(_best_run(runs, ends) if error is None else error)
     return out
 
 
@@ -411,7 +395,7 @@ def _best_run(runs, finals: list) -> MultiStartResult:
         best_policy=runs[best][0],
         best_report=finals[best],
         best_index=best,
-        traces=tuple(trace for _, _, trace in runs),
+        traces=tuple(trace for _, trace in runs),
         distinct_optima=_distinct_values(values),
     )
 
@@ -443,8 +427,8 @@ def epsilon_greedy_iteration(
     model: MdpModel, initial: DeterministicPolicy, config: ExplorationConfig
 ) -> ExplorationResult:
     """Policy iteration whose improvement step is randomized per state with
-    probability epsilon; tracks and returns the best policy seen. Runs until
-    the evaluation budget is spent."""
+    probability epsilon. Runs until the evaluation budget is spent and
+    returns the best iterate (`_explore`)."""
     if config.gamma != 0.0:
         raise ValidationError("epsilon-greedy run requires gamma == 0")
     rng = np.random.default_rng(config.seed)
@@ -460,16 +444,23 @@ def epsilon_greedy_iteration(
         (greedy,) = _greedy_steps(model, [d], [report])
         return [_propose_epsilon(model, greedy, config.epsilon, rng)]
 
+    return _explore(
+        model, initial, config, step, np.zeros((model.num_states, model.num_actions), dtype=int)
+    )
+
+
+def _explore(model, initial, config, step, counts) -> ExplorationResult:
+    """Run an exploring solver's `step` from `initial` for the evaluation
+    budget, and return its best iterate: the first record with the largest
+    j_combined, with the report of its policy from the run's memo."""
+    reports = {}
     (runs,) = _iterate(
-        model, [initial], [model.beta], config.budget, step, stop_at_fixed_point=False, reports={}
+        model, [initial], [model.beta], config.budget, step, stop_at_fixed_point=False,
+        reports=reports,
     )
-    _, best, trace = _sole(runs)
-    return ExplorationResult(
-        best_policy=best[0],
-        best_report=best[1],
-        trace=trace,
-        counts=np.zeros((model.num_states, model.num_actions), dtype=int),
-    )
+    _, trace = _sole(runs)
+    best = max(trace.iterations, key=lambda record: record.j_combined)
+    return ExplorationResult(best.policy, reports[best.policy, model.beta], trace, counts)
 
 
 def _ucb_step(
@@ -507,8 +498,9 @@ def ucb_iteration(
     model: MdpModel, initial: DeterministicPolicy, config: ExplorationConfig
 ) -> ExplorationResult:
     """Policy iteration with an upper-confidence exploration bonus on the
-    improvement scores; gamma decays by gamma_decay each iteration. Tracks
-    the best policy seen and runs until the budget is spent."""
+    improvement scores; gamma decays by gamma_decay each iteration. Runs
+    until the evaluation budget is spent and returns the best iterate
+    (`_explore`)."""
     if config.epsilon != 0.0:
         raise ValidationError("UCB run requires epsilon == 0")
     if config.counts is not None:
@@ -528,13 +520,7 @@ def ucb_iteration(
         gamma *= config.gamma_decay
         return [new_d]
 
-    (runs,) = _iterate(
-        model, [initial], [model.beta], config.budget, step, stop_at_fixed_point=False, reports={}
-    )
-    _, best, trace = _sole(runs)
-    return ExplorationResult(
-        best_policy=best[0], best_report=best[1], trace=trace, counts=counts
-    )
+    return _explore(model, initial, config, step, counts)
 
 
 def _uniform_feasible(model: MdpModel) -> np.ndarray:

@@ -69,6 +69,9 @@ class JointState:
 
     @classmethod
     def from_flat(cls, index: int, battery_capacity: int = 5) -> "JointState":
+        """The (wind, battery) pair of flat state index `index` on a model
+        of capacity `battery_capacity`, the inverse of state_index. The
+        default decodes as B=5; other capacities must be passed."""
         levels = _integer(battery_capacity, "battery capacity", 1) + 1
         return cls(*divmod(_integer(index, "index", 0), levels))
 

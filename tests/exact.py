@@ -16,6 +16,9 @@ elimination in `fractions.Fraction`, with no rounding anywhere:
 
 The elimination keeps the rows sparse, so it suits chains of a few dozen
 states: the B=5 wind chains (S=36) solve in well under a second.
+
+`exact_scores` extends an exact evaluation to the exact improvement score
+table of the model, from the same float kernel and rewards.
 """
 from fractions import Fraction
 
@@ -110,3 +113,20 @@ def exact_evaluation(P, r, beta):
         "potential_mean": potentials[1],
         "potential_var": potentials[2],
     }
+
+
+def exact_scores(model, exact):
+    """The exact score table of the policy whose exact evaluation (at
+    model.beta) is `exact`: a dict from each feasible pair (i, a) to
+    Q(i, a) = r(i, a) - beta (r(i, a) - j_mean)^2 + sum_j p^a(i, j) g(j),
+    with g = exact["potential"], every float of the model taken at its
+    exact binary value."""
+    beta, j_mean, g = Fraction(model.beta), exact["j_mean"], exact["potential"]
+    scores = {}
+    for i, actions in enumerate(model.feasible):
+        for a in actions:
+            r = Fraction(float(model.reward[i, a]))
+            row = model.kernel[i, a].tolist()
+            kg = sum(Fraction(p) * g[j] for j, p in enumerate(row) if p)
+            scores[i, int(a)] = r - beta * (r - j_mean) ** 2 + kg
+    return scores

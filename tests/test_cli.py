@@ -569,6 +569,26 @@ class TestSweepLockstep:
                 shared += 1
         assert shared > 0
 
+    def test_every_run_stands_alone(self, abandon_model_b20):
+        """Each (beta, start) run of the lockstep ends as its start's own
+        policy_iteration at that beta: the same SolverError text, or the
+        same final policy and trace, failed runs at the same beta
+        notwithstanding."""
+        model, seed = abandon_model_b20, 2
+        initials, _ = solvers._draw_starts(model, 4, seed)
+        groups = solvers._policy_iteration(model, initials, list(GRID), None, {})
+        assert [len(runs) for runs in groups] == [4] * len(GRID)
+        kinds = set()
+        for beta, runs in zip(GRID, groups):
+            for initial, run in zip(initials, runs):
+                want = outcome(policy_iteration, dataclasses.replace(model, beta=beta), initial)
+                kinds.add(want[0])
+                if want[0] != "ok":
+                    assert (type(run).__name__, str(run)) == want
+                    continue
+                assert run[0] == want[1][0] and run[1] == want[1][1]
+        assert kinds == {"ok", "SolverError"}
+
     def test_a_failed_start_touches_no_other_beta(self, abandon_model_b20):
         """Start 0 fails at beta 0.1 and start 2 at beta 1 and above; the
         betas 0.2 and 0.5 keep all four starts, in order, as multi_start
@@ -576,7 +596,7 @@ class TestSweepLockstep:
         model, seed = abandon_model_b20, 2
         initials, draw_error = solvers._draw_starts(model, 4, seed)
         groups = solvers._policy_iteration(model, initials, list(GRID), None, {})
-        assert [len(runs) for runs in groups] == [1, 4, 4, 3, 3, 3]
+        assert [len(runs) for runs in groups] == [4] * 6
         results = solvers._multi_start(model, list(GRID), initials, draw_error)
         for beta, result in zip(GRID, results):
             want = outcome(multi_start, dataclasses.replace(model, beta=beta), 4, seed)

@@ -673,6 +673,27 @@ class TestEstimateMetrics:
             with pytest.raises(ValidationError, match=r"^beta must be > 0, got "):
                 estimate_metrics(rewards, beta, num_batches=2)
 
+    @pytest.mark.parametrize("rewards, detail", [
+        (np.ones((10, 2)), ", got shape (10, 2)"),
+        (3.0, ", got shape ()"),
+        (["a", "b", "c"], ""),
+        ([1.0, None, 2.0], ""),
+        ([[1.0, 2.0], [3.0]], ""),
+        ([1.0 + 2.0j, 3.0, 4.0], ""),
+    ])
+    def test_rewards_must_be_a_1d_sequence_of_numbers(self, rewards, detail):
+        """Checked before the length: a 2-D array, a scalar, strings,
+        None, a ragged list or complex values never reach numpy."""
+        message = "rewards must be a 1-D sequence of numbers" + detail
+        with pytest.raises(ValidationError) as info:
+            estimate_metrics(rewards, 0.1, num_batches=3)
+        assert str(info.value) == message
+
+    def test_integer_and_boolean_rewards_are_numbers(self):
+        want = estimate_metrics([1.0, 0.0, 1.0, 1.0], 0.1, num_batches=2)
+        assert estimate_metrics([1, 0, 1, 1], 0.1, num_batches=2) == want
+        assert estimate_metrics(np.array([True, False, True, True]), 0.1, num_batches=2) == want
+
     def test_batches_must_be_positive(self):
         for nb in (0, -1):
             with pytest.raises(ValidationError, match=f"num_batches must be >= 1, got {nb}"):
