@@ -204,9 +204,7 @@ def sweep_beta(model: MdpModel, beta_grid, starts_per_beta: int, seed: int = 0):
     """
     if not beta_grid:
         raise ValidationError("beta grid must be nonempty")
-    betas = [float(beta) for beta in beta_grid]
-    for beta in betas:
-        _check_beta(beta)
+    betas = [_check_beta(beta) for beta in beta_grid]
     _integer(starts_per_beta, "starts per beta", 1)
     _check_seed(seed)
     results = _multi_start(model, betas, *_draw_starts(model, starts_per_beta, seed))

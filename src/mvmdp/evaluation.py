@@ -39,10 +39,12 @@ from .model import (
     _check_policies,
     _check_rows,
     _closed_class_counts,
+    _dense_rows,
     _gather_rows,
-    _kept,
     _policy_rows,
     _positive_rows,
+    _real,
+    _reals,
     _square,
     induced_chain_randomized,
 )
@@ -104,7 +106,7 @@ class _Chain(NamedTuple):
 def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> _Chain:
     """The _Chain of the CSR (indptr, cols, values) holding the rows of
     chains on `size` states one after the other, each with its own column
-    numbers."""
+    numbers; the one constructor of _Chain."""
     rows = np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
     local = rows % size
     union = cols + (rows - local)
@@ -112,15 +114,8 @@ def _csr_chain(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, size: i
 
 
 def _dense_chain(P: np.ndarray) -> _Chain:
-    """The _Chain of the dense float64 P: its entries that `model._kept`
-    keeps. A P not in row-major order is copied into it first."""
-    S = P.shape[0]
-    P = np.ascontiguousarray(P)
-    at = np.flatnonzero(_kept(P))
-    rows = at // S
-    indptr = np.searchsorted(rows, np.arange(S + 1))
-    cols = at - rows * S
-    return _Chain(indptr, rows, cols, P.reshape(-1)[at], at, cols * S + rows, S)
+    """The _Chain of the dense square P: its rows (`model._dense_rows`)."""
+    return _csr_chain(*_dense_rows(P), P.shape[0])
 
 
 def _times(chain: _Chain, x: np.ndarray) -> np.ndarray:
@@ -158,8 +153,8 @@ def _sole(outcomes: list):
 
 
 def long_run_mean(pi: np.ndarray, r: np.ndarray) -> float:
-    pi = np.asarray(pi, dtype=float)
-    r = np.asarray(r, dtype=float)
+    pi = _reals(pi, "pi")
+    r = _reals(r, "r")
     if pi.shape != r.shape:
         raise ValidationError(f"length mismatch: pi has {pi.shape}, r has {r.shape}")
     return float(pi @ r)
@@ -177,12 +172,12 @@ def steady_state_variance(
     variance then mixes the per-action quadratics instead of squaring the
     mixed reward.
     """
-    pi = np.asarray(pi, dtype=float)
-    r = np.asarray(r, dtype=float)
+    pi = _reals(pi, "pi")
+    r = _reals(r, "r")
     if pi.shape != r.shape:
         raise ValidationError(f"length mismatch: pi has {pi.shape}, r has {r.shape}")
     if second_moment is not None:
-        second_moment = np.asarray(second_moment, dtype=float)
+        second_moment = _reals(second_moment, "second_moment")
         if second_moment.shape != pi.shape:
             raise ValidationError(
                 f"length mismatch: pi has {pi.shape}, second_moment has {second_moment.shape}"
@@ -214,7 +209,7 @@ def mv_cost_vector(r: np.ndarray, j_mean: float, beta: float) -> np.ndarray:
     the quadratic penalty couples every state to the global mean.
     """
     _check_beta(beta)
-    r = np.asarray(r, dtype=float)
+    r = _reals(r, "r")
     return r - beta * _squared_deviation(r, j_mean)
 
 
@@ -647,10 +642,10 @@ def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     unique once g[0] is pinned.
     """
     P = _check_stochastic(P)
-    f = np.asarray(f, dtype=float)
+    f = _reals(f, "cost")
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    J = np.array([[float(J)]])
+    J = np.array([[_real(J, "J")]])
 
     def rhs(members, pi):
         return f[None, None], J, _dots(pi, f[None, None])

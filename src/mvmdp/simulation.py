@@ -1,6 +1,8 @@
 """Monte Carlo oracle: sample-path estimates of the long-run metrics and of
 the performance potential, with batch-means confidence intervals. These are
-the independent cross-checks for the exact evaluation module."""
+the independent cross-checks for the exact evaluation module.
+Every walk draws from a `_support_table` of the rows of the chain it walks:
+its S rows, or all pairs' rows and theta's for a randomized path."""
 from __future__ import annotations
 
 import functools
@@ -18,9 +20,10 @@ from .model import (
     RandomizedPolicy,
     _check_beta,
     _check_seed,
-    _csr,
+    _dense_rows,
     _entries,
     _integer,
+    _policy_rows,
     _positive_rows,
 )
 
@@ -92,11 +95,8 @@ def _support_table(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
 
 
 def _dense_support_table(rows: np.ndarray):
-    """_support_table of the dense probability rows `rows`, from the CSR
-    of their entries > 0."""
-    flat = np.flatnonzero(rows > 0)
-    indptr, cols = _csr(flat, *rows.shape)
-    return _support_table(indptr, cols, rows.reshape(-1)[flat])
+    """_support_table of the dense probability rows `rows`."""
+    return _support_table(*_positive_rows(*_dense_rows(rows)))
 
 
 CHUNK_STEPS = 100
@@ -315,8 +315,7 @@ def simulate_path(
     S, A = model.num_states, model.num_actions
     if isinstance(policy, DeterministicPolicy):
         policy.validate_for(model)
-        pairs = np.arange(S) * A + policy.action
-        nxt, thresholds = (t[pairs] for t in _support_table(*model._positive))
+        nxt, thresholds = _support_table(*_positive_rows(*_policy_rows(model, policy.action)))
         u = rng.random(T)
         records = np.empty((1, T), dtype=int)
 

@@ -24,6 +24,7 @@ from .model import (
     _entries,
     _integer,
     _policy_support,
+    _real,
     sample_random_policy,
 )
 from .sensitivity import _gradient, _kernel_times, _scores
@@ -71,13 +72,13 @@ class ExplorationConfig:
     gamma_decay: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
+        if not 0.0 <= _real(self.epsilon, "epsilon") < 1.0:
             raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if not 0.0 <= self.gamma < np.inf:
+        if not 0.0 <= _real(self.gamma, "gamma") < np.inf:
             raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
         _integer(self.budget, "budget", 1)
         _check_seed(self.seed)
-        if not 0.0 < self.gamma_decay <= 1.0:
+        if not 0.0 < _real(self.gamma_decay, "gamma_decay") <= 1.0:
             raise ValidationError(f"gamma_decay must be in (0, 1], got {self.gamma_decay}")
         if self.counts is not None and np.any(
             _entries(self.counts, "iu", "counts must hold integers") < 0
@@ -94,7 +95,7 @@ class GradientConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not 0 < self.stop_ratio < np.inf:
+        if not 0 < _real(self.stop_ratio, "stop_ratio") < np.inf:
             raise ValidationError(f"stop_ratio must be finite and > 0, got {self.stop_ratio}")
         _integer(self.max_iterations, "max_iterations", 1)
 
@@ -534,7 +535,7 @@ def mollify(model: MdpModel, theta: RandomizedPolicy, eps: float = MOLLIFY_EPS):
     making the induced chain irreducible whenever the model's union support
     is. Used to take gradients at policies whose own chain has no unique
     stationary distribution. eps must lie in [0, 1]."""
-    if not 0.0 <= eps <= 1.0:
+    if not 0.0 <= _real(eps, "eps") <= 1.0:
         raise ValidationError(f"eps must be in [0, 1], got {eps}")
     theta.validate_for(model)
     blended = (1.0 - eps) * theta.theta + eps * _uniform_feasible(model)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import MdpModel, _check_rows, _csr_of_entries, _integer
+from .model import MdpModel, _check_rows, _csr_of_entries, _integer, _reals
 
 # hourly wind-level transition probabilities estimated for the benchmark site
 WIND_KERNEL = np.array(
@@ -44,7 +44,8 @@ class WindStorageSpec:
     abandonment: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "wind_kernel", np.asarray(self.wind_kernel, float))
+        object.__setattr__(self, "wind_kernel", _reals(self.wind_kernel, "wind kernel"))
+        _reals(self.wind_states, "wind states")
         W = len(self.wind_states)
         if self.wind_kernel.shape != (W, W):
             raise ValidationError(

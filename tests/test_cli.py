@@ -11,28 +11,39 @@ import pytest
 from conftest import assert_reports_equal, outcome, random_mdp, restrict_feasible, threshold_policy
 from mvmdp import (
     DeterministicPolicy,
+    ExplorationConfig,
     GradientConfig,
     JointState,
     MdpModel,
+    MixedPolicy,
     MvmdpError,
     RandomizedPolicy,
     ValidationError,
     WindStorageSpec,
     build,
     check_ergodicity,
+    closed_class_count,
+    combined_metric,
     estimate_metrics,
     estimate_potential,
     evaluate,
     improvement_vector,
+    is_irreducible,
     load_model,
     load_policy,
     gradient_solver,
+    long_run_mean,
+    mollify,
     multi_start,
+    mv_cost_vector,
     policy_iteration,
     sample_random_policy,
     save_model,
     save_policy,
     simulate_path,
+    solve_poisson,
+    stationary_distribution,
+    steady_state_variance,
 )
 from mvmdp import cli, evaluation, solvers
 from mvmdp.cli import ParetoPoint, _build_parser, _optima_path, cross_check, main, sweep_beta
@@ -832,6 +843,8 @@ NON_INTEGER_SIZES = {
     ),
     "from_flat index": (lambda m, d: JointState.from_flat(3.0, 5), "index"),
     "from_flat battery_capacity": (lambda m, d: JointState.from_flat(3, 2.5), "battery capacity"),
+    "MdpModel num_states text": (lambda m, d: MdpModel("1", 1, ((0,),), [[[1.0]]], [[0.0]], 0.1), "num_states"),
+    "MdpModel num_actions float": (lambda m, d: MdpModel(1, 1.0, ((0,),), [[[1.0]]], [[0.0]], 0.1), "num_actions"),
 }
 
 
@@ -915,3 +928,73 @@ def test_numpy_integer_seed_is_accepted(wind_model, wind_spec):
     d = threshold_policy(wind_spec)
     got = simulate_path(wind_model, d, 50, seed=np.int64(3))
     assert np.array_equal(got.states, simulate_path(wind_model, d, 50, seed=3).states)
+
+
+HALVES = [[0.5, 0.5], [0.5, 0.5]]
+
+NON_REAL_ARRAYS = {
+    "closed_class_count text": (lambda m: closed_class_count([["a", "b"], ["c", "d"]]), "transition matrix"),
+    "is_irreducible ragged": (lambda m: is_irreducible([[1.0], [0.5, 0.5]]), "transition matrix"),
+    "stationary_distribution text": (lambda m: stationary_distribution([["a"]]), "transition matrix"),
+    "stationary_distribution complex": (lambda m: stationary_distribution([[1 + 0j]]), "transition matrix"),
+    "solve_poisson P": (lambda m: solve_poisson([[None, 1.0], HALVES[1]], [1.0, 2.0], 1.5), "transition matrix"),
+    "solve_poisson f": (lambda m: solve_poisson(HALVES, ["a", "b"], 0.0), "cost"),
+    "long_run_mean pi": (lambda m: long_run_mean(["a"], [1.0]), "pi"),
+    "long_run_mean r": (lambda m: long_run_mean([1.0], [[1.0], [2.0, 3.0]]), "r"),
+    "steady_state_variance second_moment": (
+        lambda m: steady_state_variance([1.0], [1.0], 1.0, ["a"]), "second_moment"
+    ),
+    "mv_cost_vector r": (lambda m: mv_cost_vector(["a"], 0.0, 0.1), "r"),
+    "RandomizedPolicy text": (lambda m: RandomizedPolicy([["a"]]), "theta"),
+    "RandomizedPolicy ragged": (lambda m: RandomizedPolicy([[1.0], [0.5, 0.5]]), "theta"),
+    "MdpModel kernel": (lambda m: MdpModel(1, 1, ((0,),), [[["a"]]], [[0.0]], 0.1), "kernel"),
+    "MdpModel reward": (lambda m: MdpModel(1, 1, ((0,),), [[[1.0]]], [["a"]], 0.1), "reward"),
+    "spec wind_kernel": (lambda m: WindStorageSpec(wind_kernel=[["a"]]), "wind kernel"),
+    "build wind_states": (lambda m: build(WindStorageSpec(wind_states=tuple("abcdef"))), "wind states"),
+}
+
+
+@pytest.mark.parametrize("case", NON_REAL_ARRAYS)
+def test_array_that_is_not_real_is_a_validation_error(case, wind_model):
+    """Every array of the public API that holds numbers takes booleans,
+    integers and floats only: text, None, complex values or a ragged list
+    raise a ValidationError naming the array, not numpy's bare ValueError
+    or a later TypeError."""
+    call, name = NON_REAL_ARRAYS[case]
+    with pytest.raises(ValidationError, match=rf"^{name} must hold real numbers$"):
+        call(wind_model)
+
+
+NON_REAL_SCALARS = {
+    "combined_metric beta": (lambda m, d: combined_metric(1.0, 1.0, None), "beta"),
+    "combined_metric beta bool": (lambda m, d: combined_metric(1.0, 1.0, True), "beta"),
+    "mv_cost_vector beta": (lambda m, d: mv_cost_vector([1.0], 1.0, "x"), "beta"),
+    "estimate_metrics beta": (lambda m, d: estimate_metrics([1.0, 2.0, 3.0], "x"), "beta"),
+    "MdpModel beta": (lambda m, d: MdpModel(1, 1, ((0,),), [[[1.0]]], [[0.0]], "x"), "beta"),
+    "build beta": (lambda m, d: build(WindStorageSpec(beta="x")), "beta"),
+    "sweep_beta beta": (lambda m, d: sweep_beta(m, ("0.1",), 2), "beta"),
+    "MixedPolicy delta": (lambda m, d: MixedPolicy(d, d, "x"), "delta"),
+    "mollify eps": (lambda m, d: mollify(m, d.as_randomized(m), "x"), "eps"),
+    "GradientConfig stop_ratio": (lambda m, d: GradientConfig(stop_ratio="x"), "stop_ratio"),
+    "ExplorationConfig epsilon": (lambda m, d: ExplorationConfig(epsilon="x"), "epsilon"),
+    "ExplorationConfig gamma": (lambda m, d: ExplorationConfig(gamma=None), "gamma"),
+    "ExplorationConfig gamma_decay": (lambda m, d: ExplorationConfig(gamma_decay="1"), "gamma_decay"),
+    "solve_poisson J": (lambda m, d: solve_poisson(HALVES, [1.0, 2.0], "x"), "J"),
+}
+
+
+@pytest.mark.parametrize("case", NON_REAL_SCALARS)
+def test_scalar_that_is_not_real_is_a_validation_error(case, wind_model, wind_spec):
+    """Every real-valued scalar of the public API is a real number that is
+    not a bool: any other raises a ValidationError naming it, before its
+    range is checked, not a bare TypeError or ValueError."""
+    call, name = NON_REAL_SCALARS[case]
+    with pytest.raises(ValidationError, match=rf"^{name} must be a real number, got "):
+        call(wind_model, threshold_policy(wind_spec))
+
+
+def test_real_scalars_of_numpy_and_integer_types_are_accepted():
+    assert combined_metric(1.0, 2.0, np.float32(0.5)) == combined_metric(1.0, 2.0, 0.5) == 0.0
+    assert mv_cost_vector([1.0], 1.0, 2).tolist() == [1.0]
+    assert MixedPolicy(DeterministicPolicy([0]), DeterministicPolicy([0]), np.int64(1)).delta == 1.0
+    assert solve_poisson(HALVES, [1.0, 2.0], np.float64(1.5)).tolist() == [0.0, 1.0]

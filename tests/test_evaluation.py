@@ -24,6 +24,7 @@ from mvmdp import (
     DeterministicPolicy,
     EvaluationError,
     MdpModel,
+    MixedPolicy,
     RandomizedPolicy,
     ValidationError,
     WindStorageSpec,
@@ -34,6 +35,7 @@ from mvmdp import (
     induced_chain,
     induced_chain_randomized,
     long_run_mean,
+    multi_start,
     mv_cost_vector,
     policy_iteration,
     report_to_dict,
@@ -1100,21 +1102,21 @@ class TestStationaryGates:
 EPS = np.finfo(float).eps
 
 
-def transient_start_mdp(rng):
-    """A random_mdp of up to 10 states that no state enters state 0 in:
-    state 0 is transient under every policy."""
-    m = random_mdp(rng, max_states=10)
+def transient_start_mdp(rng, max_states=10):
+    """A random_mdp of up to `max_states` states that no state enters state
+    0 in: state 0 is transient under every policy."""
+    m = random_mdp(rng, max_states=max_states)
     kernel = m.kernel.copy()
     kernel[:, :, 0] = 0.0
     kernel /= kernel.sum(axis=2, keepdims=True)
     return MdpModel(m.num_states, m.num_actions, m.feasible, kernel, m.reward, m.beta)
 
 
-def nearly_absorbing_mdp(rng):
-    """A random_mdp of up to 10 states whose last state keeps itself with
-    probability 1 - 1e-6 under every action, and leaves with the other
-    1e-6 spread as random_mdp drew it."""
-    m = random_mdp(rng, max_states=10)
+def nearly_absorbing_mdp(rng, max_states=10):
+    """A random_mdp of up to `max_states` states whose last state keeps
+    itself with probability 1 - 1e-6 under every action, and leaves with the
+    other 1e-6 spread as random_mdp drew it."""
+    m = random_mdp(rng, max_states=max_states)
     kernel = m.kernel.copy()
     kernel[-1, :, -1] = 0.0
     kernel[-1] *= 1e-6 / kernel[-1].sum(axis=1, keepdims=True)
@@ -1226,3 +1228,77 @@ class TestExactOracle:
         exact, report = self.check(m, policy, dict.fromkeys(self.BOUNDS, bound))
         assert self.error(report.potential, exact["potential"]) > self.BOUNDS["potential"]
         assert self.check_scores(m, policy, exact, report) > self.BOUNDS["potential"]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["irreducible", "transient", "absorbing"]))
+    def test_drawn_models(self, seed, kind):
+        """Models of up to 12 states, drawn as random_mdp draws them, some
+        with a transient state 0 and some with a nearly absorbing state,
+        against the fixed bounds times the holding time. A drawn chain may
+        hold a state long by chance: seed 7506 draws S=2 with a holding
+        time of 682, and potential_mean 187 eps off, beyond the fixed
+        bound. Measured first, relative as above: on 1000 seeds of each
+        kind at most 1.7 eps for pi, 7.9 eps for the three J and 56 eps for
+        the potentials on the first two kinds, and 6.0 eps times the
+        holding time for the potentials on the third; on 10,000 more seeds
+        of the first kind at most 0.36 of the scaled bound (j_combined)."""
+        rng = np.random.default_rng(seed)
+        if kind == "irreducible":
+            m = random_mdp(rng, max_states=12)
+        elif kind == "transient":
+            m = transient_start_mdp(rng, max_states=12)
+        else:
+            m = nearly_absorbing_mdp(rng, max_states=12)
+        policy = sample_random_policy(m, rng, require_irreducible=kind != "transient")
+        scale = self.holding_time(m, policy)
+        self.check(m, policy, {name: bound * scale for name, bound in self.BOUNDS.items()})
+
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_multi_start_ends(self, abandonment):
+        """Every start of multi_start(model, 10, seed) for seeds 0-3 on the
+        B=5 wind models ends at a policy whose final j_combined is the exact
+        one of that policy within the fixed bound. Measured: all 40 starts
+        of each model end at one policy, within 1.6 eps of its exact value."""
+        m = build(WindStorageSpec(abandonment=abandonment))
+        exact = {}
+        for seed in range(4):
+            for trace in multi_start(m, 10, seed=seed).traces:
+                last = trace.iterations[-1]
+                if last.policy not in exact:
+                    P, r = induced_chain(m, last.policy)
+                    exact[last.policy] = exact_evaluation(P, r, m.beta)["j_combined"]
+                error = self.error(last.j_combined, exact[last.policy])
+                assert error <= self.BOUNDS["j_combined"], float(error) / EPS
+
+
+class TestErrorPaths:
+    def test_lu_takes_c_order_stacks_only(self):
+        with pytest.raises(ValueError, match=re.escape("need C-order float64 (c, S, S) and (c, S) arrays, got (1, 2, 2)")):
+            evaluation._LU(np.zeros((1, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=re.escape("got (1, 2, 2)")):
+            evaluation._LU(np.zeros((1, 2, 2), order="F"), np.zeros((1, 2)))
+        lu = evaluation._LU(np.eye(2)[None].copy(), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=re.escape("need a C-order float64 (1, S) array, got (1, 3)")):
+            lu.solve([0], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=re.escape("need a C-order float64 (2, S) array, got (1, 2)")):
+            lu.solve([0, 0], np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("closed", TRANSIENT_PIN_CHAINS)
+    def test_singular_normalized_matrix(self, monkeypatch, closed):
+        """State 0 is transient, so every potential falls back to the
+        normalized system; a singular normalized factor fails it."""
+        m = transient_pin_model(closed)
+        d = DeterministicPolicy(np.zeros(3, dtype=int))
+        evaluate(m, d)
+
+        def singular(chain, member, pi):
+            return evaluation._LU(np.zeros((1, chain.size, chain.size)), np.zeros((1, chain.size)))
+
+        monkeypatch.setattr(evaluation, "_normalized", singular)
+        with pytest.raises(EvaluationError, match=r"^potential solve failed: Singular matrix$"):
+            evaluate(m, d)
+
+    def test_mixed_policy_is_not_evaluated(self, wind_model, wind_spec):
+        d = threshold_policy(wind_spec)
+        with pytest.raises(ValidationError, match=r"^cannot evaluate policy of type MixedPolicy$"):
+            evaluate(wind_model, MixedPolicy(d, d, 0.5))

@@ -1972,3 +1972,50 @@ class TestNoDenseView:
         assert np.isfinite(score[model.feasible_mask()]).all()
         assert not dense_view_built(model)
         assert peak < 64 * 2**20
+
+
+class TestConstructorErrors:
+    """MdpModel's own checks, each with its message."""
+
+    def test_no_kernel(self):
+        with pytest.raises(TypeError, match=r"^MdpModel needs a kernel \(or kernel_csr\), reward and beta$"):
+            MdpModel(1, 1, ((0,),), reward=[[0.0]], beta=0.1)
+
+    def test_no_states(self):
+        with pytest.raises(ValidationError, match=r"^need at least one state and action, got S=0, A=1$"):
+            MdpModel(0, 1, (), np.zeros((0, 1, 0)), np.zeros((0, 1)), 0.1)
+
+    def test_feasible_of_the_wrong_length(self):
+        with pytest.raises(ValidationError, match=r"^feasible has 1 entries, expected 2$"):
+            small_model(feasible=((0, 1),))
+
+
+def test_kernel_entry_longer_than_any_float_takes_the_json_route(tmp_path, monkeypatch):
+    """A kernel entry text longer than 32 bytes stops the saved-file reader
+    in `_parse_floats`; the json route then loads the file, and it gives the
+    model `model_from_dict` gives for the same text."""
+    model = build(WindStorageSpec())
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    text = path.read_text()
+    entry = "      0.53,\n"
+    assert entry in text
+    path.write_text(text.replace(entry, "      0.530000000000000000000000000,\n", 1))
+    raised = []
+    parse_floats = mvmdp.model._parse_floats
+
+    def spy(*args):
+        try:
+            return parse_floats(*args)
+        except ValueError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(mvmdp.model, "_parse_floats", spy)
+    got = load_model(str(path))
+    assert raised == ["longer than the text of any float"]
+    want = model_from_dict(json.loads(path.read_text()))
+    for back in (want, model):
+        assert model_to_dict(got) == model_to_dict(back)
+        for a, b in zip(got.kernel_csr[1:], back.kernel_csr[1:]):
+            assert np.array_equal(a, b)

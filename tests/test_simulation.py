@@ -783,3 +783,19 @@ def test_estimate_metrics_identity_holds(seed, T):
     est = estimate_metrics(rewards, beta=0.7)
     assert est.j_combined_hat == pytest.approx(est.j_mean_hat - 0.7 * est.j_var_hat)
     assert est.half_width_mean >= 0.0
+
+
+class TestErrorPaths:
+    def test_one_batch_has_zero_half_widths(self):
+        rewards = [1.0, 2.0, 3.0, 5.0]
+        est = estimate_metrics(rewards, 0.1, num_batches=1)
+        assert (est.half_width_mean, est.half_width_var, est.half_width_combined) == (0.0, 0.0, 0.0)
+        assert est.j_mean_hat == 2.75 and est.horizon == 4
+        assert est.j_var_hat == estimate_metrics(rewards, 0.1).j_var_hat
+
+    @pytest.mark.parametrize("state", [-1, 36])
+    def test_potential_state_out_of_range(self, state):
+        spec = WindStorageSpec()
+        m = build(spec)
+        with pytest.raises(ValidationError, match=rf"^state {state} out of range$"):
+            estimate_potential(m, threshold_policy(spec), state)

@@ -1,5 +1,6 @@
 """Policy iteration, multi-start, exploration variants, gradient baseline."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -971,3 +972,19 @@ def test_fixed_points_are_greedy_stable(seed):
     pol2, trace2 = policy_iteration(m, pol)
     assert pol2 == pol
     assert len(trace2.iterations) == 2
+
+
+class TestErrorPaths:
+    def test_negative_counts(self):
+        with pytest.raises(ValidationError, match=r"^counts must be nonnegative$"):
+            ExplorationConfig(counts=[[-1]])
+
+    def test_diversity_of_no_policies(self):
+        with pytest.raises(ValidationError, match=r"^diversity needs a nonempty policy set$"):
+            diversity([])
+
+    def test_ucb_counts_of_the_wrong_shape(self, wind_model):
+        start = sample_random_policy(wind_model, np.random.default_rng(0))
+        config = ExplorationConfig(gamma=1.0, counts=np.zeros((1, 1), dtype=int))
+        with pytest.raises(ValidationError, match="^" + re.escape("counts shape (1, 1) != (36, 5)") + "$"):
+            ucb_iteration(wind_model, start, config)
