@@ -342,13 +342,7 @@ def _cmd_wind_build(args: argparse.Namespace) -> int:
         raise ValidationError("wind-build needs --out")
     kwargs = {"beta": args.beta, "abandonment": args.scenario == "abandon"}
     if args.kernel is not None:
-        kernel = _read_json(args.kernel, "kernel")
-        try:
-            kwargs["wind_kernel"] = np.asarray(kernel, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"kernel file {args.kernel} is not a matrix of numbers: {exc}"
-            ) from exc
+        kwargs["wind_kernel"] = _read_json(args.kernel, "kernel")
     model = build(WindStorageSpec(**kwargs))
     save_model(model, args.out)
     ergo = check_ergodicity(model)

@@ -9,17 +9,18 @@ entries, 0.47 MB, where the dense (S, A, S) array is 93 MB; at B=1000 it is
 2.4 MB against 2.3 GB.
 
 Each rule of the CSR has one implementation. The decoder, `_scatter_rows`,
-writes CSR rows into zeroed dense rows: the cached `MdpModel.kernel`, the
-(k, A, S) blocks of about _BLOCK_BYTES that `kernel @ g` and the randomized
-chain walk (`MdpModel._blocks`), a policy's chain and a row near the sum
-tolerance (`_check_kernel_rows`). The encoder, `_csr_of_entries`, turns
-entries in (pair, column) order into a _KernelCSR. The scan, `_dense_rows`,
-makes CSR rows of every dense matrix: a kernel, model-file rows, a chain's
-P and theta. The positive-entry rule, `_positive_rows`, makes the model's
-table `MdpModel._positive`, built once (the successor table and the table
-of a randomized walk are read from it), and the support graph and walk
-table of every chain's rows. No reader uses the dense kernel except
-through one block of a small kernel.
+writes CSR rows into zeroed dense rows: the on-demand `MdpModel.kernel`,
+the (k, A, S) blocks of about _BLOCK_BYTES that `kernel @ g` reads
+(`sensitivity._kernel_times`), a policy's chain and a row near the sum
+tolerance (`_check_kernel_rows`). A randomized policy's chain is one
+scatter-add of the theta-weighted entries. The encoder, `_csr_of_entries`,
+turns entries in (pair, column) order into a _KernelCSR. The scan,
+`_dense_rows`, makes CSR rows of every dense matrix: a kernel, model-file
+rows, a chain's P and theta. The positive-entry rule, `_positive_rows`,
+makes the model's table `MdpModel._positive`, built once (the successor
+table and the table of a randomized walk are read from it), and the support
+graph and walk table of every chain's rows. No package path reads the
+dense kernel; it is a view for callers.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ from scipy.sparse.csgraph._traversal import _connected_components_directed
 from .errors import FeasibilityError, ModelIOError, ValidationError
 
 ROW_SUM_TOL = 1e-12
-# the size of the dense kernel blocks readers rebuild from the CSR
+# the bytes of one dense block: of the kernel, rebuilt from the CSR for
+# kernel @ g, or of a chunk of stacked chain matrices
 _BLOCK_BYTES = 1 << 20
 
 
@@ -212,36 +214,6 @@ class MdpModel:
         _scatter_rows(dense, *self.kernel_csr[1:])
         dense.setflags(write=False)
         return dense
-
-    def _block_states(self) -> int:
-        """The number of states whose dense kernel slices fill a block of
-        about _BLOCK_BYTES, at least 1. From S up the kernel is one block,
-        which readers take whole from the cached `kernel`: built once,
-        that is cheaper at small S than rebuilding it per call."""
-        return max(1, _BLOCK_BYTES // (self.num_actions * self.num_states * 8))
-
-    def _blocks(self):
-        """Yield (lo, hi, block) for consecutive state ranges covering all
-        states: block is the read-only dense kernel[lo:hi], of shape
-        (hi - lo, A, S), valid until the next one is yielded. A kernel of
-        more than one block (`_block_states`) is scattered into one buffer
-        block by block and zeroed again after each. A block keeps whole
-        (A, S) slices, so a per-state product on it has the bits of the
-        same product on the dense kernel."""
-        S, A = self.num_states, self.num_actions
-        k = self._block_states()
-        if k >= S:
-            yield 0, S, self.kernel
-            return
-        _, indptr, cols, values = self.kernel_csr
-        buffer = np.zeros((k, A, S))
-        for lo in range(0, S, k):
-            hi = min(lo + k, S)
-            at = _scatter_rows(buffer, indptr[lo * A : hi * A + 1], cols, values)
-            block = buffer[: hi - lo]
-            block.flags.writeable = False
-            yield lo, hi, block
-            buffer.reshape(-1)[at] = 0.0
 
     def feasible_mask(self) -> np.ndarray:
         """Read-only boolean (S, A) mask of feasible pairs, built once."""
@@ -578,14 +550,17 @@ def induced_chain_randomized(model: MdpModel, policy: RandomizedPolicy):
     Returns (P, r_mean, r_second_moment). The second moment row
     sum_a theta[i,a] * reward[i,a]**2 is what the mean-variance cost of a
     randomized policy needs; the variance is a mixture of per-action
-    quadratics, not the quadratic of the mixed reward. P is mixed over
-    dense kernel blocks, row by row as over the whole kernel.
+    quadratics, not the quadratic of the mixed reward. P is one scatter-add
+    of the theta-weighted CSR entries in pair order, so each P[i, j] is
+    summed from +0.0 in action order, as over the dense kernel.
     """
     policy.validate_for(model)
     theta = policy.theta
-    P = np.empty((model.num_states, model.num_states))
-    for lo, hi, block in model._blocks():
-        P[lo:hi] = np.einsum("ia,iaj->ij", theta[lo:hi], block)
+    S, A = model.num_states, model.num_actions
+    _, indptr, cols, values = model.kernel_csr
+    pairs = np.repeat(np.arange(S * A), np.diff(indptr))
+    P = np.zeros((S, S))
+    np.add.at(P.reshape(-1), pairs // A * S + cols, theta.reshape(-1)[pairs] * values)
     r_mean = np.einsum("ia,ia->i", theta, model.reward)
     r_m2 = np.einsum("ia,ia->i", theta, model.reward**2)
     return P, r_mean, r_m2
@@ -855,15 +830,12 @@ def _kernel_rows(S: int, A: int, states: list, actions: list, keys: list, rows: 
         chunk = slice(lo, lo + _KERNEL_CHUNK_ROWS)
         part = rows[chunk]
         try:
-            block = np.array(part, dtype=float)
-        except (TypeError, ValueError):
+            block = np.array(part)
+        except ValueError:
             block = None
-        if block is None or block.shape != (len(part), S):
+        if block is None or block.dtype.kind not in "biuf" or block.shape != (len(part), S):
             for key, row in zip(keys[chunk], part):
-                try:
-                    row = np.asarray(row, dtype=float)
-                except (TypeError, ValueError):
-                    raise ValidationError(f"kernel row {key} is not a list of numbers") from None
+                row = _entries(row, "biuf", f"kernel row {key} is not a list of numbers")
                 if row.shape != (S,):
                     raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
         block_ptr, block_cols, block_values = _dense_rows(block)
@@ -894,11 +866,15 @@ def _kernel_rows(S: int, A: int, states: list, actions: list, keys: list, rows: 
 
 def _reward_values(reward_map: dict, keys: list) -> list:
     """The rewards of the pairs `keys` as floats; ValidationError naming the
-    first pair whose reward is not a number."""
+    first pair whose reward is not a number. Text is not a number, even
+    text float() reads."""
     values = []
     for key in keys:
+        value = reward_map[key]
         try:
-            values.append(float(reward_map[key]))
+            if isinstance(value, (str, bytes, bytearray)):
+                raise TypeError
+            values.append(float(value))
         except (TypeError, ValueError):
             raise ValidationError(f"reward {key} is not a number") from None
     return values
@@ -912,7 +888,8 @@ def model_from_dict(data: dict) -> MdpModel:
     [0, A), both entries of every pair are present, every kernel row is S
     numbers, every reward is a number; then `MdpModel` validates the
     result. A float or a string is not an integer, so no index is
-    truncated. Every failure is a ValidationError."""
+    truncated, and text is not a number, even "0.5". Every failure is a
+    ValidationError."""
     try:
         S = operator.index(data["num_states"])
         A = operator.index(data["num_actions"])

@@ -15,7 +15,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluation import EvaluationReport, _squared_deviation, evaluate, poisson_residual
-from .model import DeterministicPolicy, MdpModel, RandomizedPolicy, _check_policies
+from .model import (
+    _BLOCK_BYTES,
+    DeterministicPolicy,
+    MdpModel,
+    RandomizedPolicy,
+    _check_policies,
+    _scatter_rows,
+)
 
 VIOLATION_TOL = 1e-9
 
@@ -49,16 +56,25 @@ class DifferenceBreakdown:
 
 
 def _kernel_times(model: MdpModel, reports: list) -> np.ndarray:
-    """kernel @ g of the reports' potentials g, stacked (M, S, A), block
-    by block over the model's dense kernel blocks, with the bits of the
-    whole product; each block is built once for the batch and multiplied
-    by every potential in one stacked np.matmul, which numpy takes as one
-    gemv per (potential, state) pair, as block @ g does (block @ G.T is a
-    gemm and rounds differently)."""
+    """kernel @ g of the reports' potentials g, stacked (M, S, A). The
+    (k, A, S) kernel blocks of about _BLOCK_BYTES (k at least 1) are
+    scattered from the CSR into one buffer, which is zeroed again after each
+    but the last; each block is multiplied by every potential in one stacked
+    np.matmul, which numpy takes as one gemv per (potential, state) pair, as
+    kernel @ g does (block @ G.T is a gemm and rounds differently), so a
+    block of whole (A, S) slices gives the bits of the whole product."""
+    S, A = model.num_states, model.num_actions
+    _, indptr, cols, values = model.kernel_csr
     G = np.array([report.potential for report in reports])
-    kg = np.empty((len(reports), model.num_states, model.num_actions))
-    for lo, hi, block in model._blocks():
-        np.matmul(block, G[:, None, :, None], out=kg[:, lo:hi, :, None])
+    kg = np.empty((len(reports), S, A))
+    k = min(S, max(1, _BLOCK_BYTES // (A * S * 8)))
+    block = np.zeros((k, A, S))
+    for lo in range(0, S, k):
+        hi = min(lo + k, S)
+        at = _scatter_rows(block, indptr[lo * A : hi * A + 1], cols, values)
+        np.matmul(block[: hi - lo], G[:, None, :, None], out=kg[:, lo:hi, :, None])
+        if hi < S:
+            block.reshape(-1)[at] = 0.0
     return kg
 
 

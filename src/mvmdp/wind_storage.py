@@ -46,6 +46,10 @@ class WindStorageSpec:
     def __post_init__(self):
         object.__setattr__(self, "wind_kernel", _reals(self.wind_kernel, "wind kernel"))
         _reals(self.wind_states, "wind states")
+        if self.abandonment:
+            # the decisions run over range(-max level, max charge + 1)
+            for level in self.wind_states:
+                _integer(level, "wind state")
         W = len(self.wind_states)
         if self.wind_kernel.shape != (W, W):
             raise ValidationError(

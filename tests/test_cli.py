@@ -18,6 +18,7 @@ from mvmdp import (
     MixedPolicy,
     MvmdpError,
     RandomizedPolicy,
+    WIND_KERNEL,
     ValidationError,
     WindStorageSpec,
     build,
@@ -194,6 +195,12 @@ class TestWindBuild:
         kf.write_text(json.dumps(kernel))
         assert main(["wind-build", "--kernel", str(kf), "--out",
                      str(tmp_path / "m.json")]) == 2
+
+    def test_kernel_of_numeric_text_exits_2(self, tmp_path, capsys):
+        kf = tmp_path / "k.json"
+        kf.write_text(json.dumps([[repr(x) for x in row] for row in WIND_KERNEL.tolist()]))
+        assert main(["wind-build", "--kernel", str(kf), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "error: wind kernel must hold real numbers\n"
 
     def test_kernel_json_error_names_position(self, tmp_path, capsys):
         kf = tmp_path / "k.json"

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mvmdp import (
     DeterministicPolicy,
     EvaluationReport,
     FeasibilityError,
+    GradientConfig,
     MdpModel,
     MixedPolicy,
     ModelIOError,
@@ -40,6 +42,7 @@ from mvmdp import (
     cli,
     closed_class_count,
     evaluate,
+    gradient_solver,
     improvement_vector,
     induced_chain,
     induced_chain_mixed,
@@ -49,6 +52,7 @@ from mvmdp import (
     load_policy,
     model_from_dict,
     model_to_dict,
+    multi_start,
     policy_iteration,
     sample_random_policy,
     save_model,
@@ -56,7 +60,7 @@ from mvmdp import (
     simulate_path,
     stationary_distribution,
 )
-from mvmdp.sensitivity import _score_table
+from mvmdp.sensitivity import _kernel_times, _score_table
 from mvmdp.solvers import _propose_epsilon
 
 
@@ -965,7 +969,8 @@ def loop_model_to_dict(model):
 
 def loop_model_from_dict(data):
     """Per-pair reference reader: one np.asarray and one assignment per row.
-    Every malformed dict raises ValidationError, as in model_from_dict."""
+    Every malformed dict raises ValidationError, as in model_from_dict;
+    text is not a number, even "0.5"."""
     try:
         S = operator.index(data["num_states"])
         A = operator.index(data["num_actions"])
@@ -995,14 +1000,20 @@ def loop_model_from_dict(data):
             if key not in reward_map:
                 raise ValidationError(f"reward entry {key} missing for feasible pair")
             try:
-                row = np.asarray(kernel_map[key], dtype=float)
-            except (TypeError, ValueError):
-                raise ValidationError(f"kernel row {key} is not a list of numbers") from None
+                row = np.asarray(kernel_map[key])
+            except ValueError:
+                row = None
+            # JSON numbers and booleans only: no text, no null
+            if row is None or (row.size and row.dtype.kind not in "biuf"):
+                raise ValidationError(f"kernel row {key} is not a list of numbers")
             if row.shape != (S,):
                 raise ValidationError(f"kernel row {key} has length {row.size}, expected {S}")
             kernel[i, a] = row
+            value = reward_map[key]
             try:
-                reward[i, a] = float(reward_map[key])
+                if isinstance(value, str):
+                    raise TypeError
+                reward[i, a] = float(value)
             except (TypeError, ValueError):
                 raise ValidationError(f"reward {key} is not a number") from None
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
@@ -1197,6 +1208,25 @@ class TestReaderReference:
         else:
             assert got == want
             assert got[0] is ValidationError
+
+
+@pytest.mark.parametrize("section", ["kernel", "reward"])
+def test_numeric_text_is_not_a_number(wind_model, tmp_path, section):
+    """A kernel row or a reward written as text, such as "0.53", is not
+    read as a number, from a dict or from a model file; a row of text is
+    named before its reward."""
+    data = json.loads(json.dumps(model_to_dict(wind_model)))
+    key = "3,2"
+    data["reward"][key] = repr(data["reward"][key])
+    want = f"reward {key} is not a number"
+    if section == "kernel":
+        data["kernel"][key] = [repr(x) for x in data["kernel"][key]]
+        want = f"kernel row {key} is not a list of numbers"
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps(data, indent=2))
+    for read in (lambda: model_from_dict(data), lambda: load_model(str(path))):
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            read()
 
 
 class TestReaderChunks:
@@ -1835,20 +1865,14 @@ class TestSparseKernelReaders:
 
     def check_decoders(self, spec, model, dense, monkeypatch):
         """Every `_scatter_rows` call site gives the dense reference's bits:
-        the dense view, the kernel blocks and a policy's chain, also with
-        blocks of a few states, and each row the row check rebuilds."""
+        the dense view, the kernel blocks of kernel @ g (also blocks of one
+        state) and a policy's chain, and each row the row check rebuilds."""
         assert same_bits(dataclasses.replace(model, beta=1.0).kernel, dense)
         idx = np.arange(model.num_states)
         d = threshold_policy(spec)
-        for block_bytes in (mvmdp.model._BLOCK_BYTES, 4096):
-            monkeypatch.setattr(mvmdp.model, "_BLOCK_BYTES", block_bytes)
-            covered = 0
-            for lo, hi, block in dataclasses.replace(model, beta=1.0)._blocks():
-                assert lo == covered and same_bits(block, dense[lo:hi])
-                covered = hi
-            assert covered == model.num_states
-            assert same_bits(induced_chain(dataclasses.replace(model, beta=1.0), d)[0], dense[idx, d.action])
-        monkeypatch.undo()
+        assert same_bits(induced_chain(dataclasses.replace(model, beta=1.0), d)[0], dense[idx, d.action])
+        G = np.random.default_rng(92).normal(size=(2, model.num_states))
+        check_kernel_times(model, G, monkeypatch, dense)
         # with no tolerance, the row check rebuilds every selected row
         rebuilt = []
 
@@ -1906,7 +1930,7 @@ class TestSparseKernelReaders:
         spec = WindStorageSpec(battery_capacity=50, wind_kernel=K)
         model = build(spec)
         dense = dense_wind_kernel(spec, model)
-        assert model._block_states() < model.num_states
+        assert several_blocks(model)
         zeros = (dense == 0) & np.signbit(dense)
         assert zeros.any() and np.signbit(model.kernel_csr.values).sum() == zeros.sum()
         self.check_decoders(spec, model, dense, monkeypatch)
@@ -1915,18 +1939,116 @@ class TestSparseKernelReaders:
         assert np.all(model._positive[2] > 0)
 
 
+def several_blocks(model) -> bool:
+    """Whether the dense kernel is larger than one block of _BLOCK_BYTES."""
+    S, A = model.num_states, model.num_actions
+    return S * A * S * 8 > mvmdp.model._BLOCK_BYTES
+
+
+def check_kernel_times(model, G, monkeypatch, dense=None):
+    """`_kernel_times` of the potentials G, stacked, is one gemv per
+    (potential, state) whatever the block size: with blocks of 4096 bytes
+    (one or two states on the wind models) it has the default's bits, and
+    those of the dense kernel's product, from `dense` or else the model's
+    view."""
+    reports = [SimpleNamespace(potential=g) for g in G]
+    want = _kernel_times(model, reports)
+    monkeypatch.setattr(mvmdp.sensitivity, "_BLOCK_BYTES", 4096)
+    got = _kernel_times(model, reports)
+    monkeypatch.undo()
+    assert same_bits(got, want)
+    dense = model.kernel if dense is None else dense
+    assert all(same_bits(kg, dense @ g) for kg, g in zip(want, G))
+
+
+def theta_with_zeros(rng, model):
+    """A random theta on the feasible actions in which about a third of
+    the feasible weights are zero, every row keeping one positive; state 0
+    takes its first feasible action only."""
+    mask = model.feasible_mask()
+    w = np.where(mask & (rng.random(mask.shape) < 0.65), rng.random(mask.shape), 0.0)
+    first = mask.argmax(axis=1)
+    rows = np.arange(model.num_states)
+    w[rows, first] += (w.sum(axis=1) == 0) * rng.random()
+    w[0] = np.arange(model.num_actions) == first[0]
+    return RandomizedPolicy(w / w.sum(axis=1, keepdims=True))
+
+
+class TestMixtureScatter:
+    """`induced_chain_randomized` mixes the chain with one scatter-add of
+    the theta-weighted CSR entries; it has the bits of the dense
+    np.einsum("ia,iaj->ij", theta, kernel)."""
+
+    @staticmethod
+    def check(model, theta):
+        P, _, _ = induced_chain_randomized(model, theta)
+        assert same_bits(P, np.einsum("ia,iaj->ij", theta.theta, model.kernel))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        full = random_mdp(rng, max_states=12, max_actions=8)
+        for model in (full, restrict_feasible(rng, full), sparse_mdp(rng)):
+            self.check(model, theta_with_zeros(rng, model))
+
+    @pytest.mark.parametrize("battery", [5, 50])
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_wind_models(self, battery, abandonment):
+        model = build(WindStorageSpec(battery_capacity=battery, abandonment=abandonment))
+        assert several_blocks(model) == (battery == 50)
+        rng = np.random.default_rng(93)
+        for theta in (uniform_theta(model), theta_with_zeros(rng, model)):
+            self.check(model, theta)
+
+
+class TestKernelTimesBlocks:
+    """`sensitivity._kernel_times` scatters (k, A, S) kernel blocks from the
+    CSR into one buffer at every size; the block size changes no bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        full = random_mdp(rng, max_states=12, max_actions=8)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for model in (full, restrict_feasible(rng, full), sparse_mdp(rng)):
+                check_kernel_times(model, rng.normal(size=(3, model.num_states)), monkeypatch)
+
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_b50(self, abandonment, monkeypatch):
+        model = build(WindStorageSpec(battery_capacity=50, abandonment=abandonment))
+        assert several_blocks(model)
+        G = np.random.default_rng(94).normal(size=(3, model.num_states))
+        check_kernel_times(model, G, monkeypatch)
+
+
 def dense_view_built(model) -> bool:
     return "kernel" in model.__dict__
 
 
 class TestNoDenseView:
-    """No package path builds the dense (S, A, S) kernel of a model larger
-    than one block."""
+    """No package path builds the dense (S, A, S) kernel, of a model larger
+    than one block or of the paper's B=5 models."""
+
+    @pytest.mark.parametrize("abandonment", [False, True])
+    def test_paths_at_b5(self, abandonment):
+        spec = WindStorageSpec(abandonment=abandonment)
+        model = build(spec)
+        assert not several_blocks(model)
+        multi_start(model, 2, seed=0)
+        policy = threshold_policy(spec)
+        report = evaluate(model, policy)
+        improvement_vector(model, report, policy)
+        theta = uniform_theta(model)
+        evaluate(model, theta)
+        gradient_solver(model, theta, GradientConfig(max_iterations=3))
+        assert not dense_view_built(model)
 
     def test_paths_at_b50(self, tmp_path):
         spec = WindStorageSpec(battery_capacity=50, abandonment=True)
         model = build(spec)
-        assert model._block_states() < model.num_states
+        assert several_blocks(model)
         policy, _ = policy_iteration(model, threshold_policy(spec))
         report = evaluate(model, policy)
         improvement_vector(model, report, policy)

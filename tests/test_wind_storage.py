@@ -60,6 +60,16 @@ class TestSpec:
         with pytest.raises(ValidationError, match="wind kernel row 2"):
             WindStorageSpec(wind_kernel=bad)
 
+    def test_wind_levels_are_integers_with_abandonment(self):
+        """The abandonment decisions run from minus the largest wind level,
+        so a level that is not an integer is named when the spec is made;
+        without abandonment the levels need only be real."""
+        levels = (0, 1, 2, 3, 4, 5.5)
+        with pytest.raises(ValidationError, match=r"^wind state must be an integer, got 5\.5$"):
+            WindStorageSpec(wind_states=levels, abandonment=True)
+        model = build(WindStorageSpec(wind_states=levels))
+        assert model.reward.max() == 5.5 + max(WindStorageSpec().charge_actions)
+
     def test_battery_and_actions_checked(self):
         with pytest.raises(ValidationError, match="battery"):
             WindStorageSpec(battery_capacity=0)
