@@ -442,14 +442,14 @@ def _solve_chains(chain: _Chain, of: list, rhs=None) -> list:
     states. Without rhs only pi is solved, and F, J and G are None.
 
     rhs(members, pi) gives the right-hand sides of the members `members`,
-    whose chains' stationary distributions are the rows of pi: (F, J, PF),
-    F of shape (K, c, S) and the others (K, c), the k-th of member
-    members[q] being (F[k, q], J[k, q]). PF holds the dot products pi . F
-    with the bits of `_dots(pi, F)`: it often has them already. Each
-    potential g solves (I - P) g = f - J with g[0] = 0, and J must equal
-    pi.f within CONSISTENCY_TOL times max(1, max|f|). A member's F and G are
-    its (K, S) rows of them, with the potential of its k-th right-hand side
-    in G[k], and J is the list of its averages.
+    whose chains' stationary distributions are the rows of pi: (F, J), F of
+    shape (K, c, S) and J (K, c), the k-th of member members[q] being
+    (F[k, q], J[k, q]). Each potential g solves (I - P) g = f - J with
+    g[0] = 0, which has a solution only when J = pi . f: rhs computes J
+    from pi, or raises when a J it was given is not pi . f
+    (`solve_poisson`). A
+    member's F and G are its (K, S) rows of them, with the potential of its
+    k-th right-hand side in G[k], and J is the list of its averages.
 
     The pinned system (row 0 of I - P replaced by e_0) is nonsingular for
     irreducible chains. When state 0 is transient in a unichain it becomes
@@ -507,12 +507,11 @@ def _solve_chunk(chain: _Chain, rhs, ids: list, slots: list) -> list:
     Each factorization is the same call either way, so the bits are the
     same; the second thread has ended before anything else runs. The
     stationary gate is one bincount over the chunk's rows, read by every
-    member of a chain. The costs, the right-hand sides, the consistency
-    values and the Poisson gates are array operations over the members
-    that pass it, the gates one 2-D reduceat over their chains' rows
-    (`_only`), each row summed as its chain alone sums it. Both stacks are
-    gone before a member that needs the normalized system builds it, as a
-    stack of one.
+    member of a chain. The costs, the right-hand sides and the Poisson
+    gates are array operations over the members that pass it, the gates
+    one 2-D reduceat over their chains' rows (`_only`), each row summed as
+    its chain alone sums it. Both stacks are gone before a member that
+    needs the normalized system builds it, as a stack of one.
     """
     c, S = (chain.indptr.size - 1) // chain.size, chain.size
     if rhs is not None and S >= OVERLAP_MIN_STATES and _idle_cpu():
@@ -546,7 +545,7 @@ def _solve_chunk(chain: _Chain, rhs, ids: list, slots: list) -> list:
     if on != list(range(c)):
         pi = pi[on]
     if rhs is not None and good:
-        F, J, PF = rhs([ids[j] for j in good], pi)
+        F, J = rhs([ids[j] for j in good], pi)
         G = F - J[..., None]
         G[..., 0] = 0.0
         unsolved = pinned.solve(on * F.shape[0], G.reshape(-1, S))
@@ -556,17 +555,10 @@ def _solve_chunk(chain: _Chain, rhs, ids: list, slots: list) -> list:
     if rhs is None or not good:
         return _outcomes(errors, good, pi)
     kept = _only(chain, on)
-    consistency = np.abs(PF - J)
-    # beyond CONSISTENCY_TOL * max(1, max|f|), with f scanned only past 1
-    off = consistency > CONSISTENCY_TOL
-    if off.any():
-        off &= consistency > CONSISTENCY_TOL * np.abs(F).max(axis=2)
     passed = _poisson_gates(kept, F, J, G)[1]
     passed.reshape(-1)[unsolved] = False
-    if off.any() or not passed.all():
-        # the right-hand sides after an inconsistent one are never solved
-        retry = ~passed & ~np.logical_or.accumulate(off, axis=0)
-        for j, error in zip(good, _fall_back(kept, pi, F, J, G, retry, off, consistency)):
+    if not passed.all():
+        for j, error in zip(good, _fall_back(kept, pi, F, J, G, ~passed)):
             errors[j] = error
     return _outcomes(errors, good, pi, F, J.T.tolist(), G)
 
@@ -583,12 +575,11 @@ def _outcomes(errors: list, good: list, pi, F=None, J=None, G=None) -> list:
     return out
 
 
-def _fall_back(chain, pi, F, J, G, retry, off, consistency) -> list:
+def _fall_back(chain, pi, F, J, G, retry) -> list:
     """Solves each potential G[k, q] of chain q that `retry` marks
     from the normalized system instead, a chain at a time. Returns each
-    chain's error: that of its first right-hand side that is inconsistent
-    (`off`, with its consistency value) or fails the normalized solve or
-    its gate, or None."""
+    chain's error: that of its first right-hand side that fails the
+    normalized solve or its gate, or None."""
     stuck = np.zeros(retry.shape, dtype=bool)
     for q in np.flatnonzero(retry.any(axis=0)).tolist():
         ks = np.flatnonzero(retry[:, q])
@@ -600,16 +591,11 @@ def _fall_back(chain, pi, F, J, G, retry, off, consistency) -> list:
             stuck[ks, q] = True
         del normalized
     residual, passed = _poisson_gates(chain, F, J, G)
-    failed = off | stuck | (retry & ~stuck & ~passed)
+    failed = stuck | (retry & ~passed)
     errors = [None] * retry.shape[1]
     for q in np.flatnonzero(failed.any(axis=0)).tolist():
         k = int(np.argmax(failed[:, q]))
-        if off[k, q]:
-            errors[q] = (
-                f"supplied average {float(J[k, q])!r} disagrees with pi.f by "
-                f"{consistency[k, q]:.3e}"
-            )
-        elif stuck[k, q]:
+        if stuck[k, q]:
             errors[q] = "potential solve failed: Singular matrix"
         else:
             errors[q] = f"potential residual {residual[k, q]:.3e} is too large"
@@ -638,17 +624,21 @@ def _poisson_gates(chain: _Chain, F, J, G):
 def solve_poisson(P: np.ndarray, f: np.ndarray, J: float) -> np.ndarray:
     """Potential g with g[0] = 0 solving g = f - J + P g.
 
-    J must equal pi.f within 1e-9 times max(1, max|f|); the solution is
+    J must equal pi.f within CONSISTENCY_TOL times max(1, max|f|), checked
+    once pi is known and before any potential is solved; the solution is
     unique once g[0] is pinned.
     """
     P = _check_stochastic(P)
     f = _reals(f, "cost")
     if f.shape != (P.shape[0],):
         raise ValidationError(f"cost length {f.shape} does not match P {P.shape}")
-    J = np.array([[_real(J, "J")]])
+    J = _real(J, "J")
 
     def rhs(members, pi):
-        return f[None, None], J, _dots(pi, f[None, None])
+        off = abs(float(_dots(pi[0], f)) - J)
+        if off > CONSISTENCY_TOL * max(1.0, np.abs(f).max()):
+            raise EvaluationError(f"supplied average {J!r} disagrees with pi.f by {off:.3e}")
+        return f[None, None], np.array([[J]])
 
     return _sole(_solve_chains(_dense_chain(P), [0], rhs))[3][0]
 
@@ -721,11 +711,9 @@ def _evaluate_chains(chain: _Chain, r: np.ndarray, m2, of: list, betas: list) ->
             for q, m in enumerate(chains):
                 if m2[m] is not None:
                     sq[q] = _squared_deviation(rows[q], j_mean[q], m2[m])
+        j_var = _dots(pi, sq)
         F = np.array([rows - beta[:, None] * sq, rows, sq])
-        # pi . cost for the consistency check, pi . r = j_mean and pi . sq = j_var
-        PF = _dots(pi, F)
-        j_var = PF[2]
-        return F, np.array([j_mean - beta * j_var, j_mean, j_var]), PF
+        return F, np.array([j_mean - beta * j_var, j_mean, j_var])
 
     outcomes = _solve_chains(chain, of, rhs)
     for j, outcome in enumerate(outcomes):

@@ -303,10 +303,15 @@ def _real(value, name: str) -> float:
     """value as a float; ValidationError "<name> must be a real number, got
     <value!r>" for a bool, a string or any other value that is not a real
     number, which would otherwise fail later with a bare TypeError or
-    ValueError, or be taken as 0 or 1."""
+    ValueError, or be taken as 0 or 1, and "<name> is too large for a
+    float" for a real number beyond the float range, such as 10**400,
+    whose digits are not echoed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
 
 
 def _check_seed(seed) -> None:
@@ -867,7 +872,7 @@ def _kernel_rows(S: int, A: int, states: list, actions: list, keys: list, rows: 
 def _reward_values(reward_map: dict, keys: list) -> list:
     """The rewards of the pairs `keys` as floats; ValidationError naming the
     first pair whose reward is not a number. Text is not a number, even
-    text float() reads."""
+    text float() reads, and neither is an integer beyond the float range."""
     values = []
     for key in keys:
         value = reward_map[key]
@@ -875,7 +880,7 @@ def _reward_values(reward_map: dict, keys: list) -> list:
             if isinstance(value, (str, bytes, bytearray)):
                 raise TypeError
             values.append(float(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"reward {key} is not a number") from None
     return values
 
@@ -897,7 +902,7 @@ def model_from_dict(data: dict) -> MdpModel:
         feasible = data["feasible"]
         kernel_map = data["kernel"]
         reward_map = data["reward"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
     if S < 1 or A < 1:
         raise ValidationError(f"need at least one state and action, got S={S}, A={A}")

@@ -9,6 +9,7 @@ formula which also evaluates the comparison policy.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,14 @@ def _kernel_times(model: MdpModel, reports: list) -> np.ndarray:
     return kg
 
 
-def _scores(model: MdpModel, reports: list, beta: float | None = None):
+def _scores(model: MdpModel, reports: list):
     """(score, kg) of the reports, as one batch: the Q-scores of every
     feasible pair (NaN elsewhere) and kernel @ g (`_kernel_times`), stacked
-    (M, S, A). Each report is scored at `beta`, or without it at its own
-    beta. The reports are not checked (`_score_table` checks for the
-    public functions)."""
+    (M, S, A). Each report is scored at its own beta. The reports are not
+    checked (`_score_table` checks for the public functions)."""
     kg = _kernel_times(model, reports)
     j_mean = np.array([report.j_mean for report in reports])
-    if beta is None:
-        beta = np.array([report.beta for report in reports])[:, None, None]
+    beta = np.array([report.beta for report in reports])[:, None, None]
     # mv_cost_vector's floats, for a beta per report
     cost = model.reward - beta * _squared_deviation(model.reward, j_mean[:, None, None])
     score = np.where(model.feasible_mask(), cost + kg, np.nan)
@@ -104,7 +103,7 @@ def _score_table(model: MdpModel, report: EvaluationReport, policy, what: str):
         policy.validate_for(model)
     else:
         action = _check_policies(model, [policy])[0]
-    (score,), (kg,) = _scores(model, [report], model.beta)
+    (score,), (kg,) = _scores(model, [dataclasses.replace(report, beta=model.beta)])
     if isinstance(policy, RandomizedPolicy):
         pg = (policy.theta * kg).sum(axis=1)
     else:

@@ -136,6 +136,14 @@ class TestArguments:
                      "--policy", str(policy)]) == 2
         assert capsys.readouterr().err == "error: theta row 0 sums to 0.8999999999999999, expected 1\n"
 
+    def test_reward_beyond_the_float_range_exits_2(self, workdir, tmp_path, capsys):
+        data = json.loads((workdir / "wind.json").read_text())
+        data["reward"]["3,2"] = 10**400
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(data))
+        assert main(["evaluate", "--model", str(model), "--policy", str(workdir / "pol.json")]) == 2
+        assert capsys.readouterr().err == "error: reward 3,2 is not a number\n"
+
     def test_negative_iteration_cap_exits_2(self, workdir):
         assert main(["solve-pi", "--model", str(workdir / "wind.json"),
                      "--max-iterations", "-1"]) == 2
@@ -997,6 +1005,35 @@ def test_scalar_that_is_not_real_is_a_validation_error(case, wind_model, wind_sp
     range is checked, not a bare TypeError or ValueError."""
     call, name = NON_REAL_SCALARS[case]
     with pytest.raises(ValidationError, match=rf"^{name} must be a real number, got "):
+        call(wind_model, threshold_policy(wind_spec))
+
+
+TOO_LARGE = 10**400
+TOO_LARGE_SCALARS = {
+    "combined_metric beta": (lambda m, d: combined_metric(1.0, 1.0, TOO_LARGE), "beta"),
+    "mv_cost_vector beta": (lambda m, d: mv_cost_vector([1.0], 1.0, TOO_LARGE), "beta"),
+    "MdpModel beta": (lambda m, d: MdpModel(1, 1, ((0,),), [[[1.0]]], [[0.0]], TOO_LARGE), "beta"),
+    "build beta": (lambda m, d: build(WindStorageSpec(beta=TOO_LARGE)), "beta"),
+    "sweep_beta beta": (lambda m, d: sweep_beta(m, (TOO_LARGE,), 2), "beta"),
+    "MixedPolicy delta": (lambda m, d: MixedPolicy(d, d, TOO_LARGE), "delta"),
+    "mollify eps": (lambda m, d: mollify(m, d.as_randomized(m), TOO_LARGE), "eps"),
+    "GradientConfig stop_ratio": (lambda m, d: GradientConfig(stop_ratio=TOO_LARGE), "stop_ratio"),
+    "ExplorationConfig epsilon": (lambda m, d: ExplorationConfig(epsilon=TOO_LARGE), "epsilon"),
+    "ExplorationConfig gamma": (lambda m, d: ExplorationConfig(gamma=TOO_LARGE), "gamma"),
+    "ExplorationConfig gamma_decay": (
+        lambda m, d: ExplorationConfig(gamma_decay=TOO_LARGE), "gamma_decay"
+    ),
+    "solve_poisson J": (lambda m, d: solve_poisson(HALVES, [1.0, 2.0], TOO_LARGE), "J"),
+}
+
+
+@pytest.mark.parametrize("case", TOO_LARGE_SCALARS)
+def test_scalar_beyond_the_float_range_is_a_validation_error(case, wind_model, wind_spec):
+    """A real-valued scalar too large for a float, such as 10**400, raises
+    a ValidationError naming it, without echoing its digits, not a bare
+    OverflowError."""
+    call, name = TOO_LARGE_SCALARS[case]
+    with pytest.raises(ValidationError, match=rf"^{name} is too large for a float$"):
         call(wind_model, threshold_policy(wind_spec))
 
 

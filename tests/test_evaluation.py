@@ -190,6 +190,21 @@ class TestPoisson:
         with pytest.raises(EvaluationError, match="disagrees"):
             solve_poisson(P, f, J + 1e-6 * scale * 2.0)
 
+    def test_multichain_is_named_before_a_wrong_average(self):
+        with pytest.raises(EvaluationError, match="^stationary distribution is not unique"):
+            solve_poisson(np.eye(2), np.array([1.0, 2.0]), 100.0)
+
+    def test_wrong_average_is_named_before_the_potential_solve(self):
+        # state 0 is transient: the pinned system is singular or hides its
+        # singularity, and a consistent average falls back and solves
+        for closed in TRANSIENT_PIN_CHAINS:
+            m = transient_pin_model(closed)
+            P, r = induced_chain(m, DeterministicPolicy(np.zeros(3, dtype=int)))
+            J = float(stationary_distribution(P) @ r)
+            assert solve_poisson(P, r, J)[0] == 0.0
+            with pytest.raises(EvaluationError, match=r"^supplied average 3\.0 disagrees with pi\.f by "):
+                solve_poisson(P, r, 3.0)
+
 
 class TestEvaluate:
     def test_single_state(self, single_state_model):
@@ -658,6 +673,18 @@ class TestOverlap:
         monkeypatch.setattr(evaluation, "_LAPACK", (None, None, lambda: blas_threads))
         assert evaluation._idle_cpu() is idle
 
+    def test_wrong_average_raises_the_same_error(self, monkeypatch):
+        """solve_poisson checks its average after the pinned stack is
+        factored, on this thread or on the second, which has ended."""
+        S = evaluation.OVERLAP_MIN_STATES
+        P = np.random.default_rng(79).dirichlet(np.ones(S), size=S)
+        f = np.linspace(-1.0, 1.0, S)
+        J = float(stationary_distribution(P) @ f) + 1e-3
+        inline = self.run(monkeypatch, False, solve_poisson, P, f, J)
+        assert inline[0] == "EvaluationError"
+        assert inline[1].startswith(f"supplied average {J!r} disagrees with pi.f by 1.000e-03")
+        assert self.run(monkeypatch, True, solve_poisson, P, f, J) == inline
+
     def test_multichain_raises_the_same_error(
         self, monkeypatch, wind_model, frozen_battery_policy
     ):
@@ -873,9 +900,9 @@ SCALED_REWARDS = {
 
 
 class TestScaledRewards:
-    """The consistency and residual tolerances grow with the right-hand
-    side, so models whose rewards are scaled or shifted evaluate, and
-    their reports pass the improvement step's residual check."""
+    """The residual tolerance grows with the right-hand side, so models
+    whose rewards are scaled or shifted evaluate, and their reports pass
+    the improvement step's residual check."""
 
     @pytest.mark.parametrize("battery", [5, 50])
     @pytest.mark.parametrize("change", SCALED_REWARDS)
@@ -896,6 +923,38 @@ def one_action_model(P, reward, beta):
     """A one-action model whose only policy induces the chain P."""
     S = P.shape[0]
     return MdpModel(S, 1, ((0,),) * S, P[:, None, :], reward[:, None], beta)
+
+
+class TestCancellingAverages:
+    """evaluate computes its own averages, so it never rejects them as
+    inconsistent with pi: on a model whose j_mean and beta * j_var cancel,
+    j_combined is two roundings of one cancelling sum, and only the
+    Poisson residual gate judges the potential."""
+
+    ONE_POLICY = DeterministicPolicy(np.zeros(2, dtype=int))
+
+    def test_residual_gate_judges_the_potential(self):
+        q = 0.5000001
+        P = np.array([[0.5, 0.5], [q, 1 - q]])
+        m = one_action_model(P, np.array([1e9 + 0.5, 1e9 - 0.5]), 4e9)
+        with pytest.raises(EvaluationError, match=r"^potential residual 5\.000e-08 is too large$"):
+            evaluate(m, self.ONE_POLICY)
+
+    def test_cancelling_report_is_accepted(self):
+        P = np.array([
+            [0.3589468646077373, 0.6410531353922627],
+            [0.6410531330773206, 0.3589468669226794],
+        ])
+        r = np.array([6617319964.892892, 6617319956.492475])
+        beta = 375094245.337722
+        m = one_action_model(P, r, beta)
+        rep = evaluate(m, self.ONE_POLICY)
+        assert rep.j_combined == 0.0
+        improvement_vector(m, rep, self.ONE_POLICY)
+        # the exact j_combined of these floats is within one ulp of
+        # beta * j_var, the float it is the difference of
+        exact = exact_evaluation(P, r, beta)["j_combined"]
+        assert 0 < exact < np.spacing(beta * rep.j_var)
 
 
 def transient_entry_chain(rng, S, escape):

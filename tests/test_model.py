@@ -970,7 +970,8 @@ def loop_model_to_dict(model):
 def loop_model_from_dict(data):
     """Per-pair reference reader: one np.asarray and one assignment per row.
     Every malformed dict raises ValidationError, as in model_from_dict;
-    text is not a number, even "0.5"."""
+    text is not a number, even "0.5", and neither is an integer beyond the
+    float range."""
     try:
         S = operator.index(data["num_states"])
         A = operator.index(data["num_actions"])
@@ -978,7 +979,7 @@ def loop_model_from_dict(data):
         feasible = data["feasible"]
         kernel_map = data["kernel"]
         reward_map = data["reward"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model file is missing or mistypes field: {exc}") from exc
     if S < 1 or A < 1:
         raise ValidationError(f"need at least one state and action, got S={S}, A={A}")
@@ -1014,7 +1015,7 @@ def loop_model_from_dict(data):
                 if isinstance(value, str):
                     raise TypeError
                 reward[i, a] = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"reward {key} is not a number") from None
     return MdpModel(S, A, tuple(tuple(acts) for acts in feasible), kernel, reward, beta)
 
@@ -1154,6 +1155,8 @@ def malformed_dicts():
     yield "null reward", edit(put("reward", "1,0", None))
     yield "list reward", edit(put("reward", "1,0", [0.5]))
     yield "infinite reward", edit(put("reward", "0,0", 1e309))
+    yield "reward beyond the float range", edit(put("reward", "1,0", 10**400))
+    yield "beta beyond the float range", edit(lambda d: d.__setitem__("beta", 10**400))
     yield "negative entry", edit(put("kernel", "1,0", [-0.5, 1.5]))
     yield "bad sum", edit(put("kernel", "1,1", [0.1, 0.8]))
     yield "NaN", edit(put("kernel", "0,0", [float("nan"), 1.0]))
@@ -1226,6 +1229,24 @@ def test_numeric_text_is_not_a_number(wind_model, tmp_path, section):
     path.write_text(json.dumps(data, indent=2))
     for read in (lambda: model_from_dict(data), lambda: load_model(str(path))):
         with pytest.raises(ValidationError, match=f"^{want}$"):
+            read()
+
+
+@pytest.mark.parametrize("field", ["reward", "beta"])
+def test_integer_beyond_the_float_range_is_a_validation_error(wind_model, tmp_path, field):
+    """A JSON integer too large for a float, from a dict or from a model
+    file, is a ValidationError, not a bare OverflowError."""
+    data = json.loads(json.dumps(model_to_dict(wind_model)))
+    if field == "reward":
+        data["reward"]["3,2"] = 10**400
+        want = "^reward 3,2 is not a number$"
+    else:
+        data["beta"] = 10**400
+        want = "^model file is missing or mistypes field: int too large to convert to float$"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    for read in (lambda: model_from_dict(data), lambda: load_model(str(path))):
+        with pytest.raises(ValidationError, match=want):
             read()
 
 
